@@ -443,8 +443,8 @@ def _execute_wave_serve(
     Cells already present in the local result cache are replayed without
     touching the server; the rest go through the client's
     :class:`~repro.serve.client.RetryPolicy` — exponential backoff with
-    full jitter on connection failures, 429, 503, and failover 404s, so
-    a campaign pointed at a ``repro cluster`` survives a shard dying
+    full jitter on connection failures, 429, 503, and the 404s of a
+    restarted broker, so a campaign survives the server restarting
     mid-wave.  Results land in the local cache too, so a later resume —
     or a grid run of the same spec — replays them for free.
     """

@@ -1,6 +1,6 @@
 """Differential harnesses: implementation vs oracle, fast vs reference.
 
-Four harnesses, each replaying one trace and reporting the **first
+Three harnesses, each replaying one trace and reporting the **first
 divergence** with a machine-state dump (or ``None`` when the replay is
 clean):
 
@@ -9,15 +9,10 @@ clean):
   stream (derived from the oracle hierarchy with no prefetch fills, so
   hit/miss annotations and L1-eviction callbacks are deterministic and
   engine-independent) and compares every candidate list.
-* :func:`diff_engine` — runs the columnar fast path and the readable
-  reference engine on fresh machines and compares the full result
-  serialization plus hierarchy statistics (they are documented as
-  bit-identical).
-* :func:`diff_batch` — runs many lanes through the
-  :class:`~repro.sim.batch.BatchSimulationEngine` at once and compares
-  every lane's result serialization and hierarchy statistics against a
-  fresh per-cell fast-path run (the batch backend's bit-identity
-  contract).
+* :func:`diff_engine` — runs the columnar fast path and the engine
+  oracle (:func:`repro.check.reference.run_reference`) on fresh
+  machines and compares the full result serialization plus hierarchy
+  statistics (they are documented as bit-identical).
 * :func:`diff_hierarchy` — steps the implementation hierarchy through
   both its reference and ``*_fast`` methods alongside the hierarchy
   oracle, interleaving deterministic prefetch fills, and compares
@@ -35,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.check.oracles import HierarchyOracle, make_oracle
+from repro.check.reference import run_reference
 from repro.harness.registry import PREFETCHER_FACTORIES, make_prefetcher
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
@@ -64,8 +60,7 @@ class Divergence:
     """First point where two models of the same machine disagree.
 
     Attributes:
-        kind: ``"prefetcher"``, ``"engine"``, ``"batch"``, or
-            ``"hierarchy"``.
+        kind: ``"prefetcher"``, ``"engine"``, or ``"hierarchy"``.
         subject: prefetcher/config name under test.
         trace: name of the trace that exposed the divergence.
         event_index: position in the event stream (-1 for end-of-run
@@ -213,7 +208,7 @@ def diff_engine(
     fast_engine = SimulationEngine(config, factory())
     reference_engine = SimulationEngine(config, factory())
     fast = fast_engine.run(trace).to_dict()
-    reference = reference_engine.run_reference(trace).to_dict()
+    reference = run_reference(reference_engine, trace).to_dict()
     if fast != reference:
         keys = [key for key in reference if fast.get(key) != reference[key]]
         return Divergence(
@@ -230,62 +225,6 @@ def diff_engine(
             description="hierarchy statistics differ between fast and reference",
             expected=reference_stats, actual=fast_stats,
         )
-    return None
-
-
-def diff_batch(
-    names: List[str],
-    trace: Trace,
-    configs: Optional[List[SimConfig]] = None,
-    config: SimConfig = REDUCED_CONFIG,
-) -> Optional[Divergence]:
-    """Fast path vs batch backend, lane by lane; first mismatch.
-
-    All ``names`` run as one :class:`~repro.sim.batch.BatchSimulationEngine`
-    over ``trace`` (so cross-lane interference bugs are visible), and
-    every lane is compared — result serialization and hierarchy
-    statistics — against a fresh per-cell fast-path run.  Pass
-    ``configs`` (position-matched to ``names``) to exercise mixed-config
-    lanes; otherwise every lane uses ``config``.
-    """
-    from repro.sim.batch import BatchLane, BatchSimulationEngine
-
-    if configs is None:
-        configs = [config] * len(names)
-    lanes = [BatchLane(prefetcher=name, config=lane_config)
-             for name, lane_config in zip(names, configs)]
-    batch_engine = BatchSimulationEngine(lanes)
-    batch_results = batch_engine.run(trace)
-    for index, (lane, batch_result) in enumerate(zip(lanes, batch_results)):
-        fast_engine = SimulationEngine(
-            lane.config, make_prefetcher(lane.prefetcher)
-        )
-        fast = fast_engine.run(trace).to_dict()
-        batch = batch_result.to_dict()
-        if batch != fast:
-            keys = [key for key in fast if batch.get(key) != fast[key]]
-            return Divergence(
-                kind="batch", subject=lane.prefetcher, trace=trace.name,
-                event_index=-1,
-                description=(
-                    f"batch lane {index} result differs from fast path "
-                    f"on {keys}"
-                ),
-                expected={key: fast[key] for key in keys},
-                actual={key: batch.get(key) for key in keys},
-            )
-        fast_stats = vars(fast_engine.hierarchy.stats)
-        batch_stats = vars(batch_engine.hierarchies[index].stats)
-        if batch_stats != fast_stats:
-            return Divergence(
-                kind="batch", subject=lane.prefetcher, trace=trace.name,
-                event_index=-1,
-                description=(
-                    f"batch lane {index} hierarchy statistics differ "
-                    "from fast path"
-                ),
-                expected=fast_stats, actual=batch_stats,
-            )
     return None
 
 
@@ -393,13 +332,9 @@ def diff_all(
         divergence = diff_prefetcher(name, trace)
         if divergence is not None:
             divergences.append(divergence)
-    batch_names = (engine_names if engine_names is not None
-                   else sorted(PREFETCHER_FACTORIES))
-    for name in batch_names:
+    for name in (engine_names if engine_names is not None
+                 else sorted(PREFETCHER_FACTORIES)):
         divergence = diff_engine(name, trace)
         if divergence is not None:
             divergences.append(divergence)
-    batch_divergence = diff_batch(list(batch_names), trace)
-    if batch_divergence is not None:
-        divergences.append(batch_divergence)
     return divergences

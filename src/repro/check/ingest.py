@@ -1,6 +1,6 @@
 """Differential checks for the external-trace ingest frontend.
 
-Two properties make ``ext:`` workloads safe to cache cluster-wide, and
+Two properties make ``ext:`` workloads safe to cache and share, and
 both are verified here rather than assumed:
 
 * **Recovery determinism** — the back-edge recovery pass, run twice

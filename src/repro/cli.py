@@ -80,13 +80,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for grid execution "
              "(0 = all cores, 1 = in-process; default 0)",
     )
-    parser.add_argument(
-        "--engine", choices=("auto", "fast", "reference", "batch"),
-        default="auto",
-        help="simulation engine tier: auto batches a workload's cells "
-             "when enough of them share its trace; fast/reference/batch "
-             "force one tier (default auto)",
-    )
     _add_cache_arguments(parser)
     parser.add_argument(
         "--no-result-cache", action="store_true",
@@ -120,7 +113,6 @@ def _runner(args: argparse.Namespace) -> GridRunner:
         run_id=getattr(args, "run_id", None),
         resume=getattr(args, "resume", None),
         strict=getattr(args, "strict", False),
-        engine=getattr(args, "engine", "auto"),
     )
 
 
@@ -661,7 +653,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   else lambda workload: print(f"  bench: {workload}",
                                               file=sys.stderr)),
         cache_phase=not args.no_cache_phase,
-        engine=args.engine,
     )
 
     baseline = None
@@ -779,12 +770,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return main_serve(args)
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster.supervisor import main_cluster
-
-    return main_cluster(args)
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve.client import ServeClient
     from repro.serve.protocol import JobStatus, SimulateRequest
@@ -834,16 +819,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.harness.bench import write_bench
-    from repro.serve.loadgen import (
-        LoadgenConfig,
-        run_cluster_loadgen,
-        run_loadgen,
-    )
+    from repro.serve.loadgen import LoadgenConfig, run_loadgen
 
-    if args.quick and args.cluster:
-        config = LoadgenConfig.quick_cluster(
-            host=args.host, port=args.port, seed=args.seed)
-    elif args.quick:
+    if args.quick:
         config = LoadgenConfig.quick(
             host=args.host, port=args.port, seed=args.seed)
     else:
@@ -858,17 +836,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             prefetchers=tuple(args.prefetchers.split(",")),
             budget_fraction=args.budget_fraction,
             scale=args.scale,
-            cover_grid=args.cluster,
         )
-    out = args.out
-    if args.cluster:
-        if out == "BENCH_serve.json":
-            out = "BENCH_cluster.json"
-        document = run_cluster_loadgen(config, announce=print)
-    else:
-        document = run_loadgen(config, announce=print)
-    write_bench(document, out)
-    print(f"\nwrote {out}")
+    document = run_loadgen(config, announce=print)
+    write_bench(document, args.out)
+    print(f"\nwrote {args.out}")
     return 1 if document["totals"]["failed"] else 0
 
 
@@ -1014,11 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--no-progress", action="store_true",
         help="suppress per-workload progress lines on stderr")
-    bench_parser.add_argument(
-        "--engine", choices=("fast", "batch"), default="fast",
-        help="simulation engine to benchmark: 'fast' times each cell "
-             "individually, 'batch' times one batched run per workload "
-             "over the extended prefetcher set (default fast)")
     _add_profile_argument(bench_parser)
     bench_parser.set_defaults(handler=_cmd_bench)
 
@@ -1194,63 +1160,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-cell simulation timeout (default: none)")
     serve_parser.add_argument(
-        "--shard-name", default="broker", metavar="NAME",
-        help="identity for journals/logs when run as a cluster shard "
-             "(default 'broker')")
-    serve_parser.add_argument(
         "--no-recover", action="store_true",
         help="skip re-admitting journaled-but-unfinished jobs on startup")
     _add_cache_arguments(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    cluster_parser = subparsers.add_parser(
-        "cluster",
-        help="supervise N serve shards behind one consistent-hash router "
-             "(health checks, crash restarts, shared result cache)")
-    cluster_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default loopback)")
-    cluster_parser.add_argument(
-        "--port", type=int, default=8400,
-        help="router TCP port; 0 picks a free one (default 8400)")
-    cluster_parser.add_argument(
-        "--shards", type=int, default=3, metavar="N",
-        help="broker shard subprocesses (default 3)")
-    cluster_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per shard (default 1)")
-    cluster_parser.add_argument(
-        "--max-pending", type=int, default=64, metavar="N",
-        help="per-shard admission bound (default 64)")
-    cluster_parser.add_argument(
-        "--cache-dir", required=True, metavar="DIR",
-        help="shared result cache + journals (required: it is what lets "
-             "any shard serve any cached cell)")
-    cluster_parser.add_argument(
-        "--chaos", action="append", default=[], metavar="SHARD:FAULTSPEC",
-        help="inject a REPRO_FAULTS plan into one shard ('s1:...') or "
-             "all ('*:...') on first spawn; repeatable")
-    cluster_parser.add_argument(
-        "--probe-interval", type=float, default=0.5, metavar="SECONDS",
-        help="/readyz health-check cadence per shard (default 0.5)")
-    cluster_parser.add_argument(
-        "--probe-timeout", type=float, default=2.0, metavar="SECONDS",
-        help="per-probe timeout before it counts as failed (default 2)")
-    cluster_parser.add_argument(
-        "--min-uptime", type=float, default=5.0, metavar="SECONDS",
-        help="a shard dying sooner counts toward the crash-loop "
-             "breaker (default 5)")
-    cluster_parser.add_argument(
-        "--backoff-base", type=float, default=0.5, metavar="SECONDS",
-        help="base restart delay, doubled per consecutive fast crash "
-             "(default 0.5)")
-    cluster_parser.add_argument(
-        "--backoff-cap", type=float, default=10.0, metavar="SECONDS",
-        help="largest restart delay (default 10)")
-    cluster_parser.add_argument(
-        "--crash-loop-limit", type=int, default=5, metavar="N",
-        help="consecutive fast crashes before a shard's circuit breaker "
-             "opens (default 5)")
-    cluster_parser.set_defaults(handler=_cmd_cluster)
 
     submit_parser = subparsers.add_parser(
         "submit", help="submit one simulation to a running `repro serve`")
@@ -1288,10 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="the pinned CI smoke shape (12 requests, duplicate-heavy)")
     loadgen_parser.add_argument(
-        "--cluster", action="store_true",
-        help="cluster mode: failover-tolerant retry clients, result "
-             "digests, availability; emits BENCH_cluster.json")
-    loadgen_parser.add_argument(
         "--requests", type=int, default=40,
         help="plan size before paired duplicates (default 40)")
     loadgen_parser.add_argument(
@@ -1328,20 +1237,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     from repro.exec import faults
 
-    faults.install_from_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None:
-        # Export the ingest-store location so exec-pool workers, serve
-        # shards, and cluster subprocesses resolve ext: workloads against
-        # the same store as this process.  An explicit env var wins.
+        # Export the ingest-store location so exec-pool workers resolve
+        # ext: workloads against the same store as this process.  An
+        # explicit env var wins.
         os.environ.setdefault(
             "REPRO_INGEST_STORE", os.path.join(cache_dir, "ingest"))
     profiling = getattr(args, "profile", False)
     if profiling:
         obs.enable()
     try:
+        faults.install_from_env()
         code = args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

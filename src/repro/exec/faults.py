@@ -8,7 +8,8 @@ and an occurrence index at which to fire, so a test or a CI job can say
 "kill the run right after the third task completes" or "tear the fifth
 journal append in half" and get exactly that, every time.
 
-Sites are plain strings checked by the code that owns them:
+Sites are plain strings checked by the code that owns them; a
+``REPRO_FAULTS`` clause naming any other site is rejected:
 
 ``task-done``
     Checked by the scheduler after every completed task.
@@ -21,12 +22,8 @@ Sites are plain strings checked by the code that owns them:
     Checked by the broker at the top of every admission.
 ``serve.job-finished``
     Checked by the broker right after a job reaches a terminal state
-    (``exit`` here is the canonical kill-shard chaos: the process dies
+    (``exit`` here is the canonical kill-broker chaos: the process dies
     mid-batch with journaled-but-unfinished jobs on the books).
-``cluster.forward``
-    Checked (via :func:`async_check`) by the cluster router before
-    forwarding a request to its owning shard (``stall`` here is the
-    slow-network chaos site).
 
 Fault kinds:
 
@@ -37,9 +34,6 @@ Fault kinds:
                      subprocess-based tests and the CI smoke job
 ``torn``             (write sites only) persist the first half of the
                      payload, then die via :class:`InjectedCrash`
-``stall``            sleep :data:`STALL_SECONDS` (override via
-                     ``$REPRO_FAULT_STALL``) and then continue — a hung
-                     shard or a slow network hop, depending on the site
 
 Injectors install process-globally with :func:`install` /
 :func:`deactivate`, or from the ``REPRO_FAULTS`` environment variable
@@ -65,21 +59,10 @@ from repro.common.errors import (
 #: injected death from an organic one.
 EXIT_CODE = 70
 
-_KINDS = ("raise", "raise-permanent", "crash", "exit", "torn", "stall")
+_KINDS = ("raise", "raise-permanent", "crash", "exit", "torn")
 
-
-def stall_seconds() -> float:
-    """How long a ``stall`` fault sleeps (default 600s — long enough
-    that a health-probing supervisor declares the shard hung well before
-    the stall clears; tests shrink it via ``$REPRO_FAULT_STALL``)."""
-    try:
-        return float(os.environ.get("REPRO_FAULT_STALL", "600"))
-    except ValueError:
-        return 600.0
-
-
-#: Documented default for :func:`stall_seconds`.
-STALL_SECONDS = 600.0
+#: Sites the code checks; :func:`parse_fault_spec` accepts only these.
+_SITES = ("task-done", "journal.append", "serve.admit", "serve.job-finished")
 
 #: Environment variable holding a fault plan for subprocesses.
 ENV_VAR = "REPRO_FAULTS"
@@ -108,7 +91,8 @@ def parse_fault_spec(text: str) -> FaultSpec:
     """Parse one ``site:kind[@at[xtimes]]`` clause.
 
     Examples: ``task-done:exit@3``, ``journal.append:torn@2``,
-    ``task-done:raise@1x4``.
+    ``task-done:raise@1x4``.  An unknown kind or site raises
+    :class:`ExecError`: a misspelt site would otherwise never fire.
     """
     head, _, occurrence = text.partition("@")
     site, separator, kind = head.rpartition(":")
@@ -124,7 +108,12 @@ def parse_fault_spec(text: str) -> FaultSpec:
             raise ExecError(
                 f"malformed fault occurrence in {text!r}; want site:kind@NxM"
             ) from None
-    return FaultSpec(site=site, kind=kind, at=at, times=times)
+    spec = FaultSpec(site=site, kind=kind, at=at, times=times)
+    if site not in _SITES:
+        raise ExecError(
+            f"unknown fault site {site!r} in {text!r}; expected one of {_SITES}"
+        )
+    return spec
 
 
 def parse_fault_plan(text: str) -> list[FaultSpec]:
@@ -156,14 +145,9 @@ class FaultInjector:
         return None
 
     def check(self, site: str) -> None:
-        """Record one hit of ``site``; raise/exit/stall if a spec fires."""
+        """Record one hit of ``site``; raise or exit if a spec fires."""
         spec = self._firing(site)
         if spec is None:
-            return
-        if spec.kind == "stall":
-            import time
-
-            time.sleep(stall_seconds())
             return
         if spec.kind == "exit":
             os._exit(EXIT_CODE)
@@ -174,28 +158,6 @@ class FaultInjector:
         if spec.kind == "torn":
             # A torn fault only makes sense on a write path; hitting it
             # through check() means the site passed no payload.
-            raise InjectedCrash(f"injected torn write at {site}")
-        raise TransientError(f"injected transient failure at {site}")
-
-    async def async_check(self, site: str) -> None:
-        """:meth:`check`, but a firing ``stall`` suspends only the
-        current coroutine (``asyncio.sleep``) instead of blocking the
-        whole event loop — a slow network hop, not a hung process."""
-        spec = self._firing(site)
-        if spec is None:
-            return
-        if spec.kind == "stall":
-            import asyncio
-
-            await asyncio.sleep(stall_seconds())
-            return
-        if spec.kind == "exit":
-            os._exit(EXIT_CODE)
-        if spec.kind == "crash":
-            raise InjectedCrash(f"injected crash at {site} (hit {self.hits[site]})")
-        if spec.kind == "raise-permanent":
-            raise PermanentError(f"injected permanent failure at {site}")
-        if spec.kind == "torn":
             raise InjectedCrash(f"injected torn write at {site}")
         raise TransientError(f"injected transient failure at {site}")
 

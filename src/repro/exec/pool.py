@@ -107,21 +107,6 @@ class SimTaskPayload:
     inject_counter_path: str | None = None
 
 
-@dataclass(frozen=True)
-class BatchTaskPayload:
-    """Simulate one workload's cells as one batch over a shared trace.
-
-    Fault injection is a per-cell facility; cells with an
-    :class:`InjectSpec` never batch (the scheduler dispatches them as
-    plain sim tasks instead), so the payload carries none.
-    """
-
-    workload: str
-    prefetchers: tuple[str, ...]
-    config: SimConfig
-    trace_path: str
-
-
 @dataclass
 class TraceTaskOutcome:
     workload: str
@@ -135,12 +120,6 @@ class TraceTaskOutcome:
 @dataclass
 class SimTaskOutcome:
     result: SimResult
-    seconds: float
-
-
-@dataclass
-class BatchTaskOutcome:
-    results: list[SimResult]  # positions match the payload's prefetchers
     seconds: float
 
 
@@ -225,24 +204,6 @@ def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
     result.prefetcher = payload.prefetcher
     return SimTaskOutcome(result=result,
                           seconds=time.perf_counter() - started)
-
-
-def execute_batch_task(payload: BatchTaskPayload) -> BatchTaskOutcome:
-    """Worker entry point: simulate one workload's cells as a batch."""
-    from repro.sim.batch import BatchLane, BatchSimulationEngine
-
-    started = time.perf_counter()
-    trace = _load_trace(payload.trace_path)
-    lanes = [BatchLane(prefetcher=name, config=payload.config)
-             for name in payload.prefetchers]
-    results = BatchSimulationEngine(lanes).run(trace)
-    # The cell is keyed by the grid's (possibly parametrized) prefetcher
-    # name, which the canonical engine-reported name must not replace —
-    # exactly as execute_sim_task overrides it.
-    for result, name in zip(results, payload.prefetchers):
-        result.prefetcher = name
-    return BatchTaskOutcome(results=results,
-                            seconds=time.perf_counter() - started)
 
 
 def _load_trace(path: str) -> Trace:

@@ -57,19 +57,16 @@ from repro.exec.journal import RunJournal, RunReplay
 from repro.exec.keys import short_digest
 from repro.exec.plan import GridPlan, SimNode
 from repro.exec.pool import (
-    BatchTaskPayload,
     InjectSpec,
     SimTaskPayload,
     TraceTaskPayload,
     WorkerPool,
     build_workload_trace,
-    execute_batch_task,
     execute_sim_task,
     execute_trace_task,
 )
 from repro.exec.telemetry import ExecTelemetry
-from repro.sim.batch import BatchLane, BatchSimulationEngine
-from repro.sim.engine import SimulationEngine, simulate
+from repro.sim.engine import simulate
 from repro.sim.results import SimResult
 from repro.trace.stream import Trace
 
@@ -94,16 +91,6 @@ class ExecOptions:
             workload trips its circuit breaker and is marked DEGRADED
             (its remaining cells are skipped).  ``0`` disables the
             breaker.
-        engine: simulation engine tier.  ``"auto"`` (default) picks the
-            fast per-cell engine, upgrading a workload's cells to the
-            batch backend when at least ``batch_threshold`` of them
-            share its trace; ``"fast"`` / ``"reference"`` /
-            ``"batch"`` force one tier.  Cells with fault injection
-            never batch (injection is a per-cell facility), and a
-            failed batch is demoted once to per-cell execution rather
-            than retried, so every failure policy stays per-cell.
-        batch_threshold: minimum cells sharing one trace before
-            ``"auto"`` upgrades them to the batch backend.
     """
 
     jobs: int | None = None
@@ -111,26 +98,11 @@ class ExecOptions:
     max_retries: int = 2
     retry_backoff: float = 0.05
     breaker_threshold: int = 3
-    engine: str = "auto"
-    batch_threshold: int = 8
 
     def effective_jobs(self) -> int:
         if self.jobs is None:
             return os.cpu_count() or 1
         return max(1, self.jobs)
-
-
-#: Engine tiers accepted by :attr:`ExecOptions.engine`.
-ENGINE_TIERS = ("auto", "fast", "reference", "batch")
-
-
-def _should_batch(options: ExecOptions, eligible: int) -> bool:
-    """Decide whether a workload group's cells run as one batch."""
-    if options.engine == "batch":
-        return eligible >= 1
-    if options.engine == "auto":
-        return eligible >= max(1, options.batch_threshold)
-    return False
 
 
 class _GridState:
@@ -390,21 +362,7 @@ def _run_serial(
                                 time.perf_counter() - started, 1)
         state.journal_trace_done(trace_node.name)
 
-        # Engine-tier selection: cells without fault injection may run
-        # as one batch over the shared trace; a failed batch falls back
-        # to the per-cell loop below, which owns every failure policy.
-        pending = list(nodes)
-        batchable = [node for node in pending
-                     if inject.get(node.cell) is None
-                     and node.workload not in state.degraded]
-        if _should_batch(options, len(batchable)):
-            done = _run_serial_batch(plan, batchable, results, cache,
-                                     state, trace, progress)
-            if done:
-                pending = [node for node in pending
-                           if node not in batchable]
-
-        for node in pending:
+        for node in nodes:
             if node.workload in state.degraded:
                 state.skip_degraded(node)
                 continue
@@ -416,16 +374,9 @@ def _run_serial(
                 started = time.perf_counter()
                 try:
                     _apply_serial_injection(spec, counter)
-                    if options.engine == "reference":
-                        engine = SimulationEngine(
-                            plan.config, make_prefetcher(node.prefetcher)
-                        )
-                        result = engine.run_reference(trace)
-                    else:
-                        result = simulate(
-                            plan.config, make_prefetcher(node.prefetcher),
-                            trace,
-                        )
+                    result = simulate(
+                        plan.config, make_prefetcher(node.prefetcher), trace,
+                    )
                     result.prefetcher = node.prefetcher
                 except Exception as error:
                     telemetry.task_failed_attempt()
@@ -453,51 +404,6 @@ def _run_serial(
                     progress(*node.cell)
                 faults.check("task-done")
                 break
-
-
-def _run_serial_batch(
-    plan: GridPlan,
-    nodes: list[SimNode],
-    results: dict[tuple[str, str], SimResult],
-    cache: ResultCache | None,
-    state: _GridState,
-    trace: Trace,
-    progress: Progress | None,
-) -> bool:
-    """Run one workload group as a batch; False demotes it to per-cell.
-
-    Batch execution is all-or-nothing: the backend raises before
-    returning any result, so a failure leaves no partial state and the
-    caller simply re-runs every cell through the per-cell loop (whose
-    retry/quarantine policy then applies per cell).
-    """
-    telemetry = state.telemetry
-    lanes = [BatchLane(prefetcher=node.prefetcher, config=plan.config)
-             for node in nodes]
-    started = time.perf_counter()
-    try:
-        batch_results = BatchSimulationEngine(lanes).run(trace)
-    except Exception as error:
-        telemetry_module.logger.warning(
-            "batch engine failed for %s (%s); demoting %d cell(s) to "
-            "per-cell execution", nodes[0].workload, error, len(nodes),
-        )
-        return False
-    share = (time.perf_counter() - started) / len(nodes)
-    for node, result in zip(nodes, batch_results):
-        result.prefetcher = node.prefetcher
-        telemetry.task_started()
-        telemetry.sims_run += 1
-        telemetry.batched_cells += 1
-        telemetry.task_finished(node.name, "sim", share, 1)
-        results[node.cell] = result
-        if cache is not None:
-            cache.put(node.key(plan.config), result)
-        state.journal_done(node, source="run")
-        if progress is not None:
-            progress(*node.cell)
-        faults.check("task-done")
-    return True
 
 
 def _apply_serial_injection(spec: InjectSpec | None, counter: list[int]) -> None:
@@ -530,7 +436,7 @@ def _apply_serial_injection(spec: InjectSpec | None, counter: list[int]) -> None
 class _TaskState:
     """Scheduler-side bookkeeping for one DAG task (identity-hashed)."""
 
-    kind: str  # "trace" | "sim" | "batch"
+    kind: str  # "trace" | "sim"
     name: str
     workload: str
     cell: tuple[str, str] | None
@@ -539,9 +445,6 @@ class _TaskState:
     attempts: int = 0
     future: Future | None = None
     submitted_at: float = 0.0
-    #: The grid cells a "batch" task carries (demotion fans these back
-    #: out as individual sim tasks).
-    nodes: list[SimNode] | None = None
 
 
 def _run_pool(
@@ -597,34 +500,11 @@ def _run_pool(
                 task.attempts, "degraded", cell=task.cell,
             )
             return
-        if task.kind == "batch" and task.workload in state.degraded:
-            for node in task.nodes or []:
-                state.skip_degraded(node)
-            return
         if probe_queue or _probing[0]:
             probe_queue.append(task)
         else:
             submit(task)
             active.append(task)
-
-    def demote(task: _TaskState) -> None:
-        """Fan a failed batch back out as individual sim tasks.
-
-        One-way: the demoted cells are fresh sim tasks with their own
-        retry budgets, so a misbehaving batch can never loop — and a
-        cell-level fault (e.g. one poisoned prefetcher) is then charged
-        to exactly that cell by the ordinary per-cell policy.
-        """
-        trace_path = task.payload.trace_path
-        telemetry_module.logger.warning(
-            "batch task %s failed; demoting %d cell(s) to per-cell "
-            "execution", task.name, len(task.nodes or []),
-        )
-        # The batch consumed one queued slot for its N cells; restore it
-        # so the N per-cell dispatches below balance the ledger.
-        telemetry.tasks_queued += 1
-        for node in task.nodes or []:
-            dispatch(make_sim_state(node, trace_path))
 
     def quarantine(task: _TaskState, reason: str,
                    classification: str) -> None:
@@ -650,10 +530,6 @@ def _run_pool(
             state.skip_degraded(node)
         keep: list[_TaskState] = []
         for queued in probe_queue:
-            if queued.kind == "batch" and queued.workload == workload:
-                for node in queued.nodes or []:
-                    state.skip_degraded(node)
-                continue
             if queued.kind == "sim" and queued.workload == workload:
                 telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
                 state.quarantine(
@@ -683,18 +559,6 @@ def _run_pool(
         return _TaskState("sim", node.name, node.workload, node.cell,
                           payload, execute_sim_task)
 
-    def make_batch_state(nodes: list[SimNode],
-                         trace_path: str) -> _TaskState:
-        payload = BatchTaskPayload(
-            workload=nodes[0].workload,
-            prefetchers=tuple(node.prefetcher for node in nodes),
-            config=plan.config,
-            trace_path=trace_path,
-        )
-        return _TaskState("batch", f"batch:{nodes[0].workload}",
-                          nodes[0].workload, None, payload,
-                          execute_batch_task, nodes=list(nodes))
-
     def complete(task: _TaskState, outcome) -> None:
         if task.kind == "trace":
             if outcome.disk_hit:
@@ -706,38 +570,8 @@ def _run_pool(
             telemetry.task_finished(task.name, "trace", outcome.seconds,
                                     task.attempts + 1)
             state.journal_trace_done(task.name)
-            released = waiting.pop(task.workload, [])
-            batchable = [node for node in released
-                         if inject.get(node.cell) is None]
-            if _should_batch(options, len(batchable)):
-                dispatch(make_batch_state(batchable, outcome.path))
-                released = [node for node in released
-                            if node not in batchable]
-            for node in released:
+            for node in waiting.pop(task.workload, []):
                 dispatch(make_sim_state(node, outcome.path))
-        elif task.kind == "batch":
-            nodes = task.nodes or []
-            share = outcome.seconds / max(1, len(nodes))
-            for index, (node, result) in enumerate(zip(nodes,
-                                                       outcome.results)):
-                if index > 0:
-                    # The batch consumed one queued slot; its remaining
-                    # cells move queued -> done here.
-                    telemetry.task_started()
-                telemetry.sims_run += 1
-                telemetry.batched_cells += 1
-                telemetry.task_finished(node.name, "sim", share,
-                                        task.attempts + 1)
-                results[node.cell] = result
-                if cache is not None:
-                    cache.put(sim_keys[node.cell], result)
-                if state.journal is not None:
-                    state.journal.task_done(node.name, "sim",
-                                            cell=node.cell,
-                                            key=sim_keys[node.cell],
-                                            source="run")
-                if progress is not None:
-                    progress(*node.cell)
         else:
             telemetry.sims_run += 1
             telemetry.task_finished(task.name, "sim", outcome.seconds,
@@ -801,9 +635,6 @@ def _run_pool(
                     _probing[0] = False
                     telemetry.task_failed_attempt()
                     task.attempts += 1
-                    if task.kind == "batch":
-                        demote(task)
-                        continue
                     error_kind = classify_error(error)
                     if (error_kind is ErrorKind.PERMANENT
                             or task.attempts > options.max_retries):
@@ -835,9 +666,7 @@ def _run_pool(
                     _probing[0] = False
                     telemetry.task_failed_attempt()
                     task.attempts += 1
-                    if task.kind == "batch":
-                        demote(task)
-                    elif task.attempts > options.max_retries:
+                    if task.attempts > options.max_retries:
                         quarantine(task, "worker process died", "poisoned")
                     else:
                         telemetry.retries += 1
@@ -875,9 +704,6 @@ def _run_pool(
                         telemetry.task_failed_attempt()
                         if task in expired:
                             task.attempts += 1
-                            if task.kind == "batch":
-                                demote(task)
-                                continue
                             if task.attempts > options.max_retries:
                                 quarantine(
                                     task,

@@ -62,7 +62,6 @@ class ExecTelemetry:
     traces_built: int = 0
     trace_disk_hits: int = 0
     sims_run: int = 0
-    batched_cells: int = 0
     retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
@@ -150,7 +149,6 @@ class ExecTelemetry:
             "traces_built": self.traces_built,
             "trace_disk_hits": self.trace_disk_hits,
             "sims_run": self.sims_run,
-            "batched_cells": self.batched_cells,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "worker_crashes": self.worker_crashes,

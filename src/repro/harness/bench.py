@@ -78,21 +78,11 @@ class BenchGrid:
         }
 
 
-def bench_grid(quick: bool = False, engine: str = "fast") -> BenchGrid:
-    """The pinned benchmark grid: the fig14 grid, or the quick subset.
+def bench_grid(quick: bool = False) -> BenchGrid:
+    """The pinned benchmark grid: the fig14 grid, or the quick subset."""
+    from repro.harness.registry import PAPER_PREFETCHER_ORDER
 
-    The batch engine benches the extended 10-prefetcher order so every
-    workload batches at least the acceptance threshold of 8 lanes; the
-    fast engine keeps the paper's 7-prefetcher order for continuity
-    with the BENCH_sim_hotpath.json trajectory.
-    """
-    from repro.harness.registry import (
-        EXTENDED_PREFETCHER_ORDER,
-        PAPER_PREFETCHER_ORDER,
-    )
-
-    prefetchers = (tuple(EXTENDED_PREFETCHER_ORDER) if engine == "batch"
-                   else tuple(PAPER_PREFETCHER_ORDER))
+    prefetchers = tuple(PAPER_PREFETCHER_ORDER)
     if quick:
         return BenchGrid("quick", QUICK_WORKLOADS, prefetchers,
                          QUICK_BUDGET_FRACTION)
@@ -117,8 +107,7 @@ def _bench_trace(workload: str, grid: BenchGrid):
                        seed=grid.seed)
 
 
-def _cache_replay(grid: BenchGrid, config: SimConfig,
-                  engine: str = "fast") -> dict[str, Any]:
+def _cache_replay(grid: BenchGrid, config: SimConfig) -> dict[str, Any]:
     """Cold+warm grid replay against a throwaway result cache.
 
     The warm pass must be a pure cache read, so its hit rate is the
@@ -144,7 +133,6 @@ def _cache_replay(grid: BenchGrid, config: SimConfig,
                 seed=grid.seed,
                 cache_dir=tmp,
                 jobs=1,
-                engine="batch" if engine == "batch" else "auto",
             )
             started = perf_counter()
             runner.run_grid(workloads, grid.prefetchers)
@@ -161,7 +149,6 @@ def run_bench(
     quick: bool = False,
     progress: Callable[[str], None] | None = None,
     cache_phase: bool = True,
-    engine: str = "fast",
 ) -> dict[str, Any]:
     """Run the pinned benchmark; returns the JSON-ready document.
 
@@ -170,20 +157,10 @@ def run_bench(
     Probes already enabled by ``--profile`` stay enabled and their
     snapshot is embedded; the bench itself does not enable them, so the
     timed region runs exactly the production (unprofiled) path.
-
-    With ``engine="batch"`` each workload's cells run as one
-    :class:`~repro.sim.batch.BatchSimulationEngine` over the shared
-    trace; the one timed region covers all lanes, so per-cell
-    ``wall_seconds`` is an equal share of the batch and the aggregate
-    events/sec is directly comparable with the fast engine's (both are
-    total events over total simulation wall time).  The grid dict
-    deliberately excludes the engine, so a batch document's cell digests
-    can be checked against a fast baseline over the same grid —
-    bit-identity is part of the benchmark contract.
     """
     from repro.harness.registry import make_prefetcher
 
-    grid = bench_grid(quick, engine=engine)
+    grid = bench_grid(quick)
     config = REDUCED_CONFIG
     bench_started = perf_counter()
 
@@ -197,45 +174,22 @@ def run_bench(
         trace_build["seconds"] += perf_counter() - started
         trace_build["events"] += len(trace.events)
         events = len(trace.events)
-        if engine == "batch":
-            from repro.sim.batch import BatchLane, BatchSimulationEngine
-
-            lanes = [BatchLane(prefetcher=name, config=config)
-                     for name in grid.prefetchers]
-            batch_engine = BatchSimulationEngine(lanes)
+        for name in grid.prefetchers:
+            prefetcher = make_prefetcher(name)
             started = perf_counter()
-            results = batch_engine.run(trace)
-            batch_seconds = perf_counter() - started
-            share = batch_seconds / len(lanes)
-            for name, result in zip(grid.prefetchers, results):
-                result.prefetcher = name
-                cells.append({
-                    "workload": workload,
-                    "prefetcher": name,
-                    "events": events,
-                    "wall_seconds": share,
-                    "events_per_second": events / share if share else 0.0,
-                    "result_digest": result_digest(result),
-                })
-            total_events += events * len(lanes)
-            total_sim_seconds += batch_seconds
-        else:
-            for name in grid.prefetchers:
-                prefetcher = make_prefetcher(name)
-                started = perf_counter()
-                result = simulate(config, prefetcher, trace)
-                seconds = perf_counter() - started
-                result.prefetcher = name
-                cells.append({
-                    "workload": workload,
-                    "prefetcher": name,
-                    "events": events,
-                    "wall_seconds": seconds,
-                    "events_per_second": events / seconds if seconds else 0.0,
-                    "result_digest": result_digest(result),
-                })
-                total_events += events
-                total_sim_seconds += seconds
+            result = simulate(config, prefetcher, trace)
+            seconds = perf_counter() - started
+            result.prefetcher = name
+            cells.append({
+                "workload": workload,
+                "prefetcher": name,
+                "events": events,
+                "wall_seconds": seconds,
+                "events_per_second": events / seconds if seconds else 0.0,
+                "result_digest": result_digest(result),
+            })
+            total_events += events
+            total_sim_seconds += seconds
         if progress is not None:
             progress(workload)
 
@@ -243,7 +197,6 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "schema_version": BENCH_SCHEMA_VERSION,
         "grid": grid.to_dict(),
-        "engine": engine,
         "config": "reduced",
         "totals": {
             "cells": len(cells),
@@ -257,7 +210,7 @@ def run_bench(
         "cells": cells,
     }
     if cache_phase:
-        document["result_cache"] = _cache_replay(grid, config, engine)
+        document["result_cache"] = _cache_replay(grid, config)
     document["totals"]["wall_seconds"] = perf_counter() - bench_started
     if obs.enabled():
         document["profile"] = obs.snapshot()
@@ -342,8 +295,7 @@ def render_bench(document: dict[str, Any]) -> str:
     lines = [
         f"repro bench ({grid['mode']} grid: {len(grid['workloads'])} "
         f"workloads x {len(grid['prefetchers'])} prefetchers, "
-        f"budget {grid['budget_fraction']}, "
-        f"engine {document.get('engine', 'fast')})",
+        f"budget {grid['budget_fraction']})",
         "-" * 64,
         f"  cells:            {totals['cells']}",
         f"  events simulated: {totals['events']:,}",

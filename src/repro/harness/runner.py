@@ -68,11 +68,6 @@ class GridRunner:
         exec_options: base :class:`repro.exec.ExecOptions` (timeout,
             retry policy, breaker threshold) for delegated grid runs;
             ``jobs`` above wins.
-        engine: simulation engine tier for :meth:`run_grid` —
-            ``"auto"`` (default) batches a workload's cells when enough
-            of them share its trace, ``"fast"`` / ``"reference"`` /
-            ``"batch"`` force a tier (forcing a non-default tier always
-            routes through the execution engine, even in-process).
         run_id: explicit identifier for the write-ahead run journal
             (default: a fresh timestamped id per grid run).  Journals
             live under ``cache_dir/runs/<run_id>/journal.jsonl`` and are
@@ -99,22 +94,13 @@ class GridRunner:
         run_id: str | None = None,
         resume: str | None = None,
         strict: bool = False,
-        engine: str = "auto",
     ) -> None:
-        from repro.exec.scheduler import ENGINE_TIERS
-
-        if engine not in ENGINE_TIERS:
-            raise ExecError(
-                f"unknown engine tier {engine!r}; expected one of "
-                f"{', '.join(ENGINE_TIERS)}"
-            )
         self.config = config
         self.scale = scale
         self.budget_fraction = budget_fraction
         self.seed = seed
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.jobs = jobs
-        self.engine = engine
         self.exec_options = exec_options
         self.run_id = run_id
         self.resume = resume
@@ -232,11 +218,8 @@ class GridRunner:
         effective_jobs = jobs if jobs is not None else self.jobs
         if effective_jobs is None:
             effective_jobs = os.cpu_count() or 1
-        if (effective_jobs <= 1 and self._result_cache_root is None
-                and self.engine in ("auto", "fast")):
-            # The historical in-process loop; forcing "batch" or
-            # "reference" routes through the execution engine instead,
-            # which owns tier selection.
+        if effective_jobs <= 1 and self._result_cache_root is None:
+            # The historical in-process loop.
             results: list[SimResult] = []
             for workload in workloads:
                 for name in prefetchers:
@@ -268,8 +251,6 @@ class GridRunner:
                 max_retries=base.max_retries,
                 retry_backoff=base.retry_backoff,
                 breaker_threshold=base.breaker_threshold,
-                engine=self.engine,
-                batch_threshold=base.batch_threshold,
             )
             plan = GridPlan(todo, self.scale, self.budget_fraction,
                             self.seed, self.config)

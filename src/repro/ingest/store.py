@@ -2,7 +2,7 @@
 
 An ingested trace lives in a content-addressed store directory (by
 default ``<cache>/ingest``, overridable via ``REPRO_INGEST_STORE`` so
-exec-pool workers and cluster shards resolve the same store as the
+exec-pool workers and the serve broker resolve the same store as the
 submitting CLI).  Each trace is one v2 file named
 ``<name>-<digest12>.trace`` plus a row in ``registry.json`` mapping the
 user-facing name to the file, its content digest, and its recovery
@@ -46,7 +46,7 @@ def default_store_root() -> Path:
     """Resolve the store directory from the environment.
 
     ``REPRO_INGEST_STORE`` wins (the CLI exports it from ``--cache-dir``
-    so multiprocessing workers and serve shards inherit the same store);
+    so multiprocessing workers and the serve broker inherit the same store);
     otherwise ``<REPRO_CACHE_DIR or .repro-cache>/ingest``.
     """
     explicit = os.environ.get("REPRO_INGEST_STORE")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -103,34 +103,6 @@ def render_prometheus(
         _emit(lines, f"{base}_max", "gauge", stat.get("max", 0.0))
 
     return "\n".join(lines) + "\n"
-
-
-def sum_metrics(scrapes: "Iterable[Mapping[str, float]]") -> dict[str, float]:
-    """Sum parsed scrapes metric-wise.
-
-    The cluster router aggregates its shards' ``/metrics`` this way:
-    every shard exports the same single-sample metric names, so a
-    plain per-name sum is the correct roll-up for counters and for the
-    additive gauges (pending jobs); it is approximate for min/mean/max
-    value gauges, which is acceptable for a smoke-level dashboard.
-    """
-    summed: dict[str, float] = {}
-    for scrape in scrapes:
-        for name, value in scrape.items():
-            summed[name] = summed.get(name, 0.0) + value
-    return summed
-
-
-def render_samples(metrics: Mapping[str, float]) -> str:
-    """Render pre-aggregated ``{metric: value}`` samples as exposition text.
-
-    Samples only — no TYPE/HELP comments, since post-aggregation the
-    per-metric kind is no longer known.  Prometheus treats them as
-    untyped, which scrapes fine.
-    """
-    lines = [f"{name} {_format_value(metrics[name])}"
-             for name in sorted(metrics)]
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 def parse_prometheus(text: str) -> dict[str, float]:

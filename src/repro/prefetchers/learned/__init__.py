@@ -13,8 +13,9 @@ comparison points:
 
 Both are ordinary :class:`~repro.prefetchers.base.Prefetcher` hook
 implementations: they observe the committed demand stream and return
-candidate lines, so every engine (fast, reference, batch) drives them
-bit-identically with zero engine changes.  All stochastic choices draw
+candidate lines, so the engine and its oracle
+(:mod:`repro.check.reference`) drive them bit-identically with zero
+engine changes.  All stochastic choices draw
 from :func:`repro.common.rng.named_stream`, which is what lets the
 clean-room oracles in :mod:`repro.check.oracles` reconstruct the exact
 same draws.

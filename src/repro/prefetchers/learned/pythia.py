@@ -5,11 +5,12 @@ the state is a program feature vector, the actions are prefetch deltas
 (including "don't prefetch"), and the reward arrives from the fate of
 the issued prefetch — accurate-and-timely, accurate-but-late, or never
 used.  This reproduction keeps the tabular core and threads the reward
-signal entirely through the hook protocol the engines already provide:
+signal entirely through the hook protocol the engine already provides:
 the prefetcher shadow-tracks its own predictions in ``on_access`` and
 classifies them by age when (or whether) a demand touches them, so no
 engine changes — and no engine-specific feedback callbacks — are
-needed, which is what keeps fast/reference/batch runs bit-identical.
+needed, which is what keeps the fast path and the engine oracle
+bit-identical.
 
 The exact machine (the clean-room oracle in :mod:`repro.check.oracles`
 is transcribed from this spec, not from this code):

@@ -6,16 +6,15 @@ Layout::
     broker      admission control, single-flight dedup, micro-batching
     recovery    CRC-framed write-ahead job journal + restart replay
     http        hand-rolled asyncio HTTP/1.1 server + SSE streaming
-    client      blocking stdlib client with failover retry policy
-    loadgen     closed-loop load generator (BENCH_serve/BENCH_cluster)
+    client      blocking stdlib client with a bounded retry policy
+    loadgen     closed-loop load generator (BENCH_serve.json)
 
 The broker is the core: it turns individual ``POST /v1/simulate``
 requests into batched :class:`~repro.exec.scheduler.GridPlan`
 executions on one persistent worker pool, deduplicating identical
 in-flight requests by content-addressed key and serving result-cache
 hits without touching the pool at all.  Accepted jobs are journaled
-so a crashed broker re-admits unfinished work on restart; see
-:mod:`repro.cluster` for the multi-shard supervisor built on top.
+so a crashed broker re-admits unfinished work on restart.
 """
 
 from repro.serve.broker import AdmissionFull, Broker, Draining, UnknownJob
@@ -31,12 +30,9 @@ from repro.serve.client import (
 )
 from repro.serve.http import HttpServer, ThreadedServer, run_server
 from repro.serve.loadgen import (
-    CLUSTER_BENCH_SCHEMA,
-    CLUSTER_BENCH_SCHEMA_VERSION,
     SERVE_BENCH_SCHEMA,
     SERVE_BENCH_SCHEMA_VERSION,
     LoadgenConfig,
-    run_cluster_loadgen,
     run_loadgen,
 )
 from repro.serve.protocol import (
@@ -49,8 +45,6 @@ from repro.serve.protocol import (
 from repro.serve.recovery import ServeJournal, journal_path, replay_unfinished
 
 __all__ = [
-    "CLUSTER_BENCH_SCHEMA",
-    "CLUSTER_BENCH_SCHEMA_VERSION",
     "PROTOCOL_VERSION",
     "SERVE_BENCH_SCHEMA",
     "SERVE_BENCH_SCHEMA_VERSION",
@@ -76,7 +70,6 @@ __all__ = [
     "UnknownJob",
     "journal_path",
     "replay_unfinished",
-    "run_cluster_loadgen",
     "run_loadgen",
     "run_server",
 ]

@@ -147,7 +147,6 @@ class Broker:
         batch_max: int = 16,
         task_timeout: float | None = None,
         max_retries: int = 2,
-        shard_name: str = "broker",
         recover: bool = True,
     ) -> None:
         self.workers = max(1, workers)
@@ -158,15 +157,13 @@ class Broker:
         self.batch_max = max(1, batch_max)
         self.task_timeout = task_timeout
         self.max_retries = max_retries
-        self.shard_name = shard_name
         self.recover = recover
 
         self._cache = (ResultCache(self.cache_dir / "results")
                        if self.cache_dir is not None else None)
         #: Write-ahead job journal (crash recovery); None without a
         #: cache dir — no durable state means nothing to recover into.
-        self._journal = (ServeJournal(journal_path(self.cache_dir,
-                                                   shard_name))
+        self._journal = (ServeJournal(journal_path(self.cache_dir))
                          if self.cache_dir is not None else None)
         self._pool = (WorkerPool(self.workers)
                       if self.workers > 1 else None)
@@ -201,7 +198,7 @@ class Broker:
 
         Before the first batch runs, any journaled-but-unfinished jobs
         left behind by a crashed predecessor are re-admitted — the
-        restarted shard picks the work back up instead of dropping it.
+        restarted broker picks the work back up instead of dropping it.
         """
         if self._batch_task is None:
             self._recover_jobs()
@@ -549,8 +546,8 @@ class Broker:
 
     def _finish(self, job: ServeJob, result: SimResult | None = None,
                 error: str | None = None) -> None:
-        # Chaos site: the canonical kill-shard fault fires here, after
-        # the result reached the shared cache but *before* the terminal
+        # Chaos site: the canonical kill-broker fault fires here, after
+        # the result reached the result cache but *before* the terminal
         # transition is journaled — the crashed job replays as
         # unfinished and recovers as a pure cache hit.
         faults.check("serve.job-finished")

@@ -12,14 +12,13 @@ Error mapping mirrors the server: HTTP 400 raises
 ``Retry-After``), 503 raises :class:`ServerDraining`, and transport
 failures raise :class:`ConnectionFailed`.
 
-Failover: constructed with a :class:`RetryPolicy`, :meth:`ServeClient
+Retries: constructed with a :class:`RetryPolicy`, :meth:`ServeClient
 .run` retries connection errors, 429, and 503 with exponential backoff
 plus full jitter (honouring the server's ``Retry-After``), and treats a
-404 mid-poll as a shard failover — the restarted shard re-admitted the
+404 mid-poll as a broker restart — the restarted broker re-admitted the
 journaled work under fresh job ids, so the client *resubmits* the
 original request, which is idempotent by content-addressed key (it
-attaches to the recovered leader or replays from the shared result
-cache).  A hard ``max_deadline`` bounds the whole exchange so campaign
+attaches to the recovered leader or replays from the result cache).  A hard ``max_deadline`` bounds the whole exchange so campaign
 waves fail loudly (:class:`DeadlineExceeded`) instead of hanging.
 """
 
@@ -58,7 +57,7 @@ class ServerBusy(ServeClientError):
 
 
 class ServerDraining(ServeClientError):
-    """HTTP 503: the server is shutting down (or a shard is down)."""
+    """HTTP 503: the server is shutting down."""
 
     def __init__(self, message: str,
                  retry_after: float | None = None) -> None:
@@ -79,16 +78,16 @@ class RetryPolicy:
     """Bounded retry with exponential backoff and full jitter.
 
     ``delay(attempt)`` draws uniformly from ``[0, min(max_delay,
-    base_delay * 2**attempt)]`` — *full jitter*, so a fleet of clients
-    retrying after the same shard death does not stampede the restarted
-    shard in lockstep.  A server-supplied ``Retry-After`` overrides the
+    base_delay * 2**(attempt - 1))]`` — *full jitter*, so many clients
+    retrying after the same broker restart do not stampede it in
+    lockstep.  A server-supplied ``Retry-After`` overrides the
     jittered draw (the server knows its own backlog better than we do),
     with only a small jitter added on top to de-synchronize.
 
     ``max_deadline`` is a hard wall-clock bound across *all* attempts
     of one logical operation; crossing it raises
     :class:`DeadlineExceeded` so a campaign wave pointed at a dead
-    cluster fails loudly instead of hanging forever.
+    server fails loudly instead of hanging forever.
     """
 
     max_attempts: int = 8
@@ -105,13 +104,14 @@ class RetryPolicy:
 
 
 #: Exceptions :meth:`ServeClient.run` retries under a policy.  404 is
-#: included because job ids do not survive shard failover — resubmitting
-#: the content-addressed request is the recovery, not an error.
+#: included because job ids do not survive a broker restart —
+#: resubmitting the content-addressed request is the recovery, not an
+#: error.
 RETRYABLE = (ConnectionFailed, ServerBusy, ServerDraining, JobNotFound)
 
 
 class ServeClient:
-    """Typed access to one ``repro serve`` (or ``repro cluster``) API."""
+    """Typed access to one ``repro serve`` API."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8321,
                  timeout: float = 60.0,
@@ -120,10 +120,10 @@ class ServeClient:
         self.port = port
         self.timeout = timeout
         #: None preserves the historical raise-on-first-failure
-        #: behavior; a policy makes :meth:`run` failover-tolerant.
+        #: behavior; a policy makes :meth:`run` retry.
         self.retry = retry
         #: Retries performed by :meth:`run` over this client's lifetime
-        #: (the load generator reads this for its availability metric).
+        #: (campaign execution reports it).
         self.retries = 0
 
     # -- plumbing -----------------------------------------------------------
@@ -250,8 +250,8 @@ class ServeClient:
 
         Without a :class:`RetryPolicy` this raises on the first failure
         (historical behavior, relied on by backpressure tests).  With
-        one, connection errors, 429, 503, and mid-poll 404 (shard
-        failover: the restarted shard knows the work but not the old
+        one, connection errors, 429, 503, and mid-poll 404 (broker
+        restart: the recovered broker knows the work but not the old
         job id) are retried with backoff+jitter until ``max_attempts``
         or the policy deadline — whichever comes first.
         """

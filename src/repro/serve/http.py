@@ -80,8 +80,6 @@ async def read_http_request(
 
     Returns ``None`` for an empty connection (client connected and went
     away) and raises :class:`HttpParseError` on malformed framing.
-    Shared by the single-broker server and the cluster router so both
-    speak exactly the same dialect.
     """
     request_line = (await reader.readline()).decode("latin-1").strip()
     if not request_line:
@@ -379,11 +377,8 @@ async def run_server(
             # Non-main thread or unsupported platform: stop_event only.
             pass
 
-    shard_suffix = (f", shard={broker.shard_name}"
-                    if broker.shard_name != "broker" else "")
     announce(f"repro serve: listening on http://{host}:{server.port} "
-             f"(workers={broker.workers}, max_pending={broker.max_pending}"
-             f"{shard_suffix})")
+             f"(workers={broker.workers}, max_pending={broker.max_pending})")
     if ready_event is not None:
         ready_event.set()
     try:
@@ -483,7 +478,6 @@ def main_serve(args: Any) -> int:
             batch_window=args.batch_window,
             batch_max=args.batch_max,
             task_timeout=args.timeout,
-            shard_name=getattr(args, "shard_name", "broker"),
             recover=not getattr(args, "no_recover", False),
         ))
     except KeyboardInterrupt:  # SIGINT before the handler was installed

@@ -25,22 +25,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.exec.keys import stable_hash
 from repro.obs.prometheus import parse_prometheus
-from repro.serve.client import (
-    RetryPolicy,
-    ServeClient,
-    ServeClientError,
-    ServerBusy,
-)
+from repro.serve.client import ServeClient, ServerBusy
 from repro.serve.protocol import JobStatus, SimulateRequest
 
 #: Schema identity of the emitted JSON document.
 SERVE_BENCH_SCHEMA = "repro.bench.serve"
 SERVE_BENCH_SCHEMA_VERSION = 1
-#: Schema identity of the cluster-mode document (availability-focused).
-CLUSTER_BENCH_SCHEMA = "repro.bench.cluster"
-CLUSTER_BENCH_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -60,12 +51,6 @@ class LoadgenConfig:
     timeout: float = 600.0
     #: Attempts per item when the server answers 429.
     max_busy_retries: int = 5
-    #: Guarantee every (workload, prefetcher) cell appears in the plan
-    #: before random draws fill the rest.  Cluster chaos drills rely on
-    #: this: with the full grid present, the pigeonhole principle puts
-    #: at least two jobs on some shard of a 3-shard ring, so a
-    #: second-job fault (``serve.job-finished:exit@2``) *must* fire.
-    cover_grid: bool = False
 
     @classmethod
     def quick(cls, host: str = "127.0.0.1", port: int = 8321,
@@ -83,29 +68,6 @@ class LoadgenConfig:
             budget_fraction=0.02,
         )
 
-    @classmethod
-    def quick_cluster(cls, host: str = "127.0.0.1", port: int = 8400,
-                      seed: int = 0) -> "LoadgenConfig":
-        """The CI cluster smoke shape: 6 unique cells over one workload.
-
-        Six distinct sim keys spread over a 3-shard ring guarantee some
-        shard owns at least two jobs (pigeonhole), which is what arms
-        the kill-shard chaos drill deterministically.
-        """
-        return cls(
-            host=host,
-            port=port,
-            requests=12,
-            concurrency=3,
-            duplicate_ratio=0.25,
-            seed=seed,
-            workloads=("nw",),
-            prefetchers=("no-prefetch", "stride", "ghb-pc/dc",
-                         "ghb-g/dc", "sms", "cbws"),
-            budget_fraction=0.02,
-            cover_grid=True,
-        )
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready view, embedded in the bench document."""
         return {
@@ -117,7 +79,6 @@ class LoadgenConfig:
             "prefetchers": list(self.prefetchers),
             "budget_fraction": self.budget_fraction,
             "scale": self.scale,
-            "cover_grid": self.cover_grid,
         }
 
 
@@ -140,21 +101,6 @@ def build_plan(config: LoadgenConfig) -> list[tuple[SimulateRequest, bool]]:
     """The seeded request mix: ``(request, paired_duplicate)`` items."""
     rng = random.Random(config.seed)
     plan: list[tuple[SimulateRequest, bool]] = []
-    if config.cover_grid:
-        # Deterministic full-grid prefix: every cell exactly once.
-        for workload in config.workloads:
-            for prefetcher in config.prefetchers:
-                if len(plan) >= config.requests:
-                    break
-                request = SimulateRequest(
-                    workload=workload,
-                    prefetcher=prefetcher,
-                    scale=config.scale,
-                    budget_fraction=config.budget_fraction,
-                    seed=0,
-                )
-                plan.append((request, rng.random()
-                             < config.duplicate_ratio))
     while len(plan) < config.requests:
         request = SimulateRequest(
             workload=rng.choice(config.workloads),
@@ -241,12 +187,11 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[rank]
 
 
-def _metrics_delta(before: dict[str, float], after: dict[str, float],
-                   prefixes: tuple[str, ...] = ("repro_serve_",)
-                   ) -> dict[str, float]:
+def _metrics_delta(before: dict[str, float],
+                   after: dict[str, float]) -> dict[str, float]:
     delta = {}
     for name, value in after.items():
-        if name.startswith(prefixes) and name.endswith("_total"):
+        if name.startswith("repro_serve_") and name.endswith("_total"):
             delta[name] = value - before.get(name, 0.0)
     return delta
 
@@ -316,155 +261,6 @@ def run_loadgen(config: LoadgenConfig, announce=None) -> dict[str, Any]:
     if announce is not None:
         announce(render_loadgen(document))
     return document
-
-
-def _cluster_worker(client: ServeClient, config: LoadgenConfig,
-                    items: "queue.Queue[tuple[SimulateRequest, bool]]",
-                    tally: _Tally, digests: dict[str, str]) -> None:
-    """Closed-loop worker for cluster mode: failover-tolerant one-shots.
-
-    Every item goes through :meth:`ServeClient.run` under the client's
-    retry policy, so shard deaths mid-run surface here only as elevated
-    latency — unless retries are exhausted, which counts as a failed
-    request (availability < 1).  Result digests are recorded per sim
-    key so a chaos run can be proven bit-identical to a fault-free one.
-    """
-    while True:
-        try:
-            request, paired = items.get_nowait()
-        except queue.Empty:
-            return
-        submissions = 2 if paired else 1
-        for _ in range(submissions):
-            started = time.perf_counter()
-            with tally.lock:
-                tally.submissions += 1
-            try:
-                view = client.run(request, timeout=config.timeout)
-            except ServeClientError as error:
-                with tally.lock:
-                    tally.failed += 1
-                    tally.latencies.append(time.perf_counter() - started)
-                    tally.errors.append(str(error))
-                continue
-            _account_terminal(view, started, tally)
-            if view.status is JobStatus.DONE and view.result is not None:
-                digest = stable_hash(dict(view.result))
-                with tally.lock:
-                    previous = digests.get(view.key)
-                    if previous is not None and previous != digest:
-                        tally.errors.append(
-                            f"digest conflict for {view.key[:12]}…: "
-                            f"{previous[:12]} != {digest[:12]}")
-                    digests[view.key] = digest
-
-
-def run_cluster_loadgen(config: LoadgenConfig,
-                        announce=None) -> dict[str, Any]:
-    """Drive a cluster and return the ``BENCH_cluster.json`` document.
-
-    The headline numbers are *availability* (requests that completed OK
-    after retries, over all submissions) and the latency percentiles —
-    under chaos, p99 measures how well bounded-jitter retry rides out a
-    shard kill+restart.  ``digests`` maps each sim key to a stable hash
-    of its result payload for cross-run bit-identity checks.
-    """
-    probe = ServeClient(config.host, config.port, timeout=30.0)
-    probe.wait_until_ready(timeout=90.0)
-    health = probe.health()
-    metrics_before = parse_prometheus(probe.metrics_text())
-
-    items: "queue.Queue[tuple[SimulateRequest, bool]]" = queue.Queue()
-    for item in build_plan(config):
-        items.put(item)
-
-    policy = RetryPolicy(max_attempts=10, base_delay=0.2, max_delay=5.0,
-                         max_deadline=max(120.0, config.timeout))
-    tally = _Tally()
-    digests: dict[str, str] = {}
-    clients = [ServeClient(config.host, config.port,
-                           timeout=max(30.0, config.timeout), retry=policy)
-               for _ in range(max(1, config.concurrency))]
-    threads = [
-        threading.Thread(target=_cluster_worker,
-                         args=(client, config, items, tally, digests),
-                         name=f"loadgen-cluster-{index}")
-        for index, client in enumerate(clients)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_seconds = time.perf_counter() - started
-
-    metrics_after = parse_prometheus(probe.metrics_text())
-    cluster_health = probe.health()
-    latencies = sorted(tally.latencies)
-    completed = tally.ok + tally.failed
-    retries = sum(client.retries for client in clients)
-    document: dict[str, Any] = {
-        "schema": CLUSTER_BENCH_SCHEMA,
-        "schema_version": CLUSTER_BENCH_SCHEMA_VERSION,
-        "loadgen": config.to_dict(),
-        "cluster": {
-            "version": health.get("version"),
-            "shards": cluster_health.get("shards"),
-            "shards_healthy": cluster_health.get("shards_healthy"),
-            "metrics_delta": _metrics_delta(
-                metrics_before, metrics_after,
-                prefixes=("repro_serve_", "repro_cluster_")),
-        },
-        "totals": {
-            "submissions": tally.submissions,
-            "completed": completed,
-            "ok": tally.ok,
-            "failed": tally.failed,
-            "retries": retries,
-            "wall_seconds": wall_seconds,
-            "throughput_rps": (completed / wall_seconds
-                               if wall_seconds > 0 else 0.0),
-            "availability": (tally.ok / tally.submissions
-                             if tally.submissions else 0.0),
-            "cache_hits": tally.cache_hits,
-        },
-        "latency_seconds": {
-            "mean": (sum(latencies) / len(latencies) if latencies else 0.0),
-            "p50": _percentile(latencies, 0.50),
-            "p95": _percentile(latencies, 0.95),
-            "p99": _percentile(latencies, 0.99),
-            "max": latencies[-1] if latencies else 0.0,
-        },
-        "digests": dict(sorted(digests.items())),
-        "errors": tally.errors[:10],
-    }
-    if announce is not None:
-        announce(render_cluster_loadgen(document))
-    return document
-
-
-def render_cluster_loadgen(document: dict[str, Any]) -> str:
-    """Terminal summary of one cluster loadgen document."""
-    totals = document["totals"]
-    latency = document["latency_seconds"]
-    cluster = document["cluster"]
-    lines = [
-        f"repro loadgen --cluster ({totals['submissions']} submission(s), "
-        f"{document['loadgen']['concurrency']} worker(s))",
-        "-" * 64,
-        f"  availability:   {totals['availability']:.1%} "
-        f"({totals['ok']} ok / {totals['failed']} failed, "
-        f"{totals['retries']} retry(ies))",
-        f"  wall time:      {totals['wall_seconds']:.2f}s  "
-        f"throughput {totals['throughput_rps']:.2f} req/s",
-        f"  latency:        p50 {latency['p50'] * 1000:.0f}ms  "
-        f"p95 {latency['p95'] * 1000:.0f}ms  "
-        f"p99 {latency['p99'] * 1000:.0f}ms  "
-        f"max {latency['max'] * 1000:.0f}ms",
-        f"  shards healthy: {cluster.get('shards_healthy')}",
-        f"  unique cells:   {len(document['digests'])} digest(s)",
-    ]
-    return "\n".join(lines)
 
 
 def render_loadgen(document: dict[str, Any]) -> str:

@@ -1,6 +1,6 @@
 """Crash-recoverable job state for the serve broker.
 
-A broker crash (OOM kill, supervisor SIGKILL of a hung shard, injected
+A broker crash (OOM kill, SIGKILL of a hung process, injected
 ``serve.job-finished:exit`` chaos) used to drop every accepted-but-
 unfinished job on the floor: the client would poll a job id the
 restarted process had never heard of, forever.  This module journals the
@@ -15,7 +15,7 @@ Record kinds::
     job-finished      {job_id, key, status}    written at the terminal
                                                transition, *after* the
                                                result landed in the
-                                               shared result cache
+                                               result cache
     broker-restarted  {recovered}              appended by a recovering
                                                broker before it
                                                re-admits anything
@@ -47,19 +47,16 @@ logger = logging.getLogger("repro.serve")
 #: Version of the serve-journal record layout.
 SERVE_JOURNAL_SCHEMA_VERSION = 1
 
-#: Subdirectory of the cache dir holding one journal per shard.
+#: Subdirectory of the cache dir holding the broker's job journal.
 SERVE_JOURNAL_DIRNAME = "serve"
+#: File name of the job journal; journals written by older releases
+#: live at the same path, so a restart still replays them.
+SERVE_JOURNAL_FILENAME = "broker.journal.jsonl"
 
 
-def journal_path(cache_dir: str | Path, shard_name: str) -> Path:
-    """Where the job journal of ``shard_name`` lives under a cache dir.
-
-    Shards of one cluster share the cache dir (that is what makes any
-    shard able to serve any cached cell), so the journal file is named
-    by shard to keep their write-ahead state disjoint.
-    """
-    return Path(cache_dir) / SERVE_JOURNAL_DIRNAME / (
-        f"{shard_name}.journal.jsonl")
+def journal_path(cache_dir: str | Path) -> Path:
+    """Where the broker's job journal lives under a cache dir."""
+    return Path(cache_dir) / SERVE_JOURNAL_DIRNAME / SERVE_JOURNAL_FILENAME
 
 
 class ServeJournal:

@@ -16,12 +16,6 @@ from repro.sim.config import (
     PrefetchPathConfig,
     SimConfig,
 )
-from repro.sim.batch import (
-    BatchLane,
-    BatchSimulationEngine,
-    lanes_for,
-    simulate_batch,
-)
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.results import DemandClass, SimResult
 
@@ -33,10 +27,6 @@ __all__ = [
     "REDUCED_CONFIG",
     "SimulationEngine",
     "simulate",
-    "BatchLane",
-    "BatchSimulationEngine",
-    "lanes_for",
-    "simulate_batch",
     "DemandClass",
     "SimResult",
 ]

@@ -23,18 +23,18 @@ stall cycles on top.  Two mechanisms shape the stalls:
 
 Prefetches fill into L2 only, never L1 (Table II / Section VI).
 
-Two implementations
--------------------
+The fast path and its oracle
+----------------------------
 
-:meth:`SimulationEngine.run` is the production fast path: it iterates the
+:meth:`SimulationEngine.run` is the one production loop: it iterates the
 trace's columnar arrays (:meth:`repro.trace.stream.Trace.columns`), uses
 the hierarchy's ``*_fast`` methods (integer outcome codes, no per-access
 result objects), accumulates counters in local ints, and inlines the
-queue/drain loops.  :meth:`SimulationEngine.run_reference` is the
-original object-per-event implementation, kept as the readable
-specification of the model; the two are bit-identical (every float
-operation happens in the same order on the same values) and the
-equivalence is pinned by tests.
+queue/drain loops.  The readable specification of the same model is the
+object-per-event engine oracle in :mod:`repro.check.reference`; the two
+are bit-identical (every float operation happens in the same order on
+the same values), which ``repro check`` and the engine equivalence
+tests enforce.
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ from repro.common.bitops import log2_exact
 from repro.prefetchers.base import DemandInfo, Prefetcher
 from repro.sim.config import SimConfig
 from repro.sim.results import DemandClass, SimResult
-from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
+from repro.trace.events import BLOCK_BEGIN, MEMORY_ACCESS
 from repro.trace.stream import Trace
 from repro.memory.hierarchy import (
     FAST_L1_HIT,
     FAST_L2_HIT_PREFETCH,
     FAST_MEMORY,
-    AccessOutcome,
     CacheHierarchy,
 )
 
@@ -71,8 +70,8 @@ class SimulationEngine:
     def run(self, trace: Trace) -> SimResult:
         """Simulate ``trace`` and return the measured result (fast path).
 
-        Bit-identical to :meth:`run_reference`; see the module docstring
-        for the relationship between the two.
+        Bit-identical to the engine oracle in :mod:`repro.check.reference`;
+        see the module docstring.
         """
         config = self.config
         core = config.core
@@ -412,277 +411,6 @@ class SimulationEngine:
         classes[DemandClass.MISSING] = n_missing
         classes[DemandClass.PLAIN_HIT] = n_plain_hit
 
-        result.cycles = trace.instructions * inv_width + stall
-        result.useful_prefetches = (
-            hierarchy.stats.useful_prefetch_hits + caught_in_flight
-        )
-        # Wrong = issued but never demanded: evicted unused, resident
-        # unused at the end, and still in flight at the end.
-        leftover_unused = sum(
-            1
-            for resident in hierarchy.l2.resident_lines()
-            if hierarchy.l2.is_unused_prefetch(resident)
-        )
-        result.wrong_prefetches = (
-            hierarchy.stats.wrong_prefetch_evictions
-            + leftover_unused
-            + len(in_flight)
-        )
-        if profiling:
-            obs.record_seconds("sim.run", perf_counter() - run_started)
-            obs.add("sim.events", len(trace.events))
-            obs.add("sim.demand_accesses", result.demand_accesses)
-            obs.add("sim.window_closes", window_closes)
-            obs.add("sim.prefetches_issued", result.prefetches_issued)
-        return result
-
-    def run_reference(self, trace: Trace) -> SimResult:
-        """Simulate ``trace`` with the original object-per-event loop.
-
-        This is the readable specification of the timing model; the fast
-        path in :meth:`run` must stay bit-identical to it (pinned by the
-        engine equivalence tests).
-        """
-        config = self.config
-        core = config.core
-        prefetch_path = config.prefetch
-        hierarchy = self.hierarchy
-        prefetcher = self.prefetcher
-        line_size = config.hierarchy.line_size
-        line_shift = log2_exact(line_size)
-
-        result = SimResult(
-            workload=trace.name,
-            prefetcher=prefetcher.name,
-            instructions=trace.instructions,
-            storage_bits=prefetcher.storage_bits(),
-        )
-        classes = result.classes
-
-        inv_width = 1.0 / core.width
-        rob = core.rob_entries
-        l2_extra = float(core.l2_latency - core.l1_latency)
-        mem_latency = float(core.memory_latency)
-        mshr_limit = config.hierarchy.l1.mshrs
-        issue_interval = float(prefetch_path.issue_interval)
-        queue_capacity = prefetch_path.queue_capacity
-        max_in_flight = prefetch_path.max_in_flight
-
-        profiling = obs.enabled()
-        run_started = perf_counter() if profiling else 0.0
-        checking = invariants.enabled()
-        checked_events = 0
-        last_icount = 0
-        last_next_issue = 0.0
-
-        stall = 0.0
-        window_start_icount = -1  # -1 means no open window
-        window_start_time = 0.0
-        window_end = 0.0
-        window_count = 0
-        window_closes = 0
-
-        queue: deque[int] = deque()
-        queued: set[int] = set()
-        in_flight: dict[int, float] = {}
-        fill_heap: list[tuple[float, int]] = []
-        next_issue = 0.0
-        caught_in_flight = 0
-
-        def drain_completions(now: float) -> None:
-            """Install prefetches whose memory access has completed."""
-            while fill_heap and fill_heap[0][0] <= now:
-                completion, line = heapq.heappop(fill_heap)
-                if in_flight.get(line) != completion:
-                    continue  # cancelled: the demand stream claimed it
-                del in_flight[line]
-                fill = hierarchy.prefetch_fill(line)
-                if fill is not None:
-                    result.prefetch_fills += 1
-                    for eviction in fill.l1_evictions:
-                        prefetcher.on_l1_eviction(eviction.line)
-
-        def issue_prefetches(now: float) -> None:
-            """Consume issue bandwidth moving queued candidates to memory."""
-            nonlocal next_issue
-            while queue and next_issue <= now and len(in_flight) < max_in_flight:
-                line = queue.popleft()
-                if line not in queued:
-                    continue  # stale: consumed by a demand access already
-                queued.discard(line)
-                if hierarchy.in_l2(line) or line in in_flight:
-                    continue  # redundant; never reaches the bus
-                completion = next_issue + mem_latency
-                in_flight[line] = completion
-                heapq.heappush(fill_heap, (completion, line))
-                result.prefetches_issued += 1
-                result.prefetch_bytes_read += line_size
-                next_issue += issue_interval
-
-        def enqueue_candidates(candidates: list[int], now: float) -> None:
-            nonlocal next_issue
-            if not candidates:
-                return
-            if not queue and next_issue < now:
-                next_issue = now
-            for line in candidates:
-                if line in queued or line in in_flight or hierarchy.in_l2(line):
-                    continue
-                if len(queue) >= queue_capacity:
-                    break  # hardware queue is full; newest candidates drop
-                queue.append(line)
-                queued.add(line)
-            if profiling:
-                obs.observe("sim.prefetch_queue.occupancy", len(queue))
-
-        for event in trace.events:
-            now = event.icount * inv_width + stall
-            kind = event.kind
-
-            if kind == MEMORY_ACCESS:
-                issue_prefetches(now)
-                drain_completions(now)
-
-                line = event.address >> line_shift
-                access = hierarchy.demand_access(line)
-                outcome = access.outcome
-                result.demand_accesses += 1
-
-                latency = 0.0
-                if outcome is AccessOutcome.L1_HIT:
-                    info_l1_hit = True
-                    info_l2_hit = True
-                else:
-                    result.l1_misses += 1
-                    info_l1_hit = False
-                    if outcome is AccessOutcome.L2_HIT:
-                        info_l2_hit = True
-                        latency = l2_extra
-                        if access.l2_fill_was_prefetch:
-                            classes[DemandClass.TIMELY] += 1
-                        else:
-                            classes[DemandClass.PLAIN_HIT] += 1
-                    else:  # memory
-                        info_l2_hit = False
-                        completion = in_flight.pop(line, None)
-                        if completion is not None:
-                            # Prefetch in flight: wait out the remainder.
-                            latency = max(0.0, completion - now)
-                            classes[DemandClass.SHORTER_WAITING] += 1
-                            caught_in_flight += 1
-                        elif line in queued:
-                            queued.discard(line)
-                            latency = mem_latency
-                            classes[DemandClass.NON_TIMELY] += 1
-                            result.llc_misses += 1
-                            result.demand_bytes_read += line_size
-                        else:
-                            latency = mem_latency
-                            classes[DemandClass.MISSING] += 1
-                            result.llc_misses += 1
-                            result.demand_bytes_read += line_size
-
-                    # MLP interval model: join the open miss window when
-                    # this miss issues under it, else close it (charging
-                    # its pending stall) and open a fresh one.
-                    if (
-                        window_start_icount >= 0
-                        and event.icount - window_start_icount <= rob
-                        and now < window_end
-                        and window_count < mshr_limit
-                    ):
-                        window_end = max(window_end, now + latency)
-                        window_count += 1
-                    else:
-                        if window_start_icount >= 0:
-                            window_closes += 1
-                            # Progress under the window is capped at the
-                            # ROB depth: the core cannot run further
-                            # ahead of an outstanding miss than the
-                            # instructions that fit behind it.
-                            progress = min(
-                                event.icount - window_start_icount, rob
-                            ) * inv_width
-                            pending = (window_end - window_start_time) - progress
-                            if pending > 0.0:
-                                stall += pending
-                            now = event.icount * inv_width + stall
-                        window_start_icount = event.icount
-                        window_start_time = now
-                        window_end = now + latency
-                        window_count = 1
-
-                    for eviction in access.l1_evictions:
-                        prefetcher.on_l1_eviction(eviction.line)
-
-                info = DemandInfo(
-                    pc=event.pc,
-                    line=line,
-                    address=event.address,
-                    is_write=event.is_write,
-                    l1_hit=info_l1_hit,
-                    l2_hit=info_l2_hit,
-                )
-                enqueue_candidates(prefetcher.on_access(info), now)
-                if checking:
-                    checked_events += 1
-                    invariants.check_engine_state(
-                        event_index=checked_events,
-                        icount=event.icount,
-                        last_icount=last_icount,
-                        queue_length=len(queue),
-                        queued=queued,
-                        queue_members=set(queue),
-                        in_flight=in_flight,
-                        fill_heap=fill_heap,
-                        next_issue=next_issue,
-                        last_next_issue=last_next_issue,
-                        window_count=window_count,
-                        window_start_icount=window_start_icount,
-                        mshr_limit=mshr_limit,
-                        queue_capacity=queue_capacity,
-                        max_in_flight=max_in_flight,
-                    )
-                    last_icount = event.icount
-                    last_next_issue = next_issue
-
-            elif kind == BLOCK_BEGIN:
-                prefetcher.on_block_begin(event.block_id)
-            elif kind == BLOCK_END:
-                issue_prefetches(now)
-                drain_completions(now)
-                enqueue_candidates(prefetcher.on_block_end(event.block_id), now)
-                if checking:
-                    checked_events += 1
-                    invariants.check_engine_state(
-                        event_index=checked_events,
-                        icount=event.icount,
-                        last_icount=last_icount,
-                        queue_length=len(queue),
-                        queued=queued,
-                        queue_members=set(queue),
-                        in_flight=in_flight,
-                        fill_heap=fill_heap,
-                        next_issue=next_issue,
-                        last_next_issue=last_next_issue,
-                        window_count=window_count,
-                        window_start_icount=window_start_icount,
-                        mshr_limit=mshr_limit,
-                        queue_capacity=queue_capacity,
-                        max_in_flight=max_in_flight,
-                    )
-                    last_icount = event.icount
-                    last_next_issue = next_issue
-
-        # Close the final miss window before settling the clock.
-        if window_start_icount >= 0:
-            window_closes += 1
-            progress = min(
-                trace.instructions - window_start_icount, rob
-            ) * inv_width
-            pending = (window_end - window_start_time) - progress
-            if pending > 0.0:
-                stall += pending
         result.cycles = trace.instructions * inv_width + stall
         result.useful_prefetches = (
             hierarchy.stats.useful_prefetch_hits + caught_in_flight

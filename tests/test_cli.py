@@ -37,6 +37,11 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_misspelt_fault_site_fails_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "task-don:exit@3")
+        assert main(["list", "prefetchers"]) == 1
+        assert "unknown fault site 'task-don'" in capsys.readouterr().err
+
 
 class TestExperiments:
     def test_table3(self, capsys):

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.check.reference import run_reference
 from repro.harness.registry import PREFETCHER_FACTORIES
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
@@ -61,9 +62,8 @@ class TestFastPathEquivalence:
         trace = _trace(workload)
         factory = PREFETCHER_FACTORIES[prefetcher_name]
         fast = SimulationEngine(REDUCED_CONFIG, factory()).run(trace)
-        reference = SimulationEngine(
-            REDUCED_CONFIG, factory()
-        ).run_reference(trace)
+        reference = run_reference(
+            SimulationEngine(REDUCED_CONFIG, factory()), trace)
         assert fast.to_dict() == reference.to_dict()
 
     def test_hierarchy_stats_match(self):
@@ -72,7 +72,7 @@ class TestFastPathEquivalence:
         fast = SimulationEngine(REDUCED_CONFIG, factory())
         reference = SimulationEngine(REDUCED_CONFIG, factory())
         fast.run(trace)
-        reference.run_reference(trace)
+        run_reference(reference, trace)
         assert vars(fast.hierarchy.stats) == vars(reference.hierarchy.stats)
 
     def test_profiling_does_not_change_results(self):

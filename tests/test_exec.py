@@ -23,6 +23,7 @@ from repro.exec.keys import canonicalize, sim_key
 from repro.exec.scheduler import execute_grid
 from repro.exec.telemetry import ExecTelemetry, PROCESS_COUNTERS, load_stats
 from repro.harness import runner as runner_module
+from repro.harness.registry import EXTENDED_PREFETCHER_ORDER
 from repro.harness.report import format_exec_stats
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.sim.config import PAPER_CONFIG, REDUCED_CONFIG
@@ -149,8 +150,13 @@ class TestGridPlan:
 
 
 class TestExecuteGrid:
-    def test_parallel_matches_serial(self, fresh_trace_cache, tmp_path):
-        plan = tiny_plan()
+    @pytest.mark.parametrize("prefetchers", [
+        ("no-prefetch", "stride"),
+        tuple(EXTENDED_PREFETCHER_ORDER),  # >= 8 cells over one trace
+    ], ids=["pair", "extended"])
+    def test_parallel_matches_serial(self, fresh_trace_cache, tmp_path,
+                                     prefetchers):
+        plan = tiny_plan(prefetchers=prefetchers)
         serial, _ = execute_grid(
             plan, options=ExecOptions(jobs=1), trace_dir=tmp_path / "s")
         parallel, telemetry = execute_grid(
@@ -158,7 +164,7 @@ class TestExecuteGrid:
         assert serial.keys() == parallel.keys()
         for cell, result in serial.items():
             assert parallel[cell].to_dict() == result.to_dict()
-        assert telemetry.sims_run == 2
+        assert telemetry.sims_run == len(prefetchers)
         assert telemetry.jobs == 2
 
     def test_retry_then_success(self, fresh_trace_cache, tmp_path):

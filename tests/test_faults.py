@@ -64,6 +64,7 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("text", [
         "nosite", "task-done:", ":raise", "a:raise@x", "a:not-a-kind",
+        "nosuch-site:raise", "cluster.forward:raise",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(ExecError):

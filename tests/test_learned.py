@@ -2,7 +2,7 @@
 
 Unit mechanics, statistical acceptance bands on real workload traces,
 frozen result digests over the regression corpus, and property-based
-engine/batch parity at multiple line sizes.  The whole module carries
+fast-path/oracle engine parity at multiple line sizes.  The whole module carries
 the ``learned`` marker so CI can run it standalone (``-m learned``).
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check.diff import config_with_line_size, diff_batch, diff_engine
+from repro.check.diff import config_with_line_size, diff_engine
 from repro.common.errors import ConfigError
 from repro.harness.registry import (
     canonical_prefetcher_name,
@@ -370,15 +370,5 @@ class TestEngineParityProperties:
         trace.validate()
         divergence = diff_engine(
             name, trace, config=config_with_line_size(line_size)
-        )
-        assert divergence is None, str(divergence)
-
-    @settings(max_examples=10, deadline=None)
-    @given(_learned_traces(), st.sampled_from([64, 128]))
-    def test_batch_lanes_match_fast_path(self, trace, line_size):
-        trace.validate()
-        config = config_with_line_size(line_size)
-        divergence = diff_batch(
-            ["pangloss", "pythia", "cbws"], trace, config=config
         )
         assert divergence is None, str(divergence)

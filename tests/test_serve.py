@@ -23,7 +23,10 @@ import pytest
 
 from repro.serve.broker import AdmissionFull, Broker, Draining
 from repro.serve.client import (
+    ConnectionFailed,
+    DeadlineExceeded,
     JobNotFound,
+    RetryPolicy,
     ServeClient,
     ServeClientError,
     ServerBusy,
@@ -388,3 +391,42 @@ class TestRetryAfterEstimate:
         broker._recent_seconds.extend([2.0, 4.0])
         broker._pending = 4  # two waves on two workers
         assert broker._retry_after_estimate() == pytest.approx(6.0)
+
+
+class TestRetryPolicy:
+    def test_full_jitter_stays_under_the_exponential_cap(self):
+        policy = RetryPolicy(base_delay=0.1, max_delay=2.0)
+        for attempt in range(1, 10):
+            cap = min(2.0, 0.1 * 2 ** (attempt - 1))
+            for _ in range(20):
+                assert 0.0 <= policy.delay(attempt) <= cap
+
+    def test_retry_after_overrides_the_jittered_draw(self):
+        policy = RetryPolicy(base_delay=0.1)
+        for _ in range(20):
+            delay = policy.delay(1, retry_after=3.0)
+            assert 3.0 <= delay <= 3.1
+
+    def test_unreachable_server_gives_up_after_max_attempts(self):
+        client = ServeClient("127.0.0.1", 1,  # nothing listens on port 1
+                             retry=RetryPolicy(max_attempts=3,
+                                               base_delay=0.001,
+                                               max_delay=0.002,
+                                               max_deadline=30.0))
+        with pytest.raises(ServeClientError, match="gave up after 3"):
+            client.run(request())
+        assert client.retries == 2  # attempts - 1 sleeps happened
+
+    def test_deadline_beats_attempts_when_tighter(self):
+        client = ServeClient("127.0.0.1", 1,
+                             retry=RetryPolicy(max_attempts=50,
+                                               base_delay=5.0,
+                                               max_delay=5.0,
+                                               max_deadline=0.05))
+        with pytest.raises(DeadlineExceeded):
+            client.run(request())
+
+    def test_no_policy_preserves_raise_on_first_failure(self):
+        client = ServeClient("127.0.0.1", 1)
+        with pytest.raises(ConnectionFailed):
+            client.run(request())

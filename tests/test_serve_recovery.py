@@ -43,7 +43,7 @@ def request(prefetcher: str = "stride",
 
 class TestServeJournalReplay:
     def test_replay_is_accepted_minus_finished(self, tmp_path):
-        journal = ServeJournal(journal_path(tmp_path, "broker"))
+        journal = ServeJournal(journal_path(tmp_path))
         journal.job_accepted("j1", "k1", request("stride"))
         journal.job_accepted("j2", "k2", request("cbws"))
         journal.job_finished("j1", "k1", "done")
@@ -55,7 +55,7 @@ class TestServeJournalReplay:
         assert replay_unfinished(tmp_path / "nope.journal.jsonl") == []
 
     def test_torn_tail_trusts_intact_prefix(self, tmp_path):
-        journal = ServeJournal(journal_path(tmp_path, "broker"))
+        journal = ServeJournal(journal_path(tmp_path))
         journal.job_accepted("j1", "k1", request("stride"))
         journal.close()
         with open(journal.path, "ab") as handle:
@@ -64,16 +64,18 @@ class TestServeJournalReplay:
         assert [p.prefetcher for p in pending] == ["stride"]
 
     def test_unparseable_request_is_skipped_not_fatal(self, tmp_path):
-        path = journal_path(tmp_path, "broker")
+        path = journal_path(tmp_path)
         raw = RunJournal(path)
         raw.append("job-accepted", job_id="j1", key="k1",
                    request={"workload": "nw"})  # missing required fields
         raw.close()
         assert replay_unfinished(path) == []
 
-    def test_journals_are_disjoint_per_shard(self, tmp_path):
-        assert (journal_path(tmp_path, "s0")
-                != journal_path(tmp_path, "s1"))
+    def test_journal_path_is_stable_across_releases(self, tmp_path):
+        # Journals left by earlier releases live here; a restart must
+        # find them to replay their unfinished jobs.
+        assert journal_path(tmp_path) == (
+            tmp_path / "serve" / "broker.journal.jsonl")
 
 
 class TestDiskFullClassification:
@@ -125,7 +127,7 @@ class TestInProcessRecovery:
         # Forge a crash: a journal with one accepted-but-unfinished job.
         req = request("no-prefetch")
         key = req.sim_key()
-        journal = ServeJournal(journal_path(tmp_path, "broker"))
+        journal = ServeJournal(journal_path(tmp_path))
         journal.job_accepted("j-lost", key, req)
         journal.close()
 
@@ -151,8 +153,8 @@ class TestInProcessRecovery:
             client.wait_until_ready()
             view = client.run(request("stride"))
             assert view.status is JobStatus.DONE
-            assert journal_path(tmp_path, "broker").exists()
-        assert not journal_path(tmp_path, "broker").exists()
+            assert journal_path(tmp_path).exists()
+        assert not journal_path(tmp_path).exists()
 
 
 def _spawn_serve(cache_dir: Path, extra_env: dict | None = None):
@@ -197,7 +199,7 @@ class TestSigkillRecoverySubprocess:
             process.kill()
             process.wait(timeout=30)
 
-        journal = journal_path(cache_dir, "broker")
+        journal = journal_path(cache_dir)
         assert journal.exists(), "SIGKILL must leave the journal behind"
         pending = replay_unfinished(journal)
         assert len(pending) >= 1, "kill landed after every job finished"

@@ -35,13 +35,13 @@ DOCS_DIR = REPO_ROOT / "docs" / "api"
 #: Packages with a documented public API, in index order.  Each entry is
 #: (package name under ``repro.``, one-line blurb for the index page).
 PACKAGES: list[tuple[str, str]] = [
-    ("sim", "simulation engines (reference, fast, batch) and configs"),
+    ("sim", "the simulation engine and machine configs"),
     ("prefetchers", "the prefetcher zoo: paper set, related work, "
                     "learned family"),
     ("exec", "grid planning, keyed caching, schedulers, telemetry"),
-    ("check", "differential harnesses, fuzzing, invariants"),
+    ("check", "engine and prefetcher oracles, differential harnesses, "
+              "fuzzing, invariants"),
     ("serve", "simulation-as-a-service HTTP API"),
-    ("cluster", "supervised serve shards with failover"),
     ("campaign", "journaled, resumable parameter sweeps"),
     ("ingest", "external-trace frontend: ChampSim/CSV decoding, "
                "loop-marker recovery, the ext: workload store"),
