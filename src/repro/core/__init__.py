@@ -6,8 +6,8 @@ Layering, bottom-up:
   (Equations 1 and 2, Table I);
 * :mod:`repro.core.buffers` — the per-block hardware buffers of Figure 8
   (current-CBWS FIFO, predecessor CBWSs, incremental differentials);
-* :mod:`repro.core.history` — the history shift registers and the
-  16-entry differential history table;
+* :mod:`repro.core.history` — the differential hash, the shift-register
+  tag fold, and the 16-entry differential history table;
 * :mod:`repro.core.predictor` — Algorithm 1, tying the structures into
   the BLOCK_BEGIN / MEMORY_ACCESS / BLOCK_END protocol;
 * :mod:`repro.core.prefetcher` — the standalone CBWS prefetcher
@@ -20,8 +20,8 @@ from repro.core.cbws import CodeBlockWorkingSet, differential
 from repro.core.buffers import CurrentCbwsBuffer, LastBlocksBuffer
 from repro.core.history import (
     DifferentialHistoryTable,
-    HistoryShiftRegister,
     hash_differential,
+    history_tag,
 )
 from repro.core.predictor import CbwsConfig, CbwsPredictor, PredictorStats
 from repro.core.prefetcher import CbwsPrefetcher
@@ -32,9 +32,9 @@ __all__ = [
     "differential",
     "CurrentCbwsBuffer",
     "LastBlocksBuffer",
-    "HistoryShiftRegister",
     "DifferentialHistoryTable",
     "hash_differential",
+    "history_tag",
     "CbwsConfig",
     "CbwsPredictor",
     "PredictorStats",

@@ -16,7 +16,6 @@ from typing import Iterator
 
 from repro.common.bitops import mask
 from repro.common.errors import ConfigError
-from repro.core.cbws import CodeBlockWorkingSet
 
 
 class CurrentCbwsBuffer:
@@ -27,6 +26,10 @@ class CurrentCbwsBuffer:
     position at which a new line was appended (the ``idx`` of
     Algorithm 1) or ``None`` when the line was already present or the
     buffer is full.
+
+    The working set lives in ``lines`` (first-touch order) and
+    ``members`` (the same lines, for the repeat test); both are cleared
+    in place at every block, so no per-block object is allocated.
     """
 
     def __init__(self, capacity: int = 16, line_addr_bits: int = 32) -> None:
@@ -34,34 +37,39 @@ class CurrentCbwsBuffer:
             raise ConfigError("current CBWS buffer needs positive capacity")
         self.capacity = capacity
         self._addr_mask = mask(line_addr_bits)
-        self._cbws = CodeBlockWorkingSet(max_members=capacity)
+        self.lines: list[int] = []
+        self.members: set[int] = set()
+        #: True when the block touched more distinct lines than fit.
+        self.overflowed = False
 
     def push(self, line: int) -> int | None:
         """Observe a memory access inside the current block."""
         truncated = line & self._addr_mask
-        before = len(self._cbws)
-        if self._cbws.observe(truncated):
-            return before
-        return None
+        if truncated in self.members:
+            return None
+        index = len(self.lines)
+        if index >= self.capacity:
+            self.overflowed = True
+            return None
+        self.members.add(truncated)
+        self.lines.append(truncated)
+        return index
 
     def clear(self) -> None:
         """BLOCK_BEGIN: start tracing a fresh working set."""
-        self._cbws = CodeBlockWorkingSet(max_members=self.capacity)
+        self.lines.clear()
+        self.members.clear()
+        self.overflowed = False
 
     def snapshot(self) -> tuple[int, ...]:
         """The working set accumulated so far."""
-        return self._cbws.as_tuple()
-
-    @property
-    def overflowed(self) -> bool:
-        """True when the block touched more distinct lines than fit."""
-        return self._cbws.overflowed
+        return tuple(self.lines)
 
     def __len__(self) -> int:
-        return len(self._cbws)
+        return len(self.lines)
 
     def __getitem__(self, index: int) -> int:
-        return self._cbws[index]
+        return self.lines[index]
 
 
 class LastBlocksBuffer:

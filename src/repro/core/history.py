@@ -6,14 +6,20 @@ to a branch history register but shifting CBWS differentials instead of
 branch outcomes.  The registers index the 16-entry, fully-associative
 *differential history table*, whose concatenated bits are XOR-folded
 into a 16-bit tag and whose eviction policy is random (Table II).
+
+The predictor holds each register as a plain tuple of hashes (oldest
+first), so this module supplies the two pure functions of that state —
+:func:`hash_differential` and :func:`history_tag` — plus the table.  Both
+functions are written with inline arithmetic because the predictor calls
+them on the per-block path.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Sequence
 
-from repro.common.bitops import bit_select, fold_xor, mask
+from repro.common.bitops import mask
 from repro.common.constants import CBWS_HASH_BITS
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng, named_stream
@@ -25,74 +31,54 @@ def hash_differential(delta: Sequence[int], hash_bits: int = CBWS_HASH_BITS) -> 
     The paper stores "12 bits extracted from the original differential
     (bit-select hashing)".  We fold the 16-bit two's-complement elements
     together with a positional rotation (so permuted vectors hash apart)
-    and bit-select the low 12 bits.  An empty differential hashes to a
-    reserved all-ones value so it never aliases a real pattern.
+    and XOR-fold the result down to ``hash_bits`` bits.  An empty
+    differential hashes to a reserved all-ones value so it never aliases
+    a real pattern.
     """
     if not delta:
         return mask(hash_bits)
+    if hash_bits <= 0:
+        raise ValueError(f"output width must be positive, got {hash_bits}")
     folded = len(delta)
-    for position, element in enumerate(delta):
+    rotation = 0  # (position * 5) % 16: rotate within the 16-bit field
+    for element in delta:
         encoded = element & 0xFFFF  # 16-bit two's complement stride
-        rotation = (position * 5) % 16  # rotate within the 16-bit field
-        rotated = ((encoded << rotation) | (encoded >> (16 - rotation))) \
+        folded ^= ((encoded << rotation) | (encoded >> (16 - rotation))) \
             & 0xFFFFFFFF
-        folded ^= rotated
-    return bit_select(fold_xor(folded, hash_bits), hash_bits)
+        rotation = (rotation + 5) & 15
+    low = (1 << hash_bits) - 1
+    hashed = 0
+    while folded:
+        hashed ^= folded & low
+        folded >>= hash_bits
+    return hashed
 
 
-class HistoryShiftRegister:
-    """A ``depth``-deep shift register of hashed differentials."""
+def history_tag(values: Sequence[int], hash_bits: int = CBWS_HASH_BITS,
+                tag_bits: int = 16) -> int:
+    """XOR-fold a shift register's contents into a table tag.
 
-    def __init__(self, depth: int = 3, hash_bits: int = CBWS_HASH_BITS) -> None:
-        if depth <= 0:
-            raise ConfigError("history shift register needs positive depth")
-        self.depth = depth
-        self.hash_bits = hash_bits
-        self._values: deque[int] = deque(maxlen=depth)
-        self._tag_cache: dict[int, int] = {}
-
-    def shift(self, hashed: int) -> None:
-        """Shift in the newest hashed differential."""
-        self._values.append(bit_select(hashed, self.hash_bits))
-        self._tag_cache.clear()
-
-    def tag(self, tag_bits: int = 16) -> int:
-        """XOR-fold the register contents into a table tag.
-
-        Matches the paper's indexing: the registers' bits "are xor-ed to
-        provide a 16-bit tag".  Positions are salted so that histories
-        that are permutations of each other produce different tags.
-
-        The fold is cached per ``tag_bits`` until the next shift/clear:
-        the predictor tags every register twice per block (pre-shift
-        training key, post-shift prediction probe), and the training key
-        equals the previous block's probe.
-        """
-        cached = self._tag_cache.get(tag_bits)
-        if cached is not None:
-            return cached
-        concatenated = 0
-        for position, value in enumerate(self._values):
-            concatenated |= value << (position * self.hash_bits)
-        # Salt with the fill level so a 1-deep history differs from the
-        # same value repeated.
-        concatenated ^= len(self._values)
-        folded = fold_xor(concatenated, tag_bits)
-        self._tag_cache[tag_bits] = folded
-        return folded
-
-    @property
-    def filled(self) -> bool:
-        """True once the register holds ``depth`` entries."""
-        return len(self._values) == self.depth
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def clear(self) -> None:
-        """Reset to empty."""
-        self._values.clear()
-        self._tag_cache.clear()
+    ``values`` are the register's hashed differentials, oldest first;
+    each is bit-selected to ``hash_bits`` and placed in its own field.
+    This matches the paper's indexing: the registers' bits "are xor-ed to
+    provide a 16-bit tag".  The fill level salts the fold, so a 1-deep
+    history differs from the same value repeated.
+    """
+    if tag_bits <= 0:
+        raise ValueError(f"output width must be positive, got {tag_bits}")
+    field = (1 << hash_bits) - 1
+    concatenated = 0
+    shift = 0
+    for value in values:
+        concatenated |= (value & field) << shift
+        shift += hash_bits
+    concatenated ^= len(values)
+    low = (1 << tag_bits) - 1
+    tag = 0
+    while concatenated:
+        tag ^= concatenated & low
+        concatenated >>= tag_bits
+    return tag
 
 
 class DifferentialHistoryTable:

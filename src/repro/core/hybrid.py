@@ -15,12 +15,14 @@ Policy implemented here:
   ownership filter, and SMS candidates for those lines are dropped —
   duplicate streaming would only cost bandwidth and pollute accuracy.
 * Everything else SMS predicts flows through.  When CBWS has no
-  confident prediction (history-table miss) or covers only a truncated
-  working set (buffer overflow), nothing is claimed and SMS provides
-  full coverage — the fall-back the paper credits for fft and
+  confident prediction (history-table miss), nothing is claimed and SMS
+  provides full coverage — the fall-back the paper credits for fft and
   streamcluster, where "the history table is too small to represent a
-  meaningful CBWS differential history", and the reason bzip2 degrades
-  only mildly.
+  meaningful CBWS differential history".
+* When the block overflowed the CBWS buffer, a table hit still predicts
+  (and claims) the lines of the buffered prefix of the working set; the
+  lines beyond the buffer are never claimed, so SMS keeps covering
+  them — the reason bzip2 degrades only mildly.
 """
 
 from __future__ import annotations

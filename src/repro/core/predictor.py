@@ -15,6 +15,11 @@ The predictor receives the three hardware events — ``BLOCK_BEGIN``,
   the shift registers advance, the completed CBWS becomes predecessor #1,
   and the table is probed for the differentials that predict the next
   blocks — the sum ``CBWS + Δ`` is the predicted working set (Figure 7).
+
+There is no shift-register object: each step's register is a tuple of
+hashed differentials held by the predictor, and its table tag is
+computed once per BLOCK_END, right after the shift.  That one tag is
+both this block's prediction probe and the next block's training key.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from repro.common.rng import DeterministicRng
 from repro.core.buffers import CurrentCbwsBuffer, LastBlocksBuffer
 from repro.core.history import (
     DifferentialHistoryTable,
-    HistoryShiftRegister,
     hash_differential,
+    history_tag,
 )
 
 
@@ -76,6 +81,8 @@ class CbwsConfig:
             )
         if self.max_vector_members <= 0:
             raise ConfigError("cbws: vector capacity must be positive")
+        if self.history_depth <= 0:
+            raise ConfigError("cbws: history_depth must be positive")
 
 
 @dataclass
@@ -98,7 +105,19 @@ class PredictorStats:
 
 
 class CbwsPredictor:
-    """The CBWS differential predictor of Algorithm 1."""
+    """The CBWS differential predictor of Algorithm 1.
+
+    Per step the shift register is a tuple of hashed differentials
+    (oldest first) and ``_tags`` holds its table tag, written once per
+    BLOCK_END: the post-shift probe tag of one block is the training tag
+    of the next.  Two last-value shortcuts keep the steady state of a
+    regular loop cheap without any memo that grows with the trace: a
+    step whose differential equals its previous one reuses that hash,
+    and a register left unchanged by the shift (already full of that
+    same hash) keeps its tag.  They only pay off for loops whose
+    differentials repeat block after block; DESIGN.md §9 gives their hit
+    rates and gain per workload.
+    """
 
     def __init__(self, config: CbwsConfig | None = None) -> None:
         self.config = config or CbwsConfig()
@@ -107,10 +126,6 @@ class CbwsPredictor:
             config.max_vector_members, config.line_addr_bits
         )
         self.last_blocks = LastBlocksBuffer(config.max_step)
-        self.shift_registers = [
-            HistoryShiftRegister(config.history_depth, config.hash_bits)
-            for _ in range(config.max_step)
-        ]
         self.table = DifferentialHistoryTable(
             config.table_entries,
             config.tag_bits,
@@ -125,6 +140,15 @@ class CbwsPredictor:
         # to ((raw & mask) ^ sign_bit) - sign_bit, with no calls.
         self._stride_mask = mask(config.stride_bits)
         self._stride_sign = 1 << (config.stride_bits - 1)
+        self._empty_tag = history_tag((), config.hash_bits, config.tag_bits)
+        self._registers: list[tuple[int, ...]] = []
+        self._tags: list[int] = []
+        self._clear_history()
+        # Last-value shortcuts, one slot per step (pure-function memos of
+        # bounded size, so they survive history flushes).
+        empty_hash = hash_differential((), config.hash_bits)
+        self._last_deltas: list[tuple[int, ...]] = [()] * config.max_step
+        self._last_hashes: list[int] = [empty_hash] * config.max_step
         #: Whether the most recent BLOCK_END produced at least one
         #: table-hit prediction; the hybrid policy keys off this.
         self.confident = False
@@ -133,6 +157,18 @@ class CbwsPredictor:
         #: prediction covers only a prefix of the working set, so the
         #: hybrid must not let it silence SMS (the bzip2 case).
         self.last_block_overflowed = False
+
+    def _clear_history(self) -> None:
+        """Empty every shift register (their tags become the empty tag)."""
+        steps = self.config.max_step
+        self._registers = [()] * steps
+        self._tags = [self._empty_tag] * steps
+
+    def _clear_block(self) -> None:
+        """Drop the current block's working set and differentials."""
+        self.current.clear()
+        for diffs in self._current_diffs:
+            diffs.clear()
 
     # -- event protocol ----------------------------------------------------
 
@@ -146,32 +182,29 @@ class CbwsPredictor:
         """
         if block_id != self._block_id:
             self.last_blocks.clear()
-            for register in self.shift_registers:
-                register.clear()
-            for diffs in self._current_diffs:
-                diffs.clear()
+            self._clear_history()
             self._block_id = block_id
             self.confident = False
-        self.current.clear()
-        for diffs in self._current_diffs:
-            diffs.clear()
+        current = self.current
+        if current.lines or current.overflowed:
+            self._clear_block()
 
     def memory_access(self, line: int) -> None:
         """A load/store committed inside the current block."""
-        index = self.current.push(line)
+        current = self.current
+        index = current.push(line)
         if index is None:
             return  # repeated line, or the 16-entry buffer is full
-        truncated = line & self._line_mask
+        truncated = current.lines[index]
         stride_mask = self._stride_mask
         stride_sign = self._stride_sign
-        current_diffs = self._current_diffs
-        # Predecessor k (1-based step) sits at deque position k-1; missing
-        # predecessors simply end the iteration.
-        for position, predecessor in enumerate(self.last_blocks._blocks):
-            if index >= len(predecessor):
-                continue
-            diffs = current_diffs[position]
-            if len(diffs) == index:  # keep element positions aligned
+        # Predecessor k (1-based step) pairs with the step-k differential;
+        # missing predecessors simply end the iteration.  Lines arrive at
+        # consecutive indices, so each differential stays aligned with the
+        # working set and stops at the shorter of the two vectors.
+        for diffs, predecessor in zip(self._current_diffs,
+                                      self.last_blocks._blocks):
+            if index < len(predecessor):
                 raw = (truncated - predecessor[index]) & stride_mask
                 diffs.append((raw ^ stride_sign) - stride_sign)
 
@@ -184,67 +217,79 @@ class CbwsPredictor:
         the standalone prefetcher stays silent in that case.
         """
         config = self.config
-        completed = self.current.snapshot()
-        self.stats.blocks_completed += 1
-        self.last_block_overflowed = self.current.overflowed
-        if self.current.overflowed:
-            self.stats.blocks_overflowed += 1
+        current = self.current
+        completed = tuple(current.lines)
+        stats = self.stats
+        stats.blocks_completed += 1
+        overflowed = current.overflowed
+        self.last_block_overflowed = overflowed
+        if overflowed:
+            stats.blocks_overflowed += 1
 
         # 1. Train: store each completed differential under the tag of the
-        #    *pre-update* history, then shift the new differential in.
-        for step in range(config.max_step):
-            diffs = self._current_diffs[step]
-            if diffs:
-                self.table.insert(self.shift_registers[step].tag(config.tag_bits),
-                                  diffs)
-            self.shift_registers[step].shift(
-                hash_differential(diffs, config.hash_bits)
-            )
+        #    *pre-update* history, then shift its hash in and re-tag.
+        table = self.table
+        registers = self._registers
+        tags = self._tags
+        last_deltas = self._last_deltas
+        last_hashes = self._last_hashes
+        depth = config.history_depth
+        for step, diffs in enumerate(self._current_diffs):
+            delta = tuple(diffs)
+            diffs.clear()
+            if delta:
+                table.insert(tags[step], delta)
+            if delta == last_deltas[step]:
+                hashed = last_hashes[step]
+            else:
+                hashed = hash_differential(delta, config.hash_bits)
+                last_deltas[step] = delta
+                last_hashes[step] = hashed
+            register = registers[step]
+            shifted = (register + (hashed,))[-depth:]
+            if shifted != register:
+                registers[step] = shifted
+                tags[step] = history_tag(shifted, config.hash_bits,
+                                         config.tag_bits)
 
         # 2. Rotate: the completed CBWS becomes predecessor #1.
         if completed:
             self.last_blocks.push(completed)
 
-        # 3. Predict the next blocks with the updated history tags.
+        # 3. Predict the next blocks with the updated history tags.  A
+        #    k-step differential already spans k block instances, so
+        #    base + delta predicts the CBWS k blocks ahead (Figure 7).
+        line_mask = self._line_mask
+        predict_steps = config.predict_steps
         candidates: list[int] = []
-        seen: set[int] = set()
-        any_hit = False
-        for step in range(1, config.predict_steps + 1):
-            tag = self.shift_registers[step - 1].tag(config.tag_bits)
-            self.stats.table_lookups += 1
-            predicted = self.table.lookup(tag)
-            if predicted is None:
-                continue
-            self.stats.table_hits += 1
-            any_hit = True
-            # A k-step differential already spans k block instances, so
-            # base + delta predicts the CBWS k blocks ahead (Figure 7).
-            for position in range(min(len(completed), len(predicted))):
-                line = (completed[position] + predicted[position]) \
-                    & self._line_mask
-                if line not in seen:
-                    seen.add(line)
-                    candidates.append(line)
-        self.confident = any_hit
-        if candidates:
-            self.stats.predictions_made += 1
-            self.stats.lines_predicted += len(candidates)
+        hits = 0
+        for tag in tags[:predict_steps]:
+            predicted = table.lookup(tag)
+            if predicted is not None:
+                hits += 1
+                candidates += [(base + delta) & line_mask
+                               for base, delta in zip(completed, predicted)]
+        stats.table_lookups += predict_steps
+        self.confident = hits > 0
+        if hits:
+            stats.table_hits += hits
+            if candidates:
+                candidates = list(dict.fromkeys(candidates))
+                stats.predictions_made += 1
+                stats.lines_predicted += len(candidates)
 
-        # 4. Reset per-block tracing for safety (BLOCK_BEGIN does it too).
-        self.current.clear()
-        for diffs in self._current_diffs:
-            diffs.clear()
+        # 4. Reset per-block tracing for safety (BLOCK_BEGIN does it too);
+        #    the differentials were cleared as they were consumed.
+        current.clear()
         return candidates
 
     def reset(self) -> None:
         """Drop every piece of learned state."""
-        self.current.clear()
+        self._clear_block()
         self.last_blocks.clear()
-        for register in self.shift_registers:
-            register.clear()
+        self._clear_history()
         self.table.clear()
-        for diffs in self._current_diffs:
-            diffs.clear()
         self.stats = PredictorStats()
         self._block_id = None
         self.confident = False
+        self.last_block_overflowed = False

@@ -1,15 +1,17 @@
-"""Tests for the history shift registers and differential history table."""
+"""Tests for the differential hash, the history tag and the history table."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.bitops import bit_select, fold_xor, mask
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 from repro.core.history import (
     DifferentialHistoryTable,
-    HistoryShiftRegister,
     hash_differential,
+    history_tag,
 )
+from repro.core.predictor import CbwsConfig
 
 
 class TestHashDifferential:
@@ -36,52 +38,82 @@ class TestHashDifferential:
         assert 0 <= hash_differential(tuple(delta), bits) < (1 << bits)
 
 
-class TestShiftRegister:
-    def test_fill_tracking(self):
-        register = HistoryShiftRegister(depth=3)
-        assert not register.filled
-        for value in (1, 2, 3):
-            register.shift(value)
-        assert register.filled
+def reference_hash(delta, bits=12):
+    """hash_differential spelled with the bitops helpers it inlines."""
+    if not delta:
+        return mask(bits)
+    folded = len(delta)
+    for position, element in enumerate(delta):
+        encoded = element & 0xFFFF
+        rotation = (position * 5) % 16
+        folded ^= ((encoded << rotation) | (encoded >> (16 - rotation))) \
+            & 0xFFFFFFFF
+    return bit_select(fold_xor(folded, bits), bits)
 
-    def test_depth_bounded(self):
-        register = HistoryShiftRegister(depth=2)
-        for value in (1, 2, 3):
-            register.shift(value)
-        assert len(register) == 2
 
+def reference_tag(values, hash_bits=12, tag_bits=16):
+    """history_tag spelled with the bitops helpers it inlines."""
+    concatenated = 0
+    for position, value in enumerate(values):
+        concatenated |= bit_select(value, hash_bits) << (position * hash_bits)
+    return fold_xor(concatenated ^ len(values), tag_bits)
+
+
+class TestInlinedArithmetic:
+    @given(st.lists(st.integers(-(1 << 20), 1 << 20), max_size=16),
+           st.integers(min_value=1, max_value=20))
+    def test_hash_matches_bitops_spelling(self, delta, bits):
+        assert hash_differential(tuple(delta), bits) == \
+            reference_hash(delta, bits)
+
+    @given(st.lists(st.integers(0, 1 << 16), max_size=4),
+           st.integers(min_value=1, max_value=16),
+           st.integers(min_value=1, max_value=20))
+    def test_tag_matches_bitops_spelling(self, values, hash_bits, tag_bits):
+        assert history_tag(tuple(values), hash_bits, tag_bits) == \
+            reference_tag(values, hash_bits, tag_bits)
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError):
+            hash_differential((1,), 0)
+        with pytest.raises(ValueError):
+            history_tag((1,), 12, 0)
+
+
+class TestHistoryTag:
     def test_tag_changes_with_history(self):
-        a = HistoryShiftRegister(depth=3)
-        b = HistoryShiftRegister(depth=3)
-        for value in (1, 2, 3):
-            a.shift(value)
-        for value in (3, 2, 1):
-            b.shift(value)
-        assert a.tag() != b.tag()
+        assert history_tag((1, 2, 3)) != history_tag((3, 2, 1))
 
     def test_tag_deterministic(self):
-        a = HistoryShiftRegister(depth=3)
-        b = HistoryShiftRegister(depth=3)
-        for value in (5, 9, 12):
-            a.shift(value)
-            b.shift(value)
-        assert a.tag() == b.tag()
+        assert history_tag((5, 9, 12)) == history_tag((5, 9, 12))
 
     def test_tag_fits_16_bits(self):
-        register = HistoryShiftRegister(depth=3)
-        for value in (0xFFF, 0xFFF, 0xFFF):
-            register.shift(value)
-        assert 0 <= register.tag(16) <= 0xFFFF
+        assert 0 <= history_tag((0xFFF, 0xFFF, 0xFFF), 12, 16) <= 0xFFFF
 
-    def test_clear(self):
-        register = HistoryShiftRegister(depth=3)
-        register.shift(1)
-        register.clear()
-        assert len(register) == 0
+    @given(st.lists(st.integers(0, 0xFFF), max_size=3),
+           st.integers(min_value=1, max_value=16))
+    def test_tag_width_respected(self, values, tag_bits):
+        assert 0 <= history_tag(tuple(values), 12, tag_bits) < (1 << tag_bits)
+
+    def test_fill_level_salts_tag(self):
+        """A 1-deep history differs from the same value repeated."""
+        for value in (0, 1, 0x7FF, 0xFFF):
+            assert history_tag((value,)) != history_tag((value, value))
+        assert history_tag(()) != history_tag((0,))
+
+    def test_values_bit_selected_to_hash_width(self):
+        assert history_tag((0x1005,), 12) == history_tag((0x005,), 12)
+
+
+class TestShiftRegister:
+    """The shift registers are the predictor's flat tuples, sized by
+    CbwsConfig.history_depth."""
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ConfigError):
-            HistoryShiftRegister(depth=0)
+            CbwsConfig(history_depth=0)
+        with pytest.raises(ConfigError):
+            CbwsConfig(history_depth=-1)
 
 
 class TestHistoryTable:
