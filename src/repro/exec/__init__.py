@@ -16,6 +16,7 @@ scope, so the harness can import it freely.
 ``keys``       stable content-addressed hashing of task inputs
 ``plan``       the task DAG (trace nodes fanning into sim nodes)
 ``cache``      on-disk result cache keyed by ``keys.sim_key``
+``traces``     the trace store: the one trace LRU and the trace files
 ``pool``       worker-side task execution + pool lifecycle
 ``scheduler``  DAG orchestration, retries, quarantine, degradation
 ``telemetry``  counters, per-task wall times, ETA, persistence
@@ -46,10 +47,11 @@ from repro.exec.keys import (
     trace_key,
 )
 from repro.exec.plan import GridPlan, SimNode, TraceNode
-from repro.exec.pool import InjectSpec, WorkerPool, trace_nbytes
+from repro.exec.pool import InjectSpec, WorkerPool
 from repro.exec.scheduler import ExecOptions, execute_grid
 from repro.exec.singleflight import SingleFlight
 from repro.exec.telemetry import ExecTelemetry
+from repro.exec.traces import trace_nbytes
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",

@@ -1,11 +1,12 @@
 """Worker-side task execution and pool lifecycle.
 
 Task payloads are small frozen dataclasses (cheap to pickle); the heavy
-artifacts move through the filesystem: a trace task *writes* its trace
-to a content-addressed file, the dependent simulation tasks *read* it.
-Each worker process keeps a tiny LRU of recently read traces so the
-sims of one workload that land on the same worker pay the deserialize
-cost once.
+artifacts move through the filesystem.  Both task kinds look their trace
+up in the trace store (:func:`repro.exec.traces.get_trace`) against the
+grid's trace directory: the trace task finds or builds it and reports
+where it came from, and each dependent simulation task then finds it in
+its worker's copy of the trace LRU or reads the file the trace task
+wrote.
 
 :class:`WorkerPool` wraps :class:`concurrent.futures.ProcessPoolExecutor`
 with the two operations the scheduler's fault handling needs: detecting
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -31,38 +31,11 @@ from pathlib import Path
 from typing import Callable
 
 from repro.common.errors import ExecError, PermanentError
+from repro.exec.plan import SimNode, TraceNode
+from repro.exec.traces import get_trace
 from repro.sim.config import SimConfig
 from repro.sim.engine import simulate
 from repro.sim.results import SimResult
-from repro.trace.io import try_read_trace, write_trace
-from repro.trace.stream import Trace
-from repro.workloads.base import build_trace, get_workload
-
-#: Per-worker-process cache of deserialized traces, keyed by file path
-#: (paths are content-addressed, so a path's contents never change).
-#: Bounded two ways: by entry count, and by estimated total bytes so a
-#: grid of huge traces cannot OOM a worker that a grid of small traces
-#: would sail through.
-_TRACE_CACHE: "OrderedDict[str, Trace]" = OrderedDict()
-_TRACE_CACHE_CAPACITY = 4
-
-#: Total-bytes bound on the per-worker trace cache, tunable via
-#: ``$REPRO_TRACE_CACHE_BYTES`` (default 256 MiB).  The most recently
-#: used trace is always retained even when it alone exceeds the bound,
-#: so repeated sims of one oversized workload still hit.
-_TRACE_CACHE_MAX_BYTES = int(
-    os.environ.get("REPRO_TRACE_CACHE_BYTES", str(256 * 1024 * 1024))
-)
-
-#: Rough per-event heap cost of a deserialized ``TraceEvent`` (a small
-#: Python object plus list slot); used to estimate cache footprint
-#: without walking every object graph.
-_EVENT_NBYTES_ESTIMATE = 160
-
-
-def trace_nbytes(trace: Trace) -> int:
-    """Estimated heap footprint of one in-memory trace."""
-    return 1024 + len(trace.events) * _EVENT_NBYTES_ESTIMATE
 
 
 @dataclass(frozen=True)
@@ -86,50 +59,33 @@ class InjectSpec:
 
 @dataclass(frozen=True)
 class TraceTaskPayload:
-    """Build one workload trace and persist it at ``path``."""
+    """Find, or build and persist, one workload's trace."""
 
-    workload: str
-    scale: float
-    budget_fraction: float
-    seed: int
-    path: str
+    node: TraceNode
+    trace_dir: str
 
 
 @dataclass(frozen=True)
 class SimTaskPayload:
-    """Simulate one grid cell against the trace at ``trace_path``."""
+    """Simulate one grid cell against its trace under ``trace_dir``."""
 
-    workload: str
-    prefetcher: str
+    node: SimNode
     config: SimConfig
-    trace_path: str
+    trace_dir: str
     inject: InjectSpec | None = None
     inject_counter_path: str | None = None
 
 
 @dataclass
 class TraceTaskOutcome:
-    workload: str
-    path: str
-    events: int
+    source: str  # a repro.exec.traces source: memory, disk, built, ...
     seconds: float
-    disk_hit: bool
-    rebuilt_corrupt: bool
 
 
 @dataclass
 class SimTaskOutcome:
     result: SimResult
     seconds: float
-
-
-def build_workload_trace(
-    workload: str, scale: float, budget_fraction: float, seed: int
-) -> Trace:
-    """Build one trace exactly like ``GridRunner.trace`` does."""
-    spec = get_workload(workload)
-    budget = max(1000, int(spec.default_accesses * scale * budget_fraction))
-    return build_trace(spec, scale=scale, max_accesses=budget, seed=seed)
 
 
 def apply_injection(inject: InjectSpec | None,
@@ -161,35 +117,11 @@ def apply_injection(inject: InjectSpec | None,
 
 
 def execute_trace_task(payload: TraceTaskPayload) -> TraceTaskOutcome:
-    """Worker entry point: materialize one trace file."""
+    """Worker entry point: find or build one workload's trace."""
     started = time.perf_counter()
-    path = Path(payload.path)
-    disk_hit = False
-    rebuilt_corrupt = False
-    trace: Trace | None = None
-    if path.exists():
-        trace = try_read_trace(path)
-        if trace is None:
-            rebuilt_corrupt = True
-            path.unlink(missing_ok=True)
-        else:
-            disk_hit = True
-    if trace is None:
-        trace = build_workload_trace(
-            payload.workload, payload.scale, payload.budget_fraction,
-            payload.seed,
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_trace(trace, path)
-    _remember_trace(str(path), trace)
-    return TraceTaskOutcome(
-        workload=payload.workload,
-        path=str(path),
-        events=len(trace.events),
-        seconds=time.perf_counter() - started,
-        disk_hit=disk_hit,
-        rebuilt_corrupt=rebuilt_corrupt,
-    )
+    _, source = get_trace(payload.node, payload.trace_dir)
+    return TraceTaskOutcome(source=source,
+                            seconds=time.perf_counter() - started)
 
 
 def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
@@ -198,35 +130,13 @@ def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
 
     apply_injection(payload.inject, payload.inject_counter_path)
     started = time.perf_counter()
-    trace = _load_trace(payload.trace_path)
-    result = simulate(payload.config, make_prefetcher(payload.prefetcher),
+    node = payload.node
+    trace, _ = get_trace(node.trace, payload.trace_dir)
+    result = simulate(payload.config, make_prefetcher(node.prefetcher),
                       trace)
-    result.prefetcher = payload.prefetcher
+    result.prefetcher = node.prefetcher
     return SimTaskOutcome(result=result,
                           seconds=time.perf_counter() - started)
-
-
-def _load_trace(path: str) -> Trace:
-    cached = _TRACE_CACHE.get(path)
-    if cached is not None:
-        _TRACE_CACHE.move_to_end(path)
-        return cached
-    trace = try_read_trace(path)
-    if trace is None:
-        raise ExecError(f"trace file {path} is missing or corrupt")
-    _remember_trace(path, trace)
-    return trace
-
-
-def _remember_trace(path: str, trace: Trace) -> None:
-    _TRACE_CACHE[path] = trace
-    _TRACE_CACHE.move_to_end(path)
-    while len(_TRACE_CACHE) > _TRACE_CACHE_CAPACITY:
-        _TRACE_CACHE.popitem(last=False)
-    total = sum(trace_nbytes(cached) for cached in _TRACE_CACHE.values())
-    while total > _TRACE_CACHE_MAX_BYTES and len(_TRACE_CACHE) > 1:
-        _, evicted = _TRACE_CACHE.popitem(last=False)
-        total -= trace_nbytes(evicted)
 
 
 class WorkerPool:

@@ -50,7 +50,7 @@ from repro.common.errors import (
     PermanentError,
     classify_error,
 )
-from repro.exec import faults
+from repro.exec import faults, traces
 from repro.exec import telemetry as telemetry_module
 from repro.exec.cache import ResultCache
 from repro.exec.journal import RunJournal, RunReplay
@@ -61,14 +61,12 @@ from repro.exec.pool import (
     SimTaskPayload,
     TraceTaskPayload,
     WorkerPool,
-    build_workload_trace,
     execute_sim_task,
     execute_trace_task,
 )
 from repro.exec.telemetry import ExecTelemetry
 from repro.sim.engine import simulate
 from repro.sim.results import SimResult
-from repro.trace.stream import Trace
 
 #: Progress callback signature: (workload, prefetcher) per finished cell.
 Progress = Callable[[str, str], None]
@@ -183,7 +181,6 @@ def execute_grid(
     options: ExecOptions | None = None,
     cache: ResultCache | None = None,
     trace_dir: str | Path | None = None,
-    trace_provider: Callable[[str], Trace] | None = None,
     inject: Mapping[tuple[str, str], InjectSpec] | None = None,
     progress: Progress | None = None,
     stats_path: str | Path | None = None,
@@ -200,11 +197,10 @@ def execute_grid(
 
     Args:
         cache: result cache; probed before scheduling, filled after.
-        trace_dir: where built traces are persisted for workers to read
-            (a private temporary directory is used when omitted).
-        trace_provider: in-process trace source used on the serial path
-            (``GridRunner.trace``), so serial runs share the caller's
-            trace caches.
+        trace_dir: where traces are persisted and looked up (see
+            :mod:`repro.exec.traces`).  When omitted the serial path
+            keeps traces in memory only and the pool path uses a private
+            temporary directory.
         inject: test-only fault injection per (workload, prefetcher).
         stats_path: where to persist the telemetry JSON snapshot.
         journal: write-ahead run journal; every outcome is appended.
@@ -281,7 +277,7 @@ def execute_grid(
         if misses:
             if jobs <= 1:
                 _run_serial(plan, misses, results, cache, state,
-                            trace_provider, dict(inject or {}), options,
+                            trace_dir, dict(inject or {}), options,
                             progress)
             else:
                 _run_pool(plan, misses, results, cache, state,
@@ -310,6 +306,16 @@ def _group_by_workload(nodes: list[SimNode]) -> dict[str, list[SimNode]]:
     return groups
 
 
+def _count_trace(telemetry: ExecTelemetry, source: str) -> None:
+    """Count where one trace task's trace came from (memory counts none)."""
+    if source == traces.DISK:
+        telemetry.trace_disk_hits += 1
+    elif source != traces.MEMORY:
+        telemetry.traces_built += 1
+    if source == traces.REBUILT_CORRUPT:
+        telemetry.corrupt_traces += 1
+
+
 # ---------------------------------------------------------------------------
 # Serial (jobs=1) path
 # ---------------------------------------------------------------------------
@@ -321,7 +327,7 @@ def _run_serial(
     results: dict[tuple[str, str], SimResult],
     cache: ResultCache | None,
     state: _GridState,
-    trace_provider: Callable[[str], Trace] | None,
+    trace_dir: str | Path | None,
     inject: dict[tuple[str, str], InjectSpec],
     options: ExecOptions,
     progress: Progress | None,
@@ -336,13 +342,7 @@ def _run_serial(
         telemetry.task_started()
         started = time.perf_counter()
         try:
-            if trace_provider is not None:
-                trace = trace_provider(workload)
-            else:
-                trace = build_workload_trace(
-                    workload, trace_node.scale, trace_node.budget_fraction,
-                    trace_node.seed,
-                )
+            trace, source = traces.get_trace(trace_node, trace_dir)
         except Exception as error:
             telemetry.task_failed_attempt()
             kind = classify_error(error)
@@ -357,7 +357,7 @@ def _run_serial(
                     "degraded", cell=node.cell,
                 )
             continue
-        telemetry.traces_built += 1
+        _count_trace(telemetry, source)
         telemetry.task_finished(trace_node.name, "trace",
                                 time.perf_counter() - started, 1)
         state.journal_trace_done(trace_node.name)
@@ -542,17 +542,16 @@ def _run_pool(
                 keep.append(queued)
         probe_queue[:] = keep
 
-    def make_sim_state(node: SimNode, trace_path: str) -> _TaskState:
+    def make_sim_state(node: SimNode) -> _TaskState:
         spec = inject.get(node.cell)
         counter = None
         if spec is not None:
             counter = str(trace_root /
                           f"inject-{short_digest(*node.cell)}.count")
         payload = SimTaskPayload(
-            workload=node.workload,
-            prefetcher=node.prefetcher,
+            node=node,
             config=plan.config,
-            trace_path=trace_path,
+            trace_dir=str(trace_root),
             inject=spec,
             inject_counter_path=counter,
         )
@@ -561,17 +560,12 @@ def _run_pool(
 
     def complete(task: _TaskState, outcome) -> None:
         if task.kind == "trace":
-            if outcome.disk_hit:
-                telemetry.trace_disk_hits += 1
-            else:
-                telemetry.traces_built += 1
-            if outcome.rebuilt_corrupt:
-                telemetry.corrupt_traces += 1
+            _count_trace(telemetry, outcome.source)
             telemetry.task_finished(task.name, "trace", outcome.seconds,
                                     task.attempts + 1)
             state.journal_trace_done(task.name)
             for node in waiting.pop(task.workload, []):
-                dispatch(make_sim_state(node, outcome.path))
+                dispatch(make_sim_state(node))
         else:
             telemetry.sims_run += 1
             telemetry.task_finished(task.name, "sim", outcome.seconds,
@@ -591,13 +585,7 @@ def _run_pool(
     telemetry.task_queued(len(groups) + len(misses))
     for workload in groups:
         node = plan.trace_nodes[workload]
-        payload = TraceTaskPayload(
-            workload=workload,
-            scale=node.scale,
-            budget_fraction=node.budget_fraction,
-            seed=node.seed,
-            path=str(trace_root / node.filename),
-        )
+        payload = TraceTaskPayload(node=node, trace_dir=str(trace_root))
         task = _TaskState("trace", node.name, workload, None, payload,
                           execute_trace_task)
         submit(task)

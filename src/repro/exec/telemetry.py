@@ -21,8 +21,8 @@ from typing import Any
 
 logger = logging.getLogger("repro.exec")
 
-#: Process-wide event counters, for code paths that run outside a
-#: scheduled grid (e.g. ``GridRunner.trace`` recovering a corrupt file).
+#: Process-wide event counters, for code paths that may run outside a
+#: scheduled grid (e.g. the trace store recovering a corrupt file).
 PROCESS_COUNTERS: dict[str, int] = {"corrupt_traces": 0}
 
 #: The telemetry of the most recent :func:`repro.exec.scheduler.execute_grid`
@@ -30,12 +30,10 @@ PROCESS_COUNTERS: dict[str, int] = {"corrupt_traces": 0}
 LAST_RUN: "ExecTelemetry | None" = None
 
 
-def count_corrupt_trace(path: object, telemetry: "ExecTelemetry | None" = None) -> None:
+def count_corrupt_trace(path: object) -> None:
     """Record one corrupt/truncated on-disk trace that was rebuilt."""
     logger.warning("corrupt trace file %s: discarding and rebuilding", path)
     PROCESS_COUNTERS["corrupt_traces"] += 1
-    if telemetry is not None:
-        telemetry.corrupt_traces += 1
 
 
 @dataclass

@@ -29,7 +29,7 @@ from repro import obs
 from repro.sim.config import REDUCED_CONFIG, SimConfig
 from repro.sim.engine import simulate
 from repro.workloads import ALL_WORKLOADS
-from repro.workloads.base import build_trace, get_workload
+from repro.workloads.base import access_budget, build_trace, get_workload
 
 #: Schema identity of the emitted JSON document.
 BENCH_SCHEMA = "repro.bench.sim_hotpath"
@@ -97,12 +97,9 @@ def result_digest(result: Any) -> str:
 
 
 def _bench_trace(workload: str, grid: BenchGrid):
-    """Build one workload's trace with the same budget rule as GridRunner."""
+    """Build one workload's trace under the grid runs' access budget."""
     spec = get_workload(workload)
-    budget = max(
-        1000,
-        int(spec.default_accesses * grid.scale * grid.budget_fraction),
-    )
+    budget = access_budget(spec, grid.scale, grid.budget_fraction)
     return build_trace(spec, scale=grid.scale, max_accesses=budget,
                        seed=grid.seed)
 

@@ -1,10 +1,10 @@
-"""Grid runner: (workload x prefetcher) simulations with trace caching.
+"""Grid runner: (workload x prefetcher) simulations over shared traces.
 
 Traces are expensive to generate (the IR interpreter executes every
 iteration over real data) but identical for every prefetcher, so the
-runner builds each workload's trace once and reuses it across the grid.
-A bounded process-wide in-memory LRU covers repeated experiment calls;
-an optional on-disk cache (the binary trace format) survives processes.
+runner gets each workload's trace from the trace store
+(:mod:`repro.exec.traces`): a bounded process-wide in-memory LRU, and
+trace files under ``cache_dir`` that survive processes.
 
 Grid execution itself delegates to :mod:`repro.exec` whenever
 parallelism (``jobs != 1``) or a result cache is configured: the grid
@@ -16,7 +16,6 @@ result cache the historical in-process loop runs unchanged.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,25 +25,7 @@ from repro.prefetchers.base import Prefetcher
 from repro.sim.config import REDUCED_CONFIG, SimConfig
 from repro.sim.engine import simulate
 from repro.sim.results import SimResult
-from repro.trace.io import try_read_trace, write_trace
 from repro.trace.stream import Trace
-from repro.workloads.base import build_trace, get_workload
-
-#: Most-recently-used traces, bounded: a long sweep over many scales
-#: must not retain every trace it ever built.
-_MEMORY_CACHE: "OrderedDict[tuple[str, float, float, int], Trace]" = (
-    OrderedDict()
-)
-_MEMORY_CACHE_CAPACITY = 8
-
-
-def _remember_trace(
-    key: tuple[str, float, float, int], trace: Trace
-) -> None:
-    _MEMORY_CACHE[key] = trace
-    _MEMORY_CACHE.move_to_end(key)
-    while len(_MEMORY_CACHE) > _MEMORY_CACHE_CAPACITY:
-        _MEMORY_CACHE.popitem(last=False)
 
 
 class GridRunner:
@@ -125,49 +106,12 @@ class GridRunner:
 
     def trace(self, workload: str) -> Trace:
         """The (cached) annotated trace for one workload."""
-        key = (workload, self.scale, self.budget_fraction, self.seed)
-        cached = _MEMORY_CACHE.get(key)
-        if cached is not None:
-            _MEMORY_CACHE.move_to_end(key)
-            return cached
+        from repro.exec.plan import TraceNode
+        from repro.exec.traces import get_trace
 
-        disk_path = self._disk_path(workload)
-        if disk_path is not None and disk_path.exists():
-            trace = try_read_trace(disk_path)
-            if trace is not None:
-                _remember_trace(key, trace)
-                return trace
-            # A corrupt or truncated cache entry must not sink the whole
-            # experiment: report it, drop it, rebuild below.
-            from repro.exec.telemetry import count_corrupt_trace
-
-            count_corrupt_trace(disk_path)
-            disk_path.unlink(missing_ok=True)
-
-        spec = get_workload(workload)
-        budget = max(
-            1000, int(spec.default_accesses * self.scale * self.budget_fraction)
-        )
-        trace = build_trace(
-            spec, scale=self.scale, max_accesses=budget, seed=self.seed
-        )
-        _remember_trace(key, trace)
-        if disk_path is not None:
-            disk_path.parent.mkdir(parents=True, exist_ok=True)
-            write_trace(trace, disk_path)
-        return trace
-
-    def _disk_path(self, workload: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        from repro.exec.keys import trace_filename
-
-        # The digest-based name is stable across processes and never
-        # collides: raw float reprs (s0.30000000000000004) used to
-        # produce both unstable and ambiguous names.
-        return self.cache_dir / trace_filename(
-            workload, self.scale, self.budget_fraction, self.seed
-        )
+        node = TraceNode(workload, self.scale, self.budget_fraction,
+                         self.seed)
+        return get_trace(node, self.cache_dir)[0]
 
     # -- simulation ---------------------------------------------------------
 
@@ -263,7 +207,6 @@ class GridRunner:
                     options=options,
                     cache=cache,
                     trace_dir=self.cache_dir,
-                    trace_provider=self.trace if jobs <= 1 else None,
                     progress=progress,
                     stats_path=self._stats_path(),
                     journal=journal,
@@ -400,4 +343,6 @@ def run_grid(
 
 def clear_trace_cache() -> None:
     """Drop the in-memory trace cache (tests use this for isolation)."""
-    _MEMORY_CACHE.clear()
+    from repro.exec import traces
+
+    traces.clear()

@@ -43,6 +43,12 @@ class WorkloadSpec:
         return self.build(scale)
 
 
+def access_budget(spec: WorkloadSpec, scale: float,
+                  budget_fraction: float) -> int:
+    """The access budget of one grid trace (never below 1,000 accesses)."""
+    return max(1000, int(spec.default_accesses * scale * budget_fraction))
+
+
 def build_trace(
     spec: WorkloadSpec,
     scale: float = 1.0,

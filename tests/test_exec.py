@@ -1,6 +1,7 @@
 """Tests for repro.exec: keys, cache, plan, scheduler, runner wiring."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,24 +10,25 @@ import pytest
 
 import repro
 from repro.cli import _runner, build_parser, main
-from repro.common.errors import ExecError
 from repro.exec import (
     ExecOptions,
     GridPlan,
     InjectSpec,
     ResultCache,
+    TraceNode,
     stable_hash,
     trace_filename,
 )
 from repro.exec import telemetry as telemetry_module
+from repro.exec import traces
 from repro.exec.keys import canonicalize, sim_key
 from repro.exec.scheduler import execute_grid
 from repro.exec.telemetry import ExecTelemetry, PROCESS_COUNTERS, load_stats
-from repro.harness import runner as runner_module
 from repro.harness.registry import EXTENDED_PREFETCHER_ORDER
 from repro.harness.report import format_exec_stats
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.sim.config import PAPER_CONFIG, REDUCED_CONFIG
+from repro.workloads import ALL_WORKLOADS
 
 WORKLOADS = ["nw", "stencil-default"]
 PREFETCHERS = ["no-prefetch", "stride"]
@@ -193,18 +195,35 @@ class TestExecuteGrid:
 
     def test_trace_failure_quarantines_dependents(self, fresh_trace_cache,
                                                   tmp_path):
-        def broken_provider(workload):
-            raise ExecError(f"no trace for {workload}")
-
+        # An unknown workload name fails its trace build.
         results, telemetry = execute_grid(
-            tiny_plan(),
+            tiny_plan(workloads=("no-such",)),
             options=ExecOptions(jobs=1),
             trace_dir=tmp_path,
-            trace_provider=broken_provider,
         )
         assert not results
         names = sorted(entry["task"] for entry in telemetry.quarantined)
-        assert names == ["sim:nw:no-prefetch", "sim:nw:stride", "trace:nw"]
+        assert names == ["sim:no-such:no-prefetch", "sim:no-such:stride",
+                         "trace:no-such"]
+
+    def test_serial_run_persists_traces(self, fresh_trace_cache, tmp_path):
+        plan = tiny_plan()
+        execute_grid(plan, options=ExecOptions(jobs=1), trace_dir=tmp_path)
+        assert (tmp_path / plan.trace_nodes["nw"].filename).exists()
+        clear_trace_cache()
+        _, telemetry = execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
+                                    trace_dir=tmp_path)
+        assert telemetry.trace_disk_hits == 1
+        assert telemetry.traces_built == 0
+
+    def test_memory_hit_counts_no_trace_source(self, fresh_trace_cache,
+                                               tmp_path):
+        execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
+                     trace_dir=tmp_path)
+        _, telemetry = execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
+                                    trace_dir=tmp_path)
+        assert (telemetry.traces_built, telemetry.trace_disk_hits,
+                telemetry.corrupt_traces) == (0, 0, 0)
 
     def test_worker_crash_quarantines_only_guilty(self, fresh_trace_cache,
                                                   tmp_path):
@@ -282,28 +301,42 @@ class TestTelemetry:
         assert "sim:a:b" in format_exec_stats(summary)
 
 
-class TestRunnerWiring:
-    def test_memory_cache_is_bounded(self, fresh_trace_cache):
-        capacity = runner_module._MEMORY_CACHE_CAPACITY
-        for index in range(capacity + 4):
-            runner_module._remember_trace(("w", float(index), 1.0, 0), object())
-        assert len(runner_module._MEMORY_CACHE) == capacity
-        # Oldest entries were evicted, newest kept.
-        assert ("w", 0.0, 1.0, 0) not in runner_module._MEMORY_CACHE
-        assert ("w", float(capacity + 3), 1.0, 0) in runner_module._MEMORY_CACHE
+class FakeTrace:
+    """Stand-in for a Trace: ``trace_nbytes`` only looks at ``events``,
+    so the trace-store bound tests need no real trace construction."""
 
-    def test_disk_path_is_stable_and_distinct(self, tmp_path):
-        first = GridRunner(budget_fraction=0.1 + 0.2, cache_dir=tmp_path)
-        again = GridRunner(budget_fraction=0.1 + 0.2, cache_dir=tmp_path)
-        other = GridRunner(budget_fraction=0.3, cache_dir=tmp_path)
-        assert first._disk_path("nw") == again._disk_path("nw")
-        assert first._disk_path("nw") != other._disk_path("nw")
-        assert "0.30000000000000004" not in first._disk_path("nw").name
+    def __init__(self, events: int) -> None:
+        self.events = [None] * events
+
+
+class TestRunnerWiring:
+    def test_memory_cache_is_bounded(self, fresh_trace_cache, monkeypatch):
+        # GridRunner.trace fills the trace store's one LRU.
+        monkeypatch.setattr(traces, "build_trace",
+                            lambda spec, **kwargs: FakeTrace(1))
+        capacity = traces.CAPACITY
+        names = ALL_WORKLOADS[:capacity + 4]
+        runner = GridRunner()
+        for name in names:
+            runner.trace(name)
+        keys = [TraceNode(name, 1.0, 1.0, 0).filename for name in names]
+        assert len(traces._LRU) == capacity
+        # Oldest entries were evicted, newest kept.
+        assert keys[0] not in traces._LRU
+        assert keys[-1] in traces._LRU
+
+    def test_disk_path_is_stable_and_distinct(self):
+        def filename(budget_fraction):
+            return TraceNode("nw", 1.0, budget_fraction, 0).filename
+
+        assert filename(0.1 + 0.2) == filename(0.1 + 0.2)
+        assert filename(0.1 + 0.2) != filename(0.3)
+        assert "0.30000000000000004" not in filename(0.1 + 0.2)
 
     def test_corrupt_disk_trace_is_rebuilt(self, fresh_trace_cache, tmp_path):
         runner = GridRunner(budget_fraction=0.02, cache_dir=tmp_path)
         original = runner.trace("nw")
-        path = runner._disk_path("nw")
+        path = tmp_path / TraceNode("nw", 1.0, 0.02, 0).filename
         assert path.exists()
         path.write_bytes(b"not a trace")
         clear_trace_cache()
@@ -375,6 +408,24 @@ class TestRunnerWiring:
         assert warm_stats.cache_hits == cold_stats.sims_run
         assert warm.render() == cold.render()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trace_sources_counted_alike(self, fresh_trace_cache, tmp_path,
+                                         jobs):
+        def rerun():
+            shutil.rmtree(tmp_path / "results", ignore_errors=True)
+            clear_trace_cache()
+            GridRunner(budget_fraction=0.02, cache_dir=tmp_path,
+                       jobs=jobs).run_grid(["nw"], ["stride", "sms"])
+            stats = telemetry_module.LAST_RUN
+            return (stats.traces_built, stats.trace_disk_hits,
+                    stats.corrupt_traces)
+
+        assert rerun() == (1, 0, 0)  # fresh build
+        assert rerun() == (0, 1, 0)  # disk hit
+        path = tmp_path / TraceNode("nw", 1.0, 0.02, 0).filename
+        path.write_bytes(path.read_bytes()[:100])
+        assert rerun() == (1, 0, 1)  # corrupt rebuild
+
     def test_no_result_cache_keeps_legacy_path(self, fresh_trace_cache):
         marker = telemetry_module.LAST_RUN = None
         grid = GridRunner(budget_fraction=0.02).run_grid(["nw"], ["stride"])
@@ -421,53 +472,38 @@ class TestCliExec:
 
 
 class TestWorkerTraceCacheBytes:
-    """The per-worker trace LRU is bounded by estimated total bytes."""
-
-    def _fake_trace(self, events: int):
-        # trace_nbytes only looks at len(trace.events); a stand-in with
-        # that shape keeps these tests free of real trace construction.
-        class FakeTrace:
-            def __init__(self, count):
-                self.events = [None] * count
-
-        return FakeTrace(events)
+    """The trace store's LRU (one per process, so one per pool worker)
+    is bounded by estimated total bytes."""
 
     def test_byte_bound_evicts_oldest(self, monkeypatch):
-        from repro.exec import pool
-
-        monkeypatch.setattr(pool, "_TRACE_CACHE_MAX_BYTES", 100_000)
-        monkeypatch.setattr(pool, "_TRACE_CACHE", pool.OrderedDict())
+        monkeypatch.setattr(traces, "MAX_BYTES", 100_000)
+        monkeypatch.setattr(traces, "_LRU", traces.OrderedDict())
         # Each ~33 KB trace fits; a fourth pushes the total over 100 KB.
-        trace = self._fake_trace(events=200)
-        assert 30_000 < pool.trace_nbytes(trace) < 40_000
+        trace = FakeTrace(events=200)
+        assert 30_000 < traces.trace_nbytes(trace) < 40_000
         for index in range(4):
-            pool._remember_trace(f"t{index}", self._fake_trace(events=200))
-        assert "t0" not in pool._TRACE_CACHE
-        assert "t3" in pool._TRACE_CACHE
-        total = sum(pool.trace_nbytes(t)
-                    for t in pool._TRACE_CACHE.values())
+            traces._remember(f"t{index}", FakeTrace(events=200))
+        assert "t0" not in traces._LRU
+        assert "t3" in traces._LRU
+        total = sum(traces.trace_nbytes(t) for t in traces._LRU.values())
         assert total <= 100_000
 
     def test_single_oversized_trace_is_retained(self, monkeypatch):
-        from repro.exec import pool
-
-        monkeypatch.setattr(pool, "_TRACE_CACHE_MAX_BYTES", 1_000)
-        monkeypatch.setattr(pool, "_TRACE_CACHE", pool.OrderedDict())
-        pool._remember_trace("big", self._fake_trace(events=10_000))
+        monkeypatch.setattr(traces, "MAX_BYTES", 1_000)
+        monkeypatch.setattr(traces, "_LRU", traces.OrderedDict())
+        traces._remember("big", FakeTrace(events=10_000))
         # Over budget, but the most recent entry always survives so
         # repeated sims of one oversized workload still hit the cache.
-        assert "big" in pool._TRACE_CACHE
-        pool._remember_trace("bigger", self._fake_trace(events=20_000))
-        assert "big" not in pool._TRACE_CACHE
-        assert "bigger" in pool._TRACE_CACHE
+        assert "big" in traces._LRU
+        traces._remember("bigger", FakeTrace(events=20_000))
+        assert "big" not in traces._LRU
+        assert "bigger" in traces._LRU
 
     def test_count_bound_still_applies(self, monkeypatch):
-        from repro.exec import pool
-
-        monkeypatch.setattr(pool, "_TRACE_CACHE", pool.OrderedDict())
-        for index in range(pool._TRACE_CACHE_CAPACITY + 2):
-            pool._remember_trace(f"t{index}", self._fake_trace(events=1))
-        assert len(pool._TRACE_CACHE) == pool._TRACE_CACHE_CAPACITY
+        monkeypatch.setattr(traces, "_LRU", traces.OrderedDict())
+        for index in range(traces.CAPACITY + 2):
+            traces._remember(f"t{index}", FakeTrace(events=1))
+        assert len(traces._LRU) == traces.CAPACITY
 
 
 class TestSingleFlight:

@@ -17,6 +17,7 @@ from repro.common.errors import (
 )
 from repro.exec import ExecOptions, GridPlan, InjectSpec, ResultCache, faults
 from repro.exec import telemetry as telemetry_module
+from repro.exec import traces
 from repro.exec.faults import (
     FaultInjector,
     FaultSpec,
@@ -282,6 +283,10 @@ class TestCircuitBreaker:
         assert classes.count("permanent") == 2
 
 
+def _failing_build(spec, **kwargs):
+    raise ExecError(f"no trace for {spec.name}")
+
+
 class TestDegradedSurface:
     def test_placeholder_metrics_are_nan(self):
         cell = SimResult.degraded_cell("nw", "stride")
@@ -307,7 +312,7 @@ class TestDegradedSurface:
         assert "DEGRADED" in text
 
     def test_strict_runner_raises_on_quarantine(self, fresh_trace_cache,
-                                                tmp_path):
+                                                tmp_path, monkeypatch):
         from repro.exec.scheduler import ExecOptions as Options
 
         runner = GridRunner(
@@ -316,16 +321,14 @@ class TestDegradedSurface:
                                  breaker_threshold=1),
         )
         # Sabotage the trace build so every dependent sim degrades.
-        runner.trace = lambda workload: (_ for _ in ()).throw(
-            ExecError(f"no trace for {workload}"))
+        monkeypatch.setattr(traces, "build_trace", _failing_build)
         with pytest.raises(ExecError, match="quarantined"):
             runner.run_grid(["nw"], ["no-prefetch", "stride"])
 
     def test_lenient_runner_marks_degraded_cells(self, fresh_trace_cache,
-                                                 tmp_path):
+                                                 tmp_path, monkeypatch):
         runner = GridRunner(budget_fraction=0.02, jobs=1, cache_dir=tmp_path)
-        runner.trace = lambda workload: (_ for _ in ()).throw(
-            ExecError(f"no trace for {workload}"))
+        monkeypatch.setattr(traces, "build_trace", _failing_build)
         grid = runner.run_grid(["nw"], ["no-prefetch", "stride"])
         assert grid.degraded_cells == [("nw", "no-prefetch"), ("nw", "stride")]
         assert math.isnan(grid.get("nw", "stride").ipc)
