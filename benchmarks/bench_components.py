@@ -5,7 +5,8 @@ keeping the pure-Python model fast enough to sweep all 30 benchmarks.
 """
 
 from repro.core.predictor import CbwsConfig, CbwsPredictor
-from repro.memory.cache import CacheConfig, SetAssociativeCache
+from repro.memory.cache import CacheConfig
+from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.prefetchers.base import DemandInfo
 from repro.prefetchers.ghb import GhbConfig, GhbPrefetcher
 from repro.prefetchers.sms import SmsPrefetcher
@@ -13,15 +14,20 @@ from repro.prefetchers.stride import StridePrefetcher
 
 
 def bench_cache_access_throughput(benchmark):
-    cache = SetAssociativeCache(
-        CacheConfig(name="L2", size_bytes=128 * 1024, associativity=8)
+    hierarchy = CacheHierarchy(
+        HierarchyConfig(
+            l1=CacheConfig(name="L1D", size_bytes=4 * 1024, associativity=4),
+            l2=CacheConfig(name="L2", size_bytes=128 * 1024, associativity=8),
+        )
     )
+    demand_access = hierarchy.demand_access_fast
     lines = [(line * 37) & 0x3FFF for line in range(4096)]
+    evictions = []
 
     def run():
         for line in lines:
-            if not cache.access(line):
-                cache.insert(line)
+            demand_access(line, evictions)
+            evictions.clear()
 
     benchmark(run)
 

@@ -3,10 +3,14 @@
 Paper shapes asserted here:
 
 * the integrated CBWS+SMS policy has the lowest average MPKI;
-* the standalone CBWS prefetcher averages *above* SMS ("due to the
-  limited size of the history table");
-* fft is an exception where SMS beats both CBWS schemes;
-* histo/soplex (data-dependent / branch-divergent) are helped by nobody.
+* streamcluster is an exception where SMS beats standalone CBWS (the
+  history table thrashes, "due to the limited size of the history
+  table");
+* histo/soplex (data-dependent / branch-divergent) are helped by nobody;
+* CBWS+SMS effectively eliminates misses on sgemm, radix and lu-ncb.
+
+The paper's "standalone CBWS averages above SMS" and "fft favours SMS"
+do not hold here and are not asserted (see EXPERIMENTS.md).
 """
 
 from repro.harness import experiments

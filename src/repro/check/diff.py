@@ -10,13 +10,14 @@ clean):
   hit/miss annotations and L1-eviction callbacks are deterministic and
   engine-independent) and compares every candidate list.
 * :func:`diff_engine` — runs the columnar fast path and the engine
-  oracle (:func:`repro.check.reference.run_reference`) on fresh
-  machines and compares the full result serialization plus hierarchy
-  statistics (they are documented as bit-identical).
-* :func:`diff_hierarchy` — steps the implementation hierarchy through
-  both its reference and ``*_fast`` methods alongside the hierarchy
-  oracle, interleaving deterministic prefetch fills, and compares
-  outcome codes, eviction sequences, and statistics per access.
+  oracle (:func:`repro.check.reference.run_reference`, which runs on
+  the hierarchy oracle) on fresh machines and compares the full result
+  serialization plus hierarchy statistics (they are documented as
+  bit-identical).
+* :func:`diff_hierarchy` — steps the implementation hierarchy's
+  ``*_fast`` methods alongside the hierarchy oracle, interleaving
+  deterministic prefetch fills, and compares outcome codes, eviction
+  sequences, and statistics per access.
 
 Oracle-vs-implementation prefetcher diffs run at 64-byte lines only:
 the stride implementation (deliberately, see its oracle) converts
@@ -29,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.check.oracles import HierarchyOracle, make_oracle
-from repro.check.reference import run_reference
+from repro.check.oracles import make_oracle
+from repro.check.reference import hierarchy_oracle_for, run_reference
 from repro.harness.registry import PREFETCHER_FACTORIES, make_prefetcher
 from repro.memory.cache import CacheConfig
-from repro.memory.hierarchy import HierarchyConfig
+from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.prefetchers.base import DemandInfo, Prefetcher
 from repro.sim.config import REDUCED_CONFIG, CoreConfig, SimConfig
 from repro.sim.engine import SimulationEngine
@@ -111,14 +112,6 @@ def config_with_line_size(line_size: int) -> SimConfig:
     )
 
 
-def _hierarchy_oracle_for(config: SimConfig) -> HierarchyOracle:
-    l1, l2 = config.hierarchy.l1, config.hierarchy.l2
-    return HierarchyOracle(
-        l1_sets=l1.num_sets, l1_ways=l1.associativity,
-        l2_sets=l2.num_sets, l2_ways=l2.associativity,
-    )
-
-
 def _state_dump(impl: Any, oracle: Any) -> Dict[str, Any]:
     """Small, human-scannable snapshot of both machines."""
     state: Dict[str, Any] = {"oracle_features": sorted(oracle.features)}
@@ -153,7 +146,7 @@ def diff_prefetcher(
     """
     impl = impl_factory() if impl_factory is not None else make_prefetcher(name)
     oracle = oracle_factory() if oracle_factory is not None else make_oracle(name)
-    hierarchy = _hierarchy_oracle_for(REDUCED_CONFIG)
+    hierarchy = hierarchy_oracle_for(REDUCED_CONFIG)
 
     for index, event in enumerate(trace.events):
         kind = event.kind
@@ -203,12 +196,19 @@ def diff_engine(
     trace: Trace,
     config: SimConfig = REDUCED_CONFIG,
 ) -> Optional[Divergence]:
-    """Fast path vs reference engine on fresh machines; first mismatch."""
+    """Fast path vs engine oracle on fresh machines; first mismatch.
+
+    Compares the full result and then all six hierarchy counters: the
+    fast path's :class:`~repro.memory.hierarchy.CacheHierarchy` against
+    the engine oracle's :class:`~repro.check.oracles.HierarchyOracle`.
+    """
     factory = PREFETCHER_FACTORIES[name]
     fast_engine = SimulationEngine(config, factory())
-    reference_engine = SimulationEngine(config, factory())
+    oracle_hierarchy = hierarchy_oracle_for(config)
     fast = fast_engine.run(trace).to_dict()
-    reference = run_reference(reference_engine, trace).to_dict()
+    reference = run_reference(
+        SimulationEngine(config, factory()), trace, oracle_hierarchy
+    ).to_dict()
     if fast != reference:
         keys = [key for key in reference if fast.get(key) != reference[key]]
         return Divergence(
@@ -218,12 +218,11 @@ def diff_engine(
             actual={key: fast.get(key) for key in keys},
         )
     fast_stats = vars(fast_engine.hierarchy.stats)
-    reference_stats = vars(reference_engine.hierarchy.stats)
-    if fast_stats != reference_stats:
+    if fast_stats != oracle_hierarchy.stats:
         return Divergence(
             kind="engine", subject=name, trace=trace.name, event_index=-1,
             description="hierarchy statistics differ between fast and reference",
-            expected=reference_stats, actual=fast_stats,
+            expected=dict(oracle_hierarchy.stats), actual=dict(fast_stats),
         )
     return None
 
@@ -236,85 +235,55 @@ def diff_hierarchy(
     config: SimConfig = REDUCED_CONFIG,
     prefetch_interval: int = 5,
 ) -> Optional[Divergence]:
-    """Implementation hierarchy (both method families) vs oracle.
+    """Implementation hierarchy (the ``*_fast`` methods) vs oracle.
 
     Every ``prefetch_interval``-th access additionally injects a
-    prefetch fill of the neighbouring line into all three models so the
+    prefetch fill of the neighbouring line into both models so the
     prefetch-flag and LRU-insertion paths are exercised.
     """
-    from repro.memory.hierarchy import AccessOutcome, CacheHierarchy
-
-    reference = CacheHierarchy(config.hierarchy)
     fast = CacheHierarchy(config.hierarchy)
-    oracle = _hierarchy_oracle_for(config)
+    oracle = hierarchy_oracle_for(config)
     line_shift = config.hierarchy.line_size.bit_length() - 1
-    outcome_names = {
-        AccessOutcome.L1_HIT: "l1",
-        AccessOutcome.L2_HIT: "l2",
-        AccessOutcome.MEMORY: "memory",
-    }
 
     accesses = 0
     for index, event in enumerate(trace.events):
         if event.kind != MEMORY_ACCESS:
             continue
         line = event.address >> line_shift
-        expected_outcome, expected_evictions = oracle.demand_access(line)
-
-        result = reference.demand_access(line)
-        ref_outcome = outcome_names[result.outcome]
-        if ref_outcome == "l2" and result.l2_fill_was_prefetch:
-            ref_outcome = "l2-prefetch"
-        ref_evictions = [record.line for record in result.l1_evictions]
-
-        fast_evictions: List[int] = []
-        fast_outcome = _FAST_OUTCOMES[fast.demand_access_fast(line, fast_evictions)]
-
-        for label, outcome, evictions in (
-            ("reference", ref_outcome, ref_evictions),
-            ("fast", fast_outcome, fast_evictions),
-        ):
-            if (outcome, evictions) != (expected_outcome, expected_evictions):
-                return Divergence(
-                    kind="hierarchy", subject=label, trace=trace.name,
-                    event_index=index,
-                    description="demand access outcome/evictions differ",
-                    expected=(expected_outcome, expected_evictions),
-                    actual=(outcome, evictions),
-                    state={"line": line, "oracle_stats": dict(oracle.stats)},
-                )
+        expected = oracle.demand_access(line)
+        evictions: List[int] = []
+        actual = (_FAST_OUTCOMES[fast.demand_access_fast(line, evictions)], evictions)
+        if actual != expected:
+            return Divergence(
+                kind="hierarchy", subject="fast", trace=trace.name,
+                event_index=index,
+                description="demand access outcome/evictions differ",
+                expected=expected, actual=actual,
+                state={"line": line, "oracle_stats": dict(oracle.stats)},
+            )
 
         accesses += 1
         if accesses % prefetch_interval == 0:
             target = line + 1
-            expected_filled, expected_back = oracle.prefetch_fill(target)
-            fill = reference.prefetch_fill(target)
-            ref_filled = fill is not None
-            ref_back = [r.line for r in fill.l1_evictions] if fill else []
-            fast_back: List[int] = []
-            fast_filled = fast.prefetch_fill_fast(target, fast_back)
-            for label, filled, back in (
-                ("reference", ref_filled, ref_back),
-                ("fast", fast_filled, fast_back),
-            ):
-                if (filled, back) != (expected_filled, expected_back):
-                    return Divergence(
-                        kind="hierarchy", subject=label, trace=trace.name,
-                        event_index=index,
-                        description="prefetch fill outcome/evictions differ",
-                        expected=(expected_filled, expected_back),
-                        actual=(filled, back),
-                        state={"line": target, "oracle_stats": dict(oracle.stats)},
-                    )
+            expected = oracle.prefetch_fill(target)
+            back: List[int] = []
+            actual = (fast.prefetch_fill_fast(target, back), back)
+            if actual != expected:
+                return Divergence(
+                    kind="hierarchy", subject="fast", trace=trace.name,
+                    event_index=index,
+                    description="prefetch fill outcome/evictions differ",
+                    expected=expected, actual=actual,
+                    state={"line": target, "oracle_stats": dict(oracle.stats)},
+                )
 
-    for label, hierarchy in (("reference", reference), ("fast", fast)):
-        stats = vars(hierarchy.stats)
-        if stats != oracle.stats:
-            return Divergence(
-                kind="hierarchy", subject=label, trace=trace.name, event_index=-1,
-                description="hierarchy statistics differ from oracle",
-                expected=dict(oracle.stats), actual=dict(stats),
-            )
+    stats = vars(fast.stats)
+    if stats != oracle.stats:
+        return Divergence(
+            kind="hierarchy", subject="fast", trace=trace.name, event_index=-1,
+            description="hierarchy statistics differ from oracle",
+            expected=dict(oracle.stats), actual=dict(stats),
+        )
     return None
 
 

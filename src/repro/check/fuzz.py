@@ -229,13 +229,13 @@ def mutate(trace: Trace, rng: DeterministicRng, generation: int = 0) -> Trace:
 
 def collect_features(trace: Trace, names: List[str]) -> Set[str]:
     """Feature labels the oracles light up while replaying ``trace``."""
-    from repro.check.diff import _hierarchy_oracle_for
+    from repro.check.reference import hierarchy_oracle_for
     from repro.prefetchers.base import DemandInfo
     from repro.sim.config import REDUCED_CONFIG
 
     features: Set[str] = set()
     oracles = [make_oracle(name) for name in names]
-    hierarchy = _hierarchy_oracle_for(REDUCED_CONFIG)
+    hierarchy = hierarchy_oracle_for(REDUCED_CONFIG)
     for event in trace.events:
         if event.kind == MEMORY_ACCESS:
             line = event.address >> 6

@@ -4,8 +4,10 @@
 It reads the trace's columnar arrays, calls the hierarchy's ``*_fast``
 methods and inlines the prefetch queue.  :func:`run_reference` is the
 same model written for reading: one :class:`~repro.trace.events.TraceEvent`
-at a time, the object-returning :class:`~repro.memory.hierarchy.CacheHierarchy`
-methods, and named helpers for the queue.  The two must be
+at a time, named helpers for the queue, and the clean-room
+:class:`~repro.check.oracles.HierarchyOracle` as its cache, so it shares
+no cache code with the production loop and a replacement-policy bug in
+:mod:`repro.memory.hierarchy` shows up as a divergence.  The two must be
 bit-identical: every float operation happens in the same order on the
 same values.  :func:`repro.check.diff.diff_engine`, the fuzzer and the
 engine equivalence tests hold the fast path to it.
@@ -20,27 +22,46 @@ import heapq
 from collections import deque
 
 from repro.check import invariants
+from repro.check.oracles import HierarchyOracle
 from repro.common.bitops import log2_exact
-from repro.memory.hierarchy import AccessOutcome
 from repro.prefetchers.base import DemandInfo
+from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import DemandClass, SimResult
 from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
 from repro.trace.stream import Trace
 
 
-def run_reference(engine: SimulationEngine, trace: Trace) -> SimResult:
+def hierarchy_oracle_for(config: SimConfig) -> HierarchyOracle:
+    """An empty hierarchy oracle with ``config``'s cache geometry."""
+    l1, l2 = config.hierarchy.l1, config.hierarchy.l2
+    return HierarchyOracle(
+        l1_sets=l1.num_sets, l1_ways=l1.associativity,
+        l2_sets=l2.num_sets, l2_ways=l2.associativity,
+    )
+
+
+def run_reference(
+    engine: SimulationEngine,
+    trace: Trace,
+    hierarchy: HierarchyOracle | None = None,
+) -> SimResult:
     """Simulate ``trace`` on ``engine``'s machine, one event object at a time.
 
-    Uses the engine's config, prefetcher and hierarchy, so the caller can
-    compare ``engine.hierarchy.stats`` afterwards.  The engine must be
-    fresh: the oracle does not reset it.
+    Uses the engine's config and prefetcher; the engine's own
+    :class:`~repro.memory.hierarchy.CacheHierarchy` is never touched.  The
+    caches are ``hierarchy``, or a fresh ``hierarchy_oracle_for(config)``
+    when omitted; pass one in to read its ``stats`` afterwards.
+    The prefetcher and ``hierarchy`` must be fresh: the oracle resets
+    neither.
     """
     config = engine.config
     core = config.core
     prefetch_path = config.prefetch
-    hierarchy = engine.hierarchy
     prefetcher = engine.prefetcher
+    if hierarchy is None:
+        hierarchy = hierarchy_oracle_for(config)
+    l2_find = hierarchy.l2.find
     line_size = config.hierarchy.line_size
     line_shift = log2_exact(line_size)
 
@@ -86,11 +107,11 @@ def run_reference(engine: SimulationEngine, trace: Trace) -> SimResult:
             if in_flight.get(line) != completion:
                 continue  # cancelled: the demand stream claimed it
             del in_flight[line]
-            fill = hierarchy.prefetch_fill(line)
-            if fill is not None:
+            filled, evicted = hierarchy.prefetch_fill(line)
+            if filled:
                 result.prefetch_fills += 1
-                for eviction in fill.l1_evictions:
-                    prefetcher.on_l1_eviction(eviction.line)
+                for evicted_line in evicted:
+                    prefetcher.on_l1_eviction(evicted_line)
 
     def issue_prefetches(now: float) -> None:
         """Consume issue bandwidth moving queued candidates to memory."""
@@ -100,7 +121,7 @@ def run_reference(engine: SimulationEngine, trace: Trace) -> SimResult:
             if line not in queued:
                 continue  # stale: consumed by a demand access already
             queued.discard(line)
-            if hierarchy.in_l2(line) or line in in_flight:
+            if l2_find(line) is not None or line in in_flight:
                 continue  # redundant; never reaches the bus
             completion = next_issue + mem_latency
             in_flight[line] = completion
@@ -116,7 +137,7 @@ def run_reference(engine: SimulationEngine, trace: Trace) -> SimResult:
         if not queue and next_issue < now:
             next_issue = now
         for line in candidates:
-            if line in queued or line in in_flight or hierarchy.in_l2(line):
+            if line in queued or line in in_flight or l2_find(line) is not None:
                 continue
             if len(queue) >= queue_capacity:
                 break  # hardware queue is full; newest candidates drop
@@ -132,21 +153,20 @@ def run_reference(engine: SimulationEngine, trace: Trace) -> SimResult:
             drain_completions(now)
 
             line = event.address >> line_shift
-            access = hierarchy.demand_access(line)
-            outcome = access.outcome
+            outcome, evicted = hierarchy.demand_access(line)
             result.demand_accesses += 1
 
             latency = 0.0
-            if outcome is AccessOutcome.L1_HIT:
+            if outcome == "l1":
                 info_l1_hit = True
                 info_l2_hit = True
             else:
                 result.l1_misses += 1
                 info_l1_hit = False
-                if outcome is AccessOutcome.L2_HIT:
+                if outcome != "memory":  # "l2" or "l2-prefetch"
                     info_l2_hit = True
                     latency = l2_extra
-                    if access.l2_fill_was_prefetch:
+                    if outcome == "l2-prefetch":
                         classes[DemandClass.TIMELY] += 1
                     else:
                         classes[DemandClass.PLAIN_HIT] += 1
@@ -199,8 +219,8 @@ def run_reference(engine: SimulationEngine, trace: Trace) -> SimResult:
                     window_end = now + latency
                     window_count = 1
 
-                for eviction in access.l1_evictions:
-                    prefetcher.on_l1_eviction(eviction.line)
+                for evicted_line in evicted:
+                    prefetcher.on_l1_eviction(evicted_line)
 
             info = DemandInfo(
                 pc=event.pc,
@@ -271,17 +291,15 @@ def run_reference(engine: SimulationEngine, trace: Trace) -> SimResult:
             stall += pending
     result.cycles = trace.instructions * inv_width + stall
     result.useful_prefetches = (
-        hierarchy.stats.useful_prefetch_hits + caught_in_flight
+        hierarchy.stats["useful_prefetch_hits"] + caught_in_flight
     )
     # Wrong = issued but never demanded: evicted unused, resident
     # unused at the end, and still in flight at the end.
     leftover_unused = sum(
-        1
-        for resident in hierarchy.l2.resident_lines()
-        if hierarchy.l2.is_unused_prefetch(resident)
+        1 for cache_set in hierarchy.l2.sets for _, unused in cache_set if unused
     )
     result.wrong_prefetches = (
-        hierarchy.stats.wrong_prefetch_evictions
+        hierarchy.stats["wrong_prefetch_evictions"]
         + leftover_unused
         + len(in_flight)
     )

@@ -1,10 +1,12 @@
-"""Set-associative cache with true-LRU replacement.
+"""Geometry and state of one set-associative, true-LRU cache level.
 
-The cache operates on *line numbers* (byte address >> 6), not byte
-addresses; address-to-line conversion happens once at the hierarchy
-boundary.  Each set is an ``OrderedDict`` keyed by line number whose
-insertion order encodes recency — ``move_to_end`` on a hit makes both
-lookup and replacement O(1).
+The cache holds *line numbers* (byte address >> line shift), not byte
+addresses; address-to-line conversion happens once, in the engine.
+Each set is an ``OrderedDict`` keyed by line number whose insertion
+order encodes recency (least recent first), so lookup, promotion
+(``move_to_end``) and victim selection (``popitem(last=False)``) are all
+O(1).  The replacement policy that changes this state lives in one
+place, :mod:`repro.memory.hierarchy`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.common.bitops import is_power_of_two, log2_exact
+from repro.common.bitops import is_power_of_two
 from repro.common.constants import DEFAULT_LINE_SIZE
 from repro.common.errors import ConfigError
 
@@ -75,118 +77,33 @@ class CacheConfig:
         return self.num_lines // self.associativity
 
 
-@dataclass(frozen=True)
-class EvictionRecord:
-    """A line pushed out of the cache.
-
-    Attributes:
-        line: evicted line number.
-        was_prefetch: the line was installed by a prefetch and (at the
-            time of eviction) never demanded — this is what classifies a
-            prefetch as *wrong* in the Figure 13 taxonomy.
-    """
-
-    line: int
-    was_prefetch: bool
-
-
 class SetAssociativeCache:
-    """One cache level.
+    """The state of one cache level.
 
-    Besides presence, each resident line carries a single metadata bit:
+    Each resident line carries a single metadata bit besides presence:
     whether it was brought in by a prefetch and not yet referenced by a
     demand access.  The accuracy accounting of Figure 13 is built on that
-    bit.
+    bit.  Only :class:`~repro.memory.hierarchy.CacheHierarchy` changes
+    this state; the methods here are read-only.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        self._ways = config.associativity
         self._index_mask = config.num_sets - 1
-        # set index -> OrderedDict[line, prefetched_unused flag]
+        # set index -> OrderedDict[line, prefetched_unused flag], LRU first
         self._sets: list[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(config.num_sets)
         ]
-        self._line_shift = log2_exact(config.line_size)
-
-    # -- queries -------------------------------------------------------------
-
-    def _set_of(self, line: int) -> OrderedDict[int, bool]:
-        return self._sets[line & self._index_mask]
 
     def contains(self, line: int) -> bool:
         """Presence check without touching LRU state."""
-        return line in self._set_of(line)
+        return line in self._sets[line & self._index_mask]
 
     def is_unused_prefetch(self, line: int) -> bool:
         """True if ``line`` is resident and still flagged prefetched-unused."""
-        return self._set_of(line).get(line, False)
+        return self._sets[line & self._index_mask].get(line, False)
 
     def resident_lines(self) -> list[int]:
         """All resident line numbers (testing/inspection helper)."""
         return [line for cache_set in self._sets for line in cache_set]
-
-    @property
-    def occupancy(self) -> int:
-        """Number of resident lines."""
-        return sum(len(cache_set) for cache_set in self._sets)
-
-    # -- operations ----------------------------------------------------------
-
-    def access(self, line: int) -> bool:
-        """Demand access: returns hit/miss and promotes the line to MRU.
-
-        A hit clears the prefetched-unused flag — the prefetch has now
-        been *used* and can no longer be classified as wrong.
-        """
-        cache_set = self._set_of(line)
-        if line in cache_set:
-            cache_set[line] = False
-            cache_set.move_to_end(line)
-            return True
-        return False
-
-    def insert(self, line: int, from_prefetch: bool = False) -> EvictionRecord | None:
-        """Install ``line``, returning the victim if the set was full.
-
-        Demand fills install at MRU.  Prefetch fills install at *LRU*:
-        until a demand access promotes the line, it is the set's next
-        victim, so wrong prefetches age out without displacing the hot
-        working set (the standard pollution-bounding insertion policy).
-
-        Inserting a line that is already resident refreshes its LRU
-        position (and demotes a prefetched-unused flag on a demand
-        install) without evicting anything.
-        """
-        cache_set = self._set_of(line)
-        if line in cache_set:
-            if not from_prefetch:
-                cache_set[line] = False
-                cache_set.move_to_end(line)
-            return None
-        victim: EvictionRecord | None = None
-        if len(cache_set) >= self.config.associativity:
-            victim_line, victim_flag = cache_set.popitem(last=False)
-            victim = EvictionRecord(victim_line, victim_flag)
-        cache_set[line] = from_prefetch
-        if from_prefetch:
-            cache_set.move_to_end(line, last=False)
-        return victim
-
-    def invalidate(self, line: int) -> EvictionRecord | None:
-        """Remove ``line`` if resident (used for inclusion back-invalidation)."""
-        cache_set = self._set_of(line)
-        if line in cache_set:
-            flag = cache_set.pop(line)
-            return EvictionRecord(line, flag)
-        return None
-
-    def flush(self) -> list[EvictionRecord]:
-        """Empty the cache, returning every evicted line."""
-        evicted = [
-            EvictionRecord(line, flag)
-            for cache_set in self._sets
-            for line, flag in cache_set.items()
-        ]
-        for cache_set in self._sets:
-            cache_set.clear()
-        return evicted

@@ -1,58 +1,40 @@
-"""Two-level inclusive cache hierarchy.
+"""Two-level inclusive cache hierarchy: the one copy of the replacement policy.
 
-Demand accesses probe L1 then L2 then memory; fills install in both
-levels.  Prefetch fills install in L2 only (Table II / Section VI).
-Because the L2 is inclusive, an L2 eviction back-invalidates the line in
-L1; both kinds of L1 removals are reported so region-based prefetchers
-(SMS) can close their pattern generations.
+Every Figure 13 class rests on this policy:
+
+* demand accesses probe L1 then L2 then memory; fills install in both
+  levels at MRU, and a demand hit clears the prefetched-unused flag;
+* prefetch fills install in L2 only (Table II / Section VI), at *LRU*,
+  flagged unused, so a wrong prefetch is the set's next victim and ages
+  out without displacing the hot working set;
+* the L2 is inclusive, so an L2 victim back-invalidates the line in L1.
+
+Both kinds of L1 removals (capacity victims and back-invalidations) are
+reported so region-based prefetchers (SMS) can close their pattern
+generations.  :meth:`CacheHierarchy.demand_access_fast` and
+:meth:`CacheHierarchy.prefetch_fill_fast` are the only code that changes
+cache state; :class:`repro.check.oracles.HierarchyOracle` restates the
+same policy clean-room and is what the engine oracle runs on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from collections import OrderedDict
+from dataclasses import dataclass
 
 from repro.check import invariants
 from repro.common.constants import DEFAULT_LINE_SIZE
 from repro.common.errors import ConfigError
-from repro.memory.cache import CacheConfig, EvictionRecord, SetAssociativeCache
+from repro.memory.cache import CacheConfig, SetAssociativeCache
 
 
-class AccessOutcome(Enum):
-    """Where a demand access was satisfied."""
-
-    L1_HIT = "l1_hit"
-    L2_HIT = "l2_hit"
-    MEMORY = "memory"
-
-
-#: Integer outcome codes returned by :meth:`CacheHierarchy.demand_access_fast`
-#: (the engine's hot loop branches on plain ints instead of enum members).
+#: Outcome codes returned by :meth:`CacheHierarchy.demand_access_fast`:
+#: where a demand access was satisfied, and whether an L2 hit found an
+#: unused prefetch (the engine's hot loop branches on plain ints).
 FAST_L1_HIT = 0
 FAST_L2_HIT = 1
 FAST_L2_HIT_PREFETCH = 2
 FAST_MEMORY = 3
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Everything the engine needs to know about one demand access.
-
-    Attributes:
-        outcome: level that satisfied the access.
-        line: the line number accessed.
-        l2_fill_was_prefetch: on an L2 hit, whether the hit line was an
-            unused prefetch (turns the access into a *useful* prefetch).
-        l1_evictions: lines removed from L1 by this access (capacity
-            eviction on fill plus inclusion back-invalidations).
-        l2_eviction: line removed from L2 by this access, if any.
-    """
-
-    outcome: AccessOutcome
-    line: int
-    l2_fill_was_prefetch: bool = False
-    l1_evictions: tuple[EvictionRecord, ...] = ()
-    l2_eviction: EvictionRecord | None = None
 
 
 @dataclass(frozen=True)
@@ -98,62 +80,12 @@ class CacheHierarchy:
         # when off, every fill path pays a single falsy attribute test.
         self._invariant_checking = invariants.enabled()
 
-    def demand_access(self, line: int) -> AccessResult:
-        """Perform one committed load/store at line granularity."""
-        self.stats.accesses += 1
-        if self.l1.access(line):
-            # An L1 hit also refreshes the line's recency in L2 so the
-            # inclusive L2 does not victimize hot lines.
-            self.l2.access(line)
-            return AccessResult(AccessOutcome.L1_HIT, line)
-
-        self.stats.l1_misses += 1
-        l1_evictions: list[EvictionRecord] = []
-        if self.l2.contains(line):
-            was_prefetch = self.l2.is_unused_prefetch(line)
-            if was_prefetch:
-                self.stats.useful_prefetch_hits += 1
-            self.l2.access(line)  # clears the prefetch flag, updates LRU
-            victim = self.l1.insert(line)
-            if victim is not None:
-                l1_evictions.append(victim)
-            return AccessResult(
-                AccessOutcome.L2_HIT,
-                line,
-                l2_fill_was_prefetch=was_prefetch,
-                l1_evictions=tuple(l1_evictions),
-            )
-
-        self.stats.l2_misses += 1
-        l2_victim = self.l2.insert(line)
-        if l2_victim is not None:
-            if l2_victim.was_prefetch:
-                self.stats.wrong_prefetch_evictions += 1
-            # Inclusion: the line may not live in L1 once it leaves L2.
-            back = self.l1.invalidate(l2_victim.line)
-            if back is not None:
-                l1_evictions.append(back)
-        l1_victim = self.l1.insert(line)
-        if l1_victim is not None:
-            l1_evictions.append(l1_victim)
-        if self._invariant_checking:
-            invariants.check_hierarchy(self)
-        return AccessResult(
-            AccessOutcome.MEMORY,
-            line,
-            l1_evictions=tuple(l1_evictions),
-            l2_eviction=l2_victim,
-        )
-
     def demand_access_fast(self, line: int, evictions: list[int]) -> int:
-        """Hot-loop variant of :meth:`demand_access`.
+        """Perform one committed load/store at line granularity.
 
-        Returns a ``FAST_*`` outcome code and appends the *line numbers*
-        evicted from L1 (same order as ``AccessResult.l1_evictions``) to
-        ``evictions`` — the engine only ever consumes the line numbers,
-        so no per-access result object or record tuple is built.  All
-        cache-state mutations and statistics match :meth:`demand_access`
-        exactly; the two methods are interchangeable mid-simulation.
+        Returns a ``FAST_*`` outcome code and appends the line numbers
+        removed from L1 to ``evictions``, in order: the back-invalidation
+        of an L2 victim, then the L1 victim of the fill.
         """
         stats = self.stats
         stats.accesses += 1
@@ -164,6 +96,8 @@ class CacheHierarchy:
         if line in l1_set:
             l1_set[line] = False
             l1_set.move_to_end(line)
+            # An L1 hit also refreshes the line's recency in L2 so the
+            # inclusive L2 does not victimize hot lines.
             if line in l2_set:
                 l2_set[line] = False
                 l2_set.move_to_end(line)
@@ -176,83 +110,47 @@ class CacheHierarchy:
                 stats.useful_prefetch_hits += 1
             l2_set[line] = False
             l2_set.move_to_end(line)
-            victim = l1.insert(line)
-            if victim is not None:
-                evictions.append(victim.line)
-            return FAST_L2_HIT_PREFETCH if was_prefetch else FAST_L2_HIT
-
-        stats.l2_misses += 1
-        l2_victim = l2.insert(line)
-        if l2_victim is not None:
-            if l2_victim.was_prefetch:
-                stats.wrong_prefetch_evictions += 1
-            back = l1.invalidate(l2_victim.line)
-            if back is not None:
-                evictions.append(back.line)
-        l1_victim = l1.insert(line)
-        if l1_victim is not None:
-            evictions.append(l1_victim.line)
-        if self._invariant_checking:
+            code = FAST_L2_HIT_PREFETCH if was_prefetch else FAST_L2_HIT
+        else:
+            stats.l2_misses += 1
+            if len(l2_set) >= l2._ways:
+                self._evict_l2(l2_set, evictions)
+            l2_set[line] = False
+            code = FAST_MEMORY
+        if len(l1_set) >= l1._ways:
+            evictions.append(l1_set.popitem(last=False)[0])
+        l1_set[line] = False
+        if self._invariant_checking and code == FAST_MEMORY:
             invariants.check_hierarchy(self)
-        return FAST_MEMORY
+        return code
 
     def prefetch_fill_fast(self, line: int, evictions: list[int]) -> bool:
-        """Hot-loop variant of :meth:`prefetch_fill`.
+        """Install a completed prefetch into L2.
 
-        Returns False when the line was already resident (redundant
-        prefetch); otherwise fills L2 and appends any back-invalidated
-        L1 line numbers to ``evictions``.  State effects match
-        :meth:`prefetch_fill` exactly.
+        Returns False when the line was already resident (a redundant
+        prefetch, which changes nothing); otherwise fills L2 at LRU and
+        appends any back-invalidated L1 line number to ``evictions``.
         """
         l2 = self.l2
-        if line in l2._sets[line & l2._index_mask]:
+        l2_set = l2._sets[line & l2._index_mask]
+        if line in l2_set:
             return False
         self.stats.prefetch_fills += 1
-        l2_victim = l2.insert(line, from_prefetch=True)
-        if l2_victim is not None:
-            if l2_victim.was_prefetch:
-                self.stats.wrong_prefetch_evictions += 1
-            back = self.l1.invalidate(l2_victim.line)
-            if back is not None:
-                evictions.append(back.line)
+        if len(l2_set) >= l2._ways:
+            self._evict_l2(l2_set, evictions)
+        l2_set[line] = True
+        l2_set.move_to_end(line, last=False)
         if self._invariant_checking:
             invariants.check_hierarchy(self)
         return True
 
-    def prefetch_fill(self, line: int) -> AccessResult | None:
-        """Install a completed prefetch into L2.
-
-        Returns ``None`` when the line is already resident (the prefetch
-        was redundant); otherwise an :class:`AccessResult` describing the
-        fill and any inclusion victims.
-        """
-        if self.l2.contains(line):
-            return None
-        self.stats.prefetch_fills += 1
-        l1_evictions: list[EvictionRecord] = []
-        l2_victim = self.l2.insert(line, from_prefetch=True)
-        if l2_victim is not None:
-            if l2_victim.was_prefetch:
-                self.stats.wrong_prefetch_evictions += 1
-            back = self.l1.invalidate(l2_victim.line)
-            if back is not None:
-                l1_evictions.append(back)
-        if self._invariant_checking:
-            invariants.check_hierarchy(self)
-        return AccessResult(
-            AccessOutcome.MEMORY,
-            line,
-            l1_evictions=tuple(l1_evictions),
-            l2_eviction=l2_victim,
-        )
-
-    def in_l2(self, line: int) -> bool:
-        """Presence probe used by prefetchers to skip already-cached lines
-        ("skipping addresses that are already cached", Section I)."""
-        return self.l2.contains(line)
-
-    def reset(self) -> None:
-        """Drop all cached state and zero the counters."""
-        self.l1.flush()
-        self.l2.flush()
-        self.stats = HierarchyStats()
+    def _evict_l2(self, l2_set: OrderedDict[int, bool], evictions: list[int]) -> None:
+        """Drop the LRU line of a full L2 set and back-invalidate it in L1."""
+        victim, unused = l2_set.popitem(last=False)
+        if unused:
+            self.stats.wrong_prefetch_evictions += 1
+        l1 = self.l1
+        l1_set = l1._sets[victim & l1._index_mask]
+        if victim in l1_set:
+            del l1_set[victim]
+            evictions.append(victim)

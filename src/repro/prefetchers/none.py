@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 
 
 class NoPrefetcher(Prefetcher):
-    """Never predicts anything; the Figure 12/14 baseline."""
+    """Never predicts anything; the Figure 12/14 baseline.
+
+    Every hook is :class:`~repro.prefetchers.base.Prefetcher`'s own no-op.
+    """
 
     name = "no-prefetch"
-
-    def on_access(self, info: DemandInfo) -> list[int]:
-        return []
-
-    def storage_bits(self) -> int:
-        return 0

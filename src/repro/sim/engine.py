@@ -26,15 +26,23 @@ Prefetches fill into L2 only, never L1 (Table II / Section VI).
 The fast path and its oracle
 ----------------------------
 
-:meth:`SimulationEngine.run` is the one production loop: it iterates the
-trace's columnar arrays (:meth:`repro.trace.stream.Trace.columns`), uses
-the hierarchy's ``*_fast`` methods (integer outcome codes, no per-access
-result objects), accumulates counters in local ints, and inlines the
-queue/drain loops.  The readable specification of the same model is the
-object-per-event engine oracle in :mod:`repro.check.reference`; the two
-are bit-identical (every float operation happens in the same order on
-the same values), which ``repro check`` and the engine equivalence
-tests enforce.
+:meth:`SimulationEngine.run` is the one production loop.  It iterates
+the trace's columnar arrays (:meth:`repro.trace.stream.Trace.columns`),
+drives the cache through the hierarchy's ``demand_access_fast`` and
+``prefetch_fill_fast`` (integer outcome codes, no per-access result
+objects), accumulates counters in local ints, and writes the per-event
+steps out once: a ``BLOCK_BEGIN`` only notifies the prefetcher; every
+other event issues queued prefetches, drains completed fills, runs its
+own step (the demand path and ``on_access`` for a memory access,
+``on_block_end`` for a block end), then enqueues the candidates it got
+back.
+
+The readable specification of the same model is the object-per-event
+engine oracle in :mod:`repro.check.reference`, which runs on the
+clean-room :class:`repro.check.oracles.HierarchyOracle` and so shares no
+cache code with this loop.  The two are bit-identical (every float
+operation happens in the same order on the same values), which
+``repro check`` and the engine equivalence tests enforce.
 """
 
 from __future__ import annotations
@@ -168,36 +176,39 @@ class SimulationEngine:
             columns.payloads,
             columns.writes,
         ):
+            if kind == BLOCK_BEGIN:
+                on_block_begin(payload)
+                continue
+
             now = icount * inv_width + stall
+            # -- issue_prefetches: queued candidates consume bandwidth.
+            while queue and next_issue <= now and len(in_flight) < max_in_flight:
+                pline = queue_popleft()
+                if pline not in queued:
+                    continue  # stale: consumed by a demand access already
+                queued_discard(pline)
+                if pline in l2_sets[pline & l2_mask] or pline in in_flight:
+                    continue  # redundant; never reaches the bus
+                completion = next_issue + mem_latency
+                in_flight[pline] = completion
+                heappush(fill_heap, (completion, pline))
+                n_issued += 1
+                prefetch_bytes += line_size
+                next_issue += issue_interval
+            # -- drain_completions: install finished prefetches.
+            while fill_heap and fill_heap[0][0] <= now:
+                completion, pline = heappop(fill_heap)
+                if in_flight.get(pline) != completion:
+                    continue  # cancelled: the demand stream claimed it
+                del in_flight[pline]
+                if prefetch_fill_fast(pline, evictions):
+                    n_fills += 1
+                    if evictions:
+                        for evicted in evictions:
+                            on_l1_eviction(evicted)
+                        evictions.clear()
 
             if kind == MEMORY_ACCESS:
-                # -- issue_prefetches: queued candidates consume bandwidth.
-                while queue and next_issue <= now and len(in_flight) < max_in_flight:
-                    pline = queue_popleft()
-                    if pline not in queued:
-                        continue  # stale: consumed by a demand access already
-                    queued_discard(pline)
-                    if pline in l2_sets[pline & l2_mask] or pline in in_flight:
-                        continue  # redundant; never reaches the bus
-                    completion = next_issue + mem_latency
-                    in_flight[pline] = completion
-                    heappush(fill_heap, (completion, pline))
-                    n_issued += 1
-                    prefetch_bytes += line_size
-                    next_issue += issue_interval
-                # -- drain_completions: install finished prefetches.
-                while fill_heap and fill_heap[0][0] <= now:
-                    completion, pline = heappop(fill_heap)
-                    if in_flight.get(pline) != completion:
-                        continue  # cancelled: the demand stream claimed it
-                    del in_flight[pline]
-                    if prefetch_fill_fast(pline, evictions):
-                        n_fills += 1
-                        if evictions:
-                            for evicted in evictions:
-                                on_l1_eviction(evicted)
-                            evictions.clear()
-
                 line = payload >> line_shift
                 code = demand_access_fast(line, evictions)
                 n_demand += 1
@@ -282,110 +293,47 @@ class SimulationEngine:
                         l2_hit=info_l2_hit,
                     )
                 )
-                # -- enqueue_candidates ----------------------------------
-                if candidates:
-                    if not queue and next_issue < now:
-                        next_issue = now
-                    for cand in candidates:
-                        if (
-                            cand in queued
-                            or cand in in_flight
-                            or cand in l2_sets[cand & l2_mask]
-                        ):
-                            continue
-                        if len(queue) >= queue_capacity:
-                            break  # hardware queue full; newest drop
-                        queue_append(cand)
-                        queued_add(cand)
-                    if profiling:
-                        obs.observe("sim.prefetch_queue.occupancy", len(queue))
-                if checking:
-                    checked_events += 1
-                    invariants.check_engine_state(
-                        event_index=checked_events,
-                        icount=icount,
-                        last_icount=last_icount,
-                        queue_length=len(queue),
-                        queued=queued,
-                        queue_members=set(queue),
-                        in_flight=in_flight,
-                        fill_heap=fill_heap,
-                        next_issue=next_issue,
-                        last_next_issue=last_next_issue,
-                        window_count=window_count,
-                        window_start_icount=window_start_icount,
-                        mshr_limit=mshr_limit,
-                        queue_capacity=queue_capacity,
-                        max_in_flight=max_in_flight,
-                    )
-                    last_icount = icount
-                    last_next_issue = next_issue
-
-            elif kind == BLOCK_BEGIN:
-                on_block_begin(payload)
             else:  # BLOCK_END
-                while queue and next_issue <= now and len(in_flight) < max_in_flight:
-                    pline = queue_popleft()
-                    if pline not in queued:
-                        continue
-                    queued_discard(pline)
-                    if pline in l2_sets[pline & l2_mask] or pline in in_flight:
-                        continue
-                    completion = next_issue + mem_latency
-                    in_flight[pline] = completion
-                    heappush(fill_heap, (completion, pline))
-                    n_issued += 1
-                    prefetch_bytes += line_size
-                    next_issue += issue_interval
-                while fill_heap and fill_heap[0][0] <= now:
-                    completion, pline = heappop(fill_heap)
-                    if in_flight.get(pline) != completion:
-                        continue
-                    del in_flight[pline]
-                    if prefetch_fill_fast(pline, evictions):
-                        n_fills += 1
-                        if evictions:
-                            for evicted in evictions:
-                                on_l1_eviction(evicted)
-                            evictions.clear()
                 candidates = on_block_end(payload)
-                if candidates:
-                    if not queue and next_issue < now:
-                        next_issue = now
-                    for cand in candidates:
-                        if (
-                            cand in queued
-                            or cand in in_flight
-                            or cand in l2_sets[cand & l2_mask]
-                        ):
-                            continue
-                        if len(queue) >= queue_capacity:
-                            break
-                        queue_append(cand)
-                        queued_add(cand)
-                    if profiling:
-                        obs.observe("sim.prefetch_queue.occupancy", len(queue))
-                if checking:
-                    checked_events += 1
-                    invariants.check_engine_state(
-                        event_index=checked_events,
-                        icount=icount,
-                        last_icount=last_icount,
-                        queue_length=len(queue),
-                        queued=queued,
-                        queue_members=set(queue),
-                        in_flight=in_flight,
-                        fill_heap=fill_heap,
-                        next_issue=next_issue,
-                        last_next_issue=last_next_issue,
-                        window_count=window_count,
-                        window_start_icount=window_start_icount,
-                        mshr_limit=mshr_limit,
-                        queue_capacity=queue_capacity,
-                        max_in_flight=max_in_flight,
-                    )
-                    last_icount = icount
-                    last_next_issue = next_issue
+
+            # -- enqueue_candidates --------------------------------------
+            if candidates:
+                if not queue and next_issue < now:
+                    next_issue = now
+                for cand in candidates:
+                    if (
+                        cand in queued
+                        or cand in in_flight
+                        or cand in l2_sets[cand & l2_mask]
+                    ):
+                        continue
+                    if len(queue) >= queue_capacity:
+                        break  # hardware queue full; newest drop
+                    queue_append(cand)
+                    queued_add(cand)
+                if profiling:
+                    obs.observe("sim.prefetch_queue.occupancy", len(queue))
+            if checking:
+                checked_events += 1
+                invariants.check_engine_state(
+                    event_index=checked_events,
+                    icount=icount,
+                    last_icount=last_icount,
+                    queue_length=len(queue),
+                    queued=queued,
+                    queue_members=set(queue),
+                    in_flight=in_flight,
+                    fill_heap=fill_heap,
+                    next_issue=next_issue,
+                    last_next_issue=last_next_issue,
+                    window_count=window_count,
+                    window_start_icount=window_start_icount,
+                    mshr_limit=mshr_limit,
+                    queue_capacity=queue_capacity,
+                    max_in_flight=max_in_flight,
+                )
+                last_icount = icount
+                last_next_issue = next_issue
 
         # Close the final miss window before settling the clock.
         if window_start_icount >= 0:

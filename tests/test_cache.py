@@ -1,17 +1,50 @@
-"""Unit and property tests for the set-associative cache."""
+"""Tests of one cache level's geometry and of the replacement policy.
+
+The policy lives in :class:`~repro.memory.hierarchy.CacheHierarchy`, so
+the policy tests drive it through ``demand_access_fast`` and
+``prefetch_fill_fast`` on tiny geometries, and the property test holds
+it to the clean-room :class:`~repro.check.oracles.HierarchyOracle`.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check import invariants
+from repro.check.oracles import HierarchyOracle
 from repro.common.errors import ConfigError
-from repro.memory.cache import CacheConfig, SetAssociativeCache
+from repro.memory.cache import CacheConfig
+from repro.memory.hierarchy import (
+    FAST_L1_HIT,
+    FAST_MEMORY,
+    CacheHierarchy,
+    HierarchyConfig,
+)
+
+_OUTCOMES = {0: "l1", 1: "l2", 2: "l2-prefetch", 3: "memory"}
 
 
-def small_cache(ways=2, sets=4):
-    config = CacheConfig(
-        name="test", size_bytes=64 * ways * sets, associativity=ways
+def small_hierarchy(l1_ways=2, l1_sets=4, l2_ways=None, l2_sets=None):
+    """A hierarchy whose L2 defaults to the L1's geometry."""
+    l2_ways = l1_ways if l2_ways is None else l2_ways
+    l2_sets = l1_sets if l2_sets is None else l2_sets
+    return CacheHierarchy(
+        HierarchyConfig(
+            l1=CacheConfig(name="L1", size_bytes=64 * l1_ways * l1_sets,
+                           associativity=l1_ways),
+            l2=CacheConfig(name="L2", size_bytes=64 * l2_ways * l2_sets,
+                           associativity=l2_ways),
+        )
     )
-    return SetAssociativeCache(config)
+
+
+def demand(hierarchy, line):
+    evictions = []
+    code = hierarchy.demand_access_fast(line, evictions)
+    return code, evictions
+
+
+def prefetch(hierarchy, line):
+    return hierarchy.prefetch_fill_fast(line, [])
 
 
 class TestConfig:
@@ -33,142 +66,110 @@ class TestConfig:
 
 class TestBasicOperation:
     def test_miss_then_hit(self):
-        cache = small_cache()
-        assert not cache.access(5)
-        cache.insert(5)
-        assert cache.access(5)
+        hierarchy = small_hierarchy()
+        assert demand(hierarchy, 5)[0] == FAST_MEMORY
+        assert demand(hierarchy, 5)[0] == FAST_L1_HIT
 
     def test_lru_eviction_order(self):
-        cache = small_cache(ways=2, sets=1)
-        cache.insert(0)
-        cache.insert(1)
-        victim = cache.insert(2)  # evicts 0 (LRU)
-        assert victim is not None and victim.line == 0
-        assert cache.contains(1) and cache.contains(2)
+        hierarchy = small_hierarchy(l1_ways=2, l1_sets=1, l2_ways=4)
+        demand(hierarchy, 0)
+        demand(hierarchy, 1)
+        assert demand(hierarchy, 2) == (FAST_MEMORY, [0])  # evicts 0 (LRU)
+        assert hierarchy.l1.contains(1) and hierarchy.l1.contains(2)
 
     def test_access_refreshes_lru(self):
-        cache = small_cache(ways=2, sets=1)
-        cache.insert(0)
-        cache.insert(1)
-        cache.access(0)  # 1 becomes LRU
-        victim = cache.insert(2)
-        assert victim.line == 1
-
-    def test_reinsert_does_not_evict(self):
-        cache = small_cache(ways=2, sets=1)
-        cache.insert(0)
-        cache.insert(1)
-        assert cache.insert(0) is None
-        assert cache.occupancy == 2
-
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.insert(3)
-        record = cache.invalidate(3)
-        assert record is not None and record.line == 3
-        assert not cache.contains(3)
-        assert cache.invalidate(3) is None
-
-    def test_flush_returns_everything(self):
-        cache = small_cache()
-        for line in range(6):
-            cache.insert(line)
-        evicted = {record.line for record in cache.flush()}
-        assert evicted == set(range(6))
-        assert cache.occupancy == 0
+        hierarchy = small_hierarchy(l1_ways=2, l1_sets=1, l2_ways=4)
+        demand(hierarchy, 0)
+        demand(hierarchy, 1)
+        demand(hierarchy, 0)  # 1 becomes LRU
+        assert demand(hierarchy, 2)[1] == [1]
 
     def test_set_isolation(self):
-        cache = small_cache(ways=1, sets=4)
-        cache.insert(0)
-        cache.insert(1)  # different set (line & 3)
-        assert cache.contains(0) and cache.contains(1)
+        hierarchy = small_hierarchy(l1_ways=1, l1_sets=4)
+        demand(hierarchy, 0)
+        assert demand(hierarchy, 1)[1] == []  # different set (line & 3)
+        assert hierarchy.l1.contains(0) and hierarchy.l1.contains(1)
 
 
 class TestPrefetchSemantics:
     def test_prefetch_flag_tracked(self):
-        cache = small_cache()
-        cache.insert(7, from_prefetch=True)
-        assert cache.is_unused_prefetch(7)
+        hierarchy = small_hierarchy()
+        prefetch(hierarchy, 7)
+        assert hierarchy.l2.is_unused_prefetch(7)
 
     def test_demand_access_clears_flag(self):
-        cache = small_cache()
-        cache.insert(7, from_prefetch=True)
-        cache.access(7)
-        assert not cache.is_unused_prefetch(7)
+        hierarchy = small_hierarchy()
+        prefetch(hierarchy, 7)
+        demand(hierarchy, 7)
+        assert not hierarchy.l2.is_unused_prefetch(7)
 
     def test_prefetch_inserts_at_lru(self):
-        cache = small_cache(ways=2, sets=1)
-        cache.insert(0)                      # demand, MRU
-        cache.insert(2, from_prefetch=True)  # prefetch, LRU
-        victim = cache.insert(4)             # evicts the prefetch first
-        assert victim.line == 2
-        assert victim.was_prefetch
+        hierarchy = small_hierarchy(l1_ways=1, l1_sets=1, l2_ways=2)
+        demand(hierarchy, 0)    # demand, MRU
+        prefetch(hierarchy, 2)  # prefetch, LRU
+        demand(hierarchy, 4)    # evicts the prefetch first
+        assert not hierarchy.l2.contains(2)
+        assert hierarchy.l2.contains(0) and hierarchy.l2.contains(4)
+        assert hierarchy.stats.wrong_prefetch_evictions == 1
 
     def test_promoted_prefetch_survives(self):
-        cache = small_cache(ways=2, sets=1)
-        cache.insert(0)
-        cache.insert(2, from_prefetch=True)
-        cache.access(2)  # promote to MRU
-        victim = cache.insert(4)
-        assert victim.line == 0
+        hierarchy = small_hierarchy(l1_ways=1, l1_sets=1, l2_ways=2)
+        demand(hierarchy, 0)
+        prefetch(hierarchy, 2)
+        demand(hierarchy, 2)  # promote to MRU
+        demand(hierarchy, 4)
+        assert hierarchy.l2.contains(2)
+        assert not hierarchy.l2.contains(0)
 
     def test_eviction_reports_unused_prefetch(self):
-        cache = small_cache(ways=1, sets=1)
-        cache.insert(0, from_prefetch=True)
-        victim = cache.insert(1)
-        assert victim.was_prefetch
+        hierarchy = small_hierarchy(l1_ways=1, l1_sets=1)
+        prefetch(hierarchy, 0)
+        demand(hierarchy, 1)
+        assert hierarchy.stats.wrong_prefetch_evictions == 1
 
     def test_redundant_prefetch_keeps_demand_status(self):
-        cache = small_cache(ways=2, sets=1)
-        cache.insert(0)  # demand line at MRU
-        cache.insert(0, from_prefetch=True)
-        assert not cache.is_unused_prefetch(0)
+        hierarchy = small_hierarchy(l1_ways=2, l1_sets=1)
+        demand(hierarchy, 0)  # demand line at MRU
+        assert not prefetch(hierarchy, 0)
+        assert not hierarchy.l2.is_unused_prefetch(0)
 
 
-class _ReferenceLru:
-    """Oracle: per-set list ordered LRU-first."""
-
-    def __init__(self, ways, sets):
-        self.ways = ways
-        self.sets = sets
-        self.state = {index: [] for index in range(sets)}
-
-    def access(self, line):
-        bucket = self.state[line % self.sets]
-        if line in bucket:
-            bucket.remove(line)
-            bucket.append(line)
-            return True
-        return False
-
-    def insert(self, line):
-        bucket = self.state[line % self.sets]
-        if line in bucket:
-            bucket.remove(line)
-            bucket.append(line)
-            return None
-        victim = bucket.pop(0) if len(bucket) >= self.ways else None
-        bucket.append(line)
-        return victim
+_SETS = st.sampled_from([1, 2, 4])
+_WAYS = st.integers(min_value=1, max_value=4)
+_GEOMETRIES = st.tuples(_SETS, _WAYS, _SETS, _WAYS).filter(
+    lambda g: g[2] * g[3] >= g[0] * g[1]  # inclusive L2 >= L1
+)
+_OPERATIONS = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=63)),
+    max_size=200,
+)
 
 
 class TestLruProperty:
-    @settings(max_examples=60)
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.integers(min_value=0, max_value=31)),
-            max_size=200,
-        )
-    )
-    def test_matches_reference_model(self, operations):
-        ways, sets = 4, 4
-        cache = small_cache(ways=ways, sets=sets)
-        oracle = _ReferenceLru(ways, sets)
-        for is_insert, line in operations:
-            if is_insert:
-                got = cache.insert(line)
-                expected = oracle.insert(line)
-                got_line = got.line if got else None
-                assert got_line == expected
-            else:
-                assert cache.access(line) == oracle.access(line)
+    """The hierarchy's replacement policy against the clean-room oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_GEOMETRIES, _OPERATIONS)
+    def test_matches_reference_model(self, geometry, operations):
+        l1_sets, l1_ways, l2_sets, l2_ways = geometry
+        oracle = HierarchyOracle(l1_sets, l1_ways, l2_sets, l2_ways)
+        invariants.enable()  # every fill also checks inclusion and set bounds
+        try:
+            hierarchy = small_hierarchy(l1_ways, l1_sets, l2_ways, l2_sets)
+            for is_prefetch, line in operations:
+                evictions = []
+                if is_prefetch:
+                    got = (hierarchy.prefetch_fill_fast(line, evictions), evictions)
+                    expected = oracle.prefetch_fill(line)
+                else:
+                    code = hierarchy.demand_access_fast(line, evictions)
+                    got = (_OUTCOMES[code], evictions)
+                    expected = oracle.demand_access(line)
+                assert got == expected, (is_prefetch, line)
+        finally:
+            invariants.disable()
+        assert vars(hierarchy.stats) == oracle.stats
+        for index, cache_set in enumerate(hierarchy.l2._sets):
+            assert list(cache_set.items()) == [
+                (line, bool(unused)) for line, unused in oracle.l2.sets[index]
+            ]

@@ -105,3 +105,38 @@ class TestHarnessSensitivity:
                 break
         assert divergence is not None
         assert divergence.kind == "prefetcher"
+
+    def test_engine_oracle_catches_fast_hierarchy_policy_bug(self, monkeypatch):
+        # The engine oracle shares no cache code with the fast path, so a
+        # replacement-policy bug there must surface as an engine divergence.
+        from dataclasses import replace
+
+        from repro.memory.cache import CacheConfig
+        from repro.memory.hierarchy import CacheHierarchy
+        from repro.sim.config import REDUCED_CONFIG
+        from repro.workloads.base import access_budget
+
+        hierarchy = REDUCED_CONFIG.hierarchy
+        config = replace(REDUCED_CONFIG, hierarchy=replace(
+            hierarchy,
+            l1=CacheConfig(name="L1D", size_bytes=1024, associativity=2,
+                           latency=hierarchy.l1.latency, mshrs=hierarchy.l1.mshrs),
+            l2=CacheConfig(name="L2", size_bytes=4096, associativity=4,
+                           latency=hierarchy.l2.latency, mshrs=hierarchy.l2.mshrs),
+        ))
+        spec = get_workload("429.mcf-ref")
+        trace = build_trace(spec, max_accesses=access_budget(spec, 1.0, 0.05))
+        assert diff_engine("sms", trace, config=config) is None
+
+        install_at_lru = CacheHierarchy.prefetch_fill_fast
+
+        def install_at_mru(self, line, evictions):
+            filled = install_at_lru(self, line, evictions)
+            if filled:
+                self.l2._sets[line & self.l2._index_mask].move_to_end(line)
+            return filled
+
+        monkeypatch.setattr(CacheHierarchy, "prefetch_fill_fast", install_at_mru)
+        divergence = diff_engine("sms", trace, config=config)
+        assert divergence is not None
+        assert divergence.kind == "engine"

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.check.reference import run_reference
+from repro.check.reference import hierarchy_oracle_for, run_reference
 from repro.harness.registry import PREFETCHER_FACTORIES
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
@@ -70,10 +70,10 @@ class TestFastPathEquivalence:
         trace = _trace("stencil-default")
         factory = PREFETCHER_FACTORIES["cbws+sms"]
         fast = SimulationEngine(REDUCED_CONFIG, factory())
-        reference = SimulationEngine(REDUCED_CONFIG, factory())
+        oracle = hierarchy_oracle_for(REDUCED_CONFIG)
         fast.run(trace)
-        run_reference(reference, trace)
-        assert vars(fast.hierarchy.stats) == vars(reference.hierarchy.stats)
+        run_reference(SimulationEngine(REDUCED_CONFIG, factory()), trace, oracle)
+        assert vars(fast.hierarchy.stats) == oracle.stats
 
     def test_profiling_does_not_change_results(self):
         trace = _trace("429.mcf-ref")

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConfigError
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import (
-    AccessOutcome,
+    FAST_L1_HIT,
+    FAST_L2_HIT,
+    FAST_L2_HIT_PREFETCH,
+    FAST_MEMORY,
     CacheHierarchy,
     HierarchyConfig,
 )
@@ -19,6 +22,14 @@ def tiny_hierarchy(l1_bytes=256, l2_bytes=1024):
             l2=CacheConfig(name="L2", size_bytes=l2_bytes, associativity=4),
         )
     )
+
+
+def demand(hierarchy, line):
+    return hierarchy.demand_access_fast(line, [])
+
+
+def prefetch(hierarchy, line):
+    return hierarchy.prefetch_fill_fast(line, [])
 
 
 class TestConfig:
@@ -41,24 +52,24 @@ class TestConfig:
 class TestAccessPath:
     def test_cold_miss_goes_to_memory(self):
         hierarchy = tiny_hierarchy()
-        assert hierarchy.demand_access(5).outcome is AccessOutcome.MEMORY
+        assert demand(hierarchy, 5) == FAST_MEMORY
 
     def test_second_access_hits_l1(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.demand_access(5)
-        assert hierarchy.demand_access(5).outcome is AccessOutcome.L1_HIT
+        demand(hierarchy, 5)
+        assert demand(hierarchy, 5) == FAST_L1_HIT
 
     def test_l1_victim_still_hits_l2(self):
         hierarchy = tiny_hierarchy(l1_bytes=128)  # 2 lines, 1 set
-        hierarchy.demand_access(0)
-        hierarchy.demand_access(1)
-        hierarchy.demand_access(2)  # evicts 0 from L1
-        assert hierarchy.demand_access(0).outcome is AccessOutcome.L2_HIT
+        demand(hierarchy, 0)
+        demand(hierarchy, 1)
+        demand(hierarchy, 2)  # evicts 0 from L1
+        assert demand(hierarchy, 0) == FAST_L2_HIT
 
     def test_stats_counters(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.demand_access(0)
-        hierarchy.demand_access(0)
+        demand(hierarchy, 0)
+        demand(hierarchy, 0)
         assert hierarchy.stats.accesses == 2
         assert hierarchy.stats.l1_misses == 1
         assert hierarchy.stats.l2_misses == 1
@@ -67,38 +78,29 @@ class TestAccessPath:
 class TestPrefetchPath:
     def test_prefetch_fills_l2_only(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.prefetch_fill(9)
-        assert hierarchy.in_l2(9)
+        prefetch(hierarchy, 9)
+        assert hierarchy.l2.contains(9)
         assert not hierarchy.l1.contains(9)
 
     def test_redundant_prefetch_reports_none(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.prefetch_fill(9)
-        assert hierarchy.prefetch_fill(9) is None
+        assert prefetch(hierarchy, 9)
+        assert not prefetch(hierarchy, 9)
         assert hierarchy.stats.prefetch_fills == 1
 
     def test_demand_on_prefetched_line_counts_useful(self):
         hierarchy = tiny_hierarchy()
-        hierarchy.prefetch_fill(9)
-        result = hierarchy.demand_access(9)
-        assert result.outcome is AccessOutcome.L2_HIT
-        assert result.l2_fill_was_prefetch
+        prefetch(hierarchy, 9)
+        assert demand(hierarchy, 9) == FAST_L2_HIT_PREFETCH
         assert hierarchy.stats.useful_prefetch_hits == 1
 
     def test_unused_prefetch_eviction_counted_wrong(self):
         hierarchy = tiny_hierarchy(l1_bytes=128, l2_bytes=256)  # L2: 4 lines
-        hierarchy.prefetch_fill(0)
+        prefetch(hierarchy, 0)
         # Fill the set with demand lines until the prefetch is evicted.
         for line in (4, 8, 12, 16):
-            hierarchy.demand_access(line)
+            demand(hierarchy, line)
         assert hierarchy.stats.wrong_prefetch_evictions >= 1
-
-    def test_reset(self):
-        hierarchy = tiny_hierarchy()
-        hierarchy.demand_access(1)
-        hierarchy.reset()
-        assert hierarchy.stats.accesses == 0
-        assert hierarchy.demand_access(1).outcome is AccessOutcome.MEMORY
 
 
 class TestInclusion:
@@ -111,9 +113,9 @@ class TestInclusion:
             )
         )
         for line in range(5):  # fifth access evicts line 0 from L2
-            hierarchy.demand_access(line)
+            demand(hierarchy, line)
         assert not hierarchy.l1.contains(0)
-        assert not hierarchy.in_l2(0)
+        assert not hierarchy.l2.contains(0)
 
     @settings(max_examples=40)
     @given(st.lists(st.integers(min_value=0, max_value=63), max_size=300))
@@ -121,9 +123,9 @@ class TestInclusion:
         hierarchy = tiny_hierarchy(l1_bytes=256, l2_bytes=512)
         for index, line in enumerate(lines):
             if index % 5 == 4:
-                hierarchy.prefetch_fill(line)
+                prefetch(hierarchy, line)
             else:
-                hierarchy.demand_access(line)
+                demand(hierarchy, line)
             for resident in hierarchy.l1.resident_lines():
                 assert hierarchy.l2.contains(resident), (
                     f"L1 line {resident} missing from inclusive L2"
