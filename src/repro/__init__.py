@@ -33,7 +33,6 @@ from repro.harness import (
     PAPER_PREFETCHER_ORDER,
     experiments,
     make_prefetcher,
-    run_grid,
 )
 from repro.memory import CacheConfig, CacheHierarchy, HierarchyConfig
 from repro.prefetchers import (
@@ -111,7 +110,6 @@ __all__ = [
     "get_workload",
     "build_trace",
     "GridRunner",
-    "run_grid",
     "make_prefetcher",
     "PAPER_PREFETCHER_ORDER",
     "experiments",

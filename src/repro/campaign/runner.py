@@ -33,7 +33,7 @@ honours 429 backpressure by sleeping the server's own ``Retry-After``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -383,8 +383,7 @@ def _execute_wave_grid(
                     cell.overrides)
         groups.setdefault(identity, []).append((cell, key))
 
-    exec_options = options or ExecOptions()
-    exec_options.jobs = jobs
+    exec_options = replace(options or ExecOptions(), jobs=jobs)
     done = 0
     total = len(cells)
     for identity, members in groups.items():
@@ -408,7 +407,7 @@ def _execute_wave_grid(
             plan,
             options=exec_options,
             cache=cache,
-            trace_dir=cache_dir / "traces",
+            trace_dir=cache_dir,
             journal=journal,
             progress=grid_progress,
         )

@@ -109,7 +109,7 @@ def _runner(args: argparse.Namespace) -> GridRunner:
         seed=args.seed,
         cache_dir=args.cache_dir,
         jobs=None if args.jobs == 0 else args.jobs,
-        result_cache=False if args.no_result_cache else None,
+        result_cache=not args.no_result_cache,
         run_id=getattr(args, "run_id", None),
         resume=getattr(args, "resume", None),
         strict=getattr(args, "strict", False),

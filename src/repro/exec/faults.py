@@ -12,7 +12,9 @@ Sites are plain strings checked by the code that owns them; a
 ``REPRO_FAULTS`` clause naming any other site is rejected:
 
 ``task-done``
-    Checked by the scheduler after every completed task.
+    Checked by the scheduler after every completed simulation, on the
+    serial and pool paths alike (trace builds do not count), once its
+    result is cached and journaled.
 ``journal.append``
     Checked (via :func:`mangle`) by :meth:`repro.exec.journal.RunJournal
     .append` around the write+fsync of one record — shared by grid runs,

@@ -6,16 +6,17 @@ completion:
 1. every simulation node is probed against the result cache — hits are
    returned without scheduling any work;
 2. the remaining cells group by workload; each workload's trace-build
-   task is dispatched to the worker pool, and its simulation tasks are
-   released the moment the trace lands (no barrier between workloads);
-3. every task attempt is wrapped with an optional timeout, bounded retry
-   with exponential backoff, and worker-crash recovery.  Failures are
-   classified (:func:`repro.common.errors.classify_error`): permanent
-   failures skip the retry budget and quarantine immediately; transient
-   ones retry with backoff.  A task that exhausts its retries is
-   *quarantined* — recorded in telemetry and skipped — so one poisoned
-   cell can never hang or abort the rest of the grid.  Quarantining a
-   trace task quarantines its dependent sims.
+   task runs first, and its simulation tasks are released the moment
+   the trace lands (no barrier between workloads);
+3. every task attempt runs under bounded retry with exponential backoff
+   (and, on the pool path, an optional timeout and worker-crash
+   recovery).  Failures are classified
+   (:func:`repro.common.errors.classify_error`): permanent failures skip
+   the retry budget and quarantine immediately; transient ones retry
+   with backoff.  A task that exhausts its retries is *quarantined* —
+   recorded in telemetry and skipped — so one poisoned cell can never
+   hang or abort the rest of the grid.  Quarantining a trace task
+   quarantines its dependent sims.
 4. a per-workload **circuit breaker** counts quarantined simulations;
    at ``options.breaker_threshold`` the workload is marked DEGRADED and
    its remaining cells are skipped, letting the grid complete with
@@ -28,9 +29,11 @@ appended to it with an fsync, and a prior run's
 cells replay through the cache, and quarantine/degradation decisions are
 preserved instead of re-attempted.
 
-``jobs=1`` runs everything in-process (no pool, no pickling) through the
-same cache/telemetry bookkeeping, so serial runs stay bit-identical to
-the historical path while still benefiting from the result cache.
+``jobs=1`` runs every task in-process (no pool, no pickling), one
+workload at a time, so each trace stays in the trace LRU while its sims
+run.  Both paths report every outcome through the same policy object
+(:class:`_GridState`), so a cell completes, retries and quarantines the
+same way whatever the worker count.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from repro.exec import telemetry as telemetry_module
 from repro.exec.cache import ResultCache
 from repro.exec.journal import RunJournal, RunReplay
 from repro.exec.keys import short_digest
-from repro.exec.plan import GridPlan, SimNode
+from repro.exec.plan import GridPlan, SimNode, TraceNode
 from repro.exec.pool import (
     InjectSpec,
     SimTaskPayload,
@@ -104,36 +107,115 @@ class ExecOptions:
 
 
 class _GridState:
-    """Failure-policy bookkeeping shared by the serial and pool paths."""
+    """The per-task outcome policy; the serial and pool paths both call it.
+
+    ``pending`` maps each workload whose trace has not landed yet to its
+    cache-missed sims, each with the result-cache key computed once by
+    the probe in :func:`execute_grid`.
+    """
 
     def __init__(
         self,
         plan: GridPlan,
         options: ExecOptions,
         telemetry: ExecTelemetry,
+        cache: ResultCache | None,
         journal: RunJournal | None,
         carried: RunReplay | None,
+        progress: Progress | None,
     ) -> None:
         self.plan = plan
         self.options = options
         self.telemetry = telemetry
+        self.cache = cache
         self.journal = journal
+        self.progress = progress
+        self.results: dict[tuple[str, str], SimResult] = {}
+        self.pending: dict[str, list[tuple[SimNode, str]]] = {}
         self.breaker: dict[str, int] = {}
         self.degraded: dict[str, str] = {}
         if carried is not None:
             for workload, reason in carried.degraded.items():
                 self.degraded[workload] = reason or "carried from prior run"
 
-    def journal_done(self, node: SimNode, source: str) -> None:
+    def cell_done(self, node: SimNode, key: str, result: SimResult,
+                  source: str) -> None:
+        """Deliver one cell's result (``source``: "cache" or "run")."""
+        self.results[node.cell] = result
         if self.journal is not None:
-            self.journal.task_done(
-                node.name, "sim", cell=node.cell,
-                key=node.key(self.plan.config), source=source,
-            )
+            self.journal.task_done(node.name, "sim", cell=node.cell,
+                                   key=key, source=source)
+        if self.progress is not None:
+            self.progress(*node.cell)
 
-    def journal_trace_done(self, name: str) -> None:
+    def trace_done(self, node: TraceNode, source: str, seconds: float,
+                   attempts: int) -> None:
+        """Count where one trace came from (memory counts none)."""
+        if source == traces.DISK:
+            self.telemetry.trace_disk_hits += 1
+        elif source != traces.MEMORY:
+            self.telemetry.traces_built += 1
+        if source == traces.REBUILT_CORRUPT:
+            self.telemetry.corrupt_traces += 1
+        self.telemetry.task_finished(node.name, "trace", seconds, attempts)
         if self.journal is not None:
-            self.journal.task_done(name, "trace")
+            self.journal.task_done(node.name, "trace")
+
+    def sim_done(self, node: SimNode, key: str, result: SimResult,
+                 seconds: float, attempts: int) -> None:
+        """One simulation finished: cache it, then journal it."""
+        self.telemetry.sims_run += 1
+        self.telemetry.task_finished(node.name, "sim", seconds, attempts)
+        if self.cache is not None:
+            self.cache.put(key, result)
+        self.cell_done(node, key, result, "run")
+        faults.check("task-done")
+
+    def attempt_failed(self, node: TraceNode | SimNode, attempts: int,
+                       error: Exception | str) -> bool:
+        """Decide one failed attempt: True to retry it after a backoff.
+
+        ``attempts`` counts the task's failed attempts, this one
+        included.  ``error`` is what the attempt raised, or why its
+        worker died or hung (classified as poisoned).  A permanent
+        failure or an exhausted retry budget quarantines the task.
+        """
+        self.telemetry.task_failed_attempt()
+        if isinstance(error, str):
+            classification, permanent = "poisoned", False
+        else:
+            kind = classify_error(error)
+            classification = kind.value
+            permanent = kind is ErrorKind.PERMANENT
+        if permanent or attempts > self.options.max_retries:
+            if isinstance(node, TraceNode):
+                self.trace_failed(node, str(error), attempts, classification)
+            else:
+                self.quarantine(node.name, "sim", str(error), attempts,
+                                classification, cell=node.cell)
+                self.record_sim_failure(node.workload)
+            return False
+        if isinstance(node, SimNode) and node.workload in self.degraded:
+            self.quarantine_degraded(node, attempts)
+            return False
+        self.telemetry.retries += 1
+        time.sleep(self.options.retry_backoff * (2 ** (attempts - 1)))
+        return True
+
+    def trace_failed(self, node: TraceNode, reason: str, attempts: int,
+                     classification: str) -> None:
+        """Quarantine a trace task, degrade its workload, drop its sims."""
+        self.quarantine(node.name, "trace", reason, attempts, classification)
+        self.degrade(node.workload, f"trace build failed: {reason}",
+                     attempts)
+        for sim, _ in self.pending.pop(node.workload, []):
+            self.telemetry.tasks_queued = max(
+                0, self.telemetry.tasks_queued - 1)
+            self.quarantine(
+                sim.name, "sim",
+                f"trace build for {node.workload} was quarantined", 0,
+                "degraded", cell=sim.cell,
+            )
 
     def quarantine(self, name: str, kind: str, reason: str, attempts: int,
                    classification: str,
@@ -144,17 +226,14 @@ class _GridState:
             self.journal.task_quarantined(name, kind, reason, attempts,
                                           classification, cell=cell)
 
-    def record_sim_failure(self, workload: str) -> bool:
-        """Count one quarantined sim; True if the breaker just tripped."""
+    def record_sim_failure(self, workload: str) -> None:
+        """Count one quarantined sim; trip the breaker at the threshold."""
         count = self.breaker.get(workload, 0) + 1
         self.breaker[workload] = count
         threshold = self.options.breaker_threshold
-        if threshold > 0 and count >= threshold and workload not in self.degraded:
-            reason = (f"{count} simulation(s) quarantined "
-                      f"(breaker threshold {threshold})")
-            self.degrade(workload, reason, count)
-            return True
-        return False
+        if threshold > 0 and count >= threshold:
+            self.degrade(workload, f"{count} simulation(s) quarantined "
+                         f"(breaker threshold {threshold})", count)
 
     def degrade(self, workload: str, reason: str, failures: int) -> None:
         if workload in self.degraded:
@@ -164,15 +243,21 @@ class _GridState:
         if self.journal is not None:
             self.journal.workload_degraded(workload, reason, failures)
 
-    def skip_degraded(self, node: SimNode) -> None:
-        """Drop one pending sim of a degraded workload (no attempts)."""
-        self.telemetry.tasks_queued = max(0, self.telemetry.tasks_queued - 1)
+    def quarantine_degraded(self, node: SimNode, attempts: int) -> None:
         self.quarantine(
             node.name, "sim",
             f"workload {node.workload} is DEGRADED: "
             f"{self.degraded[node.workload]}",
-            0, "degraded", cell=node.cell,
+            attempts, "degraded", cell=node.cell,
         )
+
+    def skip_degraded(self, node: SimNode, attempts: int = 0) -> bool:
+        """Drop a queued sim if its workload is DEGRADED; True if dropped."""
+        if node.workload not in self.degraded:
+            return False
+        self.telemetry.tasks_queued = max(0, self.telemetry.tasks_queued - 1)
+        self.quarantine_degraded(node, attempts)
+        return True
 
 
 def execute_grid(
@@ -221,13 +306,13 @@ def execute_grid(
     telemetry.jobs = jobs
     grid_started = time.perf_counter()
 
-    state = _GridState(plan, options, telemetry, journal, carried)
+    state = _GridState(plan, options, telemetry, cache, journal, carried,
+                       progress)
     carried_completed = carried.completed if carried is not None else {}
     carried_quarantined = (carried.quarantined_cells if carried is not None
                            else set())
 
-    results: dict[tuple[str, str], SimResult] = {}
-    misses: list[SimNode] = []
+    misses = 0
     for node in plan.sim_nodes:
         if node.workload in state.degraded:
             state.quarantine(
@@ -247,16 +332,14 @@ def execute_grid(
                 0, "carried", cell=node.cell,
             )
             continue
+        key = node.key(plan.config)
         if cache is not None:
-            hit = cache.get(node.key(plan.config))
+            hit = cache.get(key)
             if hit is not None:
                 telemetry.cache_hits += 1
                 if node.cell in carried_completed:
                     telemetry.resumed_cells += 1
-                results[node.cell] = hit
-                state.journal_done(node, source="cache")
-                if progress is not None:
-                    progress(*node.cell)
+                state.cell_done(node, key, hit, "cache")
                 continue
             telemetry.cache_misses += 1
             if node.cell in carried_completed:
@@ -267,7 +350,8 @@ def execute_grid(
                     "journal records %s complete but the cache cannot "
                     "replay it; re-executing", node.name,
                 )
-        misses.append(node)
+        state.pending.setdefault(node.workload, []).append((node, key))
+        misses += 1
 
     if pool is not None and jobs <= 1:
         # A borrowed pool implies the pool path even for one worker —
@@ -275,14 +359,12 @@ def execute_grid(
         jobs = max(jobs, pool.jobs)
     try:
         if misses:
+            telemetry.task_queued(len(state.pending) + misses)
             if jobs <= 1:
-                _run_serial(plan, misses, results, cache, state,
-                            trace_dir, dict(inject or {}), options,
-                            progress)
+                _run_serial(state, trace_dir, dict(inject or {}))
             else:
-                _run_pool(plan, misses, results, cache, state,
-                          trace_dir, dict(inject or {}), options, progress,
-                          jobs, shared_pool=pool)
+                _run_pool(state, trace_dir, dict(inject or {}), jobs,
+                          shared_pool=pool)
     finally:
         telemetry.finish()
         telemetry_module.LAST_RUN = telemetry
@@ -296,24 +378,7 @@ def execute_grid(
             obs.add("exec.cache_misses", telemetry.cache_misses)
             obs.add("exec.sims_run", telemetry.sims_run)
             obs.add("exec.traces_built", telemetry.traces_built)
-    return results, telemetry
-
-
-def _group_by_workload(nodes: list[SimNode]) -> dict[str, list[SimNode]]:
-    groups: dict[str, list[SimNode]] = {}
-    for node in nodes:
-        groups.setdefault(node.workload, []).append(node)
-    return groups
-
-
-def _count_trace(telemetry: ExecTelemetry, source: str) -> None:
-    """Count where one trace task's trace came from (memory counts none)."""
-    if source == traces.DISK:
-        telemetry.trace_disk_hits += 1
-    elif source != traces.MEMORY:
-        telemetry.traces_built += 1
-    if source == traces.REBUILT_CORRUPT:
-        telemetry.corrupt_traces += 1
+    return state.results, telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -322,88 +387,59 @@ def _count_trace(telemetry: ExecTelemetry, source: str) -> None:
 
 
 def _run_serial(
-    plan: GridPlan,
-    misses: list[SimNode],
-    results: dict[tuple[str, str], SimResult],
-    cache: ResultCache | None,
     state: _GridState,
     trace_dir: str | Path | None,
     inject: dict[tuple[str, str], InjectSpec],
-    options: ExecOptions,
-    progress: Progress | None,
 ) -> None:
-    from repro.harness.registry import make_prefetcher
-
-    telemetry = state.telemetry
-    groups = _group_by_workload(misses)
-    telemetry.task_queued(len(groups) + len(misses))
-    for workload, nodes in groups.items():
+    plan = state.plan
+    for workload in list(state.pending):
         trace_node = plan.trace_nodes[workload]
-        telemetry.task_started()
+        done = _attempt_serial(state, trace_node, traces.get_trace,
+                               trace_node, trace_dir)
+        if done is None:
+            continue
+        (trace, source), seconds, attempts = done
+        state.trace_done(trace_node, source, seconds, attempts)
+        for node, key in state.pending.pop(workload):
+            if state.skip_degraded(node):
+                continue
+            done = _attempt_serial(state, node, _simulate_serial, plan, node,
+                                   trace, inject.get(node.cell), [0])
+            if done is not None:
+                result, seconds, attempts = done
+                state.sim_done(node, key, result, seconds, attempts)
+
+
+def _attempt_serial(state: _GridState, node: TraceNode | SimNode,
+                    fn: Callable, *args: object) -> tuple | None:
+    """Run ``fn(*args)`` in-process under the retry policy.
+
+    Returns (value, seconds, attempts), or None once the task is
+    quarantined.
+    """
+    failures = 0
+    while True:
+        state.telemetry.task_started()
         started = time.perf_counter()
         try:
-            trace, source = traces.get_trace(trace_node, trace_dir)
+            value = fn(*args)
         except Exception as error:
-            telemetry.task_failed_attempt()
-            kind = classify_error(error)
-            state.quarantine(trace_node.name, "trace", str(error), 1,
-                             kind.value)
-            state.degrade(workload, f"trace build failed: {error}", 1)
-            for node in nodes:
-                telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-                state.quarantine(
-                    node.name, "sim",
-                    f"trace build for {workload} was quarantined", 0,
-                    "degraded", cell=node.cell,
-                )
-            continue
-        _count_trace(telemetry, source)
-        telemetry.task_finished(trace_node.name, "trace",
-                                time.perf_counter() - started, 1)
-        state.journal_trace_done(trace_node.name)
-
-        for node in nodes:
-            if node.workload in state.degraded:
-                state.skip_degraded(node)
+            failures += 1
+            if state.attempt_failed(node, failures, error):
                 continue
-            spec = inject.get(node.cell)
-            counter = [0]
-            attempts = 0
-            while True:
-                telemetry.task_started()
-                started = time.perf_counter()
-                try:
-                    _apply_serial_injection(spec, counter)
-                    result = simulate(
-                        plan.config, make_prefetcher(node.prefetcher), trace,
-                    )
-                    result.prefetcher = node.prefetcher
-                except Exception as error:
-                    telemetry.task_failed_attempt()
-                    attempts += 1
-                    error_kind = classify_error(error)
-                    permanent = error_kind is ErrorKind.PERMANENT
-                    if permanent or attempts > options.max_retries:
-                        state.quarantine(node.name, "sim", str(error),
-                                         attempts, error_kind.value,
-                                         cell=node.cell)
-                        state.record_sim_failure(node.workload)
-                        break
-                    telemetry.retries += 1
-                    time.sleep(options.retry_backoff * (2 ** (attempts - 1)))
-                    continue
-                telemetry.sims_run += 1
-                telemetry.task_finished(node.name, "sim",
-                                        time.perf_counter() - started,
-                                        attempts + 1)
-                results[node.cell] = result
-                if cache is not None:
-                    cache.put(node.key(plan.config), result)
-                state.journal_done(node, source="run")
-                if progress is not None:
-                    progress(*node.cell)
-                faults.check("task-done")
-                break
+            return None
+        return value, time.perf_counter() - started, failures + 1
+
+
+def _simulate_serial(plan: GridPlan, node: SimNode, trace: object,
+                     spec: InjectSpec | None,
+                     counter: list[int]) -> SimResult:
+    from repro.harness.registry import make_prefetcher
+
+    _apply_serial_injection(spec, counter)
+    result = simulate(plan.config, make_prefetcher(node.prefetcher), trace)
+    result.prefetcher = node.prefetcher
+    return result
 
 
 def _apply_serial_injection(spec: InjectSpec | None, counter: list[int]) -> None:
@@ -436,10 +472,8 @@ def _apply_serial_injection(spec: InjectSpec | None, counter: list[int]) -> None
 class _TaskState:
     """Scheduler-side bookkeeping for one DAG task (identity-hashed)."""
 
-    kind: str  # "trace" | "sim"
-    name: str
-    workload: str
-    cell: tuple[str, str] | None
+    node: TraceNode | SimNode
+    key: str | None  # the result-cache key of a sim task
     payload: object
     fn: Callable
     attempts: int = 0
@@ -448,26 +482,19 @@ class _TaskState:
 
 
 def _run_pool(
-    plan: GridPlan,
-    misses: list[SimNode],
-    results: dict[tuple[str, str], SimResult],
-    cache: ResultCache | None,
     state: _GridState,
     trace_dir: str | Path | None,
     inject: dict[tuple[str, str], InjectSpec],
-    options: ExecOptions,
-    progress: Progress | None,
     jobs: int,
     shared_pool: WorkerPool | None = None,
 ) -> None:
     telemetry = state.telemetry
+    options = state.options
     temporary = (tempfile.TemporaryDirectory(prefix="repro-exec-")
                  if trace_dir is None else None)
     trace_root = Path(temporary.name if temporary else trace_dir)
     trace_root.mkdir(parents=True, exist_ok=True)
 
-    groups = _group_by_workload(misses)
-    waiting: dict[str, list[SimNode]] = {w: list(n) for w, n in groups.items()}
     pool = shared_pool if shared_pool is not None else WorkerPool(jobs)
     active: list[_TaskState] = []
     # After a pool break the culprit is ambiguous (every in-flight future
@@ -476,7 +503,6 @@ def _run_pool(
     # quarantined for a neighbour's crash.
     probe_queue: list[_TaskState] = []
     _probing = [False]  # True while the single in-flight task is a suspect
-    sim_keys = {node.cell: node.key(plan.config) for node in misses}
 
     def submit(task: _TaskState) -> None:
         telemetry.task_started()
@@ -488,61 +514,29 @@ def _run_pool(
             pool.restart()
             task.future = pool.submit(task.fn, task.payload)
         task.submitted_at = time.monotonic()
+        active.append(task)
+
+    def skipped(task: _TaskState) -> bool:
+        """Drop a sim whose workload was DEGRADED while it waited."""
+        return (isinstance(task.node, SimNode)
+                and state.skip_degraded(task.node, task.attempts))
 
     def dispatch(task: _TaskState) -> None:
         """Run a task: immediately, or queued behind the serial probe."""
-        if task.kind == "sim" and task.workload in state.degraded:
-            telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-            state.quarantine(
-                task.name, "sim",
-                f"workload {task.workload} is DEGRADED: "
-                f"{state.degraded[task.workload]}",
-                task.attempts, "degraded", cell=task.cell,
-            )
+        if skipped(task):
             return
         if probe_queue or _probing[0]:
             probe_queue.append(task)
         else:
             submit(task)
-            active.append(task)
 
-    def quarantine(task: _TaskState, reason: str,
-                   classification: str) -> None:
-        state.quarantine(task.name, task.kind, reason, task.attempts,
-                         classification, cell=task.cell)
-        if task.kind == "trace":
-            state.degrade(task.workload, f"trace build failed: {reason}",
-                          task.attempts)
-            for node in waiting.pop(task.workload, []):
-                telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-                state.quarantine(
-                    node.name, "sim",
-                    f"trace build for {task.workload} was quarantined", 0,
-                    "degraded", cell=node.cell,
-                )
-        else:
-            if state.record_sim_failure(task.workload):
-                _drop_degraded_pending(task.workload)
+    def failed(task: _TaskState, error: Exception | str) -> None:
+        task.attempts += 1
+        if state.attempt_failed(task.node, task.attempts, error):
+            telemetry.tasks_queued += 1
+            dispatch(task)
 
-    def _drop_degraded_pending(workload: str) -> None:
-        """Skip every not-yet-running sim of a freshly degraded workload."""
-        for node in waiting.pop(workload, []):
-            state.skip_degraded(node)
-        keep: list[_TaskState] = []
-        for queued in probe_queue:
-            if queued.kind == "sim" and queued.workload == workload:
-                telemetry.tasks_queued = max(0, telemetry.tasks_queued - 1)
-                state.quarantine(
-                    queued.name, "sim",
-                    f"workload {workload} is DEGRADED: "
-                    f"{state.degraded[workload]}",
-                    queued.attempts, "degraded", cell=queued.cell,
-                )
-            else:
-                keep.append(queued)
-        probe_queue[:] = keep
-
-    def make_sim_state(node: SimNode) -> _TaskState:
+    def make_sim_state(node: SimNode, key: str) -> _TaskState:
         spec = inject.get(node.cell)
         counter = None
         if spec is not None:
@@ -550,46 +544,27 @@ def _run_pool(
                           f"inject-{short_digest(*node.cell)}.count")
         payload = SimTaskPayload(
             node=node,
-            config=plan.config,
+            config=state.plan.config,
             trace_dir=str(trace_root),
             inject=spec,
             inject_counter_path=counter,
         )
-        return _TaskState("sim", node.name, node.workload, node.cell,
-                          payload, execute_sim_task)
+        return _TaskState(node, key, payload, execute_sim_task)
 
     def complete(task: _TaskState, outcome) -> None:
-        if task.kind == "trace":
-            _count_trace(telemetry, outcome.source)
-            telemetry.task_finished(task.name, "trace", outcome.seconds,
-                                    task.attempts + 1)
-            state.journal_trace_done(task.name)
-            for node in waiting.pop(task.workload, []):
-                dispatch(make_sim_state(node))
-        else:
-            telemetry.sims_run += 1
-            telemetry.task_finished(task.name, "sim", outcome.seconds,
-                                    task.attempts + 1)
-            result = outcome.result
-            results[task.cell] = result
-            if cache is not None:
-                cache.put(sim_keys[task.cell], result)
-            if state.journal is not None:
-                state.journal.task_done(task.name, "sim", cell=task.cell,
-                                        key=sim_keys[task.cell],
-                                        source="run")
-            if progress is not None:
-                progress(*task.cell)
-        faults.check("task-done")
+        if isinstance(task.node, SimNode):
+            state.sim_done(task.node, task.key, outcome.result,
+                           outcome.seconds, task.attempts + 1)
+            return
+        state.trace_done(task.node, outcome.source, outcome.seconds,
+                         task.attempts + 1)
+        for node, key in state.pending.pop(task.node.workload, []):
+            dispatch(make_sim_state(node, key))
 
-    telemetry.task_queued(len(groups) + len(misses))
-    for workload in groups:
-        node = plan.trace_nodes[workload]
+    for workload in state.pending:
+        node = state.plan.trace_nodes[workload]
         payload = TraceTaskPayload(node=node, trace_dir=str(trace_root))
-        task = _TaskState("trace", node.name, workload, None, payload,
-                          execute_trace_task)
-        submit(task)
-        active.append(task)
+        submit(_TaskState(node, None, payload, execute_trace_task))
 
     try:
         while active or probe_queue:
@@ -597,9 +572,10 @@ def _run_pool(
                 # Pump the serial probe: exactly one suspect in flight,
                 # so a pool break now has an unambiguous culprit.
                 task = probe_queue.pop(0)
+                if skipped(task):
+                    continue
                 _probing[0] = True
                 submit(task)
-                active.append(task)
 
             futures = {task.future: task for task in active}
             done, _ = wait(list(futures), timeout=0.25,
@@ -612,35 +588,15 @@ def _run_pool(
                 except CancelledError:
                     pool_broke = True
                     continue
-                if error is None:
-                    active.remove(task)
-                    _probing[0] = False
-                    complete(task, future.result())
-                elif WorkerPool.is_pool_failure(error):
+                if error is not None and WorkerPool.is_pool_failure(error):
                     pool_broke = True
+                    continue
+                active.remove(task)
+                _probing[0] = False
+                if error is None:
+                    complete(task, future.result())
                 else:
-                    active.remove(task)
-                    _probing[0] = False
-                    telemetry.task_failed_attempt()
-                    task.attempts += 1
-                    error_kind = classify_error(error)
-                    if (error_kind is ErrorKind.PERMANENT
-                            or task.attempts > options.max_retries):
-                        quarantine(task, str(error), error_kind.value)
-                    elif (task.kind == "sim"
-                          and task.workload in state.degraded):
-                        state.quarantine(
-                            task.name, "sim",
-                            f"workload {task.workload} is DEGRADED: "
-                            f"{state.degraded[task.workload]}",
-                            task.attempts, "degraded", cell=task.cell,
-                        )
-                    else:
-                        telemetry.retries += 1
-                        time.sleep(options.retry_backoff
-                                   * (2 ** (task.attempts - 1)))
-                        telemetry.tasks_queued += 1
-                        dispatch(task)
+                    failed(task, error)
 
             if pool_broke:
                 # A worker died and every outstanding future died with
@@ -652,16 +608,7 @@ def _run_pool(
                     # probe): attribution is exact, so charge it.
                     task = active.pop()
                     _probing[0] = False
-                    telemetry.task_failed_attempt()
-                    task.attempts += 1
-                    if task.attempts > options.max_retries:
-                        quarantine(task, "worker process died", "poisoned")
-                    else:
-                        telemetry.retries += 1
-                        time.sleep(options.retry_backoff
-                                   * (2 ** (task.attempts - 1)))
-                        telemetry.tasks_queued += 1
-                        probe_queue.insert(0, task)
+                    failed(task, "worker process died")
                 else:
                     # Several tasks were in flight, so the culprit is
                     # unknown; move them all — uncharged — to the probe
@@ -670,7 +617,7 @@ def _run_pool(
                         telemetry.task_failed_attempt()
                         telemetry.tasks_queued += 1
                     probe_queue[:0] = active
-                    active = []
+                    active.clear()
                 continue
 
             if options.timeout is not None and active:
@@ -686,22 +633,16 @@ def _run_pool(
                     telemetry.timeouts += len(expired)
                     pool.restart()
                     _probing[0] = False
-                    pending = active
-                    active = []
+                    pending = list(active)
+                    active.clear()
                     for task in pending:
-                        telemetry.task_failed_attempt()
                         if task in expired:
-                            task.attempts += 1
-                            if task.attempts > options.max_retries:
-                                quarantine(
-                                    task,
-                                    f"timed out after {options.timeout:.1f}s",
-                                    "poisoned",
-                                )
-                                continue
-                            telemetry.retries += 1
-                        telemetry.tasks_queued += 1
-                        dispatch(task)
+                            failed(task, f"timed out after "
+                                         f"{options.timeout:.1f}s")
+                        else:
+                            telemetry.task_failed_attempt()
+                            telemetry.tasks_queued += 1
+                            dispatch(task)
     finally:
         if shared_pool is None:
             pool.shutdown()

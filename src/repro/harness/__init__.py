@@ -24,7 +24,7 @@ from repro.harness.registry import (
     PREFETCHER_FACTORIES,
     make_prefetcher,
 )
-from repro.harness.runner import GridRunner, run_grid
+from repro.harness.runner import GridRunner
 from repro.harness.report import format_table, format_percent_table
 from repro.harness.export import write_csv, write_json
 from repro.harness import experiments
@@ -34,7 +34,6 @@ __all__ = [
     "PAPER_PREFETCHER_ORDER",
     "make_prefetcher",
     "GridRunner",
-    "run_grid",
     "format_table",
     "format_percent_table",
     "write_json",

@@ -22,10 +22,7 @@ from repro.analysis.workingsets import (
 )
 from repro.core.cbws import differential
 from repro.core.predictor import CbwsConfig
-from repro.harness.registry import (
-    PAPER_PREFETCHER_ORDER,
-    make_cbws_variant,
-)
+from repro.harness.registry import PAPER_PREFETCHER_ORDER
 from repro.harness.report import format_percent_table, format_table
 from repro.harness.runner import GridRunner
 from repro.metrics.aggregate import ResultGrid, arithmetic_mean
@@ -500,17 +497,16 @@ def _run_ablation(
     runner: GridRunner,
     parameter: str,
     values: list[int],
-    make_config,
     workloads: list[str],
 ) -> AblationResult:
+    names = [f"cbws[{parameter}={value}]" for value in values]
+    grid = runner.run_grid(workloads, names)
     result = AblationResult(parameter=parameter, values=values)
     for workload in workloads:
-        result.ipc[workload] = {}
-        for value in values:
-            prefetcher = make_cbws_variant(make_config(value))
-            sim = runner.run_one(workload, f"cbws[{parameter}={value}]",
-                                 prefetcher=prefetcher)
-            result.ipc[workload][value] = sim.ipc
+        result.ipc[workload] = {
+            value: grid.get(workload, name).ipc
+            for value, name in zip(values, names)
+        }
     return result
 
 
@@ -523,16 +519,12 @@ def ablation_history_depth(
 ) -> AblationResult:
     """Sweep the number of predecessor CBWSs / prediction steps
     (Section IV-C: "a history of 4 differentials provides sufficient
-    performance")."""
+    performance").  ``predict_steps`` follows ``max_step`` up to the
+    default 4 (see :func:`repro.harness.registry.make_prefetcher`)."""
     runner = runner or GridRunner()
     values = values or [1, 2, 4]
-    return _run_ablation(
-        runner,
-        "max_step",
-        values,
-        lambda v: CbwsConfig(max_step=v, predict_steps=v),
-        ABLATION_WORKLOADS,
-    )
+    return _run_ablation(runner, "max_step", values,
+                         ABLATION_WORKLOADS)
 
 
 def ablation_table_size(
@@ -543,13 +535,8 @@ def ablation_table_size(
     16 entries are "too small" for fft/streamcluster)."""
     runner = runner or GridRunner()
     values = values or [4, 16, 64]
-    return _run_ablation(
-        runner,
-        "table_entries",
-        values,
-        lambda v: CbwsConfig(table_entries=v),
-        ABLATION_WORKLOADS,
-    )
+    return _run_ablation(runner, "table_entries", values,
+                         ABLATION_WORKLOADS)
 
 
 def ablation_vector_members(
@@ -561,13 +548,8 @@ def ablation_vector_members(
     not justified" for the rest of the suite)."""
     runner = runner or GridRunner()
     values = values or [8, 16, 32]
-    return _run_ablation(
-        runner,
-        "max_vector_members",
-        values,
-        lambda v: CbwsConfig(max_vector_members=v),
-        ["401.bzip2-source", "stencil-default", "sgemm-medium"],
-    )
+    return _run_ablation(runner, "max_vector_members", values,
+                         ["401.bzip2-source", "stencil-default", "sgemm-medium"])
 
 
 # ---------------------------------------------------------------------------

@@ -6,24 +6,23 @@ runner gets each workload's trace from the trace store
 (:mod:`repro.exec.traces`): a bounded process-wide in-memory LRU, and
 trace files under ``cache_dir`` that survive processes.
 
-Grid execution itself delegates to :mod:`repro.exec` whenever
-parallelism (``jobs != 1``) or a result cache is configured: the grid
-becomes a task DAG on a multiprocessing pool with content-addressed
-result caching and fault-tolerant workers.  With ``jobs=1`` and no
-result cache the historical in-process loop runs unchanged.
+Every grid cell runs through :func:`repro.exec.scheduler.execute_grid`:
+the grid becomes a task DAG with bounded retries and quarantine, plus,
+given a ``cache_dir``, a content-addressed result cache and a run
+journal.  ``jobs=1`` runs it in-process; more jobs fan out to a worker
+pool.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.common.errors import ExecError
 from repro.metrics.aggregate import ResultGrid
-from repro.prefetchers.base import Prefetcher
 from repro.sim.config import REDUCED_CONFIG, SimConfig
-from repro.sim.engine import simulate
 from repro.sim.results import SimResult
 from repro.trace.stream import Trace
 
@@ -38,17 +37,16 @@ class GridRunner:
             tests use small fractions for fast, structurally identical
             runs.
         seed: workload data seed.
-        cache_dir: optional directory for on-disk trace caching (also
-            the default home of the result cache and execution stats).
+        cache_dir: optional directory for trace files, the result cache,
+            run journals and execution stats.  Without it a grid run
+            writes no file.
         jobs: default worker processes for :meth:`run_grid`; ``1`` (the
             default) runs in-process, ``None`` uses ``os.cpu_count()``.
-        result_cache: the content-addressed simulation-result cache.
-            ``None`` (default) enables it under ``cache_dir/results``
-            when ``cache_dir`` is set; ``False`` disables it; a path
-            uses that directory directly.
+        result_cache: keep simulation results in the content-addressed
+            cache under ``cache_dir/results`` (when ``cache_dir`` is set).
         exec_options: base :class:`repro.exec.ExecOptions` (timeout,
-            retry policy, breaker threshold) for delegated grid runs;
-            ``jobs`` above wins.
+            retry policy, breaker threshold) for grid runs; ``jobs``
+            above wins.
         run_id: explicit identifier for the write-ahead run journal
             (default: a fresh timestamped id per grid run).  Journals
             live under ``cache_dir/runs/<run_id>/journal.jsonl`` and are
@@ -57,9 +55,9 @@ class GridRunner:
             cells replay through the result cache and its quarantine /
             degradation decisions carry forward.  The resumed journal's
             fingerprint must match this runner's grid request.
-        strict: raise :class:`ExecError` when any cell is quarantined
-            (the historical behaviour).  The default is lenient: the
-            grid completes with explicit DEGRADED holes.
+        strict: raise :class:`ExecError` when any cell is quarantined.
+            The default is lenient: the grid completes with explicit
+            DEGRADED holes.
     """
 
     def __init__(
@@ -70,7 +68,7 @@ class GridRunner:
         seed: int = 0,
         cache_dir: str | Path | None = None,
         jobs: int | None = 1,
-        result_cache: bool | str | Path | None = None,
+        result_cache: bool = True,
         exec_options: "object | None" = None,
         run_id: str | None = None,
         resume: str | None = None,
@@ -89,17 +87,12 @@ class GridRunner:
         #: id of the most recent journaled grid run (for reporting).
         self.last_run_id: str | None = None
         self._grid_runs = 0
-        if result_cache is False:
-            self._result_cache_root: Path | None = None
-        elif result_cache in (None, True):
-            self._result_cache_root = (
-                self.cache_dir / "results"
-                if self.cache_dir is not None else None
-            )
-        else:
-            self._result_cache_root = Path(result_cache)
-        # Simulations are deterministic, so registry-built grid cells are
-        # memoized: experiments sharing a runner reuse each other's cells.
+        self._result_cache_root = (
+            self.cache_dir / "results"
+            if result_cache and self.cache_dir is not None else None
+        )
+        # Simulations are deterministic, so grid cells are memoized:
+        # experiments sharing a runner reuse each other's cells.
         self._results: dict[tuple[str, str], SimResult] = {}
 
     # -- traces ------------------------------------------------------------
@@ -115,30 +108,18 @@ class GridRunner:
 
     # -- simulation ---------------------------------------------------------
 
-    def run_one(
-        self,
-        workload: str,
-        prefetcher_name: str,
-        prefetcher: Prefetcher | None = None,
-    ) -> SimResult:
-        """Simulate one grid cell with a fresh prefetcher instance."""
-        from repro.harness.registry import make_prefetcher
+    def run_one(self, workload: str, prefetcher_name: str) -> SimResult:
+        """Simulate one grid cell: a one-cell :meth:`run_grid`.
 
-        if prefetcher is None:
-            key = (workload, prefetcher_name)
-            cached = self._results.get(key)
-            if cached is not None:
-                return cached
-            result = simulate(
-                self.config, make_prefetcher(prefetcher_name),
-                self.trace(workload),
+        Raises :class:`ExecError` when the cell is quarantined.
+        """
+        result = self.run_grid([workload], [prefetcher_name]).get(
+            workload, prefetcher_name)
+        if result.degraded:
+            raise ExecError(
+                f"cell {workload}:{prefetcher_name} was quarantined; see "
+                "`repro exec-stats` for the quarantine report"
             )
-            result.prefetcher = prefetcher_name
-            self._results[key] = result
-            return result
-
-        result = simulate(self.config, prefetcher, self.trace(workload))
-        result.prefetcher = prefetcher_name
         return result
 
     def run_grid(
@@ -159,43 +140,17 @@ class GridRunner:
         identical grid; parallel runs and cache replays differ only in
         wall time.
         """
-        effective_jobs = jobs if jobs is not None else self.jobs
-        if effective_jobs is None:
-            effective_jobs = os.cpu_count() or 1
-        if effective_jobs <= 1 and self._result_cache_root is None:
-            # The historical in-process loop.
-            results: list[SimResult] = []
-            for workload in workloads:
-                for name in prefetchers:
-                    if progress is not None:
-                        progress(workload, name)
-                    results.append(self.run_one(workload, name))
-            return ResultGrid(results)
-        return self._run_grid_exec(workloads, prefetchers, effective_jobs,
-                                   progress)
-
-    def _run_grid_exec(
-        self,
-        workloads: Sequence[str],
-        prefetchers: Sequence[str],
-        jobs: int,
-        progress: Callable[[str, str], None] | None,
-    ) -> ResultGrid:
         from repro.exec import ExecOptions, GridPlan, ResultCache
-        from repro.exec import journal as journal_module
         from repro.exec.scheduler import execute_grid, quarantine_report
 
+        jobs = jobs if jobs is not None else self.jobs
+        if jobs is None:
+            jobs = os.cpu_count() or 1
         cells = [(w, p) for w in workloads for p in prefetchers]
         todo = [cell for cell in cells if cell not in self._results]
         if todo:
-            base = self.exec_options or ExecOptions()
-            options = ExecOptions(
-                jobs=jobs,
-                timeout=base.timeout,
-                max_retries=base.max_retries,
-                retry_backoff=base.retry_backoff,
-                breaker_threshold=base.breaker_threshold,
-            )
+            options = dataclasses.replace(self.exec_options or ExecOptions(),
+                                          jobs=jobs)
             plan = GridPlan(todo, self.scale, self.budget_fraction,
                             self.seed, self.config)
             cache = (ResultCache(self._result_cache_root)
@@ -208,7 +163,8 @@ class GridRunner:
                     cache=cache,
                     trace_dir=self.cache_dir,
                     progress=progress,
-                    stats_path=self._stats_path(),
+                    stats_path=(self.cache_dir / "exec-stats.json"
+                                if self.cache_dir is not None else None),
                     journal=journal,
                     carried=carried,
                 )
@@ -246,22 +202,23 @@ class GridRunner:
     def _open_journal(
         self, cells: list[tuple[str, str]], jobs: int
     ) -> tuple["object | None", "object | None", str | None]:
-        """(journal, carried replay, run id) for one delegated grid run.
+        """(journal, carried replay, run id) for one grid run.
 
-        Journals need a durable home: without a cache directory (or a
-        result-cache root to sit next to) no journal is written and
-        ``resume`` is an error.  The fingerprint check makes resuming a
-        journal into a *different* grid request fail loudly instead of
-        silently mixing results.
+        Journals need a durable home: without a cache directory no
+        journal is written and ``resume`` is an error.  The fingerprint
+        check makes resuming a journal into a *different* grid request
+        fail loudly instead of silently mixing results.
         """
         from repro.exec.journal import (
+            RUNS_DIRNAME,
             RunJournal,
             load_run,
             new_run_id,
             run_fingerprint,
         )
 
-        runs_root = self._runs_root()
+        runs_root = (self.cache_dir / RUNS_DIRNAME
+                     if self.cache_dir is not None else None)
         fingerprint = run_fingerprint(
             cells, self.scale, self.budget_fraction, self.seed, self.config
         )
@@ -301,44 +258,6 @@ class GridRunner:
             jobs=jobs,
         )
         return journal, None, run_id
-
-    def _runs_root(self) -> Path | None:
-        from repro.exec.journal import RUNS_DIRNAME
-
-        if self.cache_dir is not None:
-            return self.cache_dir / RUNS_DIRNAME
-        if self._result_cache_root is not None:
-            return self._result_cache_root.parent / RUNS_DIRNAME
-        return None
-
-    def _stats_path(self) -> Path | None:
-        if self.cache_dir is not None:
-            return self.cache_dir / "exec-stats.json"
-        if self._result_cache_root is not None:
-            return self._result_cache_root / "exec-stats.json"
-        return None
-
-
-def run_grid(
-    workloads: Sequence[str],
-    prefetchers: Sequence[str],
-    config: SimConfig = REDUCED_CONFIG,
-    scale: float = 1.0,
-    budget_fraction: float = 1.0,
-    seed: int = 0,
-    jobs: int | None = 1,
-    cache_dir: str | Path | None = None,
-) -> ResultGrid:
-    """One-shot convenience wrapper around :class:`GridRunner`."""
-    runner = GridRunner(
-        config=config,
-        scale=scale,
-        budget_fraction=budget_fraction,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-    )
-    return runner.run_grid(workloads, prefetchers)
 
 
 def clear_trace_cache() -> None:

@@ -45,11 +45,6 @@ class DemandInfo:
         self.l1_hit = l1_hit
         self.l2_hit = l2_hit
 
-    @property
-    def was_miss(self) -> bool:
-        """True when the access missed the whole hierarchy."""
-        return not self.l1_hit and not self.l2_hit
-
     def _key(self) -> tuple:
         return (self.pc, self.line, self.address, self.is_write,
                 self.l1_hit, self.l2_hit)

@@ -21,10 +21,8 @@ column         MEMORY      BLOCK_BEGIN  BLOCK_END
 
 The columns are exact: :meth:`EventColumns.iter_events` (the
 compatibility iterator) materializes the original event objects on
-demand, and ``columns(trace).iter_events()`` round-trips equal to
-``trace.events``.  Zero-copy views over the raw buffers are available
-via :meth:`EventColumns.views` for consumers that want ``memoryview``
-slicing (e.g. chunked serialization) instead of Python-level indexing.
+demand, and ``trace.columns().iter_events()`` round-trips equal to
+``trace.events``.
 """
 
 from __future__ import annotations
@@ -85,18 +83,3 @@ class EventColumns:
                 yield BlockBegin(icount, payload)
             else:
                 yield BlockEnd(icount, payload)
-
-    def views(self) -> dict[str, memoryview]:
-        """Zero-copy ``memoryview``s over the raw column buffers."""
-        return {
-            "kinds": memoryview(self.kinds),
-            "icounts": memoryview(self.icounts),
-            "pcs": memoryview(self.pcs),
-            "payloads": memoryview(self.payloads),
-            "writes": memoryview(self.writes),
-        }
-
-
-def columns_of(events: Sequence[TraceEvent]) -> EventColumns:
-    """Build :class:`EventColumns` from an event list."""
-    return EventColumns(events)

@@ -7,7 +7,7 @@ from typing import Callable
 
 from repro import obs
 from repro.common.errors import WorkloadError
-from repro.ir.interp import ExecutionLimits, run_kernel
+from repro.ir.interp import ExecutionLimits
 from repro.ir.nodes import Kernel
 from repro.passes.annotate import annotate_tight_loops
 from repro.trace.stream import Trace
@@ -54,7 +54,6 @@ def build_trace(
     scale: float = 1.0,
     max_accesses: int | None = None,
     seed: int = 0,
-    backend: str = "compiled",
 ) -> Trace:
     """Build, annotate, execute, and validate one workload trace.
 
@@ -62,14 +61,15 @@ def build_trace(
     compile the kernel (validate + number PCs), run the tight-loop
     annotation pass, and execute it to produce the commit-order trace.
 
-    ``backend`` selects the execution engine: ``"compiled"`` (the
-    lowering backend, default) or ``"interp"`` (the reference tree
-    walker).  Both produce identical traces.
+    The kernel runs on the compiled backend
+    (:func:`repro.ir.compile.run_kernel_compiled`); the tree-walking
+    interpreter (:func:`repro.ir.interp.run_kernel`) produces the same
+    trace and serves as the tests' reference.
 
     ``ext:`` workloads short-circuit the pipeline: their trace was
     fixed at ingest time, so this loads it from the ingest store
-    (truncated to the access budget) — ``seed`` and ``backend`` have
-    no effect on externally recorded content.
+    (truncated to the access budget) — ``seed`` has no effect on
+    externally recorded content.
     """
     if spec.group == "ext":
         from repro.ingest.store import IngestStore
@@ -89,16 +89,9 @@ def build_trace(
             spec.default_accesses * scale
         )
         limits = ExecutionLimits(max_memory_accesses=budget)
-        if backend == "compiled":
-            from repro.ir.compile import run_kernel_compiled
+        from repro.ir.compile import run_kernel_compiled
 
-            trace = run_kernel_compiled(kernel, seed=seed, limits=limits)
-        elif backend == "interp":
-            trace = run_kernel(kernel, seed=seed, limits=limits)
-        else:
-            raise WorkloadError(
-                f"unknown trace backend {backend!r}; use 'compiled' or 'interp'"
-            )
+        trace = run_kernel_compiled(kernel, seed=seed, limits=limits)
         trace.validate()
         if not any(True for _ in trace.memory_events()):
             raise WorkloadError(f"{spec.name}: produced an empty trace")

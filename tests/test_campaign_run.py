@@ -11,10 +11,12 @@ from repro.campaign.runner import (
     run_campaign,
 )
 from repro.campaign.spec import SPEC_VERSION, parse_spec
+from repro.cli import main
 from repro.common.errors import CampaignError, InjectedCrash
 from repro.exec import faults
 from repro.exec.cache import ResultCache
 from repro.exec.faults import parse_fault_plan
+from repro.exec.scheduler import ExecOptions
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +113,24 @@ class TestRun:
         assert [row["campaign_id"] for row in rows] == ["one"]
         assert rows[0]["status"] == "complete"
         assert rows[0]["cells_done"] == rows[0]["cells_planned"] == 10
+
+    def test_traces_share_the_cache_dir_and_verify(self, fresh_trace_cache,
+                                                   tmp_path, capsys):
+        run_campaign(tiny_spec(), tmp_path)
+        capsys.readouterr()
+        trace_files = sorted(tmp_path.glob("*.trace"))
+        assert [path.name[:3] for path in trace_files] == ["nw-"]
+        assert not (tmp_path / "traces").exists()
+        assert main(["verify-artifacts", "--cache-dir", str(tmp_path)]) == 0
+
+        trace_files[0].write_bytes(b"garbage")
+        assert main(["verify-artifacts", "--cache-dir", str(tmp_path)]) == 1
+        assert str(trace_files[0]) in capsys.readouterr().err
+
+    def test_caller_options_are_not_mutated(self, tmp_path):
+        options = ExecOptions(jobs=4, max_retries=1)
+        run_campaign(tiny_spec(), tmp_path, jobs=1, options=options)
+        assert options == ExecOptions(jobs=4, max_retries=1)
 
 
 class TestResume:

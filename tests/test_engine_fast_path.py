@@ -20,7 +20,6 @@ from repro.memory.hierarchy import HierarchyConfig
 from repro.prefetchers.ghb import _GLOBAL_KEY, GhbConfig, GhbPrefetcher
 from repro.sim.config import REDUCED_CONFIG, CoreConfig, SimConfig
 from repro.sim.engine import SimulationEngine, simulate
-from repro.trace.columnar import EventColumns
 from repro.workloads.base import build_trace, get_workload
 
 EQUIV_WORKLOADS = [
@@ -139,12 +138,6 @@ class TestColumnarTrace:
     def test_columns_cached(self):
         trace = _trace("stencil-default", budget=1000)
         assert trace.columns() is trace.columns()
-
-    def test_views_are_zero_copy(self):
-        columns = EventColumns(_trace("stencil-default", budget=1000).events)
-        views = columns.views()
-        assert views["icounts"].obj is columns.icounts
-        assert len(views["kinds"]) == len(columns)
 
 
 class TestGhbIncrementalMatcher:

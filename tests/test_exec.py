@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import _runner, build_parser, main
+from repro.common.errors import TransientError
 from repro.exec import (
     ExecOptions,
     GridPlan,
@@ -24,6 +25,7 @@ from repro.exec import traces
 from repro.exec.keys import canonicalize, sim_key
 from repro.exec.scheduler import execute_grid
 from repro.exec.telemetry import ExecTelemetry, PROCESS_COUNTERS, load_stats
+from repro.harness import experiments
 from repro.harness.registry import EXTENDED_PREFETCHER_ORDER
 from repro.harness.report import format_exec_stats
 from repro.harness.runner import GridRunner, clear_trace_cache
@@ -426,12 +428,45 @@ class TestRunnerWiring:
         path.write_bytes(path.read_bytes()[:100])
         assert rerun() == (1, 0, 1)  # corrupt rebuild
 
-    def test_no_result_cache_keeps_legacy_path(self, fresh_trace_cache):
-        marker = telemetry_module.LAST_RUN = None
+    def test_uncached_serial_grid_runs_through_exec_engine(
+            self, fresh_trace_cache, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        telemetry_module.LAST_RUN = None
         grid = GridRunner(budget_fraction=0.02).run_grid(["nw"], ["stride"])
         assert grid.get("nw", "stride").prefetcher == "stride"
-        # jobs=1 with no cache never touches the exec scheduler.
-        assert telemetry_module.LAST_RUN is marker
+        assert telemetry_module.LAST_RUN.sims_run == 1
+        # With no cache directory nothing is written anywhere.
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serial_trace_build_retries_transient_error(
+            self, fresh_trace_cache, monkeypatch):
+        real_get_trace = traces.get_trace
+        calls = []
+
+        def flaky(node, directory=None):
+            calls.append(node.workload)
+            if len(calls) == 1:
+                raise TransientError("injected trace-store hiccup")
+            return real_get_trace(node, directory)
+
+        monkeypatch.setattr(traces, "get_trace", flaky)
+        runner = GridRunner(budget_fraction=0.02,
+                            exec_options=ExecOptions(retry_backoff=0.0))
+        grid = runner.run_grid(["nw"], ["stride"])
+        telemetry = telemetry_module.LAST_RUN
+        assert telemetry.retries == 1
+        assert telemetry.degraded == [] and telemetry.quarantined == []
+        assert not grid.get("nw", "stride").degraded
+
+    def test_ablation_replays_from_warm_cache(self, fresh_trace_cache,
+                                              tmp_path):
+        cold = experiments.ablation_table_size(
+            GridRunner(budget_fraction=0.02, cache_dir=tmp_path))
+        telemetry_module.LAST_RUN = None
+        warm = experiments.ablation_table_size(
+            GridRunner(budget_fraction=0.02, cache_dir=tmp_path))
+        assert telemetry_module.LAST_RUN.sims_run == 0
+        assert warm.render() == cold.render()
 
 
 class TestCliExec:

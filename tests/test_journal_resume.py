@@ -204,13 +204,37 @@ class TestResume:
         with pytest.raises(JournalError, match="different grid"):
             other.run_grid(WORKLOADS, PREFETCHERS)
 
-    def test_resume_needs_a_cache_dir(self, fresh_trace_cache, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_needs_a_cache_dir(self, fresh_trace_cache, tmp_path,
+                                      jobs):
         from repro.common.errors import ExecError
 
-        runner = GridRunner(budget_fraction=0.02, jobs=2, resume="r1",
+        runner = GridRunner(budget_fraction=0.02, jobs=jobs, resume="r1",
                             result_cache=False)
         with pytest.raises(ExecError, match="cache directory"):
             runner.run_grid(WORKLOADS, PREFETCHERS)
+
+    def test_resume_of_unknown_run_refused_without_result_cache(
+            self, fresh_trace_cache, tmp_path):
+        runner = GridRunner(budget_fraction=0.02, jobs=1, cache_dir=tmp_path,
+                            result_cache=False, resume="no-such-run")
+        with pytest.raises(JournalError, match="known runs"):
+            runner.run_grid(WORKLOADS, PREFETCHERS)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_task_done_fires_after_simulations_only(self, fresh_trace_cache,
+                                                    tmp_path, jobs):
+        # The first completed task at jobs>1 is the trace build; the
+        # fault site must still count the first completed simulation.
+        faults.install(FaultSpec(site="task-done", kind="crash", at=1))
+        runner = GridRunner(budget_fraction=0.02, jobs=jobs,
+                            cache_dir=tmp_path, run_id="r1")
+        with pytest.raises(InjectedCrash):
+            runner.run_grid(WORKLOADS, PREFETCHERS)
+        faults.deactivate()
+        state = load_run(tmp_path / RUNS_DIRNAME, "r1")
+        assert state.describe_status() == "interrupted"
+        assert len(state.completed) == 1
 
     def test_list_runs_summarizes(self, fresh_trace_cache, tmp_path):
         runner = GridRunner(budget_fraction=0.02, jobs=1,
