@@ -13,7 +13,7 @@ where the competitor ranking flips, and emits a schema-versioned
 Module map:
 
 ``spec``     the sweep-spec language (axes, combinators, constraints)
-``cells``    campaign cells: parameter application + config resolution
+``cells``    campaign cells: parameter application, one SimNode per cell
 ``planner``  spec -> unique content-addressed cells, cache dedup
 ``refine``   winner-flip / gradient interval subdivision
 ``runner``   journaled wave execution, resume, grid + serve backends
@@ -21,7 +21,7 @@ Module map:
 ``bench``    planner/journal overhead benchmark (BENCH_campaign.json)
 """
 
-from repro.campaign.cells import CampaignCell, resolve_cell_config
+from repro.campaign.cells import CampaignCell
 from repro.campaign.planner import CampaignPlan, plan_campaign
 from repro.campaign.runner import CampaignOutcome, run_campaign
 from repro.campaign.spec import Axis, CampaignSpec, load_spec, parse_spec
@@ -35,6 +35,5 @@ __all__ = [
     "load_spec",
     "parse_spec",
     "plan_campaign",
-    "resolve_cell_config",
     "run_campaign",
 ]

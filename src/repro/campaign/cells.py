@@ -3,10 +3,11 @@
 A *cell* is the atomic unit of a campaign: one fully determined
 simulation — workload, (possibly parametrized) prefetcher name, trace
 identity (scale / budget_fraction / seed), and a sparse set of machine
-overrides.  Cells are content-addressed through the same
-:func:`repro.exec.keys.sim_key` as every other execution path, so a
-campaign cell, a ``repro grid`` cell, and a serve request that describe
-the same simulation share one cache entry.
+overrides.  :meth:`CampaignCell.node` turns a cell into the
+:class:`~repro.exec.plan.SimNode` every execution path runs, and the
+node's ``key`` is the cell's content address — so a campaign cell, a
+``repro run`` cell and a serve request that describe the same
+simulation share one cache entry.
 
 Parameter paths
 ---------------
@@ -21,11 +22,9 @@ one of three groups:
     ``l1_kb``, ``l2_kb``, ``line_size``, ``l1.associativity``,
     ``l1.mshrs``, ``l2.associativity``, ``l2.mshrs``, ``core.*``,
     ``prefetch.*`` — sparse :class:`~repro.sim.config.SimConfig`
-    overrides.  ``l1_kb``/``l2_kb``/``core.*``/``prefetch.*`` resolve
-    with exactly the same ``dataclasses.replace`` semantics as the serve
-    protocol's :meth:`~repro.serve.protocol.SimulateRequest
-    .resolve_config`; the remaining cache-shape paths go beyond what the
-    wire protocol can express (see :func:`serve_inexpressible`).
+    overrides, resolved by :func:`repro.sim.config.resolve_cell_config`
+    exactly like a serve request's.  The cache-shape paths go beyond
+    what the wire protocol can express (see :func:`serve_inexpressible`).
 *prefetcher geometry*
     ``cbws.*``, ``pangloss.*``, ``pythia.*`` — geometry and learning
     knobs of the parametric prefetcher families.  These do not touch
@@ -42,11 +41,11 @@ one of three groups:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.common.errors import CampaignError, ConfigError
+from repro.exec.plan import SimNode, TraceNode
 from repro.harness.registry import (
     CBWS_PARAM_FIELDS,
     PANGLOSS_PARAM_FIELDS,
@@ -56,29 +55,15 @@ from repro.harness.registry import (
     format_param_value,
     parse_prefetcher_name,
 )
-from repro.sim.config import REDUCED_CONFIG, SimConfig
+from repro.sim.config import (
+    CONFIG_PARAMS,
+    REDUCED_CONFIG,
+    SimConfig,
+    resolve_cell_config,
+)
 
 #: Identity (trace-key) parameter paths.
 IDENTITY_PARAMS = frozenset({"scale", "budget_fraction", "seed"})
-
-#: Machine-config parameter paths (sparse SimConfig overrides).
-CONFIG_PARAMS = frozenset({
-    "l1_kb",
-    "l2_kb",
-    "line_size",
-    "l1.associativity",
-    "l1.mshrs",
-    "l2.associativity",
-    "l2.mshrs",
-    "core.width",
-    "core.rob_entries",
-    "core.l1_latency",
-    "core.l2_latency",
-    "core.memory_latency",
-    "prefetch.queue_capacity",
-    "prefetch.issue_interval",
-    "prefetch.max_in_flight",
-})
 
 #: CBWS geometry paths (fold into the prefetcher name).
 CBWS_PARAMS = frozenset(f"cbws.{field}" for field in sorted(CBWS_PARAM_FIELDS))
@@ -131,7 +116,7 @@ class CampaignCell:
         overrides: sorted ``(path, value)`` machine-config overrides.
         coords: sorted ``(axis, value)`` point that produced this cell —
             kept for reporting and refinement, not part of the content
-            key (the resolved config is).
+            key (the resolved config in :meth:`node` is).
         wave: 0 for the initial sweep, ``n`` for refinement wave *n*.
     """
 
@@ -144,16 +129,12 @@ class CampaignCell:
     coords: tuple[tuple[str, Any], ...] = ()
     wave: int = 0
 
-    def key(self, base: SimConfig = REDUCED_CONFIG) -> str:
-        """Content-addressed identity of this cell's result."""
-        from repro.exec.keys import sim_key
-
-        return sim_key(
-            self.workload,
+    def node(self, base: SimConfig = REDUCED_CONFIG) -> SimNode:
+        """The simulation this cell describes over machine ``base``."""
+        return SimNode(
+            TraceNode(self.workload, self.scale, self.budget_fraction,
+                      self.seed),
             self.prefetcher,
-            self.scale,
-            self.budget_fraction,
-            self.seed,
             resolve_cell_config(self.overrides, base),
         )
 
@@ -199,62 +180,6 @@ class CampaignCell:
             raise CampaignError(
                 f"malformed journaled cell {body!r}: {error}"
             ) from None
-
-
-def resolve_cell_config(
-    overrides: tuple[tuple[str, int], ...] | Mapping[str, int],
-    base: SimConfig = REDUCED_CONFIG,
-) -> SimConfig:
-    """Apply sparse config overrides to ``base``.
-
-    ``l1_kb`` / ``l2_kb`` / ``core.*`` / ``prefetch.*`` use the same
-    replace semantics as the serve protocol's ``resolve_config`` — the
-    resolved configs (and therefore the sim keys) are identical for the
-    paths both can express.  Field validation happens in the config
-    dataclasses' own ``__post_init__``.
-    """
-    mapping = dict(overrides)
-    unknown = set(mapping) - CONFIG_PARAMS
-    if unknown:
-        raise CampaignError(
-            f"unknown config override path(s): {', '.join(sorted(unknown))}"
-        )
-    core_fields = {
-        path.split(".", 1)[1]: value
-        for path, value in mapping.items() if path.startswith("core.")
-    }
-    prefetch_fields = {
-        path.split(".", 1)[1]: value
-        for path, value in mapping.items() if path.startswith("prefetch.")
-    }
-    core = (dataclasses.replace(base.core, **core_fields)
-            if core_fields else base.core)
-    prefetch = (dataclasses.replace(base.prefetch, **prefetch_fields)
-                if prefetch_fields else base.prefetch)
-
-    l1_fields: dict[str, int] = {}
-    l2_fields: dict[str, int] = {}
-    if "l1_kb" in mapping:
-        l1_fields["size_bytes"] = mapping["l1_kb"] * 1024
-    if "l2_kb" in mapping:
-        l2_fields["size_bytes"] = mapping["l2_kb"] * 1024
-    if "line_size" in mapping:
-        l1_fields["line_size"] = mapping["line_size"]
-        l2_fields["line_size"] = mapping["line_size"]
-    for path, value in mapping.items():
-        if path.startswith("l1."):
-            l1_fields[path.split(".", 1)[1]] = value
-        elif path.startswith("l2."):
-            l2_fields[path.split(".", 1)[1]] = value
-
-    hierarchy = base.hierarchy
-    if l1_fields:
-        hierarchy = dataclasses.replace(
-            hierarchy, l1=dataclasses.replace(hierarchy.l1, **l1_fields))
-    if l2_fields:
-        hierarchy = dataclasses.replace(
-            hierarchy, l2=dataclasses.replace(hierarchy.l2, **l2_fields))
-    return SimConfig(hierarchy=hierarchy, core=core, prefetch=prefetch)
 
 
 def build_cell(
@@ -403,39 +328,3 @@ def serve_inexpressible(cell: CampaignCell) -> str | None:
             "executor instead"
         )
     return None
-
-
-def cell_request_body(cell: CampaignCell) -> dict[str, Any]:
-    """The ``POST /v1/simulate`` body equivalent to this cell."""
-    reason = serve_inexpressible(cell)
-    if reason is not None:
-        raise CampaignError(reason)
-    from repro.serve.protocol import PROTOCOL_VERSION
-
-    config: dict[str, Any] = {}
-    core: dict[str, int] = {}
-    prefetch: dict[str, int] = {}
-    for path, value in cell.overrides:
-        if path == "l1_kb":
-            config["l1_kb"] = value
-        elif path == "l2_kb":
-            config["l2_kb"] = value
-        elif path.startswith("core."):
-            core[path.split(".", 1)[1]] = value
-        elif path.startswith("prefetch."):
-            prefetch[path.split(".", 1)[1]] = value
-    if core:
-        config["core"] = core
-    if prefetch:
-        config["prefetch"] = prefetch
-    body: dict[str, Any] = {
-        "version": PROTOCOL_VERSION,
-        "workload": cell.workload,
-        "prefetcher": cell.prefetcher,
-        "scale": cell.scale,
-        "budget_fraction": cell.budget_fraction,
-        "seed": cell.seed,
-    }
-    if config:
-        body["config"] = config
-    return body

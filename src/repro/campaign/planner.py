@@ -14,12 +14,12 @@ concrete work of one wave:
    strings).  A spec whose constraints prune *everything* raises
    :class:`~repro.common.errors.SpecError` — an empty campaign is a spec
    bug, not a successful no-op.
-3. **Dedup.**  Cells are content-addressed by
-   :func:`~repro.exec.keys.sim_key`; candidates resolving to a key
-   already planned collapse into it.  This is what makes a cbws-geometry
-   axis free for the ``sms`` baseline (every point resolves to the same
-   simulation) and what makes re-running an overlapping spec compute
-   only the delta.
+3. **Dedup.**  Each cell is content-addressed by the ``key`` of its
+   :class:`~repro.exec.plan.SimNode`, computed once; candidates
+   resolving to a key already planned collapse into it.  This is what
+   makes a cbws-geometry axis free for the ``sms`` baseline (every point
+   resolves to the same simulation) and what makes re-running an
+   overlapping spec compute only the delta.
 4. **Cache partition.**  When a result cache is supplied, the planner
    reports which unique keys are already present — pure bookkeeping
    (the executor probes the cache again authoritatively), surfaced so
@@ -43,6 +43,7 @@ from repro.campaign.cells import CampaignCell, baseline_params, build_cell
 from repro.campaign.spec import Axis, CampaignSpec
 from repro.common.errors import SpecError
 from repro.exec.cache import ResultCache
+from repro.exec.plan import SimNode
 from repro.sim.config import REDUCED_CONFIG, SimConfig
 
 
@@ -69,6 +70,7 @@ class CampaignPlan:
 
     Attributes:
         cells: unique cells to execute, in deterministic expansion order.
+        nodes: ``nodes[i]`` is the simulation of ``cells[i]``.
         samples: every unpruned candidate (including key-duplicates).
         candidates: expansion size before pruning.
         pruned: candidates removed by constraints.
@@ -77,6 +79,7 @@ class CampaignPlan:
     """
 
     cells: list[CampaignCell] = field(default_factory=list)
+    nodes: list[SimNode] = field(default_factory=list)
     samples: list[CellSample] = field(default_factory=list)
     candidates: int = 0
     pruned: int = 0
@@ -86,6 +89,11 @@ class CampaignPlan:
     @property
     def unique(self) -> int:
         return len(self.cells)
+
+    @property
+    def keys(self) -> list[str]:
+        """The unique cells' content keys, in plan order."""
+        return [node.key for node in self.nodes]
 
     def stats(self) -> dict[str, int]:
         """Deterministic planning counters for journal and report."""
@@ -196,23 +204,21 @@ def plan_wave(
                     wave=wave,
                     base=base,
                 )
-                key = cell.key(base)
+                node = cell.node(base)
                 plan.samples.append(CellSample(
                     workload=cell.workload,
                     prefetcher=cell.prefetcher,
                     coords=cell.coords,
-                    key=key,
+                    key=node.key,
                     wave=wave,
                 ))
-                if key in known_keys or key in wave_keys:
+                if node.key in known_keys or node.key in wave_keys:
                     plan.deduplicated += 1
                     continue
-                wave_keys.add(key)
+                wave_keys.add(node.key)
                 plan.cells.append(cell)
+                plan.nodes.append(node)
     known_keys.update(wave_keys)
     if cache is not None:
-        plan.cached_keys = {
-            cell.key(base) for cell in plan.cells
-            if cache.contains(cell.key(base))
-        }
+        plan.cached_keys = {key for key in plan.keys if cache.contains(key)}
     return plan

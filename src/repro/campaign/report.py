@@ -55,8 +55,7 @@ def build_report(outcome: CampaignOutcome) -> dict[str, Any]:
 
     cells = []
     for plan in outcome.waves:
-        for cell in plan.cells:
-            key = cell.key()
+        for cell, key in zip(plan.cells, plan.keys):
             entry: dict[str, Any] = {
                 "workload": cell.workload,
                 "prefetcher": cell.prefetcher,

@@ -20,14 +20,16 @@ final ``campaign.json`` bit-identical either way.  As a belt-and-braces
 check, a wave whose journaled cell list disagrees with the re-planned
 one (code drift between runs) raises instead of silently mixing results.
 
-**Executors.**  The default grid executor groups a wave's cells by
-shared trace identity + machine config into
-:class:`~repro.exec.plan.GridPlan` batches through
-:func:`~repro.exec.scheduler.execute_grid` (worker pool, retries,
-quarantine, circuit breaker all apply).  The serve executor instead
-drives a running ``repro serve`` endpoint through the blocking client —
-campaigns are the serve tier's first real heavy-traffic workload — and
-honours 429 backpressure by sleeping the server's own ``Retry-After``.
+**Executors.**  The default grid executor runs a wave's
+:class:`~repro.exec.plan.SimNode` list as one
+:class:`~repro.exec.plan.GridPlan` through one
+:func:`~repro.exec.scheduler.execute_grid` call (worker pool, retries,
+quarantine, circuit breaker all apply), whatever mix of trace
+identities and machine configs the wave holds.  The serve executor
+instead drives a running ``repro serve`` endpoint through the blocking
+client — campaigns are the serve tier's first real heavy-traffic
+workload — and honours 429 backpressure by sleeping the server's own
+``Retry-After``.
 """
 
 from __future__ import annotations
@@ -35,15 +37,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro import obs
-from repro.campaign.cells import (
-    CampaignCell,
-    cell_request_body,
-    resolve_cell_config,
-    serve_inexpressible,
-)
+from repro.campaign.cells import serve_inexpressible
 from repro.campaign.planner import (
     CampaignPlan,
     CellSample,
@@ -60,6 +57,7 @@ from repro.exec.journal import (
     new_run_id,
     read_records,
 )
+from repro.exec.plan import GridPlan, SimNode
 from repro.exec.scheduler import ExecOptions, execute_grid
 from repro.sim.config import REDUCED_CONFIG, SimConfig
 from repro.sim.results import SimResult
@@ -311,7 +309,7 @@ def _run_waves(
         plan = plan_campaign(spec, cache=cache, base=base)
 
     while True:
-        keys = [cell.key(base) for cell in plan.cells]
+        keys = plan.keys
         journaled = prior.wave_keys.get(wave)
         if journaled is not None:
             if journaled != keys:
@@ -331,13 +329,12 @@ def _run_waves(
 
         with obs.phase("campaign.execute"):
             if executor == "grid":
-                _execute_wave_grid(plan.cells, keys, outcome, cache,
-                                   cache_dir, journal, base,
+                _execute_wave_grid(plan, outcome, cache, cache_dir, journal,
                                    jobs=jobs, options=options,
                                    wave=wave, progress=progress)
             else:
-                _execute_wave_serve(plan.cells, keys, outcome, cache,
-                                    journal, serve_host, serve_port,
+                _execute_wave_serve(plan, outcome, cache, journal,
+                                    serve_host, serve_port,
                                     wave=wave, progress=progress)
 
         if not spec.refine.enabled or wave + 1 > spec.refine.max_waves:
@@ -361,73 +358,47 @@ def _run_waves(
 
 
 def _execute_wave_grid(
-    cells: list[CampaignCell],
-    keys: list[str],
+    plan: CampaignPlan,
     outcome: CampaignOutcome,
     cache: ResultCache,
     cache_dir: Path,
     journal: RunJournal,
-    base: SimConfig,
     *,
     jobs: int | None,
     options: ExecOptions | None,
     wave: int,
     progress: CampaignProgress | None,
 ) -> None:
-    """Run one wave through the grid engine, grouped by shared plans."""
-    from repro.exec.plan import GridPlan
-
-    groups: dict[tuple, list[tuple[CampaignCell, str]]] = {}
-    for cell, key in zip(cells, keys):
-        identity = (cell.scale, cell.budget_fraction, cell.seed,
-                    cell.overrides)
-        groups.setdefault(identity, []).append((cell, key))
-
-    exec_options = replace(options or ExecOptions(), jobs=jobs)
+    """Run one wave's nodes through the grid engine in one call."""
     done = 0
-    total = len(cells)
-    for identity, members in groups.items():
-        scale, budget_fraction, seed, overrides = identity
-        config = resolve_cell_config(overrides, base)
-        plan = GridPlan(
-            [(cell.workload, cell.prefetcher) for cell, _ in members],
-            scale, budget_fraction, seed, config,
-        )
-        key_by_cell = {
-            (cell.workload, cell.prefetcher): key for cell, key in members
-        }
 
-        def grid_progress(workload: str, prefetcher: str) -> None:
-            nonlocal done
-            done += 1
-            if progress is not None:
-                progress(wave, done, total)
+    def grid_progress(node: SimNode, result: SimResult) -> None:
+        nonlocal done
+        done += 1
+        if progress is not None:
+            progress(wave, done, plan.unique)
 
-        results, telemetry = execute_grid(
-            plan,
-            options=exec_options,
-            cache=cache,
-            trace_dir=cache_dir,
-            journal=journal,
-            progress=grid_progress,
-        )
-        for grid_cell, result in results.items():
-            outcome.results[key_by_cell[grid_cell]] = result
-        for grid_cell, key in key_by_cell.items():
-            if grid_cell not in results:
-                outcome.quarantined_keys.add(key)
-        execution = outcome.execution
-        execution["cache_hits"] = (execution.get("cache_hits", 0)
-                                   + telemetry.cache_hits)
-        execution["sims_run"] = (execution.get("sims_run", 0)
-                                 + telemetry.sims_run)
-        execution["retries"] = (execution.get("retries", 0)
-                                + telemetry.retries)
+    results, telemetry = execute_grid(
+        GridPlan(plan.nodes),
+        options=replace(options or ExecOptions(), jobs=jobs),
+        cache=cache,
+        trace_dir=cache_dir,
+        journal=journal,
+        progress=grid_progress,
+    )
+    for node in plan.nodes:
+        if node in results:
+            outcome.results[node.key] = results[node]
+        else:
+            outcome.quarantined_keys.add(node.key)
+    execution = outcome.execution
+    for counter in ("cache_hits", "sims_run", "retries"):
+        execution[counter] = (execution.get(counter, 0)
+                              + getattr(telemetry, counter))
 
 
 def _execute_wave_serve(
-    cells: list[CampaignCell],
-    keys: list[str],
+    plan: CampaignPlan,
     outcome: CampaignOutcome,
     cache: ResultCache,
     journal: RunJournal,
@@ -450,7 +421,7 @@ def _execute_wave_serve(
     from repro.serve.client import RetryPolicy, ServeClient, ServeClientError
     from repro.serve.protocol import SimulateRequest
 
-    for cell in cells:
+    for cell in plan.cells:
         reason = serve_inexpressible(cell)
         if reason is not None:
             raise CampaignError(
@@ -461,8 +432,7 @@ def _execute_wave_serve(
                          retry=RetryPolicy(max_attempts=8,
                                            max_deadline=600.0))
     done = 0
-    total = len(cells)
-    for cell, key in zip(cells, keys):
+    for cell, key in zip(plan.cells, plan.keys):
         cached = cache.get(key)
         if cached is not None:
             outcome.results[key] = cached
@@ -473,9 +443,16 @@ def _execute_wave_serve(
             )
             done += 1
             if progress is not None:
-                progress(wave, done, total)
+                progress(wave, done, plan.unique)
             continue
-        request = SimulateRequest.from_dict(cell_request_body(cell))
+        request = SimulateRequest(
+            workload=cell.workload,
+            prefetcher=cell.prefetcher,
+            scale=cell.scale,
+            budget_fraction=cell.budget_fraction,
+            seed=cell.seed,
+            overrides=cell.overrides,
+        )
         try:
             view = client.run(request)
         except ServeClientError as error:
@@ -501,7 +478,7 @@ def _execute_wave_serve(
             )
         done += 1
         if progress is not None:
-            progress(wave, done, total)
+            progress(wave, done, plan.unique)
     if client.retries:
         outcome.execution["retries"] = (
             outcome.execution.get("retries", 0) + client.retries)

@@ -14,8 +14,8 @@ scope, so the harness can import it freely.
 
 ============== ==========================================================
 ``keys``       stable content-addressed hashing of task inputs
-``plan``       the task DAG (trace nodes fanning into sim nodes)
-``cache``      on-disk result cache keyed by ``keys.sim_key``
+``plan``       SimNode (the one sim identity + key) and the task DAG
+``cache``      on-disk result cache keyed by ``SimNode.key``
 ``traces``     the trace store: the one trace LRU and the trace files
 ``pool``       worker-side task execution + pool lifecycle
 ``scheduler``  DAG orchestration, retries, quarantine, degradation

@@ -2,12 +2,12 @@
 
 Simulation results are tiny (a few hundred bytes of counters) while the
 work producing them is expensive, so the cache stores one JSON document
-per :func:`repro.exec.keys.sim_key` under a two-level fan-out directory
-(``<root>/<key[:2]>/<key>.json``).  Keys encode every input that can
-change the result — workload spec parameters, SimConfig fields,
-prefetcher name, schema and code versions — so a hit is always safe to
-replay and a re-run of any figure with unchanged inputs is a pure cache
-read.
+per :attr:`repro.exec.plan.SimNode.key` under a two-level fan-out
+directory (``<root>/<key[:2]>/<key>.json``).  Keys encode every input
+that can change the result — workload spec parameters, SimConfig
+fields, canonical prefetcher name, schema and code versions — so a hit
+is always safe to replay and a re-run of any figure with unchanged
+inputs is a pure cache read.
 
 Entry integrity: every document carries a schema version and a SHA-256
 checksum of its canonical result payload.  ``get`` verifies both before

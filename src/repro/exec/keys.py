@@ -125,7 +125,11 @@ def sim_key(
     seed: int,
     config: Any,
 ) -> str:
-    """Content key of one (workload, prefetcher) simulation result."""
+    """Content key of one (workload, prefetcher) simulation result.
+
+    :attr:`repro.exec.plan.SimNode.key` is the one caller; it passes the
+    canonical prefetcher name, so spellings of one geometry share a key.
+    """
     from repro.sim.results import RESULT_SCHEMA_VERSION
 
     return stable_hash(

@@ -1,16 +1,23 @@
-"""The grid task DAG.
+"""The grid task DAG, and the one identity of a simulation.
 
-A grid of C = W x P cells induces a two-level DAG: one
-:class:`TraceNode` per workload (traces are identical for every
-prefetcher, so they are built once) fanning out into one
-:class:`SimNode` per (workload, prefetcher) cell.  The scheduler runs
-trace nodes first and releases each workload's simulation nodes the
-moment its trace lands — there is no global barrier between the levels.
+A :class:`SimNode` is one fully determined simulation: the trace it
+replays (a :class:`TraceNode`), the prefetcher name the caller asked
+for, and the machine config.  Its :attr:`SimNode.key` is the only place
+a result-cache key is made: the grid runner, campaign cells and serve
+requests all build a node and read its key, so a simulation cached by
+one path replays on every other.  The key hashes the canonical
+prefetcher name, so two spellings of one geometry share it.
+
+A :class:`GridPlan` is a list of such nodes; they may differ in trace
+identity and config.  The scheduler runs each distinct trace node first
+and releases its simulation nodes the moment that trace lands — there
+is no global barrier between the levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.exec.keys import sim_key, trace_filename, trace_key
@@ -45,10 +52,15 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class SimNode:
-    """One simulation task; depends on its workload's :class:`TraceNode`."""
+    """One simulation task; depends on its :class:`TraceNode`.
+
+    ``prefetcher`` is the name as the caller spelled it: the result
+    carries that spelling, while :attr:`key` hashes its canonical form.
+    """
 
     trace: TraceNode
     prefetcher: str
+    config: SimConfig
 
     @property
     def workload(self) -> str:
@@ -59,15 +71,18 @@ class SimNode:
         """The (workload, prefetcher) grid coordinates."""
         return (self.trace.workload, self.prefetcher)
 
-    def key(self, config: SimConfig) -> str:
+    @cached_property
+    def key(self) -> str:
         """Content key of the simulation result this node produces."""
+        from repro.harness.registry import canonical_prefetcher_name
+
         return sim_key(
             self.trace.workload,
-            self.prefetcher,
+            canonical_prefetcher_name(self.prefetcher),
             self.trace.scale,
             self.trace.budget_fraction,
             self.trace.seed,
-            config,
+            self.config,
         )
 
     @property
@@ -76,33 +91,19 @@ class SimNode:
 
 
 class GridPlan:
-    """The task DAG for a set of grid cells.
+    """The task DAG for a list of simulation nodes.
 
     Args:
-        cells: (workload, prefetcher) pairs, in the order the final
-            :class:`~repro.metrics.aggregate.ResultGrid` should list them.
-        scale / budget_fraction / seed: trace-build parameters shared by
-            every cell.
-        config: the machine configuration (part of every sim cache key).
+        nodes: the simulations, in the order results are wanted.  They
+            may differ in trace identity and config; nodes replaying one
+            trace share its :class:`TraceNode`.
     """
 
-    def __init__(
-        self,
-        cells: Iterable[tuple[str, str]],
-        scale: float,
-        budget_fraction: float,
-        seed: int,
-        config: SimConfig,
-    ) -> None:
-        self.config = config
-        self.trace_nodes: dict[str, TraceNode] = {}
-        self.sim_nodes: list[SimNode] = []
-        for workload, prefetcher in cells:
-            node = self.trace_nodes.get(workload)
-            if node is None:
-                node = TraceNode(workload, scale, budget_fraction, seed)
-                self.trace_nodes[workload] = node
-            self.sim_nodes.append(SimNode(node, prefetcher))
+    def __init__(self, nodes: Iterable[SimNode]) -> None:
+        self.sim_nodes: list[SimNode] = list(nodes)
+        #: Each distinct trace, in first-use order.
+        self.trace_nodes: list[TraceNode] = list(
+            dict.fromkeys(node.trace for node in self.sim_nodes))
 
     @classmethod
     def from_grid(
@@ -115,12 +116,10 @@ class GridPlan:
         config: SimConfig,
     ) -> "GridPlan":
         """The full workload-major grid, matching the serial loop order."""
-        cells = [(w, p) for w in workloads for p in prefetchers]
-        return cls(cells, scale, budget_fraction, seed, config)
-
-    def dependents(self, workload: str) -> list[SimNode]:
-        """All simulation nodes fanning out of one workload's trace."""
-        return [node for node in self.sim_nodes if node.workload == workload]
+        return cls(
+            SimNode(TraceNode(w, scale, budget_fraction, seed), p, config)
+            for w in workloads for p in prefetchers
+        )
 
     def __len__(self) -> int:
         return len(self.sim_nodes)

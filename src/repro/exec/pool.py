@@ -33,7 +33,6 @@ from typing import Callable
 from repro.common.errors import ExecError, PermanentError
 from repro.exec.plan import SimNode, TraceNode
 from repro.exec.traces import get_trace
-from repro.sim.config import SimConfig
 from repro.sim.engine import simulate
 from repro.sim.results import SimResult
 
@@ -67,10 +66,9 @@ class TraceTaskPayload:
 
 @dataclass(frozen=True)
 class SimTaskPayload:
-    """Simulate one grid cell against its trace under ``trace_dir``."""
+    """Simulate one node against its trace under ``trace_dir``."""
 
     node: SimNode
-    config: SimConfig
     trace_dir: str
     inject: InjectSpec | None = None
     inject_counter_path: str | None = None
@@ -132,8 +130,7 @@ def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
     started = time.perf_counter()
     node = payload.node
     trace, _ = get_trace(node.trace, payload.trace_dir)
-    result = simulate(payload.config, make_prefetcher(node.prefetcher),
-                      trace)
+    result = simulate(node.config, make_prefetcher(node.prefetcher), trace)
     result.prefetcher = node.prefetcher
     return SimTaskOutcome(result=result,
                           seconds=time.perf_counter() - started)

@@ -5,9 +5,9 @@ completion:
 
 1. every simulation node is probed against the result cache — hits are
    returned without scheduling any work;
-2. the remaining cells group by workload; each workload's trace-build
-   task runs first, and its simulation tasks are released the moment
-   the trace lands (no barrier between workloads);
+2. the remaining cells group by :class:`~repro.exec.plan.TraceNode`;
+   each trace-build task runs first, and its simulation tasks are
+   released the moment the trace lands (no barrier between traces);
 3. every task attempt runs under bounded retry with exponential backoff
    (and, on the pool path, an optional timeout and worker-crash
    recovery).  Failures are classified
@@ -17,10 +17,12 @@ completion:
    recorded in telemetry and skipped — so one poisoned cell can never
    hang or abort the rest of the grid.  Quarantining a trace task
    quarantines its dependent sims.
-4. a per-workload **circuit breaker** counts quarantined simulations;
-   at ``options.breaker_threshold`` the workload is marked DEGRADED and
-   its remaining cells are skipped, letting the grid complete with
-   explicit holes instead of burning the retry budget cell by cell.
+4. a per-trace **circuit breaker** counts quarantined simulations; at
+   ``options.breaker_threshold`` the trace's workload is marked
+   DEGRADED and the trace's remaining cells are skipped, letting the
+   grid complete with explicit holes instead of burning the retry
+   budget cell by cell.  A grid runner plan has one trace per
+   workload, so there the breaker is per workload.
 
 Durability: when a :class:`~repro.exec.journal.RunJournal` is supplied,
 every outcome (cache hit, completed task, quarantine, degradation) is
@@ -30,7 +32,7 @@ cells replay through the cache, and quarantine/degradation decisions are
 preserved instead of re-attempted.
 
 ``jobs=1`` runs every task in-process (no pool, no pickling), one
-workload at a time, so each trace stays in the trace LRU while its sims
+trace at a time, so each trace stays in the trace LRU while its sims
 run.  Both paths report every outcome through the same policy object
 (:class:`_GridState`), so a cell completes, retries and quarantines the
 same way whatever the worker count.
@@ -71,8 +73,8 @@ from repro.exec.telemetry import ExecTelemetry
 from repro.sim.engine import simulate
 from repro.sim.results import SimResult
 
-#: Progress callback signature: (workload, prefetcher) per finished cell.
-Progress = Callable[[str, str], None]
+#: Progress callback signature: each delivered cell's node and result.
+Progress = Callable[[SimNode, SimResult], None]
 
 
 @dataclass
@@ -89,9 +91,9 @@ class ExecOptions:
             Permanent failures ignore this and quarantine immediately.
         retry_backoff: base sleep before a retry; doubles per attempt.
         breaker_threshold: quarantined simulations after which a
-            workload trips its circuit breaker and is marked DEGRADED
-            (its remaining cells are skipped).  ``0`` disables the
-            breaker.
+            trace trips its circuit breaker and its workload is marked
+            DEGRADED (the trace's remaining cells are skipped).  ``0``
+            disables the breaker.
     """
 
     jobs: int | None = None
@@ -109,9 +111,12 @@ class ExecOptions:
 class _GridState:
     """The per-task outcome policy; the serial and pool paths both call it.
 
-    ``pending`` maps each workload whose trace has not landed yet to its
-    cache-missed sims, each with the result-cache key computed once by
-    the probe in :func:`execute_grid`.
+    ``pending`` maps each trace that has not landed yet to its
+    cache-missed sims.  The circuit breaker and degradation are scoped
+    to a :class:`TraceNode`: in a plan with one trace per workload (a
+    :class:`~repro.harness.runner.GridRunner` grid) that is the
+    workload, and in a heterogeneous plan every cell replaying one
+    trace shares one breaker.
     """
 
     def __init__(
@@ -124,29 +129,30 @@ class _GridState:
         carried: RunReplay | None,
         progress: Progress | None,
     ) -> None:
-        self.plan = plan
         self.options = options
         self.telemetry = telemetry
         self.cache = cache
         self.journal = journal
         self.progress = progress
-        self.results: dict[tuple[str, str], SimResult] = {}
-        self.pending: dict[str, list[tuple[SimNode, str]]] = {}
-        self.breaker: dict[str, int] = {}
-        self.degraded: dict[str, str] = {}
+        self.results: dict[SimNode, SimResult] = {}
+        self.pending: dict[TraceNode, list[SimNode]] = {}
+        self.breaker: dict[TraceNode, int] = {}
+        self.degraded: dict[TraceNode, str] = {}
         if carried is not None:
-            for workload, reason in carried.degraded.items():
-                self.degraded[workload] = reason or "carried from prior run"
+            for trace in plan.trace_nodes:
+                if trace.workload in carried.degraded:
+                    self.degraded[trace] = (carried.degraded[trace.workload]
+                                            or "carried from prior run")
 
-    def cell_done(self, node: SimNode, key: str, result: SimResult,
+    def cell_done(self, node: SimNode, result: SimResult,
                   source: str) -> None:
         """Deliver one cell's result (``source``: "cache" or "run")."""
-        self.results[node.cell] = result
+        self.results[node] = result
         if self.journal is not None:
             self.journal.task_done(node.name, "sim", cell=node.cell,
-                                   key=key, source=source)
+                                   key=node.key, source=source)
         if self.progress is not None:
-            self.progress(*node.cell)
+            self.progress(node, result)
 
     def trace_done(self, node: TraceNode, source: str, seconds: float,
                    attempts: int) -> None:
@@ -161,14 +167,14 @@ class _GridState:
         if self.journal is not None:
             self.journal.task_done(node.name, "trace")
 
-    def sim_done(self, node: SimNode, key: str, result: SimResult,
-                 seconds: float, attempts: int) -> None:
+    def sim_done(self, node: SimNode, result: SimResult, seconds: float,
+                 attempts: int) -> None:
         """One simulation finished: cache it, then journal it."""
         self.telemetry.sims_run += 1
         self.telemetry.task_finished(node.name, "sim", seconds, attempts)
         if self.cache is not None:
-            self.cache.put(key, result)
-        self.cell_done(node, key, result, "run")
+            self.cache.put(node.key, result)
+        self.cell_done(node, result, "run")
         faults.check("task-done")
 
     def attempt_failed(self, node: TraceNode | SimNode, attempts: int,
@@ -191,11 +197,10 @@ class _GridState:
             if isinstance(node, TraceNode):
                 self.trace_failed(node, str(error), attempts, classification)
             else:
-                self.quarantine(node.name, "sim", str(error), attempts,
-                                classification, cell=node.cell)
-                self.record_sim_failure(node.workload)
+                self.quarantine(node, str(error), attempts, classification)
+                self.record_sim_failure(node.trace)
             return False
-        if isinstance(node, SimNode) and node.workload in self.degraded:
+        if isinstance(node, SimNode) and node.trace in self.degraded:
             self.quarantine_degraded(node, attempts)
             return False
         self.telemetry.retries += 1
@@ -204,56 +209,58 @@ class _GridState:
 
     def trace_failed(self, node: TraceNode, reason: str, attempts: int,
                      classification: str) -> None:
-        """Quarantine a trace task, degrade its workload, drop its sims."""
-        self.quarantine(node.name, "trace", reason, attempts, classification)
-        self.degrade(node.workload, f"trace build failed: {reason}",
-                     attempts)
-        for sim, _ in self.pending.pop(node.workload, []):
+        """Quarantine a trace task, degrade its trace, drop its sims."""
+        self.quarantine(node, reason, attempts, classification)
+        self.degrade(node, f"trace build failed: {reason}", attempts)
+        for sim in self.pending.pop(node, []):
             self.telemetry.tasks_queued = max(
                 0, self.telemetry.tasks_queued - 1)
             self.quarantine(
-                sim.name, "sim",
-                f"trace build for {node.workload} was quarantined", 0,
-                "degraded", cell=sim.cell,
+                sim, f"trace build for {node.workload} was quarantined", 0,
+                "degraded",
             )
 
-    def quarantine(self, name: str, kind: str, reason: str, attempts: int,
-                   classification: str,
-                   cell: tuple[str, str] | None = None) -> None:
-        self.telemetry.quarantine(name, kind, reason, attempts,
-                                  classification)
+    def quarantine(self, node: TraceNode | SimNode, reason: str,
+                   attempts: int, classification: str) -> None:
+        """Give up on one task; a sim's entry names its result key."""
+        if isinstance(node, TraceNode):
+            kind, cell, key = "trace", None, None
+        else:
+            kind, cell, key = "sim", node.cell, node.key
+        self.telemetry.quarantine(node.name, kind, reason, attempts,
+                                  classification, key=key)
         if self.journal is not None:
-            self.journal.task_quarantined(name, kind, reason, attempts,
+            self.journal.task_quarantined(node.name, kind, reason, attempts,
                                           classification, cell=cell)
 
-    def record_sim_failure(self, workload: str) -> None:
+    def record_sim_failure(self, trace: TraceNode) -> None:
         """Count one quarantined sim; trip the breaker at the threshold."""
-        count = self.breaker.get(workload, 0) + 1
-        self.breaker[workload] = count
+        count = self.breaker.get(trace, 0) + 1
+        self.breaker[trace] = count
         threshold = self.options.breaker_threshold
         if threshold > 0 and count >= threshold:
-            self.degrade(workload, f"{count} simulation(s) quarantined "
+            self.degrade(trace, f"{count} simulation(s) quarantined "
                          f"(breaker threshold {threshold})", count)
 
-    def degrade(self, workload: str, reason: str, failures: int) -> None:
-        if workload in self.degraded:
+    def degrade(self, trace: TraceNode, reason: str, failures: int) -> None:
+        if trace in self.degraded:
             return
-        self.degraded[workload] = reason
-        self.telemetry.degrade(workload, reason, failures)
+        self.degraded[trace] = reason
+        self.telemetry.degrade(trace.workload, reason, failures)
         if self.journal is not None:
-            self.journal.workload_degraded(workload, reason, failures)
+            self.journal.workload_degraded(trace.workload, reason, failures)
 
     def quarantine_degraded(self, node: SimNode, attempts: int) -> None:
         self.quarantine(
-            node.name, "sim",
+            node,
             f"workload {node.workload} is DEGRADED: "
-            f"{self.degraded[node.workload]}",
-            attempts, "degraded", cell=node.cell,
+            f"{self.degraded[node.trace]}",
+            attempts, "degraded",
         )
 
     def skip_degraded(self, node: SimNode, attempts: int = 0) -> bool:
-        """Drop a queued sim if its workload is DEGRADED; True if dropped."""
-        if node.workload not in self.degraded:
+        """Drop a queued sim if its trace is DEGRADED; True if dropped."""
+        if node.trace not in self.degraded:
             return False
         self.telemetry.tasks_queued = max(0, self.telemetry.tasks_queued - 1)
         self.quarantine_degraded(node, attempts)
@@ -273,12 +280,14 @@ def execute_grid(
     journal: RunJournal | None = None,
     carried: RunReplay | None = None,
     pool: WorkerPool | None = None,
-) -> tuple[dict[tuple[str, str], SimResult], ExecTelemetry]:
-    """Execute a grid plan; returns (results by cell, telemetry).
+) -> tuple[dict[SimNode, SimResult], ExecTelemetry]:
+    """Execute a grid plan; returns (results by node, telemetry).
 
     Quarantined and degraded cells are *absent* from the result mapping
-    and listed in ``telemetry.quarantined`` / ``telemetry.degraded`` —
-    the caller decides whether that is fatal.
+    and listed in ``telemetry.quarantined`` (a sim's entry carries its
+    node's ``key``) / ``telemetry.degraded`` — the caller decides
+    whether that is fatal.  Every result carries its node's prefetcher
+    spelling, also when the cache entry was filled under another one.
 
     Args:
         cache: result cache; probed before scheduling, filled after.
@@ -287,6 +296,8 @@ def execute_grid(
             keeps traces in memory only and the pool path uses a private
             temporary directory.
         inject: test-only fault injection per (workload, prefetcher).
+        progress: called with each delivered cell's node and result, as
+            it lands.
         stats_path: where to persist the telemetry JSON snapshot.
         journal: write-ahead run journal; every outcome is appended.
         carried: a prior run's replayed state (``--resume``): completed
@@ -314,32 +325,29 @@ def execute_grid(
 
     misses = 0
     for node in plan.sim_nodes:
-        if node.workload in state.degraded:
+        if node.trace in state.degraded:
             state.quarantine(
-                node.name, "sim",
+                node,
                 f"workload {node.workload} was DEGRADED in the resumed run: "
-                f"{state.degraded[node.workload]}",
-                0, "degraded", cell=node.cell,
+                f"{state.degraded[node.trace]}",
+                0, "degraded",
             )
             continue
         if node.cell in carried_quarantined:
-            state.breaker[node.workload] = (
-                state.breaker.get(node.workload, 0) + 1
-            )
+            state.breaker[node.trace] = state.breaker.get(node.trace, 0) + 1
             state.quarantine(
-                node.name, "sim",
-                "quarantined in the resumed run; not re-attempted",
-                0, "carried", cell=node.cell,
+                node, "quarantined in the resumed run; not re-attempted",
+                0, "carried",
             )
             continue
-        key = node.key(plan.config)
         if cache is not None:
-            hit = cache.get(key)
+            hit = cache.get(node.key)
             if hit is not None:
                 telemetry.cache_hits += 1
                 if node.cell in carried_completed:
                     telemetry.resumed_cells += 1
-                state.cell_done(node, key, hit, "cache")
+                hit.prefetcher = node.prefetcher
+                state.cell_done(node, hit, "cache")
                 continue
             telemetry.cache_misses += 1
             if node.cell in carried_completed:
@@ -350,7 +358,7 @@ def execute_grid(
                     "journal records %s complete but the cache cannot "
                     "replay it; re-executing", node.name,
                 )
-        state.pending.setdefault(node.workload, []).append((node, key))
+        state.pending.setdefault(node.trace, []).append(node)
         misses += 1
 
     if pool is not None and jobs <= 1:
@@ -391,23 +399,21 @@ def _run_serial(
     trace_dir: str | Path | None,
     inject: dict[tuple[str, str], InjectSpec],
 ) -> None:
-    plan = state.plan
-    for workload in list(state.pending):
-        trace_node = plan.trace_nodes[workload]
+    for trace_node in list(state.pending):
         done = _attempt_serial(state, trace_node, traces.get_trace,
                                trace_node, trace_dir)
         if done is None:
             continue
         (trace, source), seconds, attempts = done
         state.trace_done(trace_node, source, seconds, attempts)
-        for node, key in state.pending.pop(workload):
+        for node in state.pending.pop(trace_node):
             if state.skip_degraded(node):
                 continue
-            done = _attempt_serial(state, node, _simulate_serial, plan, node,
+            done = _attempt_serial(state, node, _simulate_serial, node,
                                    trace, inject.get(node.cell), [0])
             if done is not None:
                 result, seconds, attempts = done
-                state.sim_done(node, key, result, seconds, attempts)
+                state.sim_done(node, result, seconds, attempts)
 
 
 def _attempt_serial(state: _GridState, node: TraceNode | SimNode,
@@ -431,13 +437,12 @@ def _attempt_serial(state: _GridState, node: TraceNode | SimNode,
         return value, time.perf_counter() - started, failures + 1
 
 
-def _simulate_serial(plan: GridPlan, node: SimNode, trace: object,
-                     spec: InjectSpec | None,
+def _simulate_serial(node: SimNode, trace: object, spec: InjectSpec | None,
                      counter: list[int]) -> SimResult:
     from repro.harness.registry import make_prefetcher
 
     _apply_serial_injection(spec, counter)
-    result = simulate(plan.config, make_prefetcher(node.prefetcher), trace)
+    result = simulate(node.config, make_prefetcher(node.prefetcher), trace)
     result.prefetcher = node.prefetcher
     return result
 
@@ -473,7 +478,6 @@ class _TaskState:
     """Scheduler-side bookkeeping for one DAG task (identity-hashed)."""
 
     node: TraceNode | SimNode
-    key: str | None  # the result-cache key of a sim task
     payload: object
     fn: Callable
     attempts: int = 0
@@ -517,7 +521,7 @@ def _run_pool(
         active.append(task)
 
     def skipped(task: _TaskState) -> bool:
-        """Drop a sim whose workload was DEGRADED while it waited."""
+        """Drop a sim whose trace was DEGRADED while it waited."""
         return (isinstance(task.node, SimNode)
                 and state.skip_degraded(task.node, task.attempts))
 
@@ -536,7 +540,7 @@ def _run_pool(
             telemetry.tasks_queued += 1
             dispatch(task)
 
-    def make_sim_state(node: SimNode, key: str) -> _TaskState:
+    def make_sim_state(node: SimNode) -> _TaskState:
         spec = inject.get(node.cell)
         counter = None
         if spec is not None:
@@ -544,27 +548,25 @@ def _run_pool(
                           f"inject-{short_digest(*node.cell)}.count")
         payload = SimTaskPayload(
             node=node,
-            config=state.plan.config,
             trace_dir=str(trace_root),
             inject=spec,
             inject_counter_path=counter,
         )
-        return _TaskState(node, key, payload, execute_sim_task)
+        return _TaskState(node, payload, execute_sim_task)
 
     def complete(task: _TaskState, outcome) -> None:
         if isinstance(task.node, SimNode):
-            state.sim_done(task.node, task.key, outcome.result,
-                           outcome.seconds, task.attempts + 1)
+            state.sim_done(task.node, outcome.result, outcome.seconds,
+                           task.attempts + 1)
             return
         state.trace_done(task.node, outcome.source, outcome.seconds,
                          task.attempts + 1)
-        for node, key in state.pending.pop(task.node.workload, []):
-            dispatch(make_sim_state(node, key))
+        for node in state.pending.pop(task.node, []):
+            dispatch(make_sim_state(node))
 
-    for workload in state.pending:
-        node = state.plan.trace_nodes[workload]
+    for node in state.pending:
         payload = TraceTaskPayload(node=node, trace_dir=str(trace_root))
-        submit(_TaskState(node, None, payload, execute_trace_task))
+        submit(_TaskState(node, payload, execute_trace_task))
 
     try:
         while active or probe_queue:

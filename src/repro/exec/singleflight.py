@@ -1,7 +1,7 @@
 """Single-flight deduplication of identical in-flight work.
 
 A :class:`SingleFlight` registry maps a content-addressed key (e.g.
-:func:`repro.exec.keys.sim_key`) to whatever object represents the work
+:attr:`repro.exec.plan.SimNode.key`) to whatever object represents the work
 in flight for that key.  The first caller to :meth:`lease` a key becomes
 its *leader* and owns execution; every later caller for the same key is
 a *follower* and receives the leader's in-flight object instead of

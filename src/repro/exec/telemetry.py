@@ -93,14 +93,23 @@ class ExecTelemetry:
         self.tasks_running = max(0, self.tasks_running - 1)
 
     def quarantine(self, name: str, kind: str, reason: str,
-                   attempts: int, classification: str = "permanent") -> None:
-        """Permanently give up on one poisoned task."""
+                   attempts: int, classification: str = "permanent",
+                   key: str | None = None) -> None:
+        """Permanently give up on one poisoned task.
+
+        A simulation's entry also names its result ``key``, which tells
+        apart two cells of one name (one workload and prefetcher at two
+        seeds or machine configs).
+        """
         logger.error("quarantined %s after %d attempt(s) [%s]: %s",
                      name, attempts, classification, reason)
-        self.quarantined.append({
+        entry = {
             "task": name, "kind": kind, "reason": reason,
             "attempts": attempts, "class": classification,
-        })
+        }
+        if key is not None:
+            entry["key"] = key
+        self.quarantined.append(entry)
 
     def degrade(self, workload: str, reason: str, failures: int) -> None:
         """Trip the circuit breaker for one workload."""

@@ -4,12 +4,14 @@ Beyond the fixed paper set, names may carry an inline parameter block —
 ``cbws[table_entries=64,max_step=2]`` — that rebuilds the prefetcher
 with a custom :class:`~repro.core.predictor.CbwsConfig` geometry.  The
 parametrized name is an ordinary string everywhere else in the system
-(grid cells, content-addressed :func:`~repro.exec.keys.sim_key`, the
-serve wire protocol), which is exactly what makes design-space sweeps
-over prefetcher geometry (``repro campaign``) possible without new
-plumbing: the name *is* the configuration.
-:func:`canonical_prefetcher_name` sorts the parameters so two spellings
-of the same geometry share one cache key.
+(grid cells, campaign cells, the serve wire protocol), which is exactly
+what makes design-space sweeps over prefetcher geometry
+(``repro campaign``) possible without new plumbing: the name *is* the
+configuration.  :func:`canonical_prefetcher_name` sorts the parameters
+and drops every one equal to its effective default, and
+:attr:`repro.exec.plan.SimNode.key` hashes that canonical form, so two
+spellings of one geometry (``cbws[max_step=4]`` and ``cbws``) share one
+cache key on every execution path.
 """
 
 from __future__ import annotations
@@ -139,13 +141,31 @@ _PARAM_SCHEMAS: dict[str, dict[str, Callable[[str], object]]] = {
     },
 }
 
-#: Per-family default-config factory (for canonical default dropping).
+#: Per-family default-config factory.
 _FAMILY_DEFAULTS: dict[str, Callable[[], object]] = {
     "cbws": CbwsConfig,
     "cbws+sms": CbwsConfig,
     "pangloss": PanglossConfig,
     "pythia": PythiaConfig,
 }
+
+
+def _default_config(base: str, params: dict[str, object]) -> object:
+    """The config a ``base[...]`` name gets for every parameter it
+    leaves out, given the ``params`` it sets.
+
+    For the CBWS families ``predict_steps`` defaults to "all
+    ``max_step`` registers" (Section IV-C): a sweep that shrinks
+    ``max_step`` must not trip the ``predict_steps <= max_step``
+    validation, so the default follows ``max_step`` down.
+    """
+    defaults = _FAMILY_DEFAULTS[base]()
+    if isinstance(defaults, CbwsConfig) and "max_step" in params:
+        defaults = dataclasses.replace(
+            defaults,
+            predict_steps=min(defaults.predict_steps, params["max_step"]),
+        )
+    return defaults
 
 _PARAM_BLOCK = re.compile(r"^(?P<base>[^\[\]]+)\[(?P<params>[^\[\]]*)\]$")
 
@@ -250,14 +270,16 @@ def canonical_prefetcher_name(name: str) -> str:
 
     Parameters sort by key so ``cbws[max_step=2,table_entries=64]`` and
     ``cbws[table_entries=64,max_step=2]`` produce one cache key.
-    Parameters equal to the family config's default are dropped —
-    ``cbws[table_entries=16]`` *is* ``cbws``, and
+    Parameters equal to their effective default (what
+    :func:`make_prefetcher` would use without them) are dropped —
+    ``cbws[table_entries=16]`` *is* ``cbws``,
+    ``cbws[max_step=2,predict_steps=2]`` *is* ``cbws[max_step=2]``, and
     ``pythia[gamma=0.556]`` *is* ``pythia``.
     """
     base, params = parse_prefetcher_name(name)
     if not params:
         return base
-    defaults = _FAMILY_DEFAULTS[base]()
+    defaults = _default_config(base, params)
     meaningful = {
         key: value for key, value in params.items()
         if value != getattr(defaults, key)
@@ -275,23 +297,11 @@ def make_prefetcher(name: str) -> Prefetcher:
     """Build a fresh prefetcher by its (possibly parametrized) name."""
     base, params = parse_prefetcher_name(name)
     if params:
+        config = dataclasses.replace(_default_config(base, params), **params)
         if base == "pangloss":
-            return PanglossPrefetcher(
-                dataclasses.replace(PanglossConfig(), **params)
-            )
+            return PanglossPrefetcher(config)
         if base == "pythia":
-            return PythiaPrefetcher(
-                dataclasses.replace(PythiaConfig(), **params)
-            )
-        defaults = CbwsConfig()
-        if "max_step" in params and "predict_steps" not in params:
-            # predict_steps defaults to "all max_step registers"
-            # (Section IV-C); a sweep that shrinks max_step must not trip
-            # the predict_steps <= max_step validation.
-            params = dict(params)
-            params["predict_steps"] = min(defaults.predict_steps,
-                                          params["max_step"])
-        config = dataclasses.replace(defaults, **params)
+            return PythiaPrefetcher(config)
         return make_cbws_variant(config, hybrid=PARAMETRIC_FAMILIES[base])
     try:
         factory = PREFETCHER_FACTORIES[name]

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.common.errors import ExecError
+from repro.exec.plan import SimNode, TraceNode
 from repro.metrics.aggregate import ResultGrid
 from repro.sim.config import REDUCED_CONFIG, SimConfig
 from repro.sim.results import SimResult
@@ -91,20 +92,29 @@ class GridRunner:
             self.cache_dir / "results"
             if result_cache and self.cache_dir is not None else None
         )
-        # Simulations are deterministic, so grid cells are memoized:
-        # experiments sharing a runner reuse each other's cells.
-        self._results: dict[tuple[str, str], SimResult] = {}
+        # Simulations are deterministic, so results are memoized by
+        # sim key: experiments sharing a runner reuse each other's
+        # cells, whichever spelling of a prefetcher ran first.
+        self._results: dict[str, SimResult] = {}
 
     # -- traces ------------------------------------------------------------
 
     def trace(self, workload: str) -> Trace:
         """The (cached) annotated trace for one workload."""
-        from repro.exec.plan import TraceNode
         from repro.exec.traces import get_trace
 
-        node = TraceNode(workload, self.scale, self.budget_fraction,
+        return get_trace(self._trace_node(workload), self.cache_dir)[0]
+
+    def _trace_node(self, workload: str) -> TraceNode:
+        return TraceNode(workload, self.scale, self.budget_fraction,
                          self.seed)
-        return get_trace(node, self.cache_dir)[0]
+
+    def _result(self, node: SimNode) -> SimResult:
+        """The memoized result of ``node``, under ``node``'s spelling."""
+        result = self._results[node.key]
+        if result.prefetcher != node.prefetcher:
+            result = dataclasses.replace(result, prefetcher=node.prefetcher)
+        return result
 
     # -- simulation ---------------------------------------------------------
 
@@ -138,7 +148,9 @@ class GridRunner:
 
         Cells are deterministic, so any ``jobs`` value yields an
         identical grid; parallel runs and cache replays differ only in
-        wall time.
+        wall time.  Cells sharing a sim key (two spellings of one
+        prefetcher geometry) simulate once; each result carries the
+        spelling its cell asked for.
         """
         from repro.exec import ExecOptions, GridPlan, ResultCache
         from repro.exec.scheduler import execute_grid, quarantine_report
@@ -147,29 +159,34 @@ class GridRunner:
         if jobs is None:
             jobs = os.cpu_count() or 1
         cells = [(w, p) for w in workloads for p in prefetchers]
-        todo = [cell for cell in cells if cell not in self._results]
+        nodes = [SimNode(self._trace_node(w), p, self.config)
+                 for w, p in cells]
+        todo: dict[str, SimNode] = {}
+        for node in nodes:
+            if node.key not in self._results:
+                todo.setdefault(node.key, node)
         if todo:
             options = dataclasses.replace(self.exec_options or ExecOptions(),
                                           jobs=jobs)
-            plan = GridPlan(todo, self.scale, self.budget_fraction,
-                            self.seed, self.config)
             cache = (ResultCache(self._result_cache_root)
                      if self._result_cache_root is not None else None)
             journal, carried, run_id = self._open_journal(cells, jobs)
             try:
                 executed, telemetry = execute_grid(
-                    plan,
+                    GridPlan(todo.values()),
                     options=options,
                     cache=cache,
                     trace_dir=self.cache_dir,
-                    progress=progress,
+                    progress=(None if progress is None
+                              else lambda node, _: progress(*node.cell)),
                     stats_path=(self.cache_dir / "exec-stats.json"
                                 if self.cache_dir is not None else None),
                     journal=journal,
                     carried=carried,
                 )
-                self._results.update(executed)
-                missing = [c for c in cells if c not in self._results]
+                for node, result in executed.items():
+                    self._results[node.key] = result
+                missing = [n for n in nodes if n.key not in self._results]
                 if self.strict and telemetry.quarantined:
                     if journal is not None:
                         journal.run_finished(
@@ -192,11 +209,11 @@ class GridRunner:
                 if journal is not None:
                     journal.close()
             self.last_run_id = run_id
-        missing = [cell for cell in cells if cell not in self._results]
         return ResultGrid(
-            (self._results[cell] for cell in cells
-             if cell in self._results),
-            degraded=missing,
+            (self._result(node) for node in nodes
+             if node.key in self._results),
+            degraded=[node.cell for node in nodes
+                      if node.key not in self._results],
         )
 
     def _open_journal(

@@ -10,11 +10,11 @@ Layout::
     loadgen     closed-loop load generator (BENCH_serve.json)
 
 The broker is the core: it turns individual ``POST /v1/simulate``
-requests into batched :class:`~repro.exec.scheduler.GridPlan`
-executions on one persistent worker pool, deduplicating identical
-in-flight requests by content-addressed key and serving result-cache
-hits without touching the pool at all.  Accepted jobs are journaled
-so a crashed broker re-admits unfinished work on restart.
+requests into batched :class:`~repro.exec.plan.GridPlan` executions
+on one persistent worker pool, deduplicating identical in-flight
+requests by their :class:`~repro.exec.plan.SimNode` key and serving
+result-cache hits without touching the pool at all.  Accepted jobs are
+journaled so a crashed broker re-admits unfinished work on restart.
 """
 
 from repro.serve.broker import AdmissionFull, Broker, Draining, UnknownJob

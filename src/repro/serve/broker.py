@@ -9,18 +9,24 @@ One :class:`Broker` owns the path from a validated
    layer turns into ``429`` with a ``Retry-After`` estimated from
    recent job wall times.  During drain, :class:`Draining` maps to
    ``503``.
-2. **Single-flight.**  Jobs are identified by the content-addressed
-   :func:`~repro.exec.keys.sim_key` of their fully resolved request.  A
-   request whose key is already in flight attaches to the leader job
-   (via :class:`repro.exec.SingleFlight`) instead of queueing duplicate
-   work — the second of two concurrent identical submits costs nothing.
+2. **Single-flight.**  A job is the :class:`~repro.exec.plan.SimNode`
+   of its request (:meth:`SimulateRequest.node`), identified by the
+   node's ``key``.  A request whose key is already in flight — the same
+   simulation, however its overrides or prefetcher parameters are
+   spelled — attaches to the leader job (via
+   :class:`repro.exec.SingleFlight`) instead of queueing duplicate work,
+   and sees the leader's spelling.
 3. **Micro-batching.**  A background task drains the admission queue,
    gathers up to ``batch_max`` jobs inside a ``batch_window`` seconds
-   window, groups them by compatibility (identical trace parameters and
-   machine config), and executes each group as *one*
-   :class:`~repro.exec.plan.GridPlan` through
-   :func:`~repro.exec.scheduler.execute_grid` — sharing trace builds
-   across the batch exactly like a CLI grid run.  With ``workers > 1``
+   window, and executes their nodes as *one*
+   :class:`~repro.exec.plan.GridPlan` through one
+   :func:`~repro.exec.scheduler.execute_grid` call, whatever their trace
+   parameters and machine configs — sharing trace builds across the
+   batch exactly like a CLI grid run.  Each job ends the moment its own
+   cell lands (``execute_grid`` hands each delivered node and result to
+   its progress callback), and a quarantined job gets the reason its
+   node's key carries, so the same (workload, prefetcher) at two seeds
+   in one batch never collide.  With ``workers > 1``
    the broker owns a persistent :class:`~repro.exec.pool.WorkerPool`
    that every batch submits into, so worker startup is paid once per
    server, not once per request.
@@ -54,7 +60,7 @@ from repro import obs
 from repro.common.errors import ReproError
 from repro.exec import ExecOptions, GridPlan, ResultCache, SingleFlight
 from repro.exec import faults
-from repro.exec.keys import stable_hash
+from repro.exec.plan import SimNode
 from repro.exec.pool import WorkerPool
 from repro.exec.scheduler import execute_grid
 from repro.serve.protocol import JobStatus, JobView, SimulateRequest
@@ -84,9 +90,8 @@ class ServeJob:
     """Broker-internal state of one admitted simulation job."""
 
     job_id: str
-    key: str
     request: SimulateRequest
-    config: SimConfig
+    node: SimNode
     status: JobStatus = JobStatus.QUEUED
     cache_hit: bool | None = None
     result: SimResult | None = None
@@ -100,8 +105,8 @@ class ServeJob:
     done: asyncio.Event = field(default_factory=asyncio.Event)
 
     @property
-    def cell(self) -> tuple[str, str]:
-        return (self.request.workload, self.request.prefetcher)
+    def key(self) -> str:
+        return self.node.key
 
     def view(self, deduplicated: bool = False) -> JobView:
         """The externally visible snapshot of this job."""
@@ -174,8 +179,6 @@ class Broker:
         self._pending = 0
         self._draining = False
         self._batch_task: asyncio.Task | None = None
-        self._idle = asyncio.Event()
-        self._idle.set()
         #: Recent job wall times, for the Retry-After estimate.
         self._recent_seconds: deque[float] = deque(maxlen=32)
 
@@ -243,9 +246,13 @@ class Broker:
         self._draining = True
 
     async def drain(self) -> None:
-        """Finish every admitted job, then stop the batcher and pool."""
+        """Finish every admitted job, then stop the batcher and pool.
+
+        The queue join waits for whole batches, not only for their jobs:
+        a job ends as its cell lands, before its batch's bookkeeping.
+        """
         self.begin_drain()
-        await self._idle.wait()
+        await self._queue.join()
         if self._batch_task is not None:
             self._batch_task.cancel()
             try:
@@ -256,7 +263,7 @@ class Broker:
         if self._pool is not None:
             await asyncio.to_thread(self._pool.shutdown)
         if self._journal is not None:
-            # Every accepted job is finished after the idle wait, so the
+            # Every accepted job is finished after the queue join, so the
             # journal holds no recoverable state — drop it.
             self._journal.discard_clean()
         self.flush_telemetry()
@@ -298,8 +305,8 @@ class Broker:
 
         get_workload(request.workload)
         make_prefetcher(request.prefetcher)
-        config = request.resolve_config(self.base_config)
-        key = request.sim_key(self.base_config)
+        node = request.node(self.base_config)
+        key = node.key
 
         existing = self._singleflight.peek(key)
         if existing is not None and not existing.status.terminal:
@@ -316,9 +323,8 @@ class Broker:
 
         job = ServeJob(
             job_id=uuid.uuid4().hex[:12],
-            key=key,
             request=request,
-            config=config,
+            node=node,
         )
         # Re-lease under the registry lock; the earlier peek was only a
         # fast path and another leader cannot have appeared on this
@@ -332,7 +338,6 @@ class Broker:
         self._jobs[job.job_id] = job
         self._remember_history(job.job_id)
         self._pending += 1
-        self._idle.clear()
         self._queue.put_nowait(job)
         self._emit(job, {"event": "queued", "job_id": job.job_id,
                          "key": job.key})
@@ -438,87 +443,59 @@ class Broker:
                         await asyncio.wait_for(self._queue.get(), remaining))
                 except asyncio.TimeoutError:
                     break
-            for group in self._group_compatible(batch):
-                try:
-                    await self._execute_batch(group)
-                except Exception as error:  # defensive: never kill the loop
-                    for failed in group:
-                        if not failed.status.terminal:
-                            self._finish(failed, error=str(error))
+            try:
+                await self._execute_batch(batch)
+            except Exception as error:  # defensive: never kill the loop
+                for failed in batch:
+                    if not failed.status.terminal:
+                        self._finish(failed, error=str(error))
+            for _ in batch:
+                self._queue.task_done()
             self._publish_gauges()
 
-    @staticmethod
-    def _group_key(job: ServeJob) -> str:
-        request = job.request
-        return stable_hash("serve-group", request.scale,
-                           request.budget_fraction, request.seed, job.config)
-
-    def _group_compatible(self,
-                          batch: list[ServeJob]) -> list[list[ServeJob]]:
-        """Split one batch into groups that can share a GridPlan."""
-        groups: dict[str, list[ServeJob]] = {}
-        for job in batch:
-            groups.setdefault(self._group_key(job), []).append(job)
-        return list(groups.values())
-
-    async def _execute_batch(self, group: list[ServeJob]) -> None:
+    async def _execute_batch(self, batch: list[ServeJob]) -> None:
         loop = asyncio.get_running_loop()
-        request = group[0].request
-        config = group[0].config
-        for job in group:
+        for job in batch:
             job.status = JobStatus.RUNNING
             if self._cache is not None:
                 job.cache_hit = self._cache.contains(job.key)
             self._emit(job, {"event": "running",
-                             "batch_size": len(group)})
+                             "batch_size": len(batch)})
 
-        plan = GridPlan(
-            [job.cell for job in group],
-            request.scale,
-            request.budget_fraction,
-            request.seed,
-            config,
-        )
         options = ExecOptions(
             jobs=self.workers,
             timeout=self.task_timeout,
             max_retries=self.max_retries,
         )
+        by_node = {job.node: job for job in batch}
 
-        by_cell = {job.cell: job for job in group}
-
-        def progress(workload: str, prefetcher: str) -> None:
-            # Called from the executor thread; hop back onto the loop.
-            job = by_cell.get((workload, prefetcher))
-            if job is not None:
-                loop.call_soon_threadsafe(
-                    self._emit, job, {"event": "cell-finished"})
+        def delivered(node: SimNode, result: SimResult) -> None:
+            # Called from the executor thread; hop back onto the loop,
+            # so each job ends as soon as its own cell lands.
+            job = by_node[node]
+            loop.call_soon_threadsafe(
+                self._emit, job, {"event": "cell-finished"})
+            loop.call_soon_threadsafe(self._finish, job, result)
 
         self.counters["serve.batches"] += 1
-        results, telemetry = await asyncio.to_thread(
+        _, telemetry = await asyncio.to_thread(
             execute_grid,
-            plan,
+            GridPlan(job.node for job in batch),
             options=options,
             cache=self._cache,
             trace_dir=self.cache_dir,
-            progress=progress,
+            progress=delivered,
             pool=self._pool,
         )
 
         self.counters["serve.cells_executed"] += telemetry.sims_run
         self.counters["serve.cache_hits"] += telemetry.cache_hits
-        quarantined = {entry["task"]: entry["reason"]
-                       for entry in telemetry.quarantined}
-        for job in group:
-            result = results.get(job.cell)
-            if result is not None:
-                self._finish(job, result=result)
-            else:
-                reason = quarantined.get(
-                    f"sim:{job.request.workload}:{job.request.prefetcher}",
-                    "cell did not produce a result",
-                )
-                self._finish(job, error=reason)
+        reasons = {entry.get("key"): entry["reason"]
+                   for entry in telemetry.quarantined}
+        for job in batch:
+            if not job.status.terminal:
+                self._finish(job, error=reasons.get(
+                    job.key, "cell did not produce a result"))
 
     def _finish(self, job: ServeJob, result: SimResult | None = None,
                 error: str | None = None) -> None:
@@ -542,8 +519,6 @@ class Broker:
                                        job.status.value)
         self._singleflight.release(job.key)
         self._pending = max(0, self._pending - 1)
-        if self._pending == 0:
-            self._idle.set()
         self._emit(job, {"event": "terminal",
                          "wall_seconds": job.wall_seconds,
                          "error": job.error})

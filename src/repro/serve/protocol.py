@@ -20,11 +20,14 @@ Request layout (``POST /v1/simulate``)::
                 "prefetch": {"issue_interval": 4}}}
 
 ``config`` is a sparse override of the reduced Table II machine: only
-the listed fields change, everything else keeps its default, and the
-fully resolved :class:`~repro.sim.config.SimConfig` is what enters the
-content-addressed :func:`~repro.exec.keys.sim_key` — so two requests
-that resolve to the same machine deduplicate even if they spelled their
-overrides differently.
+the listed fields change, everything else keeps its default.  A parsed
+request holds the overrides as the same sorted ``(path, value)`` pairs
+a campaign cell does, and :meth:`SimulateRequest.node` resolves them
+(:func:`repro.sim.config.resolve_cell_config`) into the
+:class:`~repro.exec.plan.SimNode` the broker runs.  The node's ``key``
+hashes the fully resolved config and the canonical prefetcher name, so
+two requests for the same simulation deduplicate even if they spelled
+their overrides or prefetcher parameters differently.
 
 Response layout (:class:`JobView`) mirrors a broker job: identity,
 status, dedup/cache provenance, and (when terminal) the serialized
@@ -37,7 +40,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.common.errors import ReproError
 from repro.sim.config import (
@@ -45,7 +48,11 @@ from repro.sim.config import (
     PrefetchPathConfig,
     REDUCED_CONFIG,
     SimConfig,
+    resolve_cell_config,
 )
+
+if TYPE_CHECKING:
+    from repro.exec.plan import SimNode
 
 #: Version of the request/response wire schema.  Bump on any field
 #: change; the server answers exactly one version.
@@ -137,8 +144,9 @@ def _check_overrides(value: object, what: str,
 class SimulateRequest:
     """One validated ``POST /v1/simulate`` body.
 
-    Config overrides are stored as sorted ``(field, value)`` tuples so
-    the dataclass stays hashable and order-insensitive: two requests
+    Config overrides are stored as the sorted ``(path, value)`` tuple a
+    campaign cell holds (``("l1_kb", 8)``, ``("core.rob_entries", 64)``),
+    so the dataclass stays hashable and order-insensitive: two requests
     spelling the same overrides in different orders are equal.
     """
 
@@ -148,10 +156,7 @@ class SimulateRequest:
     scale: float = 1.0
     budget_fraction: float = 1.0
     seed: int = 0
-    l1_kb: int | None = None
-    l2_kb: int | None = None
-    core: tuple[tuple[str, int], ...] = ()
-    prefetch: tuple[tuple[str, int], ...] = ()
+    overrides: tuple[tuple[str, int], ...] = ()
 
     _KEYS = frozenset({
         "version", "workload", "prefetcher", "scale", "budget_fraction",
@@ -175,9 +180,7 @@ class SimulateRequest:
         _require(budget_fraction <= 1.0, "budget_fraction must be <= 1.0")
         seed = _check_int(body.get("seed", 0), "seed")
 
-        l1_kb = l2_kb = None
-        core: tuple[tuple[str, int], ...] = ()
-        prefetch: tuple[tuple[str, int], ...] = ()
+        overrides: list[tuple[str, int]] = []
         if "config" in body:
             config = _check_mapping(body["config"], "config")
             unknown = set(config) - cls._CONFIG_KEYS
@@ -186,18 +189,18 @@ class SimulateRequest:
                 f"unknown config field(s): {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(sorted(cls._CONFIG_KEYS))}",
             )
-            if "l1_kb" in config:
-                l1_kb = _check_int(config["l1_kb"], "config.l1_kb")
-                _require(l1_kb > 0, "config.l1_kb must be positive")
-            if "l2_kb" in config:
-                l2_kb = _check_int(config["l2_kb"], "config.l2_kb")
-                _require(l2_kb > 0, "config.l2_kb must be positive")
-            if "core" in config:
-                core = _check_overrides(config["core"], "config.core",
-                                        _CORE_FIELDS)
-            if "prefetch" in config:
-                prefetch = _check_overrides(
-                    config["prefetch"], "config.prefetch", _PREFETCH_FIELDS)
+            for path in ("l1_kb", "l2_kb"):
+                if path in config:
+                    value = _check_int(config[path], f"config.{path}")
+                    _require(value > 0, f"config.{path} must be positive")
+                    overrides.append((path, value))
+            for group, allowed in (("core", _CORE_FIELDS),
+                                   ("prefetch", _PREFETCH_FIELDS)):
+                if group in config:
+                    overrides.extend(
+                        (f"{group}.{name}", value)
+                        for name, value in _check_overrides(
+                            config[group], f"config.{group}", allowed))
 
         return cls(
             workload=workload,
@@ -206,10 +209,7 @@ class SimulateRequest:
             scale=scale,
             budget_fraction=budget_fraction,
             seed=seed,
-            l1_kb=l1_kb,
-            l2_kb=l2_kb,
-            core=core,
-            prefetch=prefetch,
+            overrides=tuple(sorted(overrides)),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -223,57 +223,31 @@ class SimulateRequest:
             "seed": self.seed,
         }
         config: dict[str, Any] = {}
-        if self.l1_kb is not None:
-            config["l1_kb"] = self.l1_kb
-        if self.l2_kb is not None:
-            config["l2_kb"] = self.l2_kb
-        if self.core:
-            config["core"] = dict(self.core)
-        if self.prefetch:
-            config["prefetch"] = dict(self.prefetch)
+        for path, value in self.overrides:
+            group, _, name = path.partition(".")
+            if name:
+                config.setdefault(group, {})[name] = value
+            else:
+                config[path] = value
         if config:
             document["config"] = config
         return document
 
-    def resolve_config(self, base: SimConfig = REDUCED_CONFIG) -> SimConfig:
-        """The fully resolved machine this request simulates.
+    def node(self, base: SimConfig = REDUCED_CONFIG) -> SimNode:
+        """The simulation this request asks for over machine ``base``.
 
         Field-level validation (positive latencies, monotone hierarchy,
         ...) happens in the config dataclasses' own ``__post_init__``;
         anything they raise is a :class:`~repro.common.errors.ConfigError`
         the server maps to HTTP 400.
         """
-        core = (dataclasses.replace(base.core, **dict(self.core))
-                if self.core else base.core)
-        prefetch = (
-            dataclasses.replace(base.prefetch, **dict(self.prefetch))
-            if self.prefetch else base.prefetch)
-        hierarchy = base.hierarchy
-        if self.l1_kb is not None:
-            hierarchy = dataclasses.replace(
-                hierarchy,
-                l1=dataclasses.replace(hierarchy.l1,
-                                       size_bytes=self.l1_kb * 1024),
-            )
-        if self.l2_kb is not None:
-            hierarchy = dataclasses.replace(
-                hierarchy,
-                l2=dataclasses.replace(hierarchy.l2,
-                                       size_bytes=self.l2_kb * 1024),
-            )
-        return SimConfig(hierarchy=hierarchy, core=core, prefetch=prefetch)
+        from repro.exec.plan import SimNode, TraceNode
 
-    def sim_key(self, base: SimConfig = REDUCED_CONFIG) -> str:
-        """Content-addressed identity of this request's result."""
-        from repro.exec.keys import sim_key
-
-        return sim_key(
-            self.workload,
+        return SimNode(
+            TraceNode(self.workload, self.scale, self.budget_fraction,
+                      self.seed),
             self.prefetcher,
-            self.scale,
-            self.budget_fraction,
-            self.seed,
-            self.resolve_config(base),
+            resolve_cell_config(self.overrides, base),
         )
 
 

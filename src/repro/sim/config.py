@@ -9,11 +9,18 @@ Two canonical configurations are provided:
   (4 KB L1, 128 KB L2) so that workloads with proportionally scaled
   footprints exercise the same miss behaviour at pure-Python trace
   lengths.  EXPERIMENTS.md records which scale every experiment used.
+
+Campaign cells and serve requests name a machine as sparse overrides of
+a base config — sorted ``(path, value)`` pairs such as
+``("l1_kb", 8)`` or ``("core.rob_entries", 64)`` — and
+:func:`resolve_cell_config` is the one place those resolve.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.common.constants import DEFAULT_LINE_SIZE
 from repro.common.errors import ConfigError
@@ -119,3 +126,66 @@ PAPER_CONFIG = SimConfig(hierarchy=_hierarchy(32, 2048, _CORE), core=_CORE)
 
 #: Table II with scaled-down cache capacities (see module docstring).
 REDUCED_CONFIG = SimConfig(hierarchy=_hierarchy(4, 128, _CORE), core=_CORE)
+
+
+#: Every sparse override path :func:`resolve_cell_config` accepts.
+CONFIG_PARAMS = frozenset({
+    "l1_kb",
+    "l2_kb",
+    "line_size",
+    "l1.associativity",
+    "l1.mshrs",
+    "l2.associativity",
+    "l2.mshrs",
+    "core.width",
+    "core.rob_entries",
+    "core.l1_latency",
+    "core.l2_latency",
+    "core.memory_latency",
+    "prefetch.queue_capacity",
+    "prefetch.issue_interval",
+    "prefetch.max_in_flight",
+})
+
+
+def resolve_cell_config(
+    overrides: tuple[tuple[str, int], ...] | Mapping[str, int],
+    base: SimConfig = REDUCED_CONFIG,
+) -> SimConfig:
+    """Apply sparse ``(path, value)`` overrides (:data:`CONFIG_PARAMS`)
+    to ``base``.
+
+    ``l1_kb`` / ``l2_kb`` set a cache's capacity, ``line_size`` both
+    caches' line size, ``l1.*`` / ``l2.*`` / ``core.*`` / ``prefetch.*``
+    one field each.  Field validation happens in the config
+    dataclasses' own ``__post_init__`` (a :class:`ConfigError`).
+    """
+    mapping = dict(overrides)
+    unknown = set(mapping) - CONFIG_PARAMS
+    if unknown:
+        raise ConfigError(
+            f"unknown config override path(s): {', '.join(sorted(unknown))}"
+        )
+    fields: dict[str, dict[str, int]] = {
+        "l1": {}, "l2": {}, "core": {}, "prefetch": {},
+    }
+    for path, value in mapping.items():
+        if path in ("l1_kb", "l2_kb"):
+            fields[path[:2]]["size_bytes"] = value * 1024
+        elif path == "line_size":
+            fields["l1"]["line_size"] = fields["l2"]["line_size"] = value
+        else:
+            group, name = path.split(".", 1)
+            fields[group][name] = value
+
+    def replaced(config, group: str):
+        return (dataclasses.replace(config, **fields[group])
+                if fields[group] else config)
+
+    hierarchy = base.hierarchy
+    if fields["l1"] or fields["l2"]:
+        hierarchy = dataclasses.replace(
+            hierarchy, l1=replaced(hierarchy.l1, "l1"),
+            l2=replaced(hierarchy.l2, "l2"))
+    return SimConfig(hierarchy=hierarchy, core=replaced(base.core, "core"),
+                     prefetch=replaced(base.prefetch, "prefetch"))

@@ -80,7 +80,7 @@ class TestRun:
         state = replay_campaign(outcome.directory / "journal.jsonl")
         assert state.status == "complete"
         assert state.wave_keys[0] == [
-            cell.key() for cell in outcome.waves[0].cells]
+            cell.node().key for cell in outcome.waves[0].cells]
         assert state.completed_keys == set(outcome.results)
 
         artifacts = write_report(outcome)
@@ -131,6 +131,39 @@ class TestRun:
         options = ExecOptions(jobs=4, max_retries=1)
         run_campaign(tiny_spec(), tmp_path, jobs=1, options=options)
         assert options == ExecOptions(jobs=4, max_retries=1)
+
+
+class TestWaveExecution:
+    def test_wave_over_two_configs_runs_in_one_call(self, tmp_path,
+                                                    monkeypatch):
+        from repro.campaign import runner as campaign_runner
+        from repro.exec.plan import GridPlan
+        from repro.exec.scheduler import execute_grid
+
+        calls = []
+
+        def counting(plan, **kwargs):
+            calls.append(plan)
+            return execute_grid(plan, **kwargs)
+
+        monkeypatch.setattr(campaign_runner, "execute_grid", counting)
+        spec = tiny_spec(axes=[{"name": "l1_kb", "values": [4, 8]}])
+        outcome = run_campaign(spec, tmp_path / "one")
+        assert len(calls) == 1
+        (wave,) = outcome.waves
+        assert {cell.overrides for cell in wave.cells} == {
+            (("l1_kb", 4),), (("l1_kb", 8),)}
+
+        # The same cells, one config group at a time.
+        cache = ResultCache(tmp_path / "grouped")
+        for l1_kb in (4, 8):
+            nodes = [node for cell, node in zip(wave.cells, wave.nodes)
+                     if cell.overrides == (("l1_kb", l1_kb),)]
+            results, _ = execute_grid(GridPlan(nodes), cache=cache,
+                                      options=ExecOptions(jobs=1))
+            for node in nodes:
+                assert (results[node].to_dict()
+                        == outcome.results[node.key].to_dict())
 
 
 class TestResume:

@@ -7,7 +7,6 @@ import pytest
 from repro.campaign.cells import (
     KNOWN_PARAMS,
     build_cell,
-    resolve_cell_config,
     serve_inexpressible,
 )
 from repro.campaign.planner import expand_points, plan_campaign
@@ -19,7 +18,7 @@ from repro.campaign.spec import (
     spec_fingerprint,
 )
 from repro.common.errors import CampaignError, SpecError
-from repro.sim.config import REDUCED_CONFIG
+from repro.sim.config import REDUCED_CONFIG, resolve_cell_config
 
 
 def minimal_document(**overrides):
@@ -261,9 +260,9 @@ class TestPlanning:
 
     def test_keys_are_stable_across_plans(self):
         spec = parse_spec(minimal_document())
-        first = [cell.key(REDUCED_CONFIG) for cell in
+        first = [cell.node(REDUCED_CONFIG).key for cell in
                  plan_campaign(spec).cells]
-        second = [cell.key(REDUCED_CONFIG) for cell in
+        second = [cell.node(REDUCED_CONFIG).key for cell in
                   plan_campaign(spec).cells]
         assert first == second
 
@@ -281,6 +280,7 @@ class TestCells:
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
         config = resolve_cell_config(cell.overrides, REDUCED_CONFIG)
+        assert cell.node(REDUCED_CONFIG).config == config
         assert config.hierarchy.l2.size_bytes == 256 * 1024
         assert cell.prefetcher == "cbws[table_entries=4]"
 

@@ -47,6 +47,11 @@ def tiny_plan(workloads=("nw",), prefetchers=("no-prefetch", "stride")):
     )
 
 
+def cells(results):
+    """``execute_grid`` results (keyed by SimNode) by grid cell."""
+    return {node.cell: result for node, result in results.items()}
+
+
 def grid_cells(grid, workloads=WORKLOADS, prefetchers=PREFETCHERS):
     return {
         (w, p): grid.get(w, p).to_dict()
@@ -138,7 +143,8 @@ class TestResultCache:
 class TestGridPlan:
     def test_one_trace_node_per_workload(self):
         plan = tiny_plan(WORKLOADS, PREFETCHERS)
-        assert sorted(plan.trace_nodes) == sorted(WORKLOADS)
+        assert sorted(node.workload for node in plan.trace_nodes) == \
+            sorted(WORKLOADS)
         assert len(plan) == 4
 
     def test_sim_nodes_preserve_grid_order(self):
@@ -148,7 +154,8 @@ class TestGridPlan:
 
     def test_dependents(self):
         plan = tiny_plan(WORKLOADS, PREFETCHERS)
-        fanout = plan.dependents("nw")
+        nw = plan.trace_nodes[0]
+        fanout = [node for node in plan.sim_nodes if node.trace == nw]
         assert [node.prefetcher for node in fanout] == PREFETCHERS
         assert all(node.workload == "nw" for node in fanout)
 
@@ -189,8 +196,8 @@ class TestExecuteGrid:
             trace_dir=tmp_path,
             inject={("nw", "stride"): InjectSpec(mode="raise", times=10)},
         )
-        assert ("nw", "stride") not in results
-        assert ("nw", "no-prefetch") in results
+        assert ("nw", "stride") not in cells(results)
+        assert ("nw", "no-prefetch") in cells(results)
         names = [entry["task"] for entry in telemetry.quarantined]
         assert names == ["sim:nw:stride"]
         assert telemetry.quarantined[0]["attempts"] == 2
@@ -211,7 +218,7 @@ class TestExecuteGrid:
     def test_serial_run_persists_traces(self, fresh_trace_cache, tmp_path):
         plan = tiny_plan()
         execute_grid(plan, options=ExecOptions(jobs=1), trace_dir=tmp_path)
-        assert (tmp_path / plan.trace_nodes["nw"].filename).exists()
+        assert (tmp_path / plan.trace_nodes[0].filename).exists()
         clear_trace_cache()
         _, telemetry = execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
                                     trace_dir=tmp_path)
@@ -241,7 +248,7 @@ class TestExecuteGrid:
         )
         names = [entry["task"] for entry in telemetry.quarantined]
         assert names == ["sim:nw:stride"]
-        assert ("nw", "no-prefetch") in results
+        assert ("nw", "no-prefetch") in cells(results)
         assert telemetry.worker_crashes >= 1
 
     def test_hung_task_times_out(self, fresh_trace_cache, tmp_path):
@@ -257,7 +264,7 @@ class TestExecuteGrid:
         assert telemetry.timeouts >= 1
         names = [entry["task"] for entry in telemetry.quarantined]
         assert names == ["sim:nw:stride"]
-        assert ("nw", "no-prefetch") in results
+        assert ("nw", "no-prefetch") in cells(results)
 
     def test_cache_replay_runs_zero_sims(self, fresh_trace_cache, tmp_path):
         cache = ResultCache(tmp_path / "results")
@@ -309,6 +316,34 @@ class FakeTrace:
 
     def __init__(self, events: int) -> None:
         self.events = [None] * events
+
+
+class TestPrefetcherSpellings:
+    """Two spellings of one geometry are one simulation."""
+
+    def test_cache_replays_across_spellings(self, fresh_trace_cache,
+                                            tmp_path):
+        plain = GridRunner(cache_dir=tmp_path, budget_fraction=0.02).run_grid(
+            ["nw"], ["cbws"]).get("nw", "cbws")
+        grid = GridRunner(cache_dir=tmp_path, budget_fraction=0.02).run_grid(
+            ["nw"], ["cbws[max_step=4]"])
+        assert telemetry_module.LAST_RUN.sims_run == 0
+        result = grid.get("nw", "cbws[max_step=4]")
+        assert result.prefetcher == "cbws[max_step=4]"
+        assert {**result.to_dict(), "prefetcher": "cbws"} == plain.to_dict()
+
+    def test_memo_and_one_grid_share_spellings(self, fresh_trace_cache):
+        runner = GridRunner(budget_fraction=0.02)
+        names = ["cbws", "cbws[table_entries=16]"]
+        grid = runner.run_grid(["nw"], names)
+        assert telemetry_module.LAST_RUN.sims_run == 1
+        assert [grid.get("nw", name).prefetcher for name in names] == names
+        telemetry_module.LAST_RUN = None
+        again = runner.run_grid(["nw"], ["cbws[max_vector_members=16]"])
+        assert telemetry_module.LAST_RUN is None  # a memo hit
+        result = again.get("nw", "cbws[max_vector_members=16]")
+        assert result.prefetcher == "cbws[max_vector_members=16]"
+        assert result.cycles == grid.get("nw", "cbws").cycles
 
 
 class TestRunnerWiring:

@@ -43,6 +43,11 @@ def _no_lingering_faults():
     faults.deactivate()
 
 
+def cells(results):
+    """``execute_grid`` results (keyed by SimNode) by grid cell."""
+    return {node.cell: result for node, result in results.items()}
+
+
 def tiny_plan(workloads=("nw",), prefetchers=("no-prefetch", "stride")):
     return GridPlan.from_grid(
         list(workloads), list(prefetchers),
@@ -213,10 +218,10 @@ class TestCircuitBreaker:
         )
         # The healthy workload finishes every cell.
         for prefetcher in self.PREFETCHERS:
-            assert ("stencil-default", prefetcher) in results
+            assert ("stencil-default", prefetcher) in cells(results)
         # The poisoned workload is fully DEGRADED: three permanent
         # quarantines trip the breaker, the fourth cell is skipped.
-        assert not any(w == "nw" for w, _ in results)
+        assert not any(w == "nw" for w, _ in cells(results))
         classes = [entry["class"] for entry in telemetry.quarantined
                    if entry["task"].startswith("sim:nw")]
         assert classes.count("permanent") == 3
@@ -255,7 +260,7 @@ class TestCircuitBreaker:
         )
         assert not telemetry.degraded
         # Without the breaker the healthy fourth cell still runs.
-        assert ("nw", self.PREFETCHERS[3]) in results
+        assert ("nw", self.PREFETCHERS[3]) in cells(results)
 
     def test_pool_path_breaker(self, fresh_trace_cache, tmp_path):
         broken = dict.fromkeys(
@@ -276,7 +281,7 @@ class TestCircuitBreaker:
             tuple(entry["task"].split(":")[1:]) for entry in
             telemetry.quarantined if entry["kind"] == "sim"
         }
-        assert quarantined_cells | set(results) == {
+        assert quarantined_cells | set(cells(results)) == {
             ("nw", p) for p in self.PREFETCHERS
         }
         classes = [entry["class"] for entry in telemetry.quarantined]

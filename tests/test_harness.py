@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.harness.registry import (
     PAPER_PREFETCHER_ORDER,
+    canonical_prefetcher_name,
     make_cbws_variant,
     make_prefetcher,
 )
@@ -33,6 +34,21 @@ class TestRegistry:
         hybrid = make_cbws_variant(config, hybrid=True)
         assert standalone.config.table_entries == 8
         assert hybrid.cbws.config.table_entries == 8
+
+    def test_effective_default_parameters_are_dropped(self):
+        # predict_steps defaults to min(4, max_step), so spelling that
+        # value out names the same geometry.
+        spelled = "cbws[max_step=2,predict_steps=2]"
+        implied = "cbws[max_step=2]"
+        assert canonical_prefetcher_name(spelled) == implied
+        assert canonical_prefetcher_name(implied) == implied
+        assert (make_prefetcher(spelled).config
+                == make_prefetcher(implied).config)
+        # A value off its effective default is kept.
+        assert (canonical_prefetcher_name("cbws[max_step=2,predict_steps=1]")
+                == "cbws[max_step=2,predict_steps=1]")
+        assert canonical_prefetcher_name("cbws[predict_steps=2]") == \
+            "cbws[predict_steps=2]"
 
 
 class TestRunner:

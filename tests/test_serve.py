@@ -245,6 +245,81 @@ class TestBrokerSemantics:
         assert broker._queue.qsize() == 0
 
 
+class TestBrokerBatches:
+    """Whole batches through a started broker (no HTTP)."""
+
+    @staticmethod
+    def _run(tmp_path, requests, batch_window=0.5):
+        import asyncio
+
+        async def main():
+            broker = Broker(workers=1, cache_dir=tmp_path,
+                            batch_window=batch_window)
+            await broker.start()
+            submitted = [broker.submit(r) for r in requests]
+            for job, _ in submitted:
+                await job.done.wait()
+            await broker.drain()
+            return broker, submitted
+
+        return asyncio.run(main())
+
+    def test_prefetcher_spellings_share_one_job(self, tmp_path):
+        broker, submitted = self._run(tmp_path, [
+            request("cbws[table_entries=64,max_step=2]"),
+            request("cbws[max_step=2,table_entries=64]"),
+        ])
+        (first, dedup1), (second, dedup2) = submitted
+        assert (dedup1, dedup2) == (False, True)
+        assert second is first
+        assert first.status is JobStatus.DONE
+        assert broker.counters["serve.cells_executed"] == 1
+
+    def test_seeds_in_one_batch_keep_their_own_outcomes(self, tmp_path,
+                                                        monkeypatch):
+        from repro.common.errors import PermanentError
+        from repro.exec import traces
+
+        real_get_trace = traces.get_trace
+
+        def get_trace(node, directory=None):
+            if node.seed == 1:
+                raise PermanentError("no trace for seed 1")
+            return real_get_trace(node, directory)
+
+        monkeypatch.setattr(traces, "get_trace", get_trace)
+        broker, submitted = self._run(tmp_path, [
+            request("stride", seed=1), request("stride", seed=2),
+        ])
+        (broken, _), (healthy, _) = submitted
+        assert broker.counters["serve.batches"] == 1
+        assert broken.status is JobStatus.FAILED
+        assert broken.error == "trace build for nw was quarantined"
+        assert healthy.status is JobStatus.DONE
+        assert healthy.result.prefetcher == "stride"
+
+        def finished(job):
+            return [e for e in job.events if e["event"] == "cell-finished"]
+
+        assert finished(broken) == []
+        assert len(finished(healthy)) == 1
+
+    def test_cache_hit_does_not_wait_for_its_batch(self, tmp_path):
+        self._run(tmp_path, [request("stride")], batch_window=0.01)
+        broker, submitted = self._run(tmp_path, [
+            request("no-prefetch"), request("stride"),
+        ])
+        (fresh, _), (cached, _) = submitted
+        assert broker.counters["serve.batches"] == 1
+        assert (broker.counters["serve.cells_executed"],
+                broker.counters["serve.cache_hits"]) == (1, 1)
+
+        def ended(job):
+            return job.submitted_monotonic + job.wall_seconds
+
+        assert ended(cached) < ended(fresh)
+
+
 class TestLoadgen:
     def test_plan_is_seeded_and_stable(self):
         config = LoadgenConfig.quick(seed=3)

@@ -50,7 +50,7 @@ class TestGoldenFixtures:
 
     def test_full_request_resolves_overrides(self):
         request = SimulateRequest.from_dict(load_fixture("request_full.json"))
-        config = request.resolve_config()
+        config = request.node().config
         assert config.hierarchy.l1.size_bytes == 4 * 1024
         assert config.hierarchy.l2.size_bytes == 128 * 1024
         assert config.core.rob_entries == 64
@@ -60,7 +60,7 @@ class TestGoldenFixtures:
     def test_minimal_request_resolves_to_base(self):
         request = SimulateRequest.from_dict(
             load_fixture("request_minimal.json"))
-        assert request.resolve_config() == REDUCED_CONFIG
+        assert request.node().config == REDUCED_CONFIG
 
 
 class TestRequestValidation:
@@ -140,7 +140,7 @@ class TestRequestValidation:
             config={"prefetch": {"queue_capacity": 16,
                                  "issue_interval": 4}}))
         assert ab == ba
-        assert ab.sim_key() == ba.sim_key()
+        assert ab.node().key == ba.node().key
 
     def test_equivalent_spellings_share_a_key(self):
         base = load_fixture("request_minimal.json")
@@ -149,7 +149,7 @@ class TestRequestValidation:
             {**base, "config": {"l1_kb": 4, "l2_kb": 128}})
         # The reduced machine already has a 4 KB L1 / 128 KB L2, so the
         # explicit override resolves to the same SimConfig and key.
-        assert implicit.sim_key() == spelled.sim_key()
+        assert implicit.node().key == spelled.node().key
 
 
 class TestJobViewValidation:
@@ -216,17 +216,15 @@ def _requests() -> st.SearchStrategy[SimulateRequest]:
         budget_fraction=st.floats(min_value=0.001, max_value=1.0,
                                   allow_nan=False, allow_infinity=False),
         seed=st.integers(min_value=0, max_value=2**31),
-        l1_kb=st.one_of(st.none(), st.integers(min_value=1, max_value=1024)),
-        l2_kb=st.one_of(st.none(), st.integers(min_value=1, max_value=4096)),
-        core=st.dictionaries(
-            st.sampled_from(["rob_entries", "width"]),
-            _OVERRIDE_INTS, max_size=2,
-        ).map(lambda d: tuple(sorted(d.items()))),
-        prefetch=st.dictionaries(
-            st.sampled_from(["queue_capacity", "issue_interval",
-                             "max_in_flight"]),
-            _OVERRIDE_INTS, max_size=3,
-        ).map(lambda d: tuple(sorted(d.items()))),
+        overrides=st.fixed_dictionaries({}, optional={
+            "l1_kb": st.integers(min_value=1, max_value=1024),
+            "l2_kb": st.integers(min_value=1, max_value=4096),
+            "core.rob_entries": _OVERRIDE_INTS,
+            "core.width": _OVERRIDE_INTS,
+            "prefetch.queue_capacity": _OVERRIDE_INTS,
+            "prefetch.issue_interval": _OVERRIDE_INTS,
+            "prefetch.max_in_flight": _OVERRIDE_INTS,
+        }).map(lambda d: tuple(sorted(d.items()))),
     )
 
 

@@ -126,7 +126,7 @@ class TestInProcessRecovery:
     def test_broker_readmits_journaled_jobs_on_start(self, tmp_path):
         # Forge a crash: a journal with one accepted-but-unfinished job.
         req = request("no-prefetch")
-        key = req.sim_key()
+        key = req.node().key
         journal = ServeJournal(journal_path(tmp_path))
         journal.job_accepted("j-lost", key, req)
         journal.close()
