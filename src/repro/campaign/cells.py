@@ -19,7 +19,7 @@ one of three groups:
 *identity*
     ``scale``, ``budget_fraction``, ``seed`` — trace identity fields.
 *config*
-    ``l1_kb``, ``l2_kb``, ``line_size``, ``l1.associativity``,
+    ``l1_kb``, ``l2_kb``, ``l1.associativity``,
     ``l1.mshrs``, ``l2.associativity``, ``l2.mshrs``, ``core.*``,
     ``prefetch.*`` — sparse :class:`~repro.sim.config.SimConfig`
     overrides, resolved by :func:`repro.sim.config.resolve_cell_config`
@@ -97,7 +97,6 @@ KNOWN_PARAMS = IDENTITY_PARAMS | CONFIG_PARAMS | GEOMETRY_PARAMS
 #: Config paths the serve wire protocol cannot express (cache shape is
 #: not part of the sparse-override schema).
 SERVE_INEXPRESSIBLE_PARAMS = frozenset({
-    "line_size",
     "l1.associativity",
     "l1.mshrs",
     "l2.associativity",
@@ -266,7 +265,7 @@ def baseline_params(base: SimConfig = REDUCED_CONFIG) -> dict[str, Any]:
 
     Constraint expressions evaluate against this namespace overlaid with
     the candidate point, so a predicate may reference a parameter the
-    spec does not sweep (``is_pow2(line_size)`` holds — or not — at the
+    spec does not sweep (``l2_kb >= 4 * l1_kb`` holds — or not — at the
     baseline too).
     """
     from repro.core.predictor import CbwsConfig
@@ -281,7 +280,6 @@ def baseline_params(base: SimConfig = REDUCED_CONFIG) -> dict[str, Any]:
         "seed": 0,
         "l1_kb": base.hierarchy.l1.size_bytes // 1024,
         "l2_kb": base.hierarchy.l2.size_bytes // 1024,
-        "line_size": base.hierarchy.l1.line_size,
         "l1.associativity": base.hierarchy.l1.associativity,
         "l1.mshrs": base.hierarchy.l1.mshrs,
         "l2.associativity": base.hierarchy.l2.associativity,
@@ -313,9 +311,9 @@ def serve_inexpressible(cell: CampaignCell) -> str | None:
     """Why this cell cannot run through a serve endpoint (None if it can).
 
     The wire protocol's sparse overrides cover cache *sizes* and the
-    core/prefetch scalars but not cache shape (line size, associativity,
-    MSHRs); cbws geometry always travels in the prefetcher name, which
-    serve accepts as-is.
+    core/prefetch scalars but not cache shape (associativity, MSHRs);
+    cbws geometry always travels in the prefetcher name, which serve
+    accepts as-is.
     """
     blocked = sorted(
         path for path, _ in cell.overrides

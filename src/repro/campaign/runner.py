@@ -201,8 +201,7 @@ def run_campaign(
 
     Args:
         spec: the validated sweep spec.
-        cache_dir: root for the result cache, traces, and the campaign
-            directory.
+        cache_dir: root for the result cache and the campaign directory.
         campaign_id: required with ``resume``; auto-generated otherwise.
         resume: re-attach to an existing journal instead of starting
             fresh (fingerprints must match).
@@ -268,7 +267,7 @@ def run_campaign(
                 fingerprint=fingerprint,
                 spec=spec.to_dict(),
             )
-        _run_waves(spec, outcome, cache, cache_dir, journal, prior,
+        _run_waves(spec, outcome, cache, journal, prior,
                    jobs=jobs, executor=executor, serve_host=serve_host,
                    serve_port=serve_port, base=base, options=options,
                    progress=progress)
@@ -290,7 +289,6 @@ def _run_waves(
     spec: CampaignSpec,
     outcome: CampaignOutcome,
     cache: ResultCache,
-    cache_dir: Path,
     journal: RunJournal,
     prior: CampaignReplayState,
     *,
@@ -329,7 +327,7 @@ def _run_waves(
 
         with obs.phase("campaign.execute"):
             if executor == "grid":
-                _execute_wave_grid(plan, outcome, cache, cache_dir, journal,
+                _execute_wave_grid(plan, outcome, cache, journal,
                                    jobs=jobs, options=options,
                                    wave=wave, progress=progress)
             else:
@@ -361,7 +359,6 @@ def _execute_wave_grid(
     plan: CampaignPlan,
     outcome: CampaignOutcome,
     cache: ResultCache,
-    cache_dir: Path,
     journal: RunJournal,
     *,
     jobs: int | None,
@@ -382,7 +379,6 @@ def _execute_wave_grid(
         GridPlan(plan.nodes),
         options=replace(options or ExecOptions(), jobs=jobs),
         cache=cache,
-        trace_dir=cache_dir,
         journal=journal,
         progress=grid_progress,
     )

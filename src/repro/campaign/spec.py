@@ -20,7 +20,7 @@ names the design space to sweep::
     values = [2, 4, 8, 16]
 
     [[constraints]]
-    expr = "is_pow2(line_size)"
+    expr = "is_pow2(prefetch.issue_interval)"
 
     [refine]
     metric = "ipc"
@@ -129,11 +129,8 @@ def _expand_values(name: str, body: Mapping[str, Any]) -> tuple[tuple, str]:
         _require(len(raw) == 3, f"axis {name!r}: range wants [start, stop, "
                                 f"step], got {list(raw)}")
         start, stop, step = raw
-        _require(
-            all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in raw),
-            f"axis {name!r}: range bounds must be numbers",
-        )
+        _require(all(_is_number(v) for v in raw),
+                 f"axis {name!r}: range bounds must be numbers")
         _require(step > 0, f"axis {name!r}: range step must be positive")
         _require(stop >= start, f"axis {name!r}: range stop < start")
         values = []
@@ -147,11 +144,8 @@ def _expand_values(name: str, body: Mapping[str, Any]) -> tuple[tuple, str]:
     _require(len(raw) == 2,
              f"axis {name!r}: log2_range wants [lo, hi], got {list(raw)}")
     lo, hi = raw
-    _require(
-        isinstance(lo, int) and isinstance(hi, int)
-        and not isinstance(lo, bool) and not isinstance(hi, bool),
-        f"axis {name!r}: log2_range bounds must be integers",
-    )
+    _require(_is_int(lo) and _is_int(hi),
+             f"axis {name!r}: log2_range bounds must be integers")
     _require(lo > 0 and hi >= lo,
              f"axis {name!r}: log2_range wants 0 < lo <= hi")
     _require(is_power_of_two(lo) and is_power_of_two(hi),
@@ -222,8 +216,17 @@ class Constraint:
         return cls(expr=expr, _tree=tree)
 
     def evaluate(self, params: Mapping[str, Any]) -> bool:
-        """Whether the predicate holds for one candidate cell."""
-        return bool(self._eval(self._tree.body, params))
+        """Whether the predicate holds for one candidate cell.
+
+        An expression that fails on the cell's values (``l1_kb / 0``,
+        ``min(l1_kb)``) is a :class:`SpecError` naming the expression.
+        """
+        try:
+            return bool(self._eval(self._tree.body, params))
+        except (ArithmeticError, TypeError, ValueError) as error:
+            raise SpecError(
+                f"constraint {self.expr!r} cannot be evaluated: {error}"
+            ) from None
 
     def _eval(self, node: ast.AST, params: Mapping[str, Any]) -> Any:
         if isinstance(node, ast.Constant):
@@ -413,8 +416,7 @@ def parse_spec(document: Mapping[str, Any]) -> CampaignSpec:
              f"known: {', '.join(sorted(known_top))}")
 
     version = document.get("version")
-    _require(isinstance(version, int) and not isinstance(version, bool),
-             "spec is missing its integer 'version' field")
+    _require(_is_int(version), "spec is missing its integer 'version' field")
     _require(version == SPEC_VERSION,
              f"unsupported spec version {version}; this build speaks "
              f"version {SPEC_VERSION}")
@@ -451,8 +453,7 @@ def parse_spec(document: Mapping[str, Any]) -> CampaignSpec:
     _require(isinstance(budget_fraction, (int, float))
              and 0 < budget_fraction <= 1.0,
              "base.budget_fraction must be in (0, 1]")
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "base.seed must be an integer")
+    _require(_is_int(seed), "base.seed must be an integer")
 
     axes: list[Axis] = []
     raw_axes = document.get("axes", [])
@@ -482,9 +483,7 @@ def parse_spec(document: Mapping[str, Any]) -> CampaignSpec:
                      f"'log2', got {declared!r}")
             if declared == "log2":
                 _require(
-                    all(isinstance(v, (int, float))
-                        and not isinstance(v, bool) and v > 0
-                        for v in values),
+                    all(_is_number(v) and v > 0 for v in values),
                     f"axis {axis_name!r}: log2 spacing needs positive "
                     "numeric values",
                 )
@@ -499,14 +498,23 @@ def parse_spec(document: Mapping[str, Any]) -> CampaignSpec:
     _require(len(zip_lengths) <= 1,
              f"zip axes must have equal lengths, got {sorted(zip_lengths)}")
 
-    # Axis paths are validated against the parameter registry here so a
-    # typo fails at parse time, not mid-campaign.
-    from repro.campaign.cells import KNOWN_PARAMS
+    # Axis paths and value types are validated against the parameter
+    # registry here so a typo fails at parse time, not mid-campaign.
+    from repro.campaign.cells import CONFIG_PARAMS, KNOWN_PARAMS
 
     for axis in axes:
         _require(axis.name in KNOWN_PARAMS,
                  f"axis {axis.name!r} is not a sweepable parameter; "
                  f"known: {', '.join(sorted(KNOWN_PARAMS))}")
+        if axis.name in CONFIG_PARAMS or axis.name == "seed":
+            kind, accepts = "integers", _is_int
+        elif axis.name in ("scale", "budget_fraction"):
+            kind, accepts = "numbers", _is_number
+        else:
+            continue
+        for value in axis.values:
+            _require(accepts(value), f"axis {axis.name!r}: values must be "
+                                     f"{kind}, got {value!r}")
 
     constraints = tuple(
         Constraint.parse(_constraint_expr(entry))
@@ -526,6 +534,14 @@ def parse_spec(document: Mapping[str, Any]) -> CampaignSpec:
         constraints=constraints,
         refine=refine,
     )
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _constraint_expr(entry: Any) -> str:

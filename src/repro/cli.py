@@ -49,7 +49,7 @@ def _default_cache_dir() -> str:
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=_default_cache_dir(), metavar="DIR",
-        help="trace + result cache directory (default .repro-cache, "
+        help="result cache directory (default .repro-cache, "
              "or $REPRO_CACHE_DIR)",
     )
 
@@ -582,11 +582,11 @@ def _cmd_campaign_bench(args: argparse.Namespace) -> int:
 def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
     """Walk the cache directory and verify every artifact's integrity.
 
-    Trace files are checked against their embedded payload CRC, cached
-    results against their schema + checksum envelope, and run journals
-    for torn tails.  Exit 0 when everything verifies; exit 1 and list
-    the offenders otherwise (``--purge`` deletes corrupt traces and
-    results so the next run rebuilds them).
+    Ingest-store trace files are checked against their embedded payload
+    CRC, cached results against their schema + checksum envelope, and
+    run journals for torn tails.  Exit 0 when everything verifies; exit
+    1 and list the offenders otherwise (``--purge`` deletes corrupt
+    files: a purged result is simulated again on the next run).
     """
     from pathlib import Path
 
@@ -601,11 +601,7 @@ def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
 
     ok = 0
     corrupt: list[tuple[Path, str]] = []
-    trace_files = sorted(root.glob("*.trace"))
-    ingest_root = root / "ingest"
-    if ingest_root.is_dir():
-        trace_files.extend(sorted(ingest_root.glob("*.trace")))
-    for path in trace_files:
+    for path in sorted((root / "ingest").glob("*.trace")):
         reason = verify_trace_file(path)
         if reason is None:
             ok += 1
@@ -1126,7 +1122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_parser = subparsers.add_parser(
         "verify-artifacts",
-        help="checksum-verify cached traces, results, and run journals")
+        help="checksum-verify ingested traces, cached results, and run "
+             "journals")
     verify_parser.add_argument(
         "--purge", action="store_true",
         help="delete corrupt artifacts so the next run rebuilds them")

@@ -16,7 +16,7 @@ scope, so the harness can import it freely.
 ``keys``       stable content-addressed hashing of task inputs
 ``plan``       SimNode (the one sim identity + key) and the task DAG
 ``cache``      on-disk result cache keyed by ``SimNode.key``
-``traces``     the trace store: the one trace LRU and the trace files
+``traces``     the trace store: the one in-memory trace LRU
 ``pool``       worker-side task execution + pool lifecycle
 ``scheduler``  DAG orchestration, retries, quarantine, degradation
 ``telemetry``  counters, per-task wall times, ETA, persistence
@@ -43,7 +43,6 @@ from repro.exec.keys import (
     CODE_VERSION,
     sim_key,
     stable_hash,
-    trace_filename,
     trace_key,
 )
 from repro.exec.plan import GridPlan, SimNode, TraceNode
@@ -80,7 +79,6 @@ __all__ = [
     "run_fingerprint",
     "sim_key",
     "stable_hash",
-    "trace_filename",
     "trace_key",
     "trace_nbytes",
 ]

@@ -108,15 +108,6 @@ def trace_key(
     )
 
 
-def trace_filename(
-    workload: str, scale: float, budget_fraction: float, seed: int
-) -> str:
-    """On-disk name for a cached trace: readable prefix + stable digest."""
-    safe = workload.replace("/", "_").replace(":", "_")
-    digest = trace_key(workload, scale, budget_fraction, seed)[:12]
-    return f"{safe}-{digest}.trace"
-
-
 def sim_key(
     workload: str,
     prefetcher: str,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from repro.exec.keys import sim_key, trace_filename, trace_key
+from repro.exec.keys import sim_key, trace_key
 from repro.sim.config import SimConfig
 
 
@@ -38,12 +38,6 @@ class TraceNode:
         """Content key of the trace this node produces."""
         return trace_key(self.workload, self.scale, self.budget_fraction,
                          self.seed)
-
-    @property
-    def filename(self) -> str:
-        """Stable on-disk name for the built trace."""
-        return trace_filename(self.workload, self.scale,
-                              self.budget_fraction, self.seed)
 
     @property
     def name(self) -> str:

@@ -1,12 +1,11 @@
 """Worker-side task execution and pool lifecycle.
 
-Task payloads are small frozen dataclasses (cheap to pickle); the heavy
-artifacts move through the filesystem.  Both task kinds look their trace
-up in the trace store (:func:`repro.exec.traces.get_trace`) against the
-grid's trace directory: the trace task finds or builds it and reports
-where it came from, and each dependent simulation task then finds it in
-its worker's copy of the trace LRU or reads the file the trace task
-wrote.
+Task payloads are small frozen dataclasses (cheap to pickle).  Both task
+kinds get their trace from the trace store
+(:func:`repro.exec.traces.get_trace`), which lives in each worker's
+memory: the trace task builds the trace into its worker's LRU (so a
+failed build is scoped to that trace and its dependent sims), and each
+simulation task finds it there or, on another worker, builds it again.
 
 :class:`WorkerPool` wraps :class:`concurrent.futures.ProcessPoolExecutor`
 with the two operations the scheduler's fault handling needs: detecting
@@ -57,26 +56,17 @@ class InjectSpec:
 
 
 @dataclass(frozen=True)
-class TraceTaskPayload:
-    """Find, or build and persist, one workload's trace."""
-
-    node: TraceNode
-    trace_dir: str
-
-
-@dataclass(frozen=True)
 class SimTaskPayload:
-    """Simulate one node against its trace under ``trace_dir``."""
+    """Simulate one node (and any test-injected fault for it)."""
 
     node: SimNode
-    trace_dir: str
     inject: InjectSpec | None = None
     inject_counter_path: str | None = None
 
 
 @dataclass
 class TraceTaskOutcome:
-    source: str  # a repro.exec.traces source: memory, disk, built, ...
+    source: str  # a repro.exec.traces source: memory or built
     seconds: float
 
 
@@ -114,10 +104,10 @@ def apply_injection(inject: InjectSpec | None,
     )
 
 
-def execute_trace_task(payload: TraceTaskPayload) -> TraceTaskOutcome:
+def execute_trace_task(node: TraceNode) -> TraceTaskOutcome:
     """Worker entry point: find or build one workload's trace."""
     started = time.perf_counter()
-    _, source = get_trace(payload.node, payload.trace_dir)
+    _, source = get_trace(node)
     return TraceTaskOutcome(source=source,
                             seconds=time.perf_counter() - started)
 
@@ -129,7 +119,7 @@ def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
     apply_injection(payload.inject, payload.inject_counter_path)
     started = time.perf_counter()
     node = payload.node
-    trace, _ = get_trace(node.trace, payload.trace_dir)
+    trace, _ = get_trace(node.trace)
     result = simulate(node.config, make_prefetcher(node.prefetcher), trace)
     result.prefetcher = node.prefetcher
     return SimTaskOutcome(result=result,

@@ -64,7 +64,6 @@ from repro.exec.plan import GridPlan, SimNode, TraceNode
 from repro.exec.pool import (
     InjectSpec,
     SimTaskPayload,
-    TraceTaskPayload,
     WorkerPool,
     execute_sim_task,
     execute_trace_task,
@@ -156,13 +155,9 @@ class _GridState:
 
     def trace_done(self, node: TraceNode, source: str, seconds: float,
                    attempts: int) -> None:
-        """Count where one trace came from (memory counts none)."""
-        if source == traces.DISK:
-            self.telemetry.trace_disk_hits += 1
-        elif source != traces.MEMORY:
+        """Count one trace task (a memory hit builds none)."""
+        if source == traces.BUILT:
             self.telemetry.traces_built += 1
-        if source == traces.REBUILT_CORRUPT:
-            self.telemetry.corrupt_traces += 1
         self.telemetry.task_finished(node.name, "trace", seconds, attempts)
         if self.journal is not None:
             self.journal.task_done(node.name, "trace")
@@ -272,7 +267,6 @@ def execute_grid(
     *,
     options: ExecOptions | None = None,
     cache: ResultCache | None = None,
-    trace_dir: str | Path | None = None,
     inject: Mapping[tuple[str, str], InjectSpec] | None = None,
     progress: Progress | None = None,
     stats_path: str | Path | None = None,
@@ -291,10 +285,6 @@ def execute_grid(
 
     Args:
         cache: result cache; probed before scheduling, filled after.
-        trace_dir: where traces are persisted and looked up (see
-            :mod:`repro.exec.traces`).  When omitted the serial path
-            keeps traces in memory only and the pool path uses a private
-            temporary directory.
         inject: test-only fault injection per (workload, prefetcher).
         progress: called with each delivered cell's node and result, as
             it lands.
@@ -369,10 +359,9 @@ def execute_grid(
         if misses:
             telemetry.task_queued(len(state.pending) + misses)
             if jobs <= 1:
-                _run_serial(state, trace_dir, dict(inject or {}))
+                _run_serial(state, dict(inject or {}))
             else:
-                _run_pool(state, trace_dir, dict(inject or {}), jobs,
-                          shared_pool=pool)
+                _run_pool(state, dict(inject or {}), jobs, shared_pool=pool)
     finally:
         telemetry.finish()
         telemetry_module.LAST_RUN = telemetry
@@ -396,12 +385,11 @@ def execute_grid(
 
 def _run_serial(
     state: _GridState,
-    trace_dir: str | Path | None,
     inject: dict[tuple[str, str], InjectSpec],
 ) -> None:
     for trace_node in list(state.pending):
         done = _attempt_serial(state, trace_node, traces.get_trace,
-                               trace_node, trace_dir)
+                               trace_node)
         if done is None:
             continue
         (trace, source), seconds, attempts = done
@@ -487,17 +475,16 @@ class _TaskState:
 
 def _run_pool(
     state: _GridState,
-    trace_dir: str | Path | None,
     inject: dict[tuple[str, str], InjectSpec],
     jobs: int,
     shared_pool: WorkerPool | None = None,
 ) -> None:
     telemetry = state.telemetry
     options = state.options
-    temporary = (tempfile.TemporaryDirectory(prefix="repro-exec-")
-                 if trace_dir is None else None)
-    trace_root = Path(temporary.name if temporary else trace_dir)
-    trace_root.mkdir(parents=True, exist_ok=True)
+    # Injected faults count their attempts in side files, so the count
+    # survives the worker restarts a crash or hang causes.
+    counters = (tempfile.TemporaryDirectory(prefix="repro-inject-")
+                if inject else None)
 
     pool = shared_pool if shared_pool is not None else WorkerPool(jobs)
     active: list[_TaskState] = []
@@ -544,14 +531,10 @@ def _run_pool(
         spec = inject.get(node.cell)
         counter = None
         if spec is not None:
-            counter = str(trace_root /
+            counter = str(Path(counters.name) /
                           f"inject-{short_digest(*node.cell)}.count")
-        payload = SimTaskPayload(
-            node=node,
-            trace_dir=str(trace_root),
-            inject=spec,
-            inject_counter_path=counter,
-        )
+        payload = SimTaskPayload(node=node, inject=spec,
+                                 inject_counter_path=counter)
         return _TaskState(node, payload, execute_sim_task)
 
     def complete(task: _TaskState, outcome) -> None:
@@ -565,8 +548,7 @@ def _run_pool(
             dispatch(make_sim_state(node))
 
     for node in state.pending:
-        payload = TraceTaskPayload(node=node, trace_dir=str(trace_root))
-        submit(_TaskState(node, payload, execute_trace_task))
+        submit(_TaskState(node, node, execute_trace_task))
 
     try:
         while active or probe_queue:
@@ -648,8 +630,8 @@ def _run_pool(
     finally:
         if shared_pool is None:
             pool.shutdown()
-        if temporary is not None:
-            temporary.cleanup()
+        if counters is not None:
+            counters.cleanup()
 
 
 def quarantine_report(telemetry: ExecTelemetry) -> str:

@@ -4,9 +4,7 @@ One :class:`ExecTelemetry` instance accompanies each scheduled grid; the
 scheduler updates it live (tasks queued/running/done, cache hits, retries,
 crashes, quarantines) and persists a JSON snapshot next to the result
 cache so ``python -m repro exec-stats`` can report on the last run from a
-different process.  The module also keeps a handful of process-wide
-counters (e.g. corrupt traces recovered) that are incremented from code
-paths with no telemetry object in scope.
+different process.
 """
 
 from __future__ import annotations
@@ -21,19 +19,9 @@ from typing import Any
 
 logger = logging.getLogger("repro.exec")
 
-#: Process-wide event counters, for code paths that may run outside a
-#: scheduled grid (e.g. the trace store recovering a corrupt file).
-PROCESS_COUNTERS: dict[str, int] = {"corrupt_traces": 0}
-
 #: The telemetry of the most recent :func:`repro.exec.scheduler.execute_grid`
 #: call in this process (tests and interactive sessions read it back).
 LAST_RUN: "ExecTelemetry | None" = None
-
-
-def count_corrupt_trace(path: object) -> None:
-    """Record one corrupt/truncated on-disk trace that was rebuilt."""
-    logger.warning("corrupt trace file %s: discarding and rebuilding", path)
-    PROCESS_COUNTERS["corrupt_traces"] += 1
 
 
 @dataclass
@@ -58,12 +46,10 @@ class ExecTelemetry:
     cache_hits: int = 0
     cache_misses: int = 0
     traces_built: int = 0
-    trace_disk_hits: int = 0
     sims_run: int = 0
     retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
-    corrupt_traces: int = 0
     corrupt_results: int = 0
     resumed_cells: int = 0
     degraded: list[dict[str, Any]] = field(default_factory=list)
@@ -154,12 +140,10 @@ class ExecTelemetry:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "traces_built": self.traces_built,
-            "trace_disk_hits": self.trace_disk_hits,
             "sims_run": self.sims_run,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "worker_crashes": self.worker_crashes,
-            "corrupt_traces": self.corrupt_traces,
             "corrupt_results": self.corrupt_results,
             "resumed_cells": self.resumed_cells,
             "degraded": len(self.degraded),

@@ -83,12 +83,10 @@ _EXEC_STAT_ROWS = [
     ("cache_hits", "result-cache hits", "{:d}"),
     ("cache_misses", "result-cache misses", "{:d}"),
     ("traces_built", "traces built", "{:d}"),
-    ("trace_disk_hits", "trace disk hits", "{:d}"),
     ("sims_run", "simulations run", "{:d}"),
     ("retries", "retries", "{:d}"),
     ("timeouts", "timeouts", "{:d}"),
     ("worker_crashes", "worker crashes", "{:d}"),
-    ("corrupt_traces", "corrupt traces rebuilt", "{:d}"),
     ("corrupt_results", "corrupt results rebuilt", "{:d}"),
     ("resumed_cells", "cells resumed from journal", "{:d}"),
     ("degraded", "workloads degraded", "{:d}"),

@@ -3,8 +3,7 @@
 Traces are expensive to generate (the IR interpreter executes every
 iteration over real data) but identical for every prefetcher, so the
 runner gets each workload's trace from the trace store
-(:mod:`repro.exec.traces`): a bounded process-wide in-memory LRU, and
-trace files under ``cache_dir`` that survive processes.
+(:mod:`repro.exec.traces`), a bounded process-wide in-memory LRU.
 
 Every grid cell runs through :func:`repro.exec.scheduler.execute_grid`:
 the grid becomes a task DAG with bounded retries and quarantine, plus,
@@ -38,7 +37,7 @@ class GridRunner:
             tests use small fractions for fast, structurally identical
             runs.
         seed: workload data seed.
-        cache_dir: optional directory for trace files, the result cache,
+        cache_dir: optional directory for the result cache,
             run journals and execution stats.  Without it a grid run
             writes no file.
         jobs: default worker processes for :meth:`run_grid`; ``1`` (the
@@ -103,7 +102,7 @@ class GridRunner:
         """The (cached) annotated trace for one workload."""
         from repro.exec.traces import get_trace
 
-        return get_trace(self._trace_node(workload), self.cache_dir)[0]
+        return get_trace(self._trace_node(workload))[0]
 
     def _trace_node(self, workload: str) -> TraceNode:
         return TraceNode(workload, self.scale, self.budget_fraction,
@@ -176,7 +175,6 @@ class GridRunner:
                     GridPlan(todo.values()),
                     options=options,
                     cache=cache,
-                    trace_dir=self.cache_dir,
                     progress=(None if progress is None
                               else lambda node, _: progress(*node.cell)),
                     stats_path=(self.cache_dir / "exec-stats.json"

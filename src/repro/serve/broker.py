@@ -483,7 +483,6 @@ class Broker:
             GridPlan(job.node for job in batch),
             options=options,
             cache=self._cache,
-            trace_dir=self.cache_dir,
             progress=delivered,
             pool=self._pool,
         )

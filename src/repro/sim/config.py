@@ -132,7 +132,6 @@ REDUCED_CONFIG = SimConfig(hierarchy=_hierarchy(4, 128, _CORE), core=_CORE)
 CONFIG_PARAMS = frozenset({
     "l1_kb",
     "l2_kb",
-    "line_size",
     "l1.associativity",
     "l1.mshrs",
     "l2.associativity",
@@ -155,10 +154,12 @@ def resolve_cell_config(
     """Apply sparse ``(path, value)`` overrides (:data:`CONFIG_PARAMS`)
     to ``base``.
 
-    ``l1_kb`` / ``l2_kb`` set a cache's capacity, ``line_size`` both
-    caches' line size, ``l1.*`` / ``l2.*`` / ``core.*`` / ``prefetch.*``
-    one field each.  Field validation happens in the config
-    dataclasses' own ``__post_init__`` (a :class:`ConfigError`).
+    ``l1_kb`` / ``l2_kb`` set a cache's capacity, ``l1.*`` / ``l2.*`` /
+    ``core.*`` / ``prefetch.*`` one field each.  Field validation happens
+    in the config dataclasses' own ``__post_init__`` (a
+    :class:`ConfigError`).  The line size is not an override: the
+    stride prefetcher shifts by the constant ``LINE_SHIFT`` and
+    ``SmsConfig.line_size`` is 64.
     """
     mapping = dict(overrides)
     unknown = set(mapping) - CONFIG_PARAMS
@@ -172,8 +173,6 @@ def resolve_cell_config(
     for path, value in mapping.items():
         if path in ("l1_kb", "l2_kb"):
             fields[path[:2]]["size_bytes"] = value * 1024
-        elif path == "line_size":
-            fields["l1"]["line_size"] = fields["l2"]["line_size"] = value
         else:
             group, name = path.split(".", 1)
             fields[group][name] = value

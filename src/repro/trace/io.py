@@ -19,8 +19,8 @@ one passed to ``write_trace``.
 
 Integrity: version 2 headers carry a CRC32 of the record section, so any
 truncation or bit flip in the payload is detected at read time and
-surfaces as :class:`TraceError` — which every cache-reading call site
-demotes to "discard and rebuild" via :func:`try_read_trace`.  Version 1
+surfaces as :class:`TraceError` (``repro verify-artifacts`` reports it
+through :func:`verify_trace_file`).  Version 1
 files (no checksum) still read for backward compatibility.  Writes go
 through a temp file + ``os.replace`` so a crash mid-write can never leave
 a half-written file under the final name.
@@ -202,22 +202,12 @@ def _read(handle: BinaryIO) -> Trace:
     return Trace(name, events, instructions)
 
 
-def try_read_trace(path: str | Path) -> Trace | None:
-    """Read a trace, returning None instead of raising on a bad file.
-
-    Covers every way an on-disk cache entry can be unusable — truncated
-    mid-stream, garbage bytes, wrong version, checksum mismatch,
-    unreadable — so callers can treat all of them uniformly as
-    "rebuild it".
-    """
-    try:
-        return read_trace(path)
-    except (TraceError, OSError, UnicodeDecodeError, struct.error):
-        return None
-
-
 def verify_trace_file(path: str | Path) -> str | None:
-    """Why a trace file is unusable, or None when it verifies cleanly."""
+    """Why a trace file is unusable, or None when it verifies cleanly.
+
+    Covers every way a file can be unusable: truncated mid-stream,
+    garbage bytes, wrong version, checksum mismatch, unreadable.
+    """
     try:
         read_trace(path)
         return None

@@ -17,6 +17,7 @@ from repro.exec import faults
 from repro.exec.cache import ResultCache
 from repro.exec.faults import parse_fault_plan
 from repro.exec.scheduler import ExecOptions
+from repro.trace.io import write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -115,17 +116,20 @@ class TestRun:
         assert rows[0]["cells_done"] == rows[0]["cells_planned"] == 10
 
     def test_traces_share_the_cache_dir_and_verify(self, fresh_trace_cache,
-                                                   tmp_path, capsys):
+                                                   stream_trace, tmp_path,
+                                                   capsys):
         run_campaign(tiny_spec(), tmp_path)
         capsys.readouterr()
-        trace_files = sorted(tmp_path.glob("*.trace"))
-        assert [path.name[:3] for path in trace_files] == ["nw-"]
-        assert not (tmp_path / "traces").exists()
+        # Grid traces stay in memory; the ingest store's files verify.
+        assert list(tmp_path.rglob("*.trace")) == []
+        ingested = tmp_path / "ingest" / "stream-0123456789ab.trace"
+        ingested.parent.mkdir()
+        write_trace(stream_trace, ingested)
         assert main(["verify-artifacts", "--cache-dir", str(tmp_path)]) == 0
 
-        trace_files[0].write_bytes(b"garbage")
+        ingested.write_bytes(b"garbage")
         assert main(["verify-artifacts", "--cache-dir", str(tmp_path)]) == 1
-        assert str(trace_files[0]) in capsys.readouterr().err
+        assert str(ingested) in capsys.readouterr().err
 
     def test_caller_options_are_not_mutated(self, tmp_path):
         options = ExecOptions(jobs=4, max_retries=1)

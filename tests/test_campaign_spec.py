@@ -1,8 +1,10 @@
 """Campaign spec language: parsing, constraints, planning edge cases."""
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign.cells import (
     KNOWN_PARAMS,
@@ -17,7 +19,12 @@ from repro.campaign.spec import (
     parse_spec,
     spec_fingerprint,
 )
-from repro.common.errors import CampaignError, SpecError
+from repro.common.errors import (
+    CampaignError,
+    ConfigError,
+    ReproError,
+    SpecError,
+)
 from repro.sim.config import REDUCED_CONFIG, resolve_cell_config
 
 
@@ -267,9 +274,10 @@ class TestPlanning:
         assert first == second
 
     def test_invalid_corner_names_coords(self):
+        # 4 KiB is not divisible by 3 ways x 64-byte lines.
         spec = parse_spec(minimal_document(
-            axes=[{"name": "line_size", "values": [48]}]))
-        with pytest.raises(CampaignError, match="line_size"):
+            axes=[{"name": "l1.associativity", "values": [3]}]))
+        with pytest.raises(CampaignError, match="l1.associativity"):
             plan_campaign(spec)
 
 
@@ -290,6 +298,11 @@ class TestCells:
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
         assert cell.prefetcher == "cbws[table_entries=8]"
+
+    def test_line_size_is_not_an_override(self):
+        assert "line_size" not in KNOWN_PARAMS
+        with pytest.raises(ConfigError, match="line_size"):
+            resolve_cell_config({"line_size": 128})
 
     def test_serve_inexpressible_params_detected(self):
         cell = build_cell(
@@ -325,3 +338,88 @@ class TestCells:
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
         assert cell.prefetcher == "pangloss"
+
+
+# -- fuzzed spec documents ---------------------------------------------------
+
+_NAMES = st.sampled_from(
+    ["l1_kb", "l2_kb", "seed", "scale", "budget_fraction",
+     "l1.associativity", "core.rob_entries", "cbws.table_entries",
+     "pythia.alpha", "line_size", "bogus"])
+_SCALARS = st.one_of(
+    st.integers(-2, 300), st.floats(-1.0, 300.0, allow_nan=False),
+    st.sampled_from(["nw", "", "4"]), st.booleans())
+_BOUNDS = st.one_of(st.integers(-2, 8), st.sampled_from([0.5, "x", True]))
+_AXES = st.one_of(
+    st.fixed_dictionaries({
+        "name": _NAMES, "values": st.lists(_SCALARS, max_size=3)}),
+    st.fixed_dictionaries({
+        "name": _NAMES, "range": st.lists(_BOUNDS, min_size=2, max_size=4)}),
+    st.fixed_dictionaries({
+        "name": _NAMES,
+        "log2_range": st.lists(_BOUNDS, min_size=1, max_size=3)}),
+)
+_ATOMS = st.one_of(
+    st.sampled_from(["l1_kb", "l2_kb", "seed", "scale", "workload",
+                     "cbws.table_entries", "bogus"]),
+    st.integers(-1, 4).map(str), st.just("'nw'"), st.just("()"))
+_EXPRESSIONS = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(
+        ["+", "-", "*", "/", "//", "%", "<", "==", "in", "and", "or"]),
+        inner).map(" ".join),
+    st.tuples(st.sampled_from(["min", "max", "abs", "is_pow2"]),
+              st.lists(inner, min_size=1, max_size=2)).map(
+        lambda call: f"{call[0]}({', '.join(call[1])})"),
+), max_leaves=4)
+
+
+def _document(axes, constraints, workloads, prefetchers):
+    return {
+        "version": SPEC_VERSION,
+        "base": {"workloads": workloads, "prefetchers": prefetchers,
+                 "budget_fraction": 0.02},
+        "axes": axes,
+        "constraints": constraints,
+    }
+
+
+class TestTypedErrors:
+    """A spec document either plans or fails with a ``ReproError``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        axes=st.lists(_AXES, max_size=2),
+        constraints=st.lists(_EXPRESSIONS, max_size=2),
+        workloads=st.sampled_from([["nw"], ["nw", "no-such"]]),
+        prefetchers=st.sampled_from(
+            [["stride"], ["cbws", "sms"], ["cbws[max_step=4]", "bogus"]]),
+    )
+    @example(axes=[], constraints=["l1_kb/0"], workloads=["nw"],
+             prefetchers=["stride"])
+    @example(axes=[], constraints=["l1_kb % 0"], workloads=["nw"],
+             prefetchers=["stride"])
+    @example(axes=[], constraints=["min(l1_kb)"], workloads=["nw"],
+             prefetchers=["stride"])
+    @example(axes=[{"name": "l1_kb", "values": ["nw"]}], constraints=[],
+             workloads=["nw"], prefetchers=["stride"])
+    @example(axes=[{"name": "seed", "values": ["nw"]}], constraints=[],
+             workloads=["nw"], prefetchers=["stride"])
+    def test_only_repro_errors_escape(self, axes, constraints, workloads,
+                                      prefetchers):
+        try:
+            plan_campaign(parse_spec(
+                _document(axes, constraints, workloads, prefetchers)))
+        except ReproError:
+            pass
+
+    @pytest.mark.parametrize("expr", ["l1_kb/0", "l1_kb % 0", "min(l1_kb)"])
+    def test_failing_constraint_is_a_spec_error(self, expr):
+        spec = parse_spec(minimal_document(constraints=[expr]))
+        with pytest.raises(SpecError, match=re.escape(repr(expr))):
+            plan_campaign(spec)
+
+    @pytest.mark.parametrize("axis", ["l1_kb", "seed", "budget_fraction"])
+    def test_mistyped_axis_value_is_a_spec_error(self, axis):
+        with pytest.raises(SpecError, match=f"axis '{axis}'.*'nw'"):
+            parse_spec(minimal_document(
+                axes=[{"name": axis, "values": ["nw"]}]))

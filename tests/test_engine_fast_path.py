@@ -13,12 +13,11 @@ import random
 import pytest
 
 from repro import obs
+from repro.check.diff import config_with_line_size
 from repro.check.reference import hierarchy_oracle_for, run_reference
 from repro.harness.registry import PREFETCHER_FACTORIES
-from repro.memory.cache import CacheConfig
-from repro.memory.hierarchy import HierarchyConfig
 from repro.prefetchers.ghb import _GLOBAL_KEY, GhbConfig, GhbPrefetcher
-from repro.sim.config import REDUCED_CONFIG, CoreConfig, SimConfig
+from repro.sim.config import REDUCED_CONFIG
 from repro.sim.engine import SimulationEngine, simulate
 from repro.workloads.base import build_trace, get_workload
 
@@ -32,24 +31,6 @@ EQUIV_WORKLOADS = [
 
 def _trace(name: str, budget: int = 12000):
     return build_trace(get_workload(name), max_accesses=budget, seed=0)
-
-
-def _config_with_line_size(line_size: int) -> SimConfig:
-    core = CoreConfig()
-    return SimConfig(
-        hierarchy=HierarchyConfig(
-            l1=CacheConfig(
-                name="L1D", size_bytes=4096, associativity=4,
-                line_size=line_size, latency=core.l1_latency, mshrs=4,
-            ),
-            l2=CacheConfig(
-                name="L2", size_bytes=131072, associativity=8,
-                line_size=line_size, latency=core.l2_latency, mshrs=32,
-            ),
-            line_size=line_size,
-        ),
-        core=core,
-    )
 
 
 class TestFastPathEquivalence:
@@ -97,12 +78,12 @@ class TestLineSizeDerivation:
     def test_line_size_128_halves_distinct_lines(self):
         trace = _trace("stencil-default", budget=4000)
         r64 = simulate(
-            _config_with_line_size(64),
+            config_with_line_size(64),
             PREFETCHER_FACTORIES["no-prefetch"](),
             trace,
         )
         r128 = simulate(
-            _config_with_line_size(128),
+            config_with_line_size(128),
             PREFETCHER_FACTORIES["no-prefetch"](),
             trace,
         )

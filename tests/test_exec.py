@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.campaign.runner import run_campaign
+from repro.campaign.spec import parse_spec
 from repro.cli import _runner, build_parser, main
 from repro.common.errors import TransientError
 from repro.exec import (
@@ -18,13 +20,13 @@ from repro.exec import (
     ResultCache,
     TraceNode,
     stable_hash,
-    trace_filename,
+    trace_key,
 )
 from repro.exec import telemetry as telemetry_module
 from repro.exec import traces
 from repro.exec.keys import canonicalize, sim_key
 from repro.exec.scheduler import execute_grid
-from repro.exec.telemetry import ExecTelemetry, PROCESS_COUNTERS, load_stats
+from repro.exec.telemetry import ExecTelemetry, load_stats
 from repro.harness import experiments
 from repro.harness.registry import EXTENDED_PREFETCHER_ORDER
 from repro.harness.report import format_exec_stats
@@ -73,15 +75,14 @@ class TestKeys:
         with pytest.raises(TypeError, match="stable key"):
             canonicalize(object())
 
-    def test_trace_filename_stable_and_distinct(self):
-        first = trace_filename("nw", 1.0, 0.1 + 0.2, 0)
-        again = trace_filename("nw", 1.0, 0.1 + 0.2, 0)
-        other = trace_filename("nw", 1.0, 0.3, 0)
+    def test_trace_key_stable_and_distinct(self):
+        first = trace_key("nw", 1.0, 0.1 + 0.2, 0)
+        again = trace_key("nw", 1.0, 0.1 + 0.2, 0)
+        other = trace_key("nw", 1.0, 0.3, 0)
         assert first == again
         assert first != other
-        # No raw float repr may leak into the name.
-        assert "0.30000000000000004" not in first
-        assert first.startswith("nw-") and first.endswith(".trace")
+        assert trace_key("nw", 1, 0.3, 0) != other
+        assert TraceNode("nw", 1.0, 0.1 + 0.2, 0).key == first
 
     def test_sim_key_covers_config(self):
         reduced = sim_key("nw", "stride", 1.0, 0.3, 0, REDUCED_CONFIG)
@@ -165,35 +166,30 @@ class TestExecuteGrid:
         ("no-prefetch", "stride"),
         tuple(EXTENDED_PREFETCHER_ORDER),  # >= 8 cells over one trace
     ], ids=["pair", "extended"])
-    def test_parallel_matches_serial(self, fresh_trace_cache, tmp_path,
-                                     prefetchers):
+    def test_parallel_matches_serial(self, fresh_trace_cache, prefetchers):
         plan = tiny_plan(prefetchers=prefetchers)
-        serial, _ = execute_grid(
-            plan, options=ExecOptions(jobs=1), trace_dir=tmp_path / "s")
-        parallel, telemetry = execute_grid(
-            plan, options=ExecOptions(jobs=2), trace_dir=tmp_path / "p")
+        serial, _ = execute_grid(plan, options=ExecOptions(jobs=1))
+        parallel, telemetry = execute_grid(plan, options=ExecOptions(jobs=2))
         assert serial.keys() == parallel.keys()
         for cell, result in serial.items():
             assert parallel[cell].to_dict() == result.to_dict()
         assert telemetry.sims_run == len(prefetchers)
         assert telemetry.jobs == 2
 
-    def test_retry_then_success(self, fresh_trace_cache, tmp_path):
+    def test_retry_then_success(self, fresh_trace_cache):
         results, telemetry = execute_grid(
             tiny_plan(),
             options=ExecOptions(jobs=1, max_retries=2, retry_backoff=0.0),
-            trace_dir=tmp_path,
             inject={("nw", "stride"): InjectSpec(mode="raise", times=1)},
         )
         assert len(results) == 2
         assert telemetry.retries == 1
         assert not telemetry.quarantined
 
-    def test_retry_exhaustion_quarantines(self, fresh_trace_cache, tmp_path):
+    def test_retry_exhaustion_quarantines(self, fresh_trace_cache):
         results, telemetry = execute_grid(
             tiny_plan(),
             options=ExecOptions(jobs=1, max_retries=1, retry_backoff=0.0),
-            trace_dir=tmp_path,
             inject={("nw", "stride"): InjectSpec(mode="raise", times=10)},
         )
         assert ("nw", "stride") not in cells(results)
@@ -202,40 +198,23 @@ class TestExecuteGrid:
         assert names == ["sim:nw:stride"]
         assert telemetry.quarantined[0]["attempts"] == 2
 
-    def test_trace_failure_quarantines_dependents(self, fresh_trace_cache,
-                                                  tmp_path):
+    def test_trace_failure_quarantines_dependents(self, fresh_trace_cache):
         # An unknown workload name fails its trace build.
         results, telemetry = execute_grid(
             tiny_plan(workloads=("no-such",)),
             options=ExecOptions(jobs=1),
-            trace_dir=tmp_path,
         )
         assert not results
         names = sorted(entry["task"] for entry in telemetry.quarantined)
         assert names == ["sim:no-such:no-prefetch", "sim:no-such:stride",
                          "trace:no-such"]
 
-    def test_serial_run_persists_traces(self, fresh_trace_cache, tmp_path):
-        plan = tiny_plan()
-        execute_grid(plan, options=ExecOptions(jobs=1), trace_dir=tmp_path)
-        assert (tmp_path / plan.trace_nodes[0].filename).exists()
-        clear_trace_cache()
-        _, telemetry = execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
-                                    trace_dir=tmp_path)
-        assert telemetry.trace_disk_hits == 1
+    def test_memory_hit_counts_no_trace_source(self, fresh_trace_cache):
+        execute_grid(tiny_plan(), options=ExecOptions(jobs=1))
+        _, telemetry = execute_grid(tiny_plan(), options=ExecOptions(jobs=1))
         assert telemetry.traces_built == 0
 
-    def test_memory_hit_counts_no_trace_source(self, fresh_trace_cache,
-                                               tmp_path):
-        execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
-                     trace_dir=tmp_path)
-        _, telemetry = execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
-                                    trace_dir=tmp_path)
-        assert (telemetry.traces_built, telemetry.trace_disk_hits,
-                telemetry.corrupt_traces) == (0, 0, 0)
-
-    def test_worker_crash_quarantines_only_guilty(self, fresh_trace_cache,
-                                                  tmp_path):
+    def test_worker_crash_quarantines_only_guilty(self, fresh_trace_cache):
         # One cell crashes its worker on every attempt.  The pool break
         # kills the innocent neighbour's future too, but the serial
         # probe must re-run it uncharged and quarantine only the
@@ -243,7 +222,6 @@ class TestExecuteGrid:
         results, telemetry = execute_grid(
             tiny_plan(),
             options=ExecOptions(jobs=2, max_retries=1, retry_backoff=0.0),
-            trace_dir=tmp_path,
             inject={("nw", "stride"): InjectSpec(mode="crash", times=10)},
         )
         names = [entry["task"] for entry in telemetry.quarantined]
@@ -251,12 +229,11 @@ class TestExecuteGrid:
         assert ("nw", "no-prefetch") in cells(results)
         assert telemetry.worker_crashes >= 1
 
-    def test_hung_task_times_out(self, fresh_trace_cache, tmp_path):
+    def test_hung_task_times_out(self, fresh_trace_cache):
         results, telemetry = execute_grid(
             tiny_plan(),
             options=ExecOptions(jobs=2, max_retries=0, timeout=1.5,
                                 retry_backoff=0.0),
-            trace_dir=tmp_path,
             inject={("nw", "stride"): InjectSpec(mode="hang",
                                                  hang_seconds=30.0,
                                                  times=10)},
@@ -269,11 +246,9 @@ class TestExecuteGrid:
     def test_cache_replay_runs_zero_sims(self, fresh_trace_cache, tmp_path):
         cache = ResultCache(tmp_path / "results")
         cold_results, cold = execute_grid(
-            tiny_plan(), options=ExecOptions(jobs=1), cache=cache,
-            trace_dir=tmp_path)
+            tiny_plan(), options=ExecOptions(jobs=1), cache=cache)
         warm_results, warm = execute_grid(
-            tiny_plan(), options=ExecOptions(jobs=1), cache=cache,
-            trace_dir=tmp_path)
+            tiny_plan(), options=ExecOptions(jobs=1), cache=cache)
         assert cold.sims_run == 2 and cold.cache_hits == 0
         assert warm.sims_run == 0 and warm.cache_hits == 2
         for cell, result in cold_results.items():
@@ -282,7 +257,7 @@ class TestExecuteGrid:
     def test_stats_persist_and_render(self, fresh_trace_cache, tmp_path):
         stats_path = tmp_path / "exec-stats.json"
         execute_grid(tiny_plan(), options=ExecOptions(jobs=1),
-                     trace_dir=tmp_path, stats_path=stats_path)
+                     stats_path=stats_path)
         document = load_stats(stats_path)
         assert document["summary"]["sims_run"] == 2
         rendered = format_exec_stats(document["summary"])
@@ -356,37 +331,18 @@ class TestRunnerWiring:
         runner = GridRunner()
         for name in names:
             runner.trace(name)
-        keys = [TraceNode(name, 1.0, 1.0, 0).filename for name in names]
+        keys = [TraceNode(name, 1.0, 1.0, 0).key for name in names]
         assert len(traces._LRU) == capacity
         # Oldest entries were evicted, newest kept.
         assert keys[0] not in traces._LRU
         assert keys[-1] in traces._LRU
 
-    def test_disk_path_is_stable_and_distinct(self):
-        def filename(budget_fraction):
-            return TraceNode("nw", 1.0, budget_fraction, 0).filename
+    def test_trace_node_key_is_stable_and_distinct(self):
+        def key(budget_fraction):
+            return TraceNode("nw", 1.0, budget_fraction, 0).key
 
-        assert filename(0.1 + 0.2) == filename(0.1 + 0.2)
-        assert filename(0.1 + 0.2) != filename(0.3)
-        assert "0.30000000000000004" not in filename(0.1 + 0.2)
-
-    def test_corrupt_disk_trace_is_rebuilt(self, fresh_trace_cache, tmp_path):
-        runner = GridRunner(budget_fraction=0.02, cache_dir=tmp_path)
-        original = runner.trace("nw")
-        path = tmp_path / TraceNode("nw", 1.0, 0.02, 0).filename
-        assert path.exists()
-        path.write_bytes(b"not a trace")
-        clear_trace_cache()
-        before = PROCESS_COUNTERS["corrupt_traces"]
-        rebuilt = GridRunner(budget_fraction=0.02,
-                             cache_dir=tmp_path).trace("nw")
-        assert PROCESS_COUNTERS["corrupt_traces"] == before + 1
-        assert rebuilt.events == original.events
-        # The rebuilt trace was re-persisted and now loads cleanly.
-        clear_trace_cache()
-        reloaded = GridRunner(budget_fraction=0.02,
-                              cache_dir=tmp_path).trace("nw")
-        assert reloaded.events == original.events
+        assert key(0.1 + 0.2) == key(0.1 + 0.2)
+        assert key(0.1 + 0.2) != key(0.3)
 
     def test_exec_path_matches_legacy_grid(self, fresh_trace_cache, tmp_path):
         legacy = GridRunner(budget_fraction=0.02).run_grid(
@@ -453,15 +409,27 @@ class TestRunnerWiring:
             clear_trace_cache()
             GridRunner(budget_fraction=0.02, cache_dir=tmp_path,
                        jobs=jobs).run_grid(["nw"], ["stride", "sms"])
-            stats = telemetry_module.LAST_RUN
-            return (stats.traces_built, stats.trace_disk_hits,
-                    stats.corrupt_traces)
+            return telemetry_module.LAST_RUN.traces_built
 
-        assert rerun() == (1, 0, 0)  # fresh build
-        assert rerun() == (0, 1, 0)  # disk hit
-        path = tmp_path / TraceNode("nw", 1.0, 0.02, 0).filename
-        path.write_bytes(path.read_bytes()[:100])
-        assert rerun() == (1, 0, 1)  # corrupt rebuild
+        # Each process builds its own traces: a rerun builds again.
+        assert rerun() == 1
+        assert rerun() == 1
+
+    def test_no_trace_file_is_written_to_the_cache_dir(
+            self, fresh_trace_cache, tmp_path):
+        for jobs, prefetchers in ((1, ["stride"]), (2, ["sms", "cbws"])):
+            GridRunner(budget_fraction=0.02, cache_dir=tmp_path,
+                       jobs=jobs).run_grid(["nw"], prefetchers)
+            assert telemetry_module.LAST_RUN.sims_run == len(prefetchers)
+            clear_trace_cache()
+        run_campaign(parse_spec({
+            "version": 1,
+            "base": {"workloads": ["nw"], "prefetchers": ["stride"],
+                     "budget_fraction": 0.02},
+            "axes": [{"name": "l2_kb", "values": [64, 128]}],
+        }), tmp_path)
+        assert (tmp_path / "results").is_dir()
+        assert list(tmp_path.rglob("*.trace")) == []
 
     def test_uncached_serial_grid_runs_through_exec_engine(
             self, fresh_trace_cache, tmp_path, monkeypatch):
@@ -478,11 +446,11 @@ class TestRunnerWiring:
         real_get_trace = traces.get_trace
         calls = []
 
-        def flaky(node, directory=None):
+        def flaky(node):
             calls.append(node.workload)
             if len(calls) == 1:
                 raise TransientError("injected trace-store hiccup")
-            return real_get_trace(node, directory)
+            return real_get_trace(node)
 
         monkeypatch.setattr(traces, "get_trace", flaky)
         runner = GridRunner(budget_fraction=0.02,
@@ -608,16 +576,16 @@ class TestSingleFlight:
 
 
 class TestSharedPool:
-    def test_execute_grid_reuses_borrowed_pool(self, tmp_path):
+    def test_execute_grid_reuses_borrowed_pool(self):
         from repro.exec.pool import WorkerPool
 
         pool = WorkerPool(2)
         try:
             plan = tiny_plan()
             first, _ = execute_grid(plan, options=ExecOptions(jobs=2),
-                                    trace_dir=tmp_path, pool=pool)
+                                    pool=pool)
             second, _ = execute_grid(plan, options=ExecOptions(jobs=2),
-                                     trace_dir=tmp_path, pool=pool)
+                                     pool=pool)
             assert first.keys() == second.keys()
             for cell in first:
                 assert first[cell].to_dict() == second[cell].to_dict()

@@ -11,6 +11,7 @@ from repro.common.errors import (
     ExecError,
     InjectedCrash,
     PermanentError,
+    TraceError,
     TransientError,
     ValidationError,
     classify_error,
@@ -33,7 +34,7 @@ from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.metrics.aggregate import ResultGrid
 from repro.sim.config import REDUCED_CONFIG
 from repro.sim.results import SimResult
-from repro.trace.io import try_read_trace, verify_trace_file, write_trace
+from repro.trace.io import read_trace, verify_trace_file, write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -150,14 +151,16 @@ class TestArtifactCorruption:
         write_trace(stream_trace, path)
         assert verify_trace_file(path) is None
         bitflip_file(path, -5)
-        assert try_read_trace(path) is None
+        with pytest.raises(TraceError, match="checksum"):
+            read_trace(path)
         assert "checksum" in verify_trace_file(path)
 
     def test_truncation_detected(self, stream_trace, tmp_path):
         path = tmp_path / "t.trace"
         write_trace(stream_trace, path)
         truncate_file(path, keep_fraction=0.5)
-        assert try_read_trace(path) is None
+        with pytest.raises(TraceError):
+            read_trace(path)
         assert verify_trace_file(path) is not None
 
     def test_corrupt_result_entry_is_logged_miss_and_rebuilt(
@@ -204,7 +207,7 @@ class TestCircuitBreaker:
     PREFETCHERS = ("no-prefetch", "stride", "sms", "ghb-pc/dc")
 
     def test_breaker_trips_and_grid_completes_with_holes(
-            self, fresh_trace_cache, tmp_path):
+            self, fresh_trace_cache):
         broken = dict.fromkeys(
             [("nw", p) for p in self.PREFETCHERS[:3]],
             InjectSpec(mode="raise-permanent", times=10),
@@ -213,7 +216,6 @@ class TestCircuitBreaker:
             tiny_plan(("nw", "stencil-default"), self.PREFETCHERS),
             options=ExecOptions(jobs=1, max_retries=2, retry_backoff=0.0,
                                 breaker_threshold=3),
-            trace_dir=tmp_path,
             inject=broken,
         )
         # The healthy workload finishes every cell.
@@ -231,11 +233,10 @@ class TestCircuitBreaker:
         assert "DEGRADED" in quarantine_report(telemetry)
 
     def test_permanent_failures_skip_the_retry_budget(
-            self, fresh_trace_cache, tmp_path):
+            self, fresh_trace_cache):
         results, telemetry = execute_grid(
             tiny_plan(),
             options=ExecOptions(jobs=1, max_retries=5, retry_backoff=0.0),
-            trace_dir=tmp_path,
             inject={("nw", "stride"):
                     InjectSpec(mode="raise-permanent", times=10)},
         )
@@ -245,8 +246,7 @@ class TestCircuitBreaker:
         assert entry["attempts"] == 1
         assert entry["class"] == "permanent"
 
-    def test_breaker_disabled_with_zero_threshold(self, fresh_trace_cache,
-                                                  tmp_path):
+    def test_breaker_disabled_with_zero_threshold(self, fresh_trace_cache):
         broken = dict.fromkeys(
             [("nw", p) for p in self.PREFETCHERS[:3]],
             InjectSpec(mode="raise-permanent", times=10),
@@ -255,14 +255,13 @@ class TestCircuitBreaker:
             tiny_plan(("nw",), self.PREFETCHERS),
             options=ExecOptions(jobs=1, retry_backoff=0.0,
                                 breaker_threshold=0),
-            trace_dir=tmp_path,
             inject=broken,
         )
         assert not telemetry.degraded
         # Without the breaker the healthy fourth cell still runs.
         assert ("nw", self.PREFETCHERS[3]) in cells(results)
 
-    def test_pool_path_breaker(self, fresh_trace_cache, tmp_path):
+    def test_pool_path_breaker(self, fresh_trace_cache):
         broken = dict.fromkeys(
             [("nw", p) for p in self.PREFETCHERS[:2]],
             InjectSpec(mode="raise-permanent", times=10),
@@ -271,7 +270,6 @@ class TestCircuitBreaker:
             tiny_plan(("nw",), self.PREFETCHERS),
             options=ExecOptions(jobs=2, retry_backoff=0.0,
                                 breaker_threshold=2),
-            trace_dir=tmp_path,
             inject=broken,
         )
         assert telemetry.is_degraded("nw")

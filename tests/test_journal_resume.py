@@ -26,6 +26,7 @@ from repro.exec.journal import (
 from repro.harness.export import write_json
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.sim.config import REDUCED_CONFIG
+from repro.trace.io import write_trace
 
 WORKLOADS = ["nw"]
 PREFETCHERS = ["no-prefetch", "stride"]
@@ -324,12 +325,14 @@ class TestCli:
         assert "0 corrupt" in out
 
     def test_verify_artifacts_flags_and_purges(self, fresh_trace_cache,
-                                               tmp_path, capsys):
+                                               stream_trace, tmp_path,
+                                               capsys):
         assert self._run(tmp_path) == 0
         capsys.readouterr()
-        trace_files = sorted(tmp_path.glob("*.trace"))
-        assert trace_files
-        faults.bitflip_file(trace_files[0], -3)
+        ingested = tmp_path / "ingest" / "stream-0123456789ab.trace"
+        ingested.parent.mkdir()
+        write_trace(stream_trace, ingested)
+        faults.bitflip_file(ingested, -3)
         result_files = sorted((tmp_path / "results").glob("*/*.json"))
         assert result_files
         document = json.loads(result_files[0].read_text())
@@ -343,7 +346,7 @@ class TestCli:
         assert main(["verify-artifacts", "--cache-dir", str(tmp_path),
                      "--purge"]) == 0
         capsys.readouterr()
-        assert not trace_files[0].exists()
+        assert not ingested.exists()
         assert not result_files[0].exists()
         # After the purge everything left verifies.
         assert main(["verify-artifacts", "--cache-dir", str(tmp_path)]) == 0

@@ -282,10 +282,10 @@ class TestBrokerBatches:
 
         real_get_trace = traces.get_trace
 
-        def get_trace(node, directory=None):
+        def get_trace(node):
             if node.seed == 1:
                 raise PermanentError("no trace for seed 1")
-            return real_get_trace(node, directory)
+            return real_get_trace(node)
 
         monkeypatch.setattr(traces, "get_trace", get_trace)
         broker, submitted = self._run(tmp_path, [
