@@ -27,14 +27,14 @@ def extract_cbws_sequences(
     sequences: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     current: CodeBlockWorkingSet | None = None
     current_id: int | None = None
-    for event in trace.events:
-        kind = event.kind
+    columns = trace.events
+    for kind, payload in zip(columns.kinds, columns.payloads):
         if kind == MEMORY_ACCESS:
             if current is not None:
-                current.observe(event.address >> 6)
+                current.observe(payload >> 6)
         elif kind == BLOCK_BEGIN:
             current = CodeBlockWorkingSet(max_members=max_members)
-            current_id = event.block_id
+            current_id = payload
         elif kind == BLOCK_END:
             if current is not None and current_id is not None and len(current):
                 sequences[current_id].append(current.as_tuple())

@@ -86,11 +86,12 @@ def reuse_profile(trace: Trace, max_tracked: int = 1 << 20) -> ReuseProfile:
     position: dict[int, int] = {}
     accesses = 0
 
-    for event in trace.events:
-        if event.kind != MEMORY_ACCESS:
+    columns = trace.events
+    for kind, address in zip(columns.kinds, columns.payloads):
+        if kind != MEMORY_ACCESS:
             continue
         accesses += 1
-        line = event.address >> 6
+        line = address >> 6
         index = position.get(line)
         if index is None:
             histogram[COLD] += 1

@@ -62,11 +62,11 @@ def working_set_distribution(trace: Trace) -> WorkingSetDistribution:
     histogram: Counter[int] = Counter()
     blocks = 0
     lines: set[int] | None = None
-    for event in trace.events:
-        kind = event.kind
+    columns = trace.events
+    for kind, address in zip(columns.kinds, columns.payloads):
         if kind == MEMORY_ACCESS:
             if lines is not None:
-                lines.add(event.address >> 6)
+                lines.add(address >> 6)
         elif kind == BLOCK_BEGIN:
             lines = set()
         elif kind == BLOCK_END:

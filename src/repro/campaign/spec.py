@@ -172,7 +172,7 @@ _ALLOWED_FUNCTIONS = {
 _ALLOWED_NODES = (
     ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not,
     ast.USub, ast.UAdd, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
-    ast.FloorDiv, ast.Mod, ast.Pow, ast.Compare, ast.Eq, ast.NotEq,
+    ast.FloorDiv, ast.Mod, ast.Compare, ast.Eq, ast.NotEq,
     ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn, ast.Constant,
     ast.Name, ast.Load, ast.Attribute, ast.Call, ast.Tuple, ast.List,
 )
@@ -192,7 +192,7 @@ class Constraint:
                  "constraint expr must be a non-empty string")
         try:
             tree = ast.parse(expr, mode="eval")
-        except SyntaxError as error:
+        except (SyntaxError, RecursionError) as error:  # or nested too deeply
             raise SpecError(
                 f"constraint {expr!r} is not a valid expression: {error}"
             ) from None
@@ -223,7 +223,7 @@ class Constraint:
         """
         try:
             return bool(self._eval(self._tree.body, params))
-        except (ArithmeticError, TypeError, ValueError) as error:
+        except (ArithmeticError, TypeError, ValueError, RecursionError) as error:
             raise SpecError(
                 f"constraint {self.expr!r} cannot be evaluated: {error}"
             ) from None
@@ -257,6 +257,10 @@ class Constraint:
         if isinstance(node, ast.BinOp):
             left = self._eval(node.left, params)
             right = self._eval(node.right, params)
+            if not all(isinstance(x, (int, float)) for x in (left, right)):
+                raise SpecError(  # ``"x" * l2_kb`` could ask for gigabytes
+                    f"constraint {self.expr!r}: arithmetic on {left!r} and "
+                    f"{right!r}; only numbers are supported")
             ops = {
                 ast.Add: lambda: left + right,
                 ast.Sub: lambda: left - right,
@@ -264,7 +268,6 @@ class Constraint:
                 ast.Div: lambda: left / right,
                 ast.FloorDiv: lambda: left // right,
                 ast.Mod: lambda: left % right,
-                ast.Pow: lambda: left ** right,
             }
             return ops[type(node.op)]()
         if isinstance(node, ast.Compare):

@@ -253,7 +253,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     write_trace(trace, args.out)
     stats = trace.stats()
-    print(f"wrote {args.out}: {len(trace.events)} events, "
+    print(f"wrote {args.out}: {len(trace)} events, "
           f"{stats.memory_accesses} accesses, "
           f"{stats.blocks} block instances")
     return 0
@@ -844,7 +844,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     trace.validate()
     stats = trace.stats()
     print(f"name:              {trace.name}")
-    print(f"events:            {len(trace.events)}")
+    print(f"events:            {len(trace)}")
     print(f"instructions:      {stats.instructions}")
     print(f"memory accesses:   {stats.memory_accesses} "
           f"({stats.loads} loads, {stats.stores} stores)")

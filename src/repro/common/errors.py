@@ -50,10 +50,6 @@ class WorkloadError(ReproError):
     """A workload was requested with unknown name or invalid parameters."""
 
 
-class IntegrityError(ReproError):
-    """A persisted artifact failed its checksum or schema check."""
-
-
 class IngestError(ReproError):
     """An external trace cannot be ingested.
 

@@ -13,9 +13,10 @@ Entries are keyed by :attr:`TraceNode.key`, which is salted with an
 ``ext:`` workload's content digest: after ``repro ingest --force`` the
 name maps to a new key and the old content can never be served again.
 
-The LRU keeps at most :data:`CAPACITY` traces and about
-:data:`MAX_BYTES` of estimated heap.  The newest entry is always kept,
-so repeated sims of one oversized workload still hit.  Every pool worker
+The LRU keeps at most :data:`CAPACITY` traces and :data:`MAX_BYTES` of
+event columns (26 bytes per event, :func:`trace_nbytes`); at budget 1.0
+the count cap binds first.  The newest entry is always kept, so
+repeated sims of one oversized workload still hit.  Every pool worker
 process has its own copy, so a simulation task on a worker that did not
 run the trace's build task builds the trace again.
 """
@@ -36,21 +37,16 @@ BUILT = "built"
 #: retain every trace it ever built.
 CAPACITY = 8
 
-#: Bound on the LRU's estimated total bytes (see :func:`trace_nbytes`),
+#: Bound on the LRU's total column bytes (see :func:`trace_nbytes`),
 #: so a grid of huge traces cannot run a process out of memory.
 MAX_BYTES = 256 * 1024 * 1024
-
-#: Rough per-event heap cost of a deserialized ``TraceEvent`` (a small
-#: Python object plus list slot); used to estimate the LRU's footprint
-#: without walking every object graph.
-_EVENT_NBYTES_ESTIMATE = 160
 
 _LRU: "OrderedDict[str, Trace]" = OrderedDict()
 
 
 def trace_nbytes(trace: Trace) -> int:
-    """Estimated heap footprint of one in-memory trace."""
-    return 1024 + len(trace.events) * _EVENT_NBYTES_ESTIMATE
+    """Bytes of one in-memory trace's event columns."""
+    return trace.events.nbytes
 
 
 def get_trace(node: TraceNode) -> tuple[Trace, str]:

@@ -169,8 +169,8 @@ def run_bench(
         started = perf_counter()
         trace = _bench_trace(workload, grid)
         trace_build["seconds"] += perf_counter() - started
-        trace_build["events"] += len(trace.events)
-        events = len(trace.events)
+        trace_build["events"] += len(trace)
+        events = len(trace)
         for name in grid.prefetchers:
             prefetcher = make_prefetcher(name)
             started = perf_counter()

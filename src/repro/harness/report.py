@@ -148,14 +148,6 @@ def format_run_list(summaries: Sequence[object]) -> str:
     )
 
 
-def format_degraded_cells(cells: Sequence[tuple[str, str]]) -> str:
-    """One-line-per-cell listing of the grid's explicit holes."""
-    return "\n".join(
-        f"  DEGRADED cell: workload={workload} prefetcher={prefetcher}"
-        for workload, prefetcher in cells
-    )
-
-
 def format_mapping(
     mapping: Mapping[str, float],
     title: str | None = None,

@@ -25,23 +25,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.errors import IngestFormatError, TraceError
-# The private struct definitions ARE the v2 wire format; importing them
+# The private struct definitions ARE the v2 wire format, and records
+# are encoded by the in-memory writer's own `pack_record`: importing them
 # (rather than redeclaring) keeps the two writers incapable of drifting
 # apart silently, and the byte-equivalence test pins the coupling.
-from repro.trace.io import _COUNTS, _CRC, _HEADER, _MAGIC, _VERSION
-from repro.trace.events import (
-    BLOCK_BEGIN,
-    BLOCK_END,
-    MEMORY_ACCESS,
-    TraceEvent,
-)
-from repro.trace.io import _BLOCK_RECORD, _MEM_RECORD
+from repro.trace.columnar import event_row
+from repro.trace.events import TraceEvent
+from repro.trace.io import _COUNTS, _CRC, _HEADER, _MAGIC, _VERSION, pack_record
 from repro.exec.keys import stable_hash
 from repro.ingest.formats import decode
 from repro.ingest.recover import RecoveryConfig, RecoveryStats, recover_blocks
-
-_U32_MAX = 0xFFFFFFFF
-_U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -99,36 +92,7 @@ class StreamingTraceWriter:
 
     def append(self, event: TraceEvent) -> None:
         """Serialize one event (icounts must be non-decreasing)."""
-        delta = event.icount - self._last_icount
-        if delta < 0:
-            raise TraceError(
-                f"event {self._events}: icount decreases "
-                f"({event.icount} < {self._last_icount}); cannot serialize"
-            )
-        if delta > _U32_MAX:
-            raise TraceError(
-                f"event {self._events}: icount jump {delta} exceeds the "
-                "format's u32 delta field"
-            )
-        if event.kind == MEMORY_ACCESS:
-            if event.pc > _U64_MAX or event.address > _U64_MAX:  # type: ignore[attr-defined]
-                raise TraceError(
-                    f"event {self._events}: pc/address exceeds u64"
-                )
-            record = _MEM_RECORD.pack(
-                MEMORY_ACCESS, delta,
-                event.pc, event.address,  # type: ignore[attr-defined]
-                1 if event.is_write else 0,  # type: ignore[attr-defined]
-            )
-        elif event.kind in (BLOCK_BEGIN, BLOCK_END):
-            if event.block_id > _U32_MAX:  # type: ignore[attr-defined]
-                raise TraceError(
-                    f"event {self._events}: block id exceeds u32"
-                )
-            record = _BLOCK_RECORD.pack(
-                event.kind, delta, event.block_id)  # type: ignore[attr-defined]
-        else:
-            raise TraceError(f"unknown event kind {event.kind}")
+        record = pack_record(self._events, self._last_icount, *event_row(event))
         self._handle.write(record)
         self._crc = zlib.crc32(record, self._crc)
         self._sha.update(record)

@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.common.errors import IngestRegistryError, TraceError
 from repro.ingest.convert import IngestResult, ingest_trace
 from repro.ingest.recover import RecoveryConfig, RecoveryStats
-from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS, BlockEnd
+from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
 from repro.trace.io import read_trace
 from repro.trace.stream import Trace
 
@@ -320,28 +320,24 @@ def truncate_to_accesses(trace: Trace, limit: int) -> Trace:
     """
     if limit <= 0:
         raise TraceError(f"access budget must be positive, got {limit}")
+    columns = trace.events
     kept = 0
-    events = []
     open_block: int | None = None
-    truncated = False
-    for event in trace.events:
-        if event.kind == MEMORY_ACCESS:
-            if kept >= limit:
-                truncated = True
-                break
+    for cut, (kind, block_id) in enumerate(zip(columns.kinds, columns.payloads)):
+        if kind != BLOCK_END and kept >= limit:
+            break
+        if kind == MEMORY_ACCESS:
             kept += 1
-        elif event.kind == BLOCK_BEGIN:
-            if kept >= limit:
-                truncated = True
-                break
-            open_block = event.block_id
-        elif event.kind == BLOCK_END:
+        elif kind == BLOCK_BEGIN:
+            open_block = block_id
+        else:
             open_block = None
-        events.append(event)
-    if not truncated:
+    else:
         return trace
+    head = columns[:cut]
     if open_block is not None:
-        last_icount = events[-1].icount if events else 0
-        events.append(BlockEnd(last_icount, open_block))
-    instructions = (events[-1].icount + 1) if events else 0
-    return Trace(trace.name, events, instructions)
+        closing = (BLOCK_END, head.icounts[-1], 0, open_block, 0)
+        for column, value in zip(head.arrays(), closing):
+            column.append(value)
+    instructions = (head.icounts[-1] + 1) if head else 0
+    return Trace(trace.name, head, instructions)

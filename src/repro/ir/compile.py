@@ -3,11 +3,13 @@
 The interpreter (:mod:`repro.ir.interp`) is the reference semantics; it
 walks the IR tree for every executed statement.  This module instead
 *lowers* the kernel once into Python source — loops become ``for``/
-``while`` statements, expressions become Python expressions, memory
-operations become event appends — and executes the compiled function.
-The emitted trace is bit-identical to the interpreter's (the test suite
-asserts this across the whole workload suite) at a fraction of the cost,
-which is what makes full-budget 30-benchmark sweeps practical.
+``while`` statements, expressions become Python expressions, loads,
+stores and markers extend one flat list with their column row — and
+executes the compiled function, then slices the list into
+:class:`~repro.trace.columnar.EventColumns` (no object per event).  The
+columns are bit-identical to the interpreter's trace (the test suite
+asserts this across the whole workload suite) at a fraction of the
+cost, which is what makes full-budget 30-benchmark sweeps practical.
 
 Usage::
 
@@ -37,7 +39,8 @@ from repro.ir.nodes import (
     While,
 )
 from repro.ir.validate import number_kernel
-from repro.trace.events import BlockBegin, BlockEnd, MemoryAccess
+from repro.trace.columnar import EventColumns
+from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
 from repro.trace.stream import Trace
 from repro.trace.synth import AddressSpace
 
@@ -150,11 +153,10 @@ class _CodeGenerator:
             depth + 1,
             f"raise WorkloadError(_oob_message({index}, {name!r}, len_{name}))",
         )
-        flag = "True" if is_store else "False"
         self.emit(
             depth,
-            f"events_append(MemoryAccess(ic, {node.pc}, "
-            f"base_{name} + {index} * es_{name}, {flag}))",
+            f"rows_extend(({MEMORY_ACCESS}, ic, {node.pc}, "
+            f"base_{name} + {index} * es_{name}, {int(is_store)}))",
         )
         self.emit(depth, "ic += 1")
         self.emit(depth, "mem += 1")
@@ -184,12 +186,15 @@ class _CodeGenerator:
         inner = depth + 1
         self._budget_check(inner)
         self.emit(inner, "ic += 2")
-        if node.block_id is not None:
-            self.emit(inner, f"events_append(BlockBegin(ic, {node.block_id}))")
-            self.body(node.body, inner)
-            self.emit(inner, f"events_append(BlockEnd(ic, {node.block_id}))")
-        else:
-            self.body(node.body, inner)
+        self._block_body(node, inner)
+
+    def _block_body(self, node: For | While, depth: int) -> None:
+        if node.block_id is None:
+            self.body(node.body, depth)
+            return
+        self.emit(depth, f"rows_extend(({BLOCK_BEGIN}, ic, 0, {node.block_id}, 0))")
+        self.body(node.body, depth)
+        self.emit(depth, f"rows_extend(({BLOCK_END}, ic, 0, {node.block_id}, 0))")
 
     def _while(self, node: While, depth: int) -> None:
         counter = self.fresh("n")
@@ -206,12 +211,7 @@ class _CodeGenerator:
             inner + 1,
             f"raise WorkloadError(_runaway_message({node.max_iterations}))",
         )
-        if node.block_id is not None:
-            self.emit(inner, f"events_append(BlockBegin(ic, {node.block_id}))")
-            self.body(node.body, inner)
-            self.emit(inner, f"events_append(BlockEnd(ic, {node.block_id}))")
-        else:
-            self.body(node.body, inner)
+        self._block_body(node, inner)
 
 
 class CompiledKernel:
@@ -231,7 +231,7 @@ class CompiledKernel:
             for decl in kernel.arrays
         )
         header = (
-            f"def _kernel_main(events_append, max_mem, max_ic, "
+            f"def _kernel_main(rows_extend, max_mem, max_ic, "
             f"{array_params}):\n"
             "    ic = 0\n"
             "    mem = 0\n"
@@ -240,9 +240,6 @@ class CompiledKernel:
         self.source = header + "\n".join(generator.lines) + footer
 
         namespace: dict[str, object] = {
-            "MemoryAccess": MemoryAccess,
-            "BlockBegin": BlockBegin,
-            "BlockEnd": BlockEnd,
             "WorkloadError": WorkloadError,
             "_Stop": _Stop,
             "_fdiv": _fdiv,
@@ -292,7 +289,7 @@ class CompiledKernel:
                 (contents, allocation.base, decl.element_size, decl.length)
             )
 
-        events: list = []
+        rows: list[int] = []
         max_mem = (
             limits.max_memory_accesses
             if limits.max_memory_accesses is not None
@@ -305,13 +302,13 @@ class CompiledKernel:
         )
         try:
             instructions = self._function(
-                events.append, max_mem, max_ic, *arguments
+                rows.extend, max_mem, max_ic, *arguments
             )
         except _Stop as stop:
             # A _Stop fires only at a loop-iteration boundary, before any
             # BLOCK_BEGIN, so the event stream is already well-formed.
             instructions = stop.args[0]
-        return Trace(self.kernel.name, events, instructions)
+        return Trace(self.kernel.name, EventColumns(rows), instructions)
 
 
 def compile_kernel(kernel: Kernel) -> CompiledKernel:

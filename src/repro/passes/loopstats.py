@@ -58,16 +58,17 @@ def loop_runtime_stats(trace: Trace) -> LoopRuntimeStats:
     total_accesses = 0
     block_instances = 0
     begin_icount: int | None = None
-    for event in trace.events:
-        if event.kind == MEMORY_ACCESS:
+    columns = trace.events
+    for kind, icount in zip(columns.kinds, columns.icounts):
+        if kind == MEMORY_ACCESS:
             total_accesses += 1
             if begin_icount is not None:
                 loop_accesses += 1
-        elif event.kind == BLOCK_BEGIN:
-            begin_icount = event.icount
-        elif event.kind == BLOCK_END:
+        elif kind == BLOCK_BEGIN:
+            begin_icount = icount
+        elif kind == BLOCK_END:
             if begin_icount is not None:
-                loop_instructions += event.icount - begin_icount
+                loop_instructions += icount - begin_icount
                 block_instances += 1
                 begin_icount = None
     return LoopRuntimeStats(

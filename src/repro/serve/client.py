@@ -33,7 +33,6 @@ from typing import Any, Iterator, Mapping
 
 from repro.common.errors import ReproError
 from repro.serve.protocol import (
-    JobStatus,
     JobView,
     ProtocolError,
     SimulateRequest,
@@ -335,10 +334,3 @@ class ServeClient:
                         return
         finally:
             connection.close()
-
-
-def check_status(status: JobStatus | str) -> JobStatus:
-    """Coerce a status string into :class:`JobStatus` (client helpers)."""
-    if isinstance(status, JobStatus):
-        return status
-    return JobStatus(status)

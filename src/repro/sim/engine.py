@@ -377,7 +377,7 @@ class SimulationEngine:
         )
         if profiling:
             obs.record_seconds("sim.run", perf_counter() - run_started)
-            obs.add("sim.events", len(trace.events))
+            obs.add("sim.events", len(trace))
             obs.add("sim.demand_accesses", result.demand_accesses)
             obs.add("sim.window_closes", window_closes)
             obs.add("sim.prefetches_issued", result.prefetches_issued)

@@ -8,8 +8,9 @@ address sequence from the in-order commit stage"):
 * :class:`BlockBegin` / :class:`BlockEnd` — the ``BLOCK_BEGIN(id)`` /
   ``BLOCK_END(id)`` ISA markers inserted by the loop-annotation pass.
 
-Traces are produced by the IR interpreter (:mod:`repro.ir.interp`), can be
-serialized to a compact binary format (:mod:`repro.trace.io`), and are
+A trace stores them as typed-array columns (:mod:`repro.trace.columnar`).
+Traces are produced by the compiled IR kernel (:mod:`repro.ir.compile`),
+serialized to a compact binary format (:mod:`repro.trace.io`), and
 consumed by the simulation engine (:mod:`repro.sim.engine`).
 """
 

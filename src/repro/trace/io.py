@@ -14,8 +14,9 @@ The format is a small custom container:
               :mod:`repro.ingest` instead, and the writers here reject a
               decreasing icount by event index before it reaches disk.
 
-Round-tripping is exact: ``read_trace(path)`` returns a trace equal to the
-one passed to ``write_trace``.
+Round-tripping is exact: ``read_trace(path)`` returns a trace whose
+columns equal those passed to ``write_trace``.  Both directions work on
+column rows, with no per-event objects.
 
 Integrity: version 2 headers carry a CRC32 of the record section, so any
 truncation or bit flip in the payload is detected at read time and
@@ -37,14 +38,8 @@ from typing import BinaryIO
 
 from repro import obs
 from repro.common.errors import TraceError
-from repro.trace.events import (
-    BLOCK_BEGIN,
-    BLOCK_END,
-    MEMORY_ACCESS,
-    BlockBegin,
-    BlockEnd,
-    MemoryAccess,
-)
+from repro.trace.columnar import EventColumns
+from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
 from repro.trace.stream import Trace
 
 _MAGIC = b"CBWS"
@@ -56,6 +51,8 @@ _COUNTS = struct.Struct("<QQ")
 _CRC = struct.Struct("<I")
 _MEM_RECORD = struct.Struct("<BIQQB")  # tag, icount delta, pc, address, is_write
 _BLOCK_RECORD = struct.Struct("<BII")  # tag, icount delta, block id
+_U32_MAX = 0xFFFFFFFF
+_U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -72,34 +69,35 @@ def write_trace(trace: Trace, path: str | Path) -> None:
         temporary.unlink(missing_ok=True)
 
 
+def pack_record(index: int, last_icount: int, kind: int, icount: int,
+                pc: int, payload: int, write: int) -> bytes:
+    """The record of event ``index`` (one column row), whose predecessor
+    committed at ``last_icount``; both writers encode through here."""
+    delta = icount - last_icount
+    if delta < 0:
+        raise TraceError(
+            f"event {index}: icount decreases ({icount} < "
+            f"{last_icount}); cannot serialize a non-monotonic trace"
+        )
+    if delta > _U32_MAX:
+        raise TraceError(f"event {index}: icount jump {delta} exceeds the "
+                         "format's u32 delta field")
+    if kind == MEMORY_ACCESS:
+        if pc > _U64_MAX or payload > _U64_MAX:
+            raise TraceError(f"event {index}: pc/address exceeds u64")
+        return _MEM_RECORD.pack(MEMORY_ACCESS, delta, pc, payload, write)
+    if kind in (BLOCK_BEGIN, BLOCK_END):
+        if payload > _U32_MAX:
+            raise TraceError(f"event {index}: block id exceeds u32")
+        return _BLOCK_RECORD.pack(kind, delta, payload)
+    raise TraceError(f"unknown event kind {kind}")
+
+
 def _pack_records(trace: Trace) -> bytes:
-    buffer = io.BytesIO()
-    last_icount = 0
-    for index, event in enumerate(trace.events):
-        delta = event.icount - last_icount
-        if delta < 0:
-            raise TraceError(
-                f"event {index}: icount decreases ({event.icount} < "
-                f"{last_icount}); cannot serialize a non-monotonic trace"
-            )
-        last_icount = event.icount
-        if event.kind == MEMORY_ACCESS:
-            buffer.write(
-                _MEM_RECORD.pack(
-                    MEMORY_ACCESS,
-                    delta,
-                    event.pc,  # type: ignore[attr-defined]
-                    event.address,  # type: ignore[attr-defined]
-                    1 if event.is_write else 0,  # type: ignore[attr-defined]
-                )
-            )
-        elif event.kind in (BLOCK_BEGIN, BLOCK_END):
-            buffer.write(
-                _BLOCK_RECORD.pack(event.kind, delta, event.block_id)  # type: ignore[attr-defined]
-            )
-        else:
-            raise TraceError(f"unknown event kind {event.kind}")
-    return buffer.getvalue()
+    columns = trace.events
+    last_icounts = (0, *columns.icounts[:-1])
+    return b"".join(map(pack_record, range(len(columns)), last_icounts,
+                        *columns.arrays()))
 
 
 def _write(trace: Trace, handle: BinaryIO) -> None:
@@ -109,7 +107,7 @@ def _write(trace: Trace, handle: BinaryIO) -> None:
     records = _pack_records(trace)
     handle.write(_HEADER.pack(_MAGIC, _VERSION, len(name_bytes)))
     handle.write(name_bytes)
-    handle.write(_COUNTS.pack(trace.instructions, len(trace.events)))
+    handle.write(_COUNTS.pack(trace.instructions, len(trace)))
     handle.write(_CRC.pack(zlib.crc32(records) & 0xFFFFFFFF))
     handle.write(records)
 
@@ -132,7 +130,7 @@ def read_trace(path: str | Path) -> Trace:
             # the decoder into a raw unpack/decode failure; fold it into
             # the typed taxonomy instead of leaking an opaque error.
             raise TraceError(f"{path}: corrupt trace file ({error})") from error
-    obs.add("trace.read.events", len(trace.events))
+    obs.add("trace.read.events", len(trace))
     return trace
 
 
@@ -175,7 +173,8 @@ def _read(handle: BinaryIO) -> Trace:
     else:
         body = handle
 
-    events = []
+    rows: list[int] = []
+    extend = rows.extend
     icount = 0
     for _ in range(event_count):
         tag_byte = body.read(1)
@@ -188,18 +187,17 @@ def _read(handle: BinaryIO) -> Trace:
                 raise TraceError("truncated memory access record")
             delta, pc, address, is_write = struct.unpack("<IQQB", payload)
             icount += delta
-            events.append(MemoryAccess(icount, pc, address, bool(is_write)))
+            extend((MEMORY_ACCESS, icount, pc, address, 1 if is_write else 0))
         elif tag in (BLOCK_BEGIN, BLOCK_END):
             payload = body.read(_BLOCK_RECORD.size - 1)
             if len(payload) < _BLOCK_RECORD.size - 1:
                 raise TraceError("truncated block marker record")
             delta, block_id = struct.unpack("<II", payload)
             icount += delta
-            cls = BlockBegin if tag == BLOCK_BEGIN else BlockEnd
-            events.append(cls(icount, block_id))
+            extend((tag, icount, 0, block_id, 0))
         else:
             raise TraceError(f"unknown record tag {tag}")
-    return Trace(name, events, instructions)
+    return Trace(name, EventColumns(rows), instructions)
 
 
 def verify_trace_file(path: str | Path) -> str | None:

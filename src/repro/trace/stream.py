@@ -1,17 +1,22 @@
-"""Trace container and summary statistics."""
+"""Trace container and summary statistics.
+
+A :class:`Trace` is a name, an instruction total and the event columns
+of :mod:`repro.trace.columnar`; it holds no per-event objects.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.common.errors import TraceError
+from repro.trace.columnar import EventColumns
 from repro.trace.events import (
     BLOCK_BEGIN,
     BLOCK_END,
     MEMORY_ACCESS,
-    BlockBegin,
-    BlockEnd,
     MemoryAccess,
     TraceEvent,
 )
@@ -52,44 +57,43 @@ class TraceStats:
 class Trace:
     """An in-order sequence of trace events plus metadata.
 
+    ``events`` is an :class:`~repro.trace.columnar.EventColumns`: typed
+    arrays that also read as a sequence of event objects, materialized
+    on access, so a trace keeps no per-event objects.  Validation and
+    statistics run on the columns.
+
     Args:
         name: workload identifier the trace was generated from.
-        events: events in commit order.
+        events: the events in commit order, as columns (kept as given)
+            or as event objects (converted to columns once).
         instructions: total committed instruction count.  Must be at least
             the icount of the last event; the tail difference models
             non-memory work after the final access.
     """
 
+    __slots__ = ("name", "events", "instructions")
+
     def __init__(
         self,
         name: str,
-        events: Sequence[TraceEvent] | Iterable[TraceEvent],
+        events: EventColumns | Iterable[TraceEvent],
         instructions: int,
     ) -> None:
         self.name = name
-        self.events: list[TraceEvent] = list(events)
         self.instructions = instructions
-        self._columns = None
-        if self.events and instructions < self.events[-1].icount:
+        self.events = (events if isinstance(events, EventColumns)
+                       else EventColumns.from_events(events))
+        if self.events and instructions < self.events.icounts[-1]:
             raise TraceError(
                 f"trace '{name}': instruction total {instructions} is below the "
-                f"last event icount {self.events[-1].icount}"
+                f"last event icount {self.events.icounts[-1]}"
             )
 
-    def columns(self):
-        """Columnar (structure-of-arrays) view of the event stream.
-
-        Built lazily on first use and cached: the engine's fast path
-        iterates these typed arrays instead of the event objects.  The
-        event list is treated as immutable once a trace is constructed
-        (nothing in the codebase mutates it), so the cache never goes
-        stale.
-        """
-        if self._columns is None:
-            from repro.trace.columnar import EventColumns
-
-            self._columns = EventColumns(self.events)
-        return self._columns
+    def columns(self) -> EventColumns:
+        """The event columns (``self.events``), as the simulation engine
+        reads them.  They are treated as immutable once a trace is
+        constructed."""
+        return self.events
 
     def __len__(self) -> int:
         return len(self.events)
@@ -102,9 +106,9 @@ class Trace:
 
     def memory_events(self) -> Iterator[MemoryAccess]:
         """Iterate only the committed loads and stores."""
-        for event in self.events:
-            if event.kind == MEMORY_ACCESS:
-                yield event  # type: ignore[misc]
+        for kind, icount, pc, address, write in zip(*self.events.arrays()):
+            if kind == MEMORY_ACCESS:
+                yield MemoryAccess(icount, pc, address, bool(write))
 
     def validate(self) -> None:
         """Check structural invariants, raising :class:`TraceError` on the
@@ -115,33 +119,50 @@ class Trace:
           * block markers are balanced and non-nested (tight innermost
             loops never nest),
           * every BLOCK_END matches the id of the open BLOCK_BEGIN.
+
+        A vectorized scan of the columns decides; only a malformed trace
+        is walked event by event, to name its first violation.
         """
+        columns = self.events
+        kinds, icounts, _, payloads, _ = map(np.asarray, columns.arrays())
+        marker_kinds, marker_ids = (column[kinds != MEMORY_ACCESS]
+                                    for column in (kinds, payloads))
+        if (
+            not (icounts[1:] < icounts[:-1]).any()
+            and len(marker_kinds) % 2 == 0
+            and (marker_kinds[0::2] == BLOCK_BEGIN).all()
+            and (marker_kinds[1::2] == BLOCK_END).all()
+            and (marker_ids[0::2] == marker_ids[1::2]).all()
+        ):
+            return
         last_icount = 0
         open_block: int | None = None
-        for position, event in enumerate(self.events):
-            if event.icount < last_icount:
+        for position, (kind, icount, block_id) in enumerate(
+            zip(columns.kinds, columns.icounts, columns.payloads)
+        ):
+            if icount < last_icount:
                 raise TraceError(
                     f"trace '{self.name}': icount decreases at event {position} "
-                    f"({event.icount} < {last_icount})"
+                    f"({icount} < {last_icount})"
                 )
-            last_icount = event.icount
-            if event.kind == BLOCK_BEGIN:
+            last_icount = icount
+            if kind == BLOCK_BEGIN:
                 if open_block is not None:
                     raise TraceError(
                         f"trace '{self.name}': nested BLOCK_BEGIN at event "
                         f"{position} (block {open_block} still open)"
                     )
-                open_block = event.block_id  # type: ignore[attr-defined]
-            elif event.kind == BLOCK_END:
+                open_block = block_id
+            elif kind == BLOCK_END:
                 if open_block is None:
                     raise TraceError(
                         f"trace '{self.name}': BLOCK_END without BLOCK_BEGIN "
                         f"at event {position}"
                     )
-                if event.block_id != open_block:  # type: ignore[attr-defined]
+                if block_id != open_block:
                     raise TraceError(
                         f"trace '{self.name}': BLOCK_END id "
-                        f"{event.block_id} does not match open block "  # type: ignore[attr-defined]
+                        f"{block_id} does not match open block "
                         f"{open_block} at event {position}"
                     )
                 open_block = None
@@ -151,38 +172,34 @@ class Trace:
             )
 
     def stats(self) -> TraceStats:
-        """Compute summary statistics in a single pass."""
-        loads = stores = blocks = 0
-        block_instructions = 0
-        block_ids: set[int] = set()
-        begin_icount: int | None = None
-        for event in self.events:
-            if event.kind == MEMORY_ACCESS:
-                if event.is_write:  # type: ignore[attr-defined]
-                    stores += 1
-                else:
-                    loads += 1
-            elif event.kind == BLOCK_BEGIN:
-                begin_icount = event.icount
-                block_ids.add(event.block_id)  # type: ignore[attr-defined]
-            elif event.kind == BLOCK_END:
-                blocks += 1
-                if begin_icount is not None:
-                    # Count the loop back-edge overhead as part of the block.
-                    block_instructions += event.icount - begin_icount
-                    begin_icount = None
+        """Summary statistics, computed on the columns.
+
+        A block's instructions run from a BLOCK_BEGIN to the BLOCK_END
+        right after it among the markers, so the loop back-edge overhead
+        counts as part of the block.
+        """
+        kinds, icounts, _, payloads, writes = map(
+            np.asarray, self.events.arrays())
+        memory = kinds == MEMORY_ACCESS
+        accesses = int(memory.sum())
+        stores = int(writes[memory].sum())
+        marker_kinds = kinds[~memory]
+        marker_icounts = icounts[~memory].astype(np.int64)
+        closes = ((marker_kinds[:-1] == BLOCK_BEGIN)
+                  & (marker_kinds[1:] == BLOCK_END))
         return TraceStats(
             instructions=self.instructions,
-            memory_accesses=loads + stores,
-            loads=loads,
+            memory_accesses=accesses,
+            loads=accesses - stores,
             stores=stores,
-            blocks=blocks,
-            block_instructions=block_instructions,
-            distinct_block_ids=len(block_ids),
+            blocks=int((kinds == BLOCK_END).sum()),
+            block_instructions=int(
+                (marker_icounts[1:] - marker_icounts[:-1])[closes].sum()),
+            distinct_block_ids=len(np.unique(payloads[kinds == BLOCK_BEGIN])),
         )
 
     def __repr__(self) -> str:
         return (
-            f"Trace(name={self.name!r}, events={len(self.events)}, "
+            f"Trace(name={self.name!r}, events={len(self)}, "
             f"instructions={self.instructions})"
         )

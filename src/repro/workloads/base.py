@@ -10,6 +10,7 @@ from repro.common.errors import WorkloadError
 from repro.ir.interp import ExecutionLimits
 from repro.ir.nodes import Kernel
 from repro.passes.annotate import annotate_tight_loops
+from repro.trace.events import MEMORY_ACCESS
 from repro.trace.stream import Trace
 
 
@@ -80,7 +81,7 @@ def build_trace(
             )
             trace = IngestStore().load_trace(spec.name, max_accesses=budget)
             trace.validate()
-            obs.add("trace.load.ext.events", len(trace.events))
+            obs.add("trace.load.ext.events", len(trace))
         return trace
     with obs.phase("trace.build"):
         kernel = spec.kernel(scale)
@@ -93,9 +94,9 @@ def build_trace(
 
         trace = run_kernel_compiled(kernel, seed=seed, limits=limits)
         trace.validate()
-        if not any(True for _ in trace.memory_events()):
+        if MEMORY_ACCESS not in trace.events.kinds:
             raise WorkloadError(f"{spec.name}: produced an empty trace")
-        obs.add("trace.build.events", len(trace.events))
+        obs.add("trace.build.events", len(trace))
     return trace
 
 

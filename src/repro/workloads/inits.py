@@ -61,12 +61,3 @@ def strided_then_shuffled(length: int, locality: float) -> Initializer:
         return indices
 
     return init
-
-
-def counting_ramp(length: int, modulo: int) -> Initializer:
-    """``i % modulo`` — deterministic indices with known periodicity."""
-
-    def init(rng: np.random.Generator) -> np.ndarray:
-        return (np.arange(length, dtype=np.int64) % modulo)
-
-    return init

@@ -404,6 +404,14 @@ class TestTypedErrors:
              workloads=["nw"], prefetchers=["stride"])
     @example(axes=[{"name": "seed", "values": ["nw"]}], constraints=[],
              workloads=["nw"], prefetchers=["stride"])
+    @example(axes=[], constraints=["l2_kb ** l2_kb ** l2_kb > 0"],
+             workloads=["nw"], prefetchers=["stride"])
+    @example(axes=[], constraints=["'x' * 4_000_000_000 == 'x'"],
+             workloads=["nw"], prefetchers=["stride"])
+    @example(axes=[], constraints=["-" * 5000 + "1 > 0"],
+             workloads=["nw"], prefetchers=["stride"])
+    @example(axes=[], constraints=["l1_kb" + " + l1_kb" * 3000 + " > 0"],
+             workloads=["nw"], prefetchers=["stride"])
     def test_only_repro_errors_escape(self, axes, constraints, workloads,
                                       prefetchers):
         try:
@@ -416,6 +424,18 @@ class TestTypedErrors:
     def test_failing_constraint_is_a_spec_error(self, expr):
         spec = parse_spec(minimal_document(constraints=[expr]))
         with pytest.raises(SpecError, match=re.escape(repr(expr))):
+            plan_campaign(spec)
+
+    def test_power_is_not_a_constraint_operator(self):
+        with pytest.raises(SpecError, match="disallowed construct"):
+            parse_spec(minimal_document(
+                constraints=["l2_kb ** l2_kb ** l2_kb > 0"]))
+
+    @pytest.mark.parametrize("expr", ["'x' * 4_000_000_000 == 'x'",
+                                      "workload + 'x' == 'nwx'"])
+    def test_arithmetic_needs_numbers(self, expr):
+        spec = parse_spec(minimal_document(constraints=[expr]))
+        with pytest.raises(SpecError, match="only numbers"):
             plan_campaign(spec)
 
     @pytest.mark.parametrize("axis", ["l1_kb", "seed", "budget_fraction"])

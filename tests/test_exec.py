@@ -32,7 +32,9 @@ from repro.harness.registry import EXTENDED_PREFETCHER_ORDER
 from repro.harness.report import format_exec_stats
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.sim.config import PAPER_CONFIG, REDUCED_CONFIG
-from repro.workloads import ALL_WORKLOADS
+from repro.trace.columnar import ROW, EventColumns
+from repro.trace.stream import Trace
+from repro.workloads import ALL_WORKLOADS, build_trace, get_workload
 
 WORKLOADS = ["nw", "stencil-default"]
 PREFETCHERS = ["no-prefetch", "stride"]
@@ -285,12 +287,10 @@ class TestTelemetry:
         assert "sim:a:b" in format_exec_stats(summary)
 
 
-class FakeTrace:
-    """Stand-in for a Trace: ``trace_nbytes`` only looks at ``events``,
-    so the trace-store bound tests need no real trace construction."""
-
-    def __init__(self, events: int) -> None:
-        self.events = [None] * events
+def fake_trace(events: int) -> Trace:
+    """A trace of ``events`` zero rows: the trace-store bound tests need
+    its column bytes, not a built workload."""
+    return Trace("fake", EventColumns([0] * (ROW * events)), 0)
 
 
 class TestPrefetcherSpellings:
@@ -325,7 +325,7 @@ class TestRunnerWiring:
     def test_memory_cache_is_bounded(self, fresh_trace_cache, monkeypatch):
         # GridRunner.trace fills the trace store's one LRU.
         monkeypatch.setattr(traces, "build_trace",
-                            lambda spec, **kwargs: FakeTrace(1))
+                            lambda spec, **kwargs: fake_trace(1))
         capacity = traces.CAPACITY
         names = ALL_WORKLOADS[:capacity + 4]
         runner = GridRunner()
@@ -517,10 +517,10 @@ class TestWorkerTraceCacheBytes:
         monkeypatch.setattr(traces, "MAX_BYTES", 100_000)
         monkeypatch.setattr(traces, "_LRU", traces.OrderedDict())
         # Each ~33 KB trace fits; a fourth pushes the total over 100 KB.
-        trace = FakeTrace(events=200)
+        trace = fake_trace(events=1300)
         assert 30_000 < traces.trace_nbytes(trace) < 40_000
         for index in range(4):
-            traces._remember(f"t{index}", FakeTrace(events=200))
+            traces._remember(f"t{index}", fake_trace(events=1300))
         assert "t0" not in traces._LRU
         assert "t3" in traces._LRU
         total = sum(traces.trace_nbytes(t) for t in traces._LRU.values())
@@ -529,18 +529,25 @@ class TestWorkerTraceCacheBytes:
     def test_single_oversized_trace_is_retained(self, monkeypatch):
         monkeypatch.setattr(traces, "MAX_BYTES", 1_000)
         monkeypatch.setattr(traces, "_LRU", traces.OrderedDict())
-        traces._remember("big", FakeTrace(events=10_000))
+        traces._remember("big", fake_trace(events=10_000))
         # Over budget, but the most recent entry always survives so
         # repeated sims of one oversized workload still hit the cache.
         assert "big" in traces._LRU
-        traces._remember("bigger", FakeTrace(events=20_000))
+        traces._remember("bigger", fake_trace(events=20_000))
         assert "big" not in traces._LRU
         assert "bigger" in traces._LRU
+
+    def test_nbytes_is_the_column_arrays(self):
+        trace = build_trace(get_workload("nw"), max_accesses=2000)
+        arrays = trace.columns().arrays()
+        assert traces.trace_nbytes(trace) == sum(
+            len(column) * column.itemsize for column in arrays)
+        assert traces.trace_nbytes(trace) == 26 * len(trace)
 
     def test_count_bound_still_applies(self, monkeypatch):
         monkeypatch.setattr(traces, "_LRU", traces.OrderedDict())
         for index in range(traces.CAPACITY + 2):
-            traces._remember(f"t{index}", FakeTrace(events=1))
+            traces._remember(f"t{index}", fake_trace(events=1))
         assert len(traces._LRU) == traces.CAPACITY
 
 

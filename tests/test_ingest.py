@@ -18,12 +18,13 @@ import gzip
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import (
     IngestError,
     IngestFormatError,
     IngestRegistryError,
+    ReproError,
     TraceError,
     WorkloadError,
 )
@@ -257,6 +258,58 @@ def marked_flags(events) -> list[bool]:
         else:
             flags.append(inside)
     return flags
+
+
+_CSV_FIELDS = st.one_of(
+    st.integers(min_value=-2, max_value=2**70).map(str),
+    st.integers(min_value=0, max_value=2**70).map(hex),
+    st.sampled_from(["", "0x", "pc", "1e3", "0_1", " 7 ", "\u0661"]),
+    st.text(max_size=3),
+)
+_CSV_LINES = st.lists(_CSV_FIELDS, min_size=1, max_size=5).map(",".join)
+
+
+class TestMalformedInput:
+    """Whatever bytes reach a decoder, decoding, marker recovery and
+    the columnar trace's construction and validation fail only with
+    typed ``ReproError``s."""
+
+    @staticmethod
+    def _ingest(instrs):
+        stats = RecoveryStats()
+        events = recover_blocks(
+            instrs, RecoveryConfig(min_iterations=1, infer_backedges=True),
+            stats)
+        Trace("fuzz", list(events), stats.instructions).validate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid=champsim_streams(),
+           records=st.lists(st.binary(min_size=64, max_size=64), max_size=8),
+           tail=st.binary(max_size=70))
+    @example(valid=[], records=[], tail=b"")
+    @example(valid=[], records=[bytes(8) + b"\x02" + bytes(55)], tail=b"")
+    def test_champsim_bytes_fail_typed(self, valid, records, tail):
+        data = b"".join(map(pack_champsim, valid)) + b"".join(records) + tail
+        try:
+            self._ingest(iter_champsim(io.BytesIO(data)))
+        except ReproError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(_CSV_LINES, max_size=6))
+    @example(lines=["0x10,0x10000000000000000"])
+    @example(lines=["0x10,0x100,0,18446744073709551616"])
+    @example(lines=["0x10,0x100,0,5", "0x10,0x200,0,3"])
+    def test_csv_text_fails_typed(self, lines):
+        try:
+            self._ingest(iter_csv(io.BytesIO("\n".join(lines).encode())))
+        except ReproError:
+            pass
+
+    def test_address_beyond_u64_is_a_trace_error(self):
+        instrs = iter_csv(io.BytesIO(b"0x10,0x10000000000000000\n"))
+        with pytest.raises(TraceError, match="unsigned 64-bit"):
+            self._ingest(instrs)
 
 
 class TestRecovery:

@@ -1,5 +1,7 @@
 """Tests for the compiling backend, including interpreter equivalence."""
 
+from array import array
+
 import pytest
 
 from repro.common.errors import WorkloadError
@@ -17,14 +19,20 @@ from repro.ir.nodes import (
     Store,
     While,
 )
+from repro.harness.registry import make_prefetcher
 from repro.passes.annotate import annotate_tight_loops
-from repro.workloads import ALL_WORKLOADS, get_workload
+from repro.sim.config import REDUCED_CONFIG
+from repro.sim.engine import simulate
+from repro.trace.columnar import EventColumns
+from repro.workloads import ALL_WORKLOADS, build_trace, get_workload
 
 
 def assert_traces_equal(a, b):
+    """The two traces' instruction totals and five event columns match."""
     assert a.instructions == b.instructions
-    assert len(a.events) == len(b.events)
-    assert a.events == b.events
+    for name, left, right in zip(EventColumns.__slots__,
+                                 a.columns().arrays(), b.columns().arrays()):
+        assert left == right, name
 
 
 class TestBasicEquivalence:
@@ -156,4 +164,18 @@ def test_compiled_source_is_inspectable():
     kernel = Kernel("k", [ArrayDecl("a", 4)], [Load("a", 0)])
     compiled = compile_kernel(kernel)
     assert "def _kernel_main(" in compiled.source
-    assert "MemoryAccess" in compiled.source
+    assert "rows_extend((0, ic, " in compiled.source
+
+
+def test_built_trace_holds_only_columns():
+    """A compiled-kernel trace keeps its events as five typed arrays and
+    nothing else, also after it was simulated and summarized."""
+    trace = build_trace(get_workload("nw"), max_accesses=2000)
+    simulate(REDUCED_CONFIG, make_prefetcher("cbws"), trace)
+    trace.stats()
+    trace.validate()
+    assert not hasattr(trace, "__dict__")
+    held = [getattr(trace, slot) for slot in type(trace).__slots__]
+    assert sorted(type(value).__name__ for value in held) == [
+        "EventColumns", "int", "str"]
+    assert all(type(column) is array for column in trace.columns().arrays())
