@@ -412,7 +412,10 @@ def _execute_wave_serve(
     full jitter on connection failures, 429, 503, and the 404s of a
     restarted broker, so a campaign survives the server restarting
     mid-wave.  Results land in the local cache too, so a later resume —
-    or a grid run of the same spec — replays them for free.
+    or a grid run of the same spec — replays them for free.  Like a grid
+    cell, each result carries its own cell's prefetcher spelling, also
+    when the cache entry or the served job came from another spelling
+    of the same geometry.
     """
     from repro.serve.client import RetryPolicy, ServeClient, ServeClientError
     from repro.serve.protocol import SimulateRequest
@@ -431,6 +434,7 @@ def _execute_wave_serve(
     for cell, key in zip(plan.cells, plan.keys):
         cached = cache.get(key)
         if cached is not None:
+            cached.prefetcher = cell.prefetcher
             outcome.results[key] = cached
             journal.task_done(
                 f"sim:{cell.workload}:{cell.prefetcher}", "sim",
@@ -458,6 +462,7 @@ def _execute_wave_serve(
             ) from error
         if view.result is not None:
             result = SimResult.from_dict(view.result)
+            result.prefetcher = cell.prefetcher
             outcome.results[key] = result
             cache.put(key, result)
             journal.task_done(

@@ -115,12 +115,9 @@ def config_with_line_size(line_size: int) -> SimConfig:
 def _state_dump(impl: Any, oracle: Any) -> Dict[str, Any]:
     """Small, human-scannable snapshot of both machines."""
     state: Dict[str, Any] = {"oracle_features": sorted(oracle.features)}
-    predictor = getattr(impl, "predictor", None)
-    if predictor is not None:
-        state["impl.current"] = predictor.current.snapshot()
-        state["impl.overflowed"] = predictor.current.overflowed
-        state["impl.last_blocks"] = list(predictor.last_blocks)
-        state["impl.table_size"] = len(predictor.table)
+    replayed = getattr(impl, "blocks_replayed", None)
+    if replayed is not None:
+        state["impl.blocks_replayed"] = replayed
     oracle_current = getattr(oracle, "current", None)
     if oracle_current is not None:
         state["oracle.current"] = tuple(oracle_current)
@@ -141,12 +138,15 @@ def diff_prefetcher(
 
     Both sides receive the identical :class:`DemandInfo` stream and
     L1-eviction callbacks, derived from the hierarchy oracle running
-    demand accesses only (64-byte lines, reduced geometry).  Custom
+    demand accesses only (64-byte lines, reduced geometry).  The
+    implementation gets ``on_trace`` first, as in a simulation; the
+    oracle follows the block markers one event at a time.  Custom
     factories support fault-injection self-tests.
     """
     impl = impl_factory() if impl_factory is not None else make_prefetcher(name)
     oracle = oracle_factory() if oracle_factory is not None else make_oracle(name)
     hierarchy = hierarchy_oracle_for(REDUCED_CONFIG)
+    impl.on_trace(trace, 6)
 
     for index, event in enumerate(trace.events):
         kind = event.kind
@@ -175,7 +175,6 @@ def diff_prefetcher(
                 impl.on_l1_eviction(evicted)
                 oracle.on_l1_eviction(evicted)
         elif kind == BLOCK_BEGIN:
-            impl.on_block_begin(event.block_id)
             oracle.on_block_begin(event.block_id)
         else:  # BLOCK_END
             actual = impl.on_block_end(event.block_id)

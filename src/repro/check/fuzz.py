@@ -38,7 +38,7 @@ from repro.check.diff import (
 )
 from repro.check.oracles import CbwsOracle, PanglossOracle, make_oracle
 from repro.core.buffers import CurrentCbwsBuffer
-from repro.core.predictor import CbwsConfig
+from repro.core.predictor import CbwsConfig, CbwsPredictor
 from repro.core.prefetcher import CbwsPrefetcher
 from repro.prefetchers.learned import PanglossConfig, PanglossPrefetcher
 from repro.trace.events import (
@@ -420,6 +420,24 @@ def shrink(
 # -- fault injection --------------------------------------------------------
 
 
+class _FifoOffByOnePredictor(CbwsPredictor):
+    """A predictor whose current-CBWS FIFO holds one line fewer than
+    configured."""
+
+    def __init__(self, config: CbwsConfig) -> None:
+        super().__init__(config)
+        self.current = CurrentCbwsBuffer(
+            config.max_vector_members - 1, config.line_addr_bits
+        )
+
+
+class _FifoOffByOneCbws(CbwsPrefetcher):
+    """CBWS replaying the off-by-one predictor.  Its own predictor type
+    keys its prediction streams apart from an honest predictor's."""
+
+    predictor_type = _FifoOffByOnePredictor
+
+
 def _injected_cbws_fifo_off_by_one() -> CbwsPrefetcher:
     """CBWS whose current-CBWS FIFO holds one line fewer than configured.
 
@@ -428,12 +446,7 @@ def _injected_cbws_fifo_off_by_one() -> CbwsPrefetcher:
     before the history table first hits, and 4-access blocks keep each
     completion at 6 events.
     """
-    config = CbwsConfig(max_vector_members=4)
-    prefetcher = CbwsPrefetcher(config)
-    prefetcher.predictor.current = CurrentCbwsBuffer(
-        config.max_vector_members - 1, config.line_addr_bits
-    )
-    return prefetcher
+    return _FifoOffByOneCbws(CbwsConfig(max_vector_members=4))
 
 
 def _injected_cbws_oracle() -> CbwsOracle:

@@ -12,8 +12,11 @@ bit-identical: every float operation happens in the same order on the
 same values.  :func:`repro.check.diff.diff_engine`, the fuzzer and the
 engine equivalence tests hold the fast path to it.
 
-The oracle runs the invariant checks of :mod:`repro.check.invariants`
-when they are enabled, and records no probes.
+The oracle calls every prefetcher hook on every event it applies to,
+even a hook the prefetcher leaves as the base no-op, so comparing it
+with the production loop, which skips such hooks, checks the skip.  It
+runs the invariant checks of :mod:`repro.check.invariants` when they
+are enabled, and records no probes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.prefetchers.base import DemandInfo
 from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import DemandClass, SimResult
-from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
+from repro.trace.events import BLOCK_END, MEMORY_ACCESS
 from repro.trace.stream import Trace
 
 
@@ -144,6 +147,7 @@ def run_reference(
             queue.append(line)
             queued.add(line)
 
+    prefetcher.on_trace(trace, line_shift)
     for event in trace.events:
         now = event.icount * inv_width + stall
         kind = event.kind
@@ -253,8 +257,6 @@ def run_reference(
                 last_icount = event.icount
                 last_next_issue = next_issue
 
-        elif kind == BLOCK_BEGIN:
-            prefetcher.on_block_begin(event.block_id)
         elif kind == BLOCK_END:
             issue_prefetches(now)
             drain_completions(now)

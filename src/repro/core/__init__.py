@@ -9,9 +9,10 @@ Layering, bottom-up:
 * :mod:`repro.core.history` — the differential hash, the shift-register
   tag fold, and the 16-entry differential history table;
 * :mod:`repro.core.predictor` — Algorithm 1, tying the structures into
-  the BLOCK_BEGIN / MEMORY_ACCESS / BLOCK_END protocol;
+  the BLOCK_BEGIN / MEMORY_ACCESS / BLOCK_END protocol, and
+  ``predict_trace``, which runs it once over a whole trace;
 * :mod:`repro.core.prefetcher` — the standalone CBWS prefetcher
-  (prefetch only on a history-table hit);
+  (prefetch only on a history-table hit), replaying those predictions;
 * :mod:`repro.core.hybrid` — CBWS+SMS, falling back to spatial memory
   streaming when the CBWS predictor has no confident prediction.
 """
@@ -23,7 +24,13 @@ from repro.core.history import (
     hash_differential,
     history_tag,
 )
-from repro.core.predictor import CbwsConfig, CbwsPredictor, PredictorStats
+from repro.core.predictor import (
+    CbwsConfig,
+    CbwsPredictor,
+    PredictionStream,
+    PredictorStats,
+    predict_trace,
+)
 from repro.core.prefetcher import CbwsPrefetcher
 from repro.core.hybrid import CbwsSmsPrefetcher
 
@@ -37,7 +44,9 @@ __all__ = [
     "history_tag",
     "CbwsConfig",
     "CbwsPredictor",
+    "PredictionStream",
     "PredictorStats",
+    "predict_trace",
     "CbwsPrefetcher",
     "CbwsSmsPrefetcher",
 ]

@@ -28,11 +28,15 @@ Policy implemented here:
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.core.predictor import CbwsConfig
 from repro.core.prefetcher import CbwsPrefetcher
 from repro.prefetchers.base import DemandInfo, Prefetcher
 from repro.prefetchers.sms import SmsConfig, SmsPrefetcher
+
+if TYPE_CHECKING:
+    from repro.trace.stream import Trace
 
 #: Capacity of the CBWS line-ownership filter (a small FIFO CAM).
 _OWNED_LINES = 128
@@ -62,8 +66,8 @@ class CbwsSmsPrefetcher(Prefetcher):
             self._owned_fifo.append(line)
             self._owned.add(line)
 
-    def on_block_begin(self, block_id: int) -> None:
-        self.cbws.on_block_begin(block_id)
+    def on_trace(self, trace: Trace, line_shift: int) -> None:
+        self.cbws.on_trace(trace, line_shift)
 
     def on_block_end(self, block_id: int) -> list[int]:
         predicted = self.cbws.on_block_end(block_id)
@@ -71,7 +75,6 @@ class CbwsSmsPrefetcher(Prefetcher):
         return predicted
 
     def on_access(self, info: DemandInfo) -> list[int]:
-        self.cbws.on_access(info)
         sms_candidates = self.sms.on_access(info)
         if not sms_candidates:
             return []

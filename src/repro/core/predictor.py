@@ -20,11 +20,21 @@ There is no shift-register object: each step's register is a tuple of
 hashed differentials held by the predictor, and its table tag is
 computed once per BLOCK_END, right after the shift.  That one tag is
 both this block's prediction probe and the next block's training key.
+
+The predictor never sees a cache outcome, so its output depends only on
+the trace and the :class:`CbwsConfig`.  :func:`predict_trace` therefore
+runs it once over a whole trace and records every BLOCK_END's output as
+one :class:`PredictionStream`, which the CBWS prefetchers replay; the
+last stream built is kept, so a second CBWS-family simulation of the
+same trace replays it without running Algorithm 1 again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from array import array
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.bitops import mask
 from repro.common.constants import (
@@ -40,6 +50,10 @@ from repro.core.history import (
     hash_differential,
     history_tag,
 )
+from repro.trace.events import BLOCK_BEGIN, MEMORY_ACCESS
+
+if TYPE_CHECKING:
+    from repro.trace.stream import Trace
 
 
 @dataclass(frozen=True)
@@ -83,6 +97,8 @@ class CbwsConfig:
             raise ConfigError("cbws: vector capacity must be positive")
         if self.history_depth <= 0:
             raise ConfigError("cbws: history_depth must be positive")
+        if not 0 < self.line_addr_bits <= 64:
+            raise ConfigError("cbws: line_addr_bits outside [1, 64]")
 
 
 @dataclass
@@ -293,3 +309,102 @@ class CbwsPredictor:
         self._block_id = None
         self.confident = False
         self.last_block_overflowed = False
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionStream:
+    """Every BLOCK_END's predicted lines of one trace, laid end to end.
+
+    Attributes:
+        lines: the predicted lines of every BLOCK_END, in trace order
+            (4-byte items when the config's line fields are 32 bits).
+        ends: block offsets into ``lines``: the ``i``-th BLOCK_END
+            predicted ``lines[ends[i]:ends[i + 1]]`` (``ends[0]`` is 0).
+        predictor: the predictor after the whole trace (its stats,
+            history table and last blocks); shared, so read it only.
+    """
+
+    lines: array
+    ends: array
+    predictor: CbwsPredictor
+
+    def __len__(self) -> int:
+        """Number of BLOCK_ENDs in the trace."""
+        return len(self.ends) - 1
+
+    def block(self, index: int) -> list[int]:
+        """The lines predicted at the ``index``-th BLOCK_END."""
+        ends = self.ends
+        return self.lines[ends[index]:ends[index + 1]].tolist()
+
+
+def _drive(predictor: CbwsPredictor, kinds: array, payloads: array,
+           line_shift: int) -> PredictionStream:
+    """Run ``predictor`` over the ``kinds``/``payloads`` event columns.
+
+    A BLOCK_BEGIN opens a block and a BLOCK_END closes it; an access is
+    pushed only while a block is open (the CBWS hardware does not see
+    the others).
+    """
+    # Lines are truncated to line_addr_bits, so 32-bit fields fit 4-byte
+    # items; this halves the kept stream at the paper's geometry.
+    lines = array("I" if predictor.config.line_addr_bits <= 32 else "Q")
+    ends = array("Q", [0])
+    block_begin = predictor.block_begin
+    memory_access = predictor.memory_access
+    block_end = predictor.block_end
+    in_block = False
+    for kind, payload in zip(kinds, payloads):
+        if kind == MEMORY_ACCESS:
+            if in_block:
+                memory_access(payload >> line_shift)
+        elif kind == BLOCK_BEGIN:
+            block_begin(payload)
+            in_block = True
+        else:
+            lines.extend(block_end())
+            ends.append(len(lines))
+            in_block = False
+    return PredictionStream(lines, ends, predictor)
+
+
+#: The last stream built, as (weak references to the kinds and payloads
+#: columns it was built from, key, stream).  One entry: a grid runs a
+#: trace's cells together, and the weak references never keep a trace's
+#: columns alive.
+_last_stream: tuple | None = None
+
+
+def _forget(reference: weakref.ref) -> None:
+    """Drop the kept stream once its columns are collected."""
+    global _last_stream
+    kept = _last_stream
+    if kept is not None and reference in kept[:2]:
+        _last_stream = None
+
+
+def predict_trace(
+    trace: Trace,
+    config: CbwsConfig,
+    line_shift: int,
+    predictor_type: type[CbwsPredictor] = CbwsPredictor,
+) -> PredictionStream:
+    """The predictions a fresh ``predictor_type(config)`` makes over
+    ``trace`` at ``2 ** line_shift``-byte lines.
+
+    The result for the most recent (trace columns, config, line size,
+    predictor type) is kept and returned again while those columns are
+    alive.
+    """
+    global _last_stream
+    columns = trace.columns()
+    kinds, payloads = columns.kinds, columns.payloads
+    key = (predictor_type, config, line_shift)
+    kept = _last_stream
+    if (kept is not None and kept[0]() is kinds and kept[1]() is payloads
+            and kept[2] == key):
+        return kept[3]
+    stream = _drive(predictor_type(config), kinds, payloads, line_shift)
+    _last_stream = (weakref.ref(kinds, _forget),
+                    weakref.ref(payloads, _forget), key, stream)
+    return stream

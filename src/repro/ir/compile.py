@@ -19,6 +19,9 @@ Usage::
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import CodeType
+
 import numpy as np
 
 from repro.common.errors import WorkloadError
@@ -214,6 +217,16 @@ class _CodeGenerator:
         self._block_body(node, inner)
 
 
+@lru_cache(maxsize=128)
+def _code(source: str, filename: str) -> CodeType:
+    """The code object of one generated source, compiled once per process.
+
+    A workload lowers to the same source at every budget and seed, so
+    only the first build of each pays for ``compile()``.
+    """
+    return compile(source, filename, "exec")
+
+
 class CompiledKernel:
     """A kernel lowered to an executable Python function."""
 
@@ -247,8 +260,7 @@ class CompiledKernel:
             "_oob_message": self._oob_message,
             "_runaway_message": self._runaway_message,
         }
-        exec(compile(self.source, f"<compiled:{kernel.name}>", "exec"),
-             namespace)
+        exec(_code(self.source, f"<compiled:{kernel.name}>"), namespace)
         self._function = namespace["_kernel_main"]
 
     def _oob_message(self, index: int, array: str, length: int) -> str:

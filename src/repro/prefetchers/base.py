@@ -5,13 +5,23 @@ annotated with hit/miss outcome) and return *candidate lines* to fetch
 into L2.  The simulation engine owns issue bandwidth, duplicate
 suppression, and in-flight tracking — prefetchers only predict.
 
-Block-marker callbacks (``on_block_begin`` / ``on_block_end``) exist on
-the base class so the engine can drive every prefetcher uniformly; only
-the CBWS prefetchers react to them, which is precisely the paper's point:
-existing prefetchers have no notion of code blocks.
+``on_trace`` runs once per run, before the first event; ``on_access``,
+``on_block_end`` and ``on_l1_eviction`` run per access, ``BLOCK_END``
+and L1 eviction.  Only the CBWS prefetchers react to block ends, which
+is precisely the paper's point: existing prefetchers have no notion of
+code blocks.  The CBWS predictor never sees a cache outcome, so the CBWS
+prefetchers compute their predictions for the whole trace in
+``on_trace`` (:func:`repro.core.predictor.predict_trace`).  The engine
+calls a hook only when the prefetcher's class overrides it
+(:func:`overrides`), so a hook left as the base no-op costs nothing.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.trace.stream import Trace
 
 
 class DemandInfo:
@@ -71,12 +81,19 @@ class Prefetcher:
     #: Human-readable identifier used in reports and result tables.
     name: str = "none"
 
+    def on_trace(self, trace: Trace, line_shift: int) -> None:
+        """A run of ``trace`` at ``2 ** line_shift``-byte lines starts."""
+
     def on_access(self, info: DemandInfo) -> list[int]:
         """Observe one committed access; return candidate lines."""
         return []
 
     def on_block_begin(self, block_id: int) -> None:
-        """A ``BLOCK_BEGIN(id)`` marker committed."""
+        """Not called by the engines: block state comes from ``on_trace``.
+
+        Kept as a name on the base class because perfbench's tracer
+        wraps each of the four classic hook names it finds here.
+        """
 
     def on_block_end(self, block_id: int) -> list[int]:
         """A ``BLOCK_END(id)`` marker committed; may return candidates."""
@@ -91,3 +108,8 @@ class Prefetcher:
 
     def reset(self) -> None:
         """Drop all learned state."""
+
+
+def overrides(prefetcher: Prefetcher, hook: str) -> bool:
+    """True when ``prefetcher``'s class replaces the base ``hook``."""
+    return getattr(type(prefetcher), hook) is not getattr(Prefetcher, hook)

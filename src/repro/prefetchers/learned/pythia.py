@@ -336,10 +336,6 @@ class PythiaPrefetcher(Prefetcher):
 
     # -- inspection ----------------------------------------------------------
 
-    def q_row(self, state: tuple) -> List[float]:
-        """The Q-row of one state (empty list if absent), for tests."""
-        return list(self._q.get(state, []))
-
     @property
     def outstanding(self) -> int:
         """Shadow-tracked predictions not yet resolved, for tests."""

@@ -22,9 +22,13 @@ conservative throttling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.prefetchers.base import DemandInfo, Prefetcher
+
+if TYPE_CHECKING:
+    from repro.trace.stream import Trace
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,8 @@ class ThrottledPrefetcher(Prefetcher):
         self._tick()
         return self._filter(self.inner.on_access(info))
 
-    def on_block_begin(self, block_id: int) -> None:
-        self.inner.on_block_begin(block_id)
+    def on_trace(self, trace: Trace, line_shift: int) -> None:
+        self.inner.on_trace(trace, line_shift)
 
     def on_block_end(self, block_id: int) -> list[int]:
         return self._filter(self.inner.on_block_end(block_id))

@@ -14,8 +14,11 @@ One :class:`Broker` owns the path from a validated
    node's ``key``.  A request whose key is already in flight — the same
    simulation, however its overrides or prefetcher parameters are
    spelled — attaches to the leader job (via
-   :class:`repro.exec.SingleFlight`) instead of queueing duplicate work,
-   and sees the leader's spelling.
+   :class:`repro.exec.SingleFlight`) instead of queueing duplicate work.
+   An identical request gets the leader job itself; a differently
+   spelled one gets its own *follower* job (own id, own spelling, its
+   result labelled with its own prefetcher name) that shares the
+   leader's execution and ends when the leader does.
 3. **Micro-batching.**  A background task drains the admission queue,
    gathers up to ``batch_max`` jobs inside a ``batch_window`` seconds
    window, and executes their nodes as *one*
@@ -52,7 +55,7 @@ import asyncio
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -103,6 +106,8 @@ class ServeJob:
     #: Live SSE readers; each gets every new event.
     subscribers: list[asyncio.Queue] = field(default_factory=list)
     done: asyncio.Event = field(default_factory=asyncio.Event)
+    #: Differently spelled jobs sharing this job's execution.
+    followers: list["ServeJob"] = field(default_factory=list)
 
     @property
     def key(self) -> str:
@@ -311,7 +316,7 @@ class Broker:
         existing = self._singleflight.peek(key)
         if existing is not None and not existing.status.terminal:
             self.counters["serve.deduplicated"] += 1
-            return existing, True
+            return self._follow(existing, request, node), True
 
         if self._pending >= self.max_pending:
             self.counters["serve.rejected"] += 1
@@ -332,7 +337,7 @@ class Broker:
         leased, is_leader = self._singleflight.lease(key, lambda: job)
         if not is_leader:
             self.counters["serve.deduplicated"] += 1
-            return leased, True
+            return self._follow(leased, request, node), True
         if self._journal is not None:
             self._journal.job_accepted(job.job_id, key, request)
         self._jobs[job.job_id] = job
@@ -343,6 +348,25 @@ class Broker:
                          "key": job.key})
         self._publish_gauges()
         return job, False
+
+    def _follow(self, leader: ServeJob, request: SimulateRequest,
+                node: SimNode) -> ServeJob:
+        """The job a request deduplicated onto ``leader`` sees: the
+        leader itself when spelled identically, else a new follower."""
+        if request == leader.request:
+            return leader
+        follower = ServeJob(
+            job_id=uuid.uuid4().hex[:12],
+            request=request,
+            node=node,
+            status=leader.status,
+            cache_hit=leader.cache_hit,
+            events=[dict(event) for event in leader.events],
+        )
+        leader.followers.append(follower)
+        self._jobs[follower.job_id] = follower
+        self._remember_history(follower.job_id)
+        return follower
 
     def job(self, job_id: str) -> ServeJob:
         """Look one job up by id."""
@@ -407,11 +431,14 @@ class Broker:
     # -- events -------------------------------------------------------------
 
     def _emit(self, job: ServeJob, event: dict[str, Any]) -> None:
-        event = dict(event)
-        event.setdefault("status", job.status.value)
-        job.events.append(event)
-        for queue in list(job.subscribers):
-            queue.put_nowait(event)
+        """Record ``event`` on ``job`` and its followers, and push it to
+        their SSE readers."""
+        for target in (job, *job.followers):
+            payload = dict(event)
+            payload.setdefault("status", target.status.value)
+            target.events.append(payload)
+            for queue in list(target.subscribers):
+                queue.put_nowait(payload)
 
     def subscribe(self, job: ServeJob) -> asyncio.Queue:
         """Attach one SSE reader; past events must be replayed by the
@@ -456,9 +483,11 @@ class Broker:
     async def _execute_batch(self, batch: list[ServeJob]) -> None:
         loop = asyncio.get_running_loop()
         for job in batch:
-            job.status = JobStatus.RUNNING
-            if self._cache is not None:
-                job.cache_hit = self._cache.contains(job.key)
+            cache_hit = (self._cache.contains(job.key)
+                         if self._cache is not None else None)
+            for target in (job, *job.followers):
+                target.status = JobStatus.RUNNING
+                target.cache_hit = cache_hit
             self._emit(job, {"event": "running",
                              "batch_size": len(batch)})
 
@@ -503,16 +532,16 @@ class Broker:
         # transition is journaled — the crashed job replays as
         # unfinished and recovers as a pure cache hit.
         faults.check("serve.job-finished")
-        job.wall_seconds = time.monotonic() - job.submitted_monotonic
+        _settle(job, result, error)
         self._recent_seconds.append(job.wall_seconds)
         if result is not None:
-            job.result = result
-            job.status = JobStatus.DONE
             self.counters["serve.completed"] += 1
         else:
-            job.error = error or "unknown failure"
-            job.status = JobStatus.FAILED
             self.counters["serve.failed"] += 1
+        for follower in job.followers:
+            _settle(follower, None if result is None else replace(
+                result, prefetcher=follower.node.prefetcher,
+                classes=dict(result.classes)), error)
         if self._journal is not None:
             self._journal.job_finished(job.job_id, job.key,
                                        job.status.value)
@@ -521,7 +550,20 @@ class Broker:
         self._emit(job, {"event": "terminal",
                          "wall_seconds": job.wall_seconds,
                          "error": job.error})
-        job.done.set()
+        for target in (job, *job.followers):
+            target.done.set()
         if obs.enabled():
             obs.observe("serve.job_seconds", job.wall_seconds)
         self._publish_gauges()
+
+
+def _settle(job: ServeJob, result: SimResult | None,
+            error: str | None) -> None:
+    """Make ``job`` terminal with ``result``, or failed with ``error``."""
+    job.wall_seconds = time.monotonic() - job.submitted_monotonic
+    if result is not None:
+        job.result = result
+        job.status = JobStatus.DONE
+    else:
+        job.error = error or "unknown failure"
+        job.status = JobStatus.FAILED

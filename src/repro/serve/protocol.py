@@ -106,12 +106,21 @@ def _check_int(value: object, what: str) -> int:
     return value  # type: ignore[return-value]
 
 
-def _check_positive_number(value: object, what: str) -> float:
+def _as_float(value: object, what: str) -> float:
+    """A JSON number as a float; an integer too large for one is an
+    infinite number, so range checks reject it like ``inf``."""
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{what} must be a number",
     )
-    number = float(value)  # type: ignore[arg-type]
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except OverflowError:
+        return float("inf")
+
+
+def _check_positive_number(value: object, what: str) -> float:
+    number = _as_float(value, what)
     _require(number > 0 and number == number and number != float("inf"),
              f"{what} must be positive and finite")
     return number
@@ -299,13 +308,9 @@ class JobView:
                  "field 'cache_hit' must be a boolean or null")
         wall_seconds = body.get("wall_seconds")
         if wall_seconds is not None:
-            _require(
-                isinstance(wall_seconds, (int, float))
-                and not isinstance(wall_seconds, bool)
-                and wall_seconds >= 0,
-                "field 'wall_seconds' must be a non-negative number",
-            )
-            wall_seconds = float(wall_seconds)
+            wall_seconds = _as_float(wall_seconds, "field 'wall_seconds'")
+            _require(wall_seconds >= 0,
+                     "field 'wall_seconds' must be a non-negative number")
         result = body.get("result")
         if result is not None:
             result = dict(_check_mapping(result, "result"))
@@ -361,8 +366,13 @@ def dumps(document: Mapping[str, Any]) -> bytes:
 
 
 def loads(raw: bytes) -> Any:
-    """Decode one HTTP body, mapping JSON errors to ProtocolError."""
+    """Decode one HTTP body, mapping JSON errors to ProtocolError.
+
+    ``ValueError`` covers bad UTF-8, bad JSON and integers longer than
+    the interpreter converts; ``RecursionError`` covers nesting deeper
+    than the decoder's recursion limit.
+    """
     try:
         return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise ProtocolError(f"body is not valid JSON: {error}") from None

@@ -31,11 +31,14 @@ the trace's columnar arrays (:meth:`repro.trace.stream.Trace.columns`),
 drives the cache through the hierarchy's ``demand_access_fast`` and
 ``prefetch_fill_fast`` (integer outcome codes, no per-access result
 objects), accumulates counters in local ints, and writes the per-event
-steps out once: a ``BLOCK_BEGIN`` only notifies the prefetcher; every
-other event issues queued prefetches, drains completed fills, runs its
-own step (the demand path and ``on_access`` for a memory access,
-``on_block_end`` for a block end), then enqueues the candidates it got
-back.
+steps out once.  The prefetcher's ``on_trace`` runs once, before the
+first event; a ``BLOCK_BEGIN`` is then skipped; every other event issues
+queued prefetches, drains completed fills, runs its own step (the demand
+path and ``on_access`` for a memory access, ``on_block_end`` for a
+block end), then enqueues the candidates it got back.  A hook the
+prefetcher's class does not override is not called at all, and
+``on_access`` skipped means no :class:`DemandInfo` is built; the issue,
+drain and eviction steps run the same either way.
 
 The readable specification of the same model is the object-per-event
 engine oracle in :mod:`repro.check.reference`, which runs on the
@@ -54,7 +57,7 @@ from time import perf_counter
 from repro import obs
 from repro.check import invariants
 from repro.common.bitops import log2_exact
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import DemandInfo, Prefetcher, overrides
 from repro.sim.config import SimConfig
 from repro.sim.results import DemandClass, SimResult
 from repro.trace.events import BLOCK_BEGIN, MEMORY_ACCESS
@@ -164,10 +167,14 @@ class SimulationEngine:
         l2_sets = hierarchy.l2._sets
         l2_mask = hierarchy.l2._index_mask
         on_access = prefetcher.on_access
-        on_block_begin = prefetcher.on_block_begin
         on_block_end = prefetcher.on_block_end
         on_l1_eviction = prefetcher.on_l1_eviction
+        calls_access = overrides(prefetcher, "on_access")
+        calls_block_end = overrides(prefetcher, "on_block_end")
+        calls_eviction = overrides(prefetcher, "on_l1_eviction")
+        candidates = None
 
+        prefetcher.on_trace(trace, line_shift)
         columns = trace.columns()
         for kind, icount, pc, payload, write in zip(
             columns.kinds,
@@ -177,7 +184,6 @@ class SimulationEngine:
             columns.writes,
         ):
             if kind == BLOCK_BEGIN:
-                on_block_begin(payload)
                 continue
 
             now = icount * inv_width + stall
@@ -204,8 +210,9 @@ class SimulationEngine:
                 if prefetch_fill_fast(pline, evictions):
                     n_fills += 1
                     if evictions:
-                        for evicted in evictions:
-                            on_l1_eviction(evicted)
+                        if calls_eviction:
+                            for evicted in evictions:
+                                on_l1_eviction(evicted)
                         evictions.clear()
 
             if kind == MEMORY_ACCESS:
@@ -279,24 +286,28 @@ class SimulationEngine:
                         window_count = 1
 
                     if evictions:
-                        for evicted in evictions:
-                            on_l1_eviction(evicted)
+                        if calls_eviction:
+                            for evicted in evictions:
+                                on_l1_eviction(evicted)
                         evictions.clear()
 
-                candidates = on_access(
-                    DemandInfo(
-                        pc=pc,
-                        line=line,
-                        address=payload,
-                        is_write=bool(write),
-                        l1_hit=info_l1_hit,
-                        l2_hit=info_l2_hit,
+                if calls_access:
+                    candidates = on_access(
+                        DemandInfo(
+                            pc=pc,
+                            line=line,
+                            address=payload,
+                            is_write=bool(write),
+                            l1_hit=info_l1_hit,
+                            l2_hit=info_l2_hit,
+                        )
                     )
-                )
-            else:  # BLOCK_END
+            elif calls_block_end:  # BLOCK_END
                 candidates = on_block_end(payload)
 
             # -- enqueue_candidates --------------------------------------
+            # (Consumed candidates are cleared, so an event whose hook is
+            # skipped never sees the previous event's list.)
             if candidates:
                 if not queue and next_issue < now:
                     next_issue = now
@@ -311,6 +322,7 @@ class SimulationEngine:
                         break  # hardware queue full; newest drop
                     queue_append(cand)
                     queued_add(cand)
+                candidates = None
                 if profiling:
                     obs.observe("sim.prefetch_queue.occupancy", len(queue))
             if checking:

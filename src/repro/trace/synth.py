@@ -97,11 +97,6 @@ class AddressSpace:
         """Mapping of array name to allocation (insertion ordered)."""
         return dict(self._allocations)
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Total bytes spanned by all allocations including guard gaps."""
-        return self._next
-
 
 def _align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment

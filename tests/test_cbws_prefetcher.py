@@ -1,8 +1,15 @@
 """Tests for the standalone CBWS prefetcher and the CBWS+SMS hybrid."""
 
+import pytest
+
+from repro.common.errors import ConfigError
 from repro.core.hybrid import CbwsSmsPrefetcher
 from repro.core.prefetcher import CbwsPrefetcher
 from repro.prefetchers.base import DemandInfo
+from repro.sim.config import REDUCED_CONFIG
+from repro.sim.engine import simulate
+from repro.trace.events import BlockBegin, BlockEnd, MemoryAccess
+from repro.trace.stream import Trace
 
 
 def access(line, pc=0x400000, l1_hit=False):
@@ -12,13 +19,23 @@ def access(line, pc=0x400000, l1_hit=False):
     )
 
 
-def drive_blocks(prefetcher, blocks, block_id=0):
-    """Feed block-bracketed accesses; return the last BLOCK_END output."""
-    predictions = []
+def block_trace(blocks, block_id=0, before=()):
+    """A trace of ``before`` (lines accessed outside any block), then
+    one block-bracketed run of accesses per entry of ``blocks``."""
+    events = [MemoryAccess(0, 0x400000, line * 64, False) for line in before]
     for block in blocks:
-        prefetcher.on_block_begin(block_id)
-        for line in block:
-            prefetcher.on_access(access(line))
+        events.append(BlockBegin(0, block_id))
+        events += [MemoryAccess(0, 0x400000, line * 64, False)
+                   for line in block]
+        events.append(BlockEnd(0, block_id))
+    return Trace("blocks", events, 0)
+
+
+def drive_blocks(prefetcher, blocks, block_id=0):
+    """Replay block-bracketed accesses; return the last BLOCK_END output."""
+    prefetcher.on_trace(block_trace(blocks, block_id), 6)
+    predictions = []
+    for _ in blocks:
         predictions = prefetcher.on_block_end(block_id)
     return predictions
 
@@ -33,21 +50,24 @@ def strided_blocks(count, stride=64, width=4):
 class TestStandalone:
     def test_accesses_outside_blocks_are_invisible(self):
         prefetcher = CbwsPrefetcher()
+        prefetcher.on_trace(block_trace([], before=range(100, 140)), 6)
         for line in range(100, 140):
             assert prefetcher.on_access(access(line)) == []
-        assert prefetcher.predictor.stats.blocks_completed == 0
+        predictor = prefetcher.stream.predictor
+        assert predictor.stats.blocks_completed == 0
+        assert predictor.current.lines == []
 
     def test_accesses_return_no_candidates_inline(self):
         """CBWS only issues at BLOCK_END, never mid-block."""
         prefetcher = CbwsPrefetcher()
-        prefetcher.on_block_begin(0)
+        prefetcher.on_trace(block_trace([[1]]), 6)
         assert prefetcher.on_access(access(1)) == []
 
     def test_predicts_on_steady_blocks(self):
         prefetcher = CbwsPrefetcher()
         predictions = drive_blocks(prefetcher, strided_blocks(10))
         assert predictions
-        assert prefetcher.confident
+        assert prefetcher.stream.predictor.confident
 
     def test_silent_without_table_hit(self):
         import random
@@ -58,30 +78,33 @@ class TestStandalone:
                   for _ in range(6)]
         predictions = drive_blocks(prefetcher, blocks)
         assert predictions == []
-        assert not prefetcher.confident
+        assert not prefetcher.stream.predictor.confident
 
     def test_tracks_l1_hits_too(self):
         """The compiler hints let CBWS trace *all* L1 accesses inside
         blocks, not just misses (Section II-A)."""
         prefetcher = CbwsPrefetcher()
-        prefetcher.on_block_begin(0)
-        prefetcher.on_access(access(7, l1_hit=True))
-        prefetcher.on_block_end(0)
-        assert prefetcher.predictor.last_blocks.get(1) == (7,)
+        # Line 7 is loaded before the block, so the in-block access hits.
+        trace = block_trace([[7]], before=[7])
+        result = simulate(REDUCED_CONFIG, prefetcher, trace)
+        assert result.l1_misses == 1
+        assert prefetcher.stream.predictor.last_blocks.get(1) == (7,)
 
     def test_overflow_reported(self):
         prefetcher = CbwsPrefetcher()
-        prefetcher.on_block_begin(0)
-        for line in range(100, 130):  # 30 distinct lines > 16
-            prefetcher.on_access(access(line))
-        prefetcher.on_block_end(0)
-        assert not prefetcher.covers_full_working_set
+        drive_blocks(prefetcher, [range(100, 130)])  # 30 distinct lines > 16
+        assert prefetcher.stream.predictor.last_block_overflowed
 
     def test_reset(self):
         prefetcher = CbwsPrefetcher()
         drive_blocks(prefetcher, strided_blocks(8))
         prefetcher.reset()
-        assert prefetcher.predictor.stats.blocks_completed == 0
+        assert prefetcher.stream is None
+        assert prefetcher.blocks_replayed == 0
+
+    def test_block_end_needs_a_trace(self):
+        with pytest.raises(ConfigError, match="before on_trace"):
+            CbwsPrefetcher().on_block_end(0)
 
     def test_storage_under_paper_budget(self):
         assert CbwsPrefetcher().storage_bits() < 12_000  # ~1.1 KB
@@ -133,5 +156,5 @@ class TestHybrid:
         hybrid = CbwsSmsPrefetcher()
         drive_blocks(hybrid, strided_blocks(8))
         hybrid.reset()
-        assert hybrid.cbws.predictor.stats.blocks_completed == 0
+        assert hybrid.cbws.stream is None
         assert not hybrid._owned  # noqa: SLF001 - internal check

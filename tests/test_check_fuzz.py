@@ -116,6 +116,41 @@ class TestFaultInjection:
         )
         assert replay is not None
 
+    def test_memo_keeps_injected_and_honest_streams_apart(self):
+        """The kept prediction stream is keyed by the predictor type, so
+        the faulty CBWS and an honest one of the same geometry never
+        replay each other's stream, in either order."""
+        from repro.core.predictor import CbwsConfig
+        from repro.core.prefetcher import CbwsPrefetcher
+        from repro.trace.events import BlockBegin, BlockEnd, MemoryAccess
+        from repro.trace.stream import Trace
+
+        _, injected_factory, _ = INJECTIONS["cbws-fifo-off-by-one"]
+
+        def honest_factory():
+            return CbwsPrefetcher(CbwsConfig(max_vector_members=4))
+
+        def four_line_blocks():
+            events = []
+            for n in range(8):
+                events.append(BlockBegin(0, 1))
+                events += [MemoryAccess(0, 0, (1000 + 4 * n + k) << 6, False)
+                           for k in range(4)]
+                events.append(BlockEnd(0, 1))
+            return Trace("four-line-blocks", events, 0)
+
+        def replay(prefetcher, trace):
+            prefetcher.on_trace(trace, 6)
+            return [prefetcher.on_block_end(1) for _ in range(8)]
+
+        honest_alone = replay(honest_factory(), four_line_blocks())
+        injected_alone = replay(injected_factory(), four_line_blocks())
+        assert honest_alone != injected_alone
+        shared = four_line_blocks()
+        for _ in range(2):
+            assert replay(honest_factory(), shared) == honest_alone
+            assert replay(injected_factory(), shared) == injected_alone
+
     @pytest.mark.learned
     def test_pangloss_lfu_off_by_one_is_caught_and_shrunk(self):
         # Same acceptance criterion for the learned family: a fencepost

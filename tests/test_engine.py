@@ -200,8 +200,8 @@ class TestPrefetchPath:
         class Recorder(Prefetcher):
             name = "recorder"
 
-            def on_block_begin(self, block_id):
-                calls.append(("begin", block_id))
+            def on_trace(self, trace, line_shift):
+                calls.append(("trace", trace.name, line_shift))
 
             def on_block_end(self, block_id):
                 calls.append(("end", block_id))
@@ -210,7 +210,7 @@ class TestPrefetchPath:
         events = [BlockBegin(5, 3), MemoryAccess(6, 0, 0, False),
                   BlockEnd(7, 3)]
         simulate(tiny_config(), Recorder(), Trace("t", events, 10))
-        assert calls == [("begin", 3), ("end", 3)]
+        assert calls == [("trace", "t", 6), ("end", 3)]
 
     def test_l1_evictions_reported_to_prefetcher(self):
         evictions = []
@@ -225,6 +225,97 @@ class TestPrefetchPath:
         trace = mem_trace(range(24))
         simulate(tiny_config(), Recorder(), trace)
         assert evictions, "L1 capacity evictions must be reported"
+
+
+class _Recorder(Prefetcher):
+    """Overrides only ``on_access``, and records each call."""
+
+    name = "recorder"
+
+    def __init__(self, candidates=()):
+        self.candidates = list(candidates)
+        self.accesses = 0
+
+    def on_access(self, info):
+        self.accesses += 1
+        return list(self.candidates) if self.accesses == 1 else []
+
+
+def _blocks_and_evictions_trace():
+    """Block markers, and more distinct lines than the tiny L1 holds."""
+    events = [MemoryAccess(10, 0x400000, 0, False),
+              BlockBegin(20, 1), BlockEnd(30, 1)]
+    events += [MemoryAccess(5000 + 10 * n, 0x400000, 64 * n, False)
+               for n in range(24)]
+    events += [BlockBegin(6000, 1), BlockEnd(6010, 1)]
+    return Trace("hooks", events, 6100)
+
+
+class TestHookSkip:
+    """The engine calls only the hooks a prefetcher's class overrides."""
+
+    @pytest.fixture
+    def base_hook_calls(self, monkeypatch):
+        calls = []
+
+        def on_block_end(self, block_id):
+            calls.append(("on_block_end", block_id))
+            return []
+
+        def on_l1_eviction(self, line):
+            calls.append(("on_l1_eviction", line))
+
+        monkeypatch.setattr(Prefetcher, "on_block_end", on_block_end)
+        monkeypatch.setattr(Prefetcher, "on_l1_eviction", on_l1_eviction)
+        return calls
+
+    def test_access_only_prefetcher_gets_no_other_hook(self, base_hook_calls):
+        from repro.check.reference import run_reference
+        from repro.sim.engine import SimulationEngine
+
+        trace = _blocks_and_evictions_trace()
+        prefetcher = _Recorder()
+        result = simulate(tiny_config(), prefetcher, trace)
+        assert prefetcher.accesses == result.demand_accesses == 25
+        assert base_hook_calls == []
+        # The oracle calls every hook, so the trace does reach them.
+        run_reference(SimulationEngine(tiny_config(), _Recorder()), trace)
+        called = {hook for hook, _ in base_hook_calls}
+        assert called == {"on_block_end", "on_l1_eviction"}
+
+    def test_skipped_block_end_enqueues_nothing(self):
+        """A BLOCK_END whose hook is skipped must not re-enqueue the
+        previous access's candidates (queue of one: a re-enqueue would
+        issue the dropped line 10)."""
+        from repro.check.reference import run_reference
+        from repro.sim.engine import SimulationEngine
+
+        config = tiny_config(queue_capacity=1)
+        trace = _blocks_and_evictions_trace()
+        fast = simulate(config, _Recorder([9, 10]), trace)
+        reference = run_reference(
+            SimulationEngine(config, _Recorder([9, 10])), trace)
+        assert fast.prefetches_issued == 1
+        assert fast.to_dict() == reference.to_dict()
+
+    def test_no_prefetch_builds_no_demand_info(self, monkeypatch):
+        import repro.sim.engine as engine
+
+        built = []
+
+        class CountingInfo(DemandInfo):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "DemandInfo", CountingInfo)
+        trace = _blocks_and_evictions_trace()
+        simulate(tiny_config(), NoPrefetcher(), trace)
+        assert built == []
+        simulate(tiny_config(), _Recorder(), trace)
+        assert len(built) == 25
 
 
 class TestResultMetadata:

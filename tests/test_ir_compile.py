@@ -179,3 +179,29 @@ def test_built_trace_holds_only_columns():
     assert sorted(type(value).__name__ for value in held) == [
         "EventColumns", "int", "str"]
     assert all(type(column) is array for column in trace.columns().arrays())
+
+
+def test_generated_source_compiles_once():
+    """Every build of a workload lowers to the same source, so a second
+    build at another budget and seed reuses the first build's code
+    object, and the columns it writes are those of a cold build."""
+    from repro.ir.compile import _code
+
+    spec = get_workload("stencil-default")
+
+    def build(budget, seed):
+        kernel = spec.kernel()
+        annotate_tight_loops(kernel)
+        compiled = compile_kernel(kernel)
+        limits = ExecutionLimits(max_memory_accesses=budget)
+        return compiled, compiled.run(seed=seed, limits=limits)
+
+    _code.cache_clear()
+    first, cold = build(900, 0)
+    second, other = build(1500, 3)
+    assert second._function.__code__ is first._function.__code__
+    assert _code.cache_info().hits >= 1
+    assert len(other.events) > len(cold.events)
+    _, warm = build(900, 0)
+    assert warm.columns() == cold.columns()
+    assert warm.instructions == cold.instructions

@@ -5,9 +5,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.check.oracles import CbwsOracle
 from repro.core.history import history_tag
-from repro.core.predictor import CbwsConfig, CbwsPredictor, PredictorStats
+from repro.core.predictor import (
+    CbwsConfig,
+    CbwsPredictor,
+    PredictorStats,
+    predict_trace,
+)
 from repro.core.prefetcher import CbwsPrefetcher
 from repro.prefetchers.base import DemandInfo
+from repro.trace.events import (
+    BLOCK_BEGIN,
+    BLOCK_END,
+    MEMORY_ACCESS,
+    BlockBegin,
+    BlockEnd,
+    MemoryAccess,
+)
+from repro.trace.stream import Trace
 
 
 def run_block(predictor, lines, block_id=0):
@@ -153,14 +167,11 @@ class TestReset:
         assert run_block(predictor, stencil_block(0)) == []
 
     def test_reset_clears_overflow_flag(self):
-        prefetcher = CbwsPrefetcher()
-        predictor = prefetcher.predictor
+        predictor = CbwsPredictor()
         run_block(predictor, list(range(100, 117)))  # 17 lines > 16
         assert predictor.last_block_overflowed
-        assert not prefetcher.covers_full_working_set
-        prefetcher.reset()
+        predictor.reset()
         assert predictor.last_block_overflowed is False
-        assert prefetcher.covers_full_working_set
 
 
 class TestHistoryState:
@@ -240,24 +251,25 @@ block_runs = st.lists(
 
 
 class TestMatchesOracle:
-    """CbwsPrefetcher against the clean-room CbwsOracle, event by event."""
+    """CbwsPredictor against the clean-room CbwsOracle, event by event."""
 
     @settings(max_examples=200, deadline=None)
     @given(geometries(), block_runs)
     def test_candidates_and_stats_match(self, geometry, runs):
-        impl = CbwsPrefetcher(CbwsConfig(**geometry))
+        predictor = CbwsPredictor(CbwsConfig(**geometry))
         oracle = CbwsOracle(**geometry)
         predict_steps = geometry["predict_steps"]
         expected = PredictorStats()
         for block_id, bases, stride, repetitions in runs:
             for n in range(repetitions):
-                impl.on_block_begin(block_id)
+                predictor.block_begin(block_id)
                 oracle.on_block_begin(block_id)
                 for base in bases:
                     info = access((base + stride * n) % (1 << 20))
-                    assert impl.on_access(info) == oracle.on_access(info)
+                    predictor.memory_access(info.line)
+                    assert oracle.on_access(info) == []
                 overflowed = oracle.overflowed
-                got = impl.on_block_end(block_id)
+                got = predictor.block_end()
                 want = oracle.on_block_end(block_id)
                 assert got == want
                 hits = sum(
@@ -270,14 +282,13 @@ class TestMatchesOracle:
                 expected.table_hits += hits
                 expected.predictions_made += bool(want)
                 expected.lines_predicted += len(want)
-                predictor = impl.predictor
                 assert predictor.last_block_overflowed == overflowed
                 assert predictor.confident == (hits > 0)
                 assert list(predictor.table._table.items()) == \
                     list(oracle.table.items())
-        assert impl.predictor.stats == expected
-        assert impl.predictor.table.lookups == expected.table_lookups
-        assert impl.predictor.table.hits == expected.table_hits
+        assert predictor.stats == expected
+        assert predictor.table.lookups == expected.table_lookups
+        assert predictor.table.hits == expected.table_hits
 
 
 class TestRobustnessProperty:
@@ -295,3 +306,155 @@ class TestRobustnessProperty:
             for line in predictions:
                 assert 0 <= line < (1 << 32)
             assert len(predictor.last_blocks) <= 4
+
+
+def live_drive(trace, config, line_shift):
+    """Every BLOCK_END's output of a predictor driven event by event: a
+    BLOCK_BEGIN opens a block, accesses count only while one is open."""
+    predictor = CbwsPredictor(config)
+    outputs = []
+    in_block = False
+    for event in trace.events:
+        if event.kind == MEMORY_ACCESS:
+            if in_block:
+                predictor.memory_access(event.address >> line_shift)
+        elif event.kind == BLOCK_BEGIN:
+            predictor.block_begin(event.block_id)
+            in_block = True
+        else:
+            outputs.append(predictor.block_end())
+            in_block = False
+    return outputs, predictor
+
+
+@st.composite
+def run_traces(draw):
+    """Repeated blocks (empty ones included) with accesses outside
+    blocks between the runs, at 64- or 128-byte lines."""
+    line_shift = draw(st.sampled_from([6, 7]))
+    offset = draw(st.integers(0, (1 << line_shift) - 1))
+    events = []
+    for block_id, bases, stride, repetitions in draw(block_runs):
+        for n in range(repetitions):
+            events.append(BlockBegin(0, block_id))
+            events += [
+                MemoryAccess(0, 1, (((base + stride * n) % (1 << 20))
+                                    << line_shift) + offset, False)
+                for base in bases
+            ]
+            events.append(BlockEnd(0, block_id))
+        events += [MemoryAccess(0, 2, line << line_shift, True)
+                   for line in draw(st.lists(st.integers(0, 1 << 10),
+                                             max_size=3))]
+    return Trace("runs", events, 0), line_shift
+
+
+#: Any marker order, nested and unbalanced ones included.
+loose_events = st.lists(
+    st.one_of(
+        st.builds(lambda line: MemoryAccess(0, 0, line << 6, False),
+                  st.integers(0, 1 << 12)),
+        st.builds(lambda block_id: BlockBegin(0, block_id), st.integers(0, 2)),
+        st.builds(lambda block_id: BlockEnd(0, block_id), st.integers(0, 2)),
+    ),
+    max_size=60,
+)
+
+
+def replayed(prefetcher, trace, line_shift):
+    """Every BLOCK_END's output of ``prefetcher`` replaying ``trace``."""
+    prefetcher.on_trace(trace, line_shift)
+    return [prefetcher.on_block_end(event.block_id)
+            for event in trace.events if event.kind == BLOCK_END]
+
+
+class TestPredictTrace:
+    """One pass over a trace equals a predictor driven event by event."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(geometries(), run_traces())
+    def test_replay_equals_live_drive(self, geometry, traced):
+        trace, line_shift = traced
+        config = CbwsConfig(**geometry)
+        want, live = live_drive(trace, config, line_shift)
+        stream = predict_trace(trace, config, line_shift)
+        assert [stream.block(i) for i in range(len(stream))] == want
+        assert stream.predictor.stats == live.stats
+        assert replayed(CbwsPrefetcher(config), trace, line_shift) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometries(), loose_events)
+    def test_any_marker_order(self, geometry, events):
+        trace = Trace("loose", events, 0)
+        config = CbwsConfig(**geometry)
+        want, _ = live_drive(trace, config, 6)
+        assert replayed(CbwsPrefetcher(config), trace, 6) == want
+
+    def test_steady_loop_predicts(self):
+        events = []
+        for n in range(10):
+            events.append(BlockBegin(0, 0))
+            events += [MemoryAccess(0, 0, line << 6, False)
+                       for line in stencil_block(n)]
+            events.append(BlockEnd(0, 0))
+        stream = predict_trace(Trace("stencil", events, 0), CbwsConfig(), 6)
+        assert len(stream) == 10
+        assert stream.block(9)
+        assert stream.predictor.confident
+
+    def test_line_addr_bits_bounded(self):
+        from repro.common.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            CbwsConfig(line_addr_bits=65)
+
+
+class TestPredictionMemo:
+    """The last stream is kept per (trace, config, line size, type)."""
+
+    @staticmethod
+    def trace():
+        events = []
+        for n in range(8):
+            events.append(BlockBegin(0, 0))
+            events += [MemoryAccess(0, 0, line << 7, False)
+                       for line in stencil_block(n)]
+            events.append(BlockEnd(0, 0))
+        return Trace("memo", events, 0)
+
+    def test_second_request_replays_the_kept_stream(self):
+        trace = self.trace()
+        first = predict_trace(trace, CbwsConfig(), 6)
+        assert predict_trace(trace, CbwsConfig(), 6) is first
+
+    def test_new_config_or_line_size_recomputes(self):
+        trace = self.trace()
+        first = predict_trace(trace, CbwsConfig(), 6)
+        other_config = predict_trace(
+            trace, CbwsConfig(max_step=2, predict_steps=2), 6)
+        assert other_config is not first
+        assert other_config.predictor.config.max_step == 2
+        other_shift = predict_trace(trace, CbwsConfig(), 7)
+        assert other_shift is not first
+        want, _ = live_drive(trace, CbwsConfig(), 7)
+        assert [other_shift.block(i) for i in range(len(other_shift))] == want
+        assert [other_shift.block(i) for i in range(len(other_shift))] != [
+            first.block(i) for i in range(len(first))]
+
+    def test_new_trace_recomputes(self):
+        first = predict_trace(self.trace(), CbwsConfig(), 6)
+        assert predict_trace(self.trace(), CbwsConfig(), 6) is not first
+
+    def test_entry_dropped_when_the_trace_is_collected(self):
+        import gc
+        import weakref
+
+        from repro.core import predictor as module
+
+        trace = self.trace()
+        stream = weakref.ref(predict_trace(trace, CbwsConfig(), 6))
+        assert module._last_stream is not None
+        del trace
+        gc.collect()
+        assert module._last_stream is None
+        assert stream() is None

@@ -194,6 +194,33 @@ class TestSimulation:
         assert terminal["job"]["job_id"] == view.job_id
 
 
+class TestCampaignOverServe:
+    def test_results_carry_the_cells_own_spelling(self, server, tmp_path):
+        """A campaign cell replayed from a cache entry that another
+        spelling of the same geometry wrote keeps its own spelling."""
+        from repro.campaign.runner import run_campaign
+        from repro.campaign.spec import SPEC_VERSION, parse_spec
+        from repro.cli import main
+
+        assert main([
+            "run", "--workload", "nw",
+            "--prefetcher", "cbws[max_step=4,table_entries=2]",
+            "--budget-fraction", str(BUDGET), "--cache-dir", str(tmp_path),
+        ]) == 0
+        spec = parse_spec({
+            "version": SPEC_VERSION,
+            "name": "spelling",
+            "base": {"workloads": ["nw"], "prefetchers": ["cbws"],
+                     "budget_fraction": BUDGET},
+            "axes": [{"name": "cbws.table_entries", "values": [2, 4]}],
+        })
+        outcome = run_campaign(spec, tmp_path, executor="serve",
+                               serve_port=server.port)
+        assert sorted(result.prefetcher
+                      for result in outcome.results.values()) == [
+            "cbws[table_entries=2]", "cbws[table_entries=4]"]
+
+
 class TestBackpressureHttp:
     def test_admission_overflow_is_429_with_retry_after(self, tmp_path):
         # max_pending=0 refuses every submission deterministically.
@@ -271,9 +298,41 @@ class TestBrokerBatches:
         ])
         (first, dedup1), (second, dedup2) = submitted
         assert (dedup1, dedup2) == (False, True)
-        assert second is first
-        assert first.status is JobStatus.DONE
+        # One execution, two views: each caller keeps its own job id
+        # and spelling, in the view and in the result.
+        assert second is not first
+        assert second.job_id != first.job_id and second.key == first.key
+        assert first.status is second.status is JobStatus.DONE
+        assert first.view().prefetcher == "cbws[table_entries=64,max_step=2]"
+        assert second.view().prefetcher == "cbws[max_step=2,table_entries=64]"
+        assert second.result.prefetcher == "cbws[max_step=2,table_entries=64]"
+        assert first.result.prefetcher == "cbws[table_entries=64,max_step=2]"
+        assert {**second.result.to_dict(), "prefetcher": None} == {
+            **first.result.to_dict(), "prefetcher": None}
+        assert broker.job(second.job_id) is second
+        assert [e["event"] for e in second.events] == [
+            e["event"] for e in first.events]
         assert broker.counters["serve.cells_executed"] == 1
+
+    def test_follower_shares_the_leaders_failure(self, tmp_path,
+                                                 monkeypatch):
+        from repro.common.errors import PermanentError
+        from repro.exec import traces
+
+        def get_trace(node):
+            raise PermanentError("no trace")
+
+        monkeypatch.setattr(traces, "get_trace", get_trace)
+        broker, submitted = self._run(tmp_path, [
+            request("cbws[table_entries=64,max_step=2]"),
+            request("cbws[max_step=2,table_entries=64]"),
+        ])
+        (leader, _), (follower, deduplicated) = submitted
+        assert deduplicated and follower is not leader
+        assert leader.status is follower.status is JobStatus.FAILED
+        assert follower.error == leader.error
+        assert follower.result is None
+        assert broker.counters["serve.failed"] == 1
 
     def test_seeds_in_one_batch_keep_their_own_outcomes(self, tmp_path,
                                                         monkeypatch):

@@ -12,8 +12,9 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.common.errors import ReproError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JobStatus,
@@ -263,3 +264,97 @@ class TestPropertyRoundTrip:
     @given(request=_requests())
     def test_version_is_always_current(self, request):
         assert request.to_dict()["version"] == PROTOCOL_VERSION
+
+
+#: Any JSON document: scalars (big integers included), lists, objects.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=16,
+)
+
+_HUGE = 10 ** 400
+
+
+def _with_fields(valid, fields):
+    """``valid`` with each drawn field replaced or added."""
+    return st.dictionaries(st.sampled_from(fields), _json_values,
+                           max_size=3).map(lambda drawn: {**valid, **drawn})
+
+
+_request_bodies = st.one_of(
+    _json_values,
+    _with_fields({"version": 1, "workload": "nw", "prefetcher": "stride"},
+                 ["version", "workload", "prefetcher", "scale",
+                  "budget_fraction", "seed", "config", "extra"]),
+    _with_fields({"l1_kb": 8}, ["l1_kb", "l2_kb", "core", "prefetch"]).map(
+        lambda config: {"version": 1, "workload": "nw",
+                        "prefetcher": "stride", "config": config}),
+)
+
+_view_bodies = st.one_of(
+    _json_values,
+    _with_fields({"version": 1, "job_id": "j", "status": "done",
+                  "workload": "nw", "prefetcher": "stride", "key": "k"},
+                 ["version", "job_id", "status", "deduplicated",
+                  "cache_hit", "wall_seconds", "result", "error", "extra"]),
+)
+
+
+class TestMalformedInput:
+    """Whatever reaches the wire decoders, they fail only with typed
+    ``ReproError``s: ``loads`` on any bytes, the request and job-view
+    parsers on any JSON document, and a parsed request's ``node``."""
+
+    @given(raw=st.binary(max_size=64))
+    @example(raw=b"[" * 100_000)
+    @example(raw=b"1" * 5_000)
+    @example(raw=b"\xff")
+    def test_any_bytes_fail_typed(self, raw):
+        try:
+            document = loads(raw)
+        except ReproError:
+            return
+        for parse in (SimulateRequest.from_dict, JobView.from_dict):
+            try:
+                parse(document)
+            except ReproError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_request_bodies)
+    @example(body={"version": 1, "workload": "nw", "prefetcher": "stride",
+                   "scale": _HUGE})
+    @example(body={"version": 1, "workload": "nw", "prefetcher": "stride",
+                   "config": {"l2_kb": _HUGE}})
+    @example(body={"version": 1, "workload": "nw", "prefetcher": "stride",
+                   "config": {"core": {"rob_entries": -_HUGE}}})
+    def test_any_request_fails_typed(self, body):
+        try:
+            SimulateRequest.from_dict(body).node()
+        except ReproError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_view_bodies)
+    @example(body={"version": 1, "job_id": "j", "status": "done",
+                   "workload": "nw", "prefetcher": "stride", "key": "k",
+                   "wall_seconds": _HUGE})
+    def test_any_job_view_fails_typed(self, body):
+        try:
+            JobView.from_dict(body)
+        except ReproError:
+            pass
+
+    @pytest.mark.parametrize("field", ["scale", "budget_fraction"])
+    def test_huge_number_is_a_protocol_error(self, field):
+        body = {"version": 1, "workload": "nw", "prefetcher": "stride",
+                field: _HUGE}
+        with pytest.raises(ProtocolError, match="finite"):
+            SimulateRequest.from_dict(body)
+
+    def test_deep_nesting_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            loads(b"[" * 100_000)

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.prefetchers.base import DemandInfo, Prefetcher
 from repro.prefetchers.throttle import ThrottleConfig, ThrottledPrefetcher
+from repro.trace.stream import Trace
 
 
 def access(line):
@@ -97,15 +98,16 @@ class TestFeedback:
         class Recorder(Prefetcher):
             name = "rec"
 
-            def on_block_begin(self, block_id):
-                calls.append(block_id)
+            def on_trace(self, trace, line_shift):
+                calls.append((trace, line_shift))
 
             def on_block_end(self, block_id):
                 return [42]
 
         throttled = ThrottledPrefetcher(Recorder())
-        throttled.on_block_begin(5)
-        assert calls == [5]
+        trace = Trace("t", [], 0)
+        throttled.on_trace(trace, 7)
+        assert calls == [(trace, 7)]
         assert throttled.on_block_end(5) == [42]
 
     def test_reset(self):
