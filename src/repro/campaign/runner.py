@@ -430,12 +430,14 @@ def _execute_wave_serve(
     client = ServeClient(host=host, port=port,
                          retry=RetryPolicy(max_attempts=8,
                                            max_deadline=600.0))
+    execution = outcome.execution
     done = 0
     for cell, key in zip(plan.cells, plan.keys):
         cached = cache.get(key)
         if cached is not None:
             cached.prefetcher = cell.prefetcher
             outcome.results[key] = cached
+            execution["cache_hits"] = execution.get("cache_hits", 0) + 1
             journal.task_done(
                 f"sim:{cell.workload}:{cell.prefetcher}", "sim",
                 cell=(cell.workload, cell.prefetcher), key=key,
@@ -464,6 +466,8 @@ def _execute_wave_serve(
             result = SimResult.from_dict(view.result)
             result.prefetcher = cell.prefetcher
             outcome.results[key] = result
+            counter = "cache_hits" if view.cache_hit else "sims_run"
+            execution[counter] = execution.get(counter, 0) + 1
             cache.put(key, result)
             journal.task_done(
                 f"sim:{cell.workload}:{cell.prefetcher}", "sim",
@@ -481,5 +485,4 @@ def _execute_wave_serve(
         if progress is not None:
             progress(wave, done, plan.unique)
     if client.retries:
-        outcome.execution["retries"] = (
-            outcome.execution.get("retries", 0) + client.retries)
+        execution["retries"] = execution.get("retries", 0) + client.retries

@@ -1,9 +1,9 @@
 """Parallel grid execution engine.
 
-``repro.exec`` turns a (workload x prefetcher) evaluation grid into an
-explicit task DAG — one trace-build task per workload fanning out into
-per-prefetcher simulation tasks — and executes it on a multiprocessing
-worker pool with a content-addressed on-disk result cache, per-task
+``repro.exec`` turns a (workload x prefetcher) evaluation grid into one
+task per trace — build the trace once, then run every simulation that
+replays it — and executes the tasks in-process or on a multiprocessing
+worker pool with a content-addressed on-disk result cache, per-cell
 timeout/retry, and worker-crash recovery.
 
 Layering: the engine sits *below* :class:`repro.harness.runner.GridRunner`
@@ -14,11 +14,11 @@ scope, so the harness can import it freely.
 
 ============== ==========================================================
 ``keys``       stable content-addressed hashing of task inputs
-``plan``       SimNode (the one sim identity + key) and the task DAG
+``plan``       SimNode (the one sim identity + key) and the grid plan
 ``cache``      on-disk result cache keyed by ``SimNode.key``
 ``traces``     the trace store: the one in-memory trace LRU
-``pool``       worker-side task execution + pool lifecycle
-``scheduler``  DAG orchestration, retries, quarantine, degradation
+``pool``       the one task function + pool lifecycle
+``scheduler``  task orchestration, retries, quarantine, degradation
 ``telemetry``  counters, per-task wall times, ETA, persistence
 ``journal``    write-ahead run journal + resume replay
 ``faults``     deterministic fault injection for the test suite

@@ -21,8 +21,10 @@ truth.  Appends are atomic-enough by construction: a record is only
 trusted once its full line round-trips.
 
 Record kinds: ``run-started`` (intent: cells + fingerprint + params),
-``run-resumed``, ``task-done``, ``task-quarantined``,
-``workload-degraded``, ``run-finished``.
+``run-resumed``, ``task-done`` (one completed cell),
+``task-quarantined``, ``workload-degraded``, ``run-finished``.  Older
+journals also hold a cell-less ``task-done`` per trace build; replay
+counts it as a record and reads nothing from it.
 """
 
 from __future__ import annotations
@@ -231,8 +233,6 @@ class RunReplay:
     cells: list[tuple[str, str]] = field(default_factory=list)
     #: Completed simulation cells mapped to their result-cache keys.
     completed: dict[tuple[str, str], str | None] = field(default_factory=dict)
-    #: Completed trace builds (workload names).
-    traces_done: set[str] = field(default_factory=set)
     quarantined: list[dict[str, Any]] = field(default_factory=list)
     degraded: dict[str, str] = field(default_factory=dict)
     status: str | None = None
@@ -298,10 +298,6 @@ def replay(path: str | Path) -> RunReplay:
         elif kind == "task-done":
             if record.get("cell"):
                 state.completed[tuple(record["cell"])] = record.get("key")
-            elif record.get("task_kind") == "trace":
-                state.traces_done.add(
-                    str(record.get("task", "")).split(":", 1)[-1]
-                )
         elif kind == "task-quarantined":
             state.quarantined.append(record)
         elif kind == "workload-degraded":

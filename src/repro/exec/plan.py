@@ -1,4 +1,4 @@
-"""The grid task DAG, and the one identity of a simulation.
+"""The grid plan, and the one identity of a simulation.
 
 A :class:`SimNode` is one fully determined simulation: the trace it
 replays (a :class:`TraceNode`), the prefetcher name the caller asked
@@ -9,9 +9,9 @@ one path replays on every other.  The key hashes the canonical
 prefetcher name, so two spellings of one geometry share it.
 
 A :class:`GridPlan` is a list of such nodes; they may differ in trace
-identity and config.  The scheduler runs each distinct trace node first
-and releases its simulation nodes the moment that trace lands — there
-is no global barrier between the levels.
+identity and config.  The scheduler makes one task of each distinct
+trace node and its simulation nodes: the task builds the trace once,
+then runs the simulations that replay it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.sim.config import SimConfig
 
 @dataclass(frozen=True)
 class TraceNode:
-    """One trace-build task: the root of a workload's fan-out."""
+    """One trace: built once per task, replayed by its simulations."""
 
     workload: str
     scale: float
@@ -46,7 +46,7 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class SimNode:
-    """One simulation task; depends on its :class:`TraceNode`.
+    """One simulation; replays its :class:`TraceNode`.
 
     ``prefetcher`` is the name as the caller spelled it: the result
     carries that spelling, while :attr:`key` hashes its canonical form.
@@ -85,7 +85,7 @@ class SimNode:
 
 
 class GridPlan:
-    """The task DAG for a list of simulation nodes.
+    """A list of simulation nodes and the distinct traces they replay.
 
     Args:
         nodes: the simulations, in the order results are wanted.  They

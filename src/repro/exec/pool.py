@@ -1,11 +1,14 @@
 """Worker-side task execution and pool lifecycle.
 
-Task payloads are small frozen dataclasses (cheap to pickle).  Both task
-kinds get their trace from the trace store
-(:func:`repro.exec.traces.get_trace`), which lives in each worker's
-memory: the trace task builds the trace into its worker's LRU (so a
-failed build is scoped to that trace and its dependent sims), and each
-simulation task finds it there or, on another worker, builds it again.
+A task (:class:`TraceTask`) is one trace and the simulations that
+replay it.  :func:`run_task` does the whole task: it gets the trace
+from the trace store (:func:`repro.exec.traces.get_trace`), so the task
+builds it at most once, then runs each simulation, and yields one
+:class:`Outcome` per node as it lands.  The scheduler iterates
+:func:`run_task` in-process on the ``jobs=1`` path, so each cell is
+delivered the moment it lands, and submits :func:`run_task_list` to the
+pool, so a worker builds each trace of its tasks once and a cell lands
+when its task finishes.
 
 :class:`WorkerPool` wraps :class:`concurrent.futures.ProcessPoolExecutor`
 with the two operations the scheduler's fault handling needs: detecting
@@ -13,9 +16,9 @@ a broken pool (a worker died mid-task) and force-restarting it (killing
 any hung worker) so a poisoned task can never wedge the grid.
 
 Failure injection (:class:`InjectSpec`) exists for the fault-tolerance
-tests: a task can be made to raise, crash its worker, or hang for its
-first N attempts, with the attempt count persisted in a side file so it
-survives worker restarts.
+tests: a simulation can be made to raise, crash its worker, or hang for
+its first N attempts, with the attempt count persisted in a side file
+so it survives worker restarts.
 """
 
 from __future__ import annotations
@@ -24,21 +27,21 @@ import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Mapping
 
 from repro.common.errors import ExecError, PermanentError
+from repro.exec import traces
+from repro.exec.keys import short_digest
 from repro.exec.plan import SimNode, TraceNode
-from repro.exec.traces import get_trace
 from repro.sim.engine import simulate
-from repro.sim.results import SimResult
 
 
 @dataclass(frozen=True)
 class InjectSpec:
-    """Test hook: misbehave on the first ``times`` attempts of a task.
+    """Test hook: misbehave on the first ``times`` attempts of a cell.
 
     Attributes:
         mode: ``"raise"`` (raise :class:`ExecError`),
@@ -56,74 +59,91 @@ class InjectSpec:
 
 
 @dataclass(frozen=True)
-class SimTaskPayload:
-    """Simulate one node (and any test-injected fault for it)."""
+class TraceTask:
+    """One trace and the simulations that replay it (cheap to pickle).
 
-    node: SimNode
-    inject: InjectSpec | None = None
-    inject_counter_path: str | None = None
+    ``inject`` maps grid cells to test-injected faults, whose attempts
+    are counted in files under ``inject_dir``.
+    """
+
+    trace: TraceNode
+    sims: tuple[SimNode, ...]
+    inject: Mapping[tuple[str, str], InjectSpec] = field(
+        default_factory=dict)
+    inject_dir: str | None = None
 
 
 @dataclass
-class TraceTaskOutcome:
-    source: str  # a repro.exec.traces source: memory or built
+class Outcome:
+    """How one node of a task landed.
+
+    ``value`` is the exception the node raised, or else: for the trace,
+    its :mod:`repro.exec.traces` source (memory or built); for a
+    simulation, its :class:`~repro.sim.results.SimResult`.
+    """
+
+    node: TraceNode | SimNode
+    value: object
     seconds: float
 
 
-@dataclass
-class SimTaskOutcome:
-    result: SimResult
-    seconds: float
-
-
-def apply_injection(inject: InjectSpec | None,
-                    counter_path: str | None) -> None:
+def apply_injection(spec: InjectSpec | None, counter: Path) -> None:
     """Honour a test-injected fault for the current attempt, if any."""
-    if inject is None:
+    if spec is None:
         return
-    attempts = 0
-    counter = Path(counter_path) if counter_path else None
-    if counter is not None and counter.exists():
-        attempts = int(counter.read_text() or "0")
-    if attempts >= inject.times:
+    attempts = int(counter.read_text() or "0") if counter.exists() else 0
+    if attempts >= spec.times:
         return
-    if counter is not None:
-        counter.write_text(str(attempts + 1))
-    if inject.mode == "crash":
+    counter.write_text(str(attempts + 1))
+    if spec.mode == "crash":
         os._exit(13)
-    if inject.mode == "hang":
-        time.sleep(inject.hang_seconds)
+    if spec.mode == "hang":
+        time.sleep(spec.hang_seconds)
         return
-    if inject.mode == "raise-permanent":
+    if spec.mode == "raise-permanent":
         raise PermanentError(
             f"injected permanent failure (attempt {attempts + 1} of "
-            f"{inject.times})"
+            f"{spec.times})"
         )
     raise ExecError(
-        f"injected failure (attempt {attempts + 1} of {inject.times})"
+        f"injected failure (attempt {attempts + 1} of {spec.times})"
     )
 
 
-def execute_trace_task(node: TraceNode) -> TraceTaskOutcome:
-    """Worker entry point: find or build one workload's trace."""
-    started = time.perf_counter()
-    _, source = get_trace(node)
-    return TraceTaskOutcome(source=source,
-                            seconds=time.perf_counter() - started)
+def run_task(task: TraceTask) -> Iterator[Outcome]:
+    """Run one task: the trace's outcome first, then each sim's.
 
-
-def execute_sim_task(payload: SimTaskPayload) -> SimTaskOutcome:
-    """Worker entry point: simulate one grid cell."""
+    A failed build ends the task after its outcome; a failed simulation
+    is that simulation's outcome, and the next one runs.
+    """
     from repro.harness.registry import make_prefetcher
 
-    apply_injection(payload.inject, payload.inject_counter_path)
     started = time.perf_counter()
-    node = payload.node
-    trace, _ = get_trace(node.trace)
-    result = simulate(node.config, make_prefetcher(node.prefetcher), trace)
-    result.prefetcher = node.prefetcher
-    return SimTaskOutcome(result=result,
-                          seconds=time.perf_counter() - started)
+    try:
+        trace, source = traces.get_trace(task.trace)
+    except Exception as error:
+        yield Outcome(task.trace, error, time.perf_counter() - started)
+        return
+    yield Outcome(task.trace, source, time.perf_counter() - started)
+    for node in task.sims:
+        started = time.perf_counter()
+        try:
+            if task.inject_dir is not None:
+                apply_injection(
+                    task.inject.get(node.cell),
+                    Path(task.inject_dir)
+                    / f"inject-{short_digest(*node.cell)}.count")
+            value = simulate(node.config, make_prefetcher(node.prefetcher),
+                             trace)
+            value.prefetcher = node.prefetcher
+        except Exception as error:
+            value = error
+        yield Outcome(node, value, time.perf_counter() - started)
+
+
+def run_task_list(task: TraceTask) -> list[Outcome]:
+    """Pool entry point: every outcome of :func:`run_task`."""
+    return list(run_task(task))
 
 
 class WorkerPool:

@@ -1,22 +1,24 @@
-"""DAG orchestration: cache probe, fan-out, retries, quarantine, degradation.
+"""Grid orchestration: cache probe, one task per trace, retries, quarantine.
 
 :func:`execute_grid` drives a :class:`~repro.exec.plan.GridPlan` to
 completion:
 
 1. every simulation node is probed against the result cache — hits are
    returned without scheduling any work;
-2. the remaining cells group by :class:`~repro.exec.plan.TraceNode`;
-   each trace-build task runs first, and its simulation tasks are
-   released the moment the trace lands (no barrier between traces);
-3. every task attempt runs under bounded retry with exponential backoff
-   (and, on the pool path, an optional timeout and worker-crash
+2. the remaining cells group by :class:`~repro.exec.plan.TraceNode`
+   into one task per trace (:class:`~repro.exec.pool.TraceTask`):
+   :func:`~repro.exec.pool.run_task` builds the trace once, runs the
+   task's simulations, and reports one outcome per node;
+3. every failed outcome runs under bounded retry with exponential
+   backoff (and, on the pool path, a deadline and worker-crash
    recovery).  Failures are classified
    (:func:`repro.common.errors.classify_error`): permanent failures skip
    the retry budget and quarantine immediately; transient ones retry
-   with backoff.  A task that exhausts its retries is *quarantined* —
-   recorded in telemetry and skipped — so one poisoned cell can never
-   hang or abort the rest of the grid.  Quarantining a trace task
-   quarantines its dependent sims.
+   with backoff, as a task of the same trace holding only the failed
+   sims.  A node that exhausts its retries is *quarantined* — recorded
+   in telemetry and skipped — so one poisoned cell can never hang or
+   abort the rest of the grid.  A quarantined trace build degrades its
+   trace and quarantines its task's sims.
 4. a per-trace **circuit breaker** counts quarantined simulations; at
    ``options.breaker_threshold`` the trace's workload is marked
    DEGRADED and the trace's remaining cells are skipped, letting the
@@ -25,17 +27,21 @@ completion:
    workload, so there the breaker is per workload.
 
 Durability: when a :class:`~repro.exec.journal.RunJournal` is supplied,
-every outcome (cache hit, completed task, quarantine, degradation) is
-appended to it with an fsync, and a prior run's
+every outcome (cache hit, completed simulation, quarantine,
+degradation) is appended to it with an fsync, and a prior run's
 :class:`~repro.exec.journal.RunReplay` can be *carried* in: completed
 cells replay through the cache, and quarantine/degradation decisions are
 preserved instead of re-attempted.
 
-``jobs=1`` runs every task in-process (no pool, no pickling), one
-trace at a time, so each trace stays in the trace LRU while its sims
-run.  Both paths report every outcome through the same policy object
-(:class:`_GridState`), so a cell completes, retries and quarantines the
-same way whatever the worker count.
+``jobs=1`` iterates each task in-process (no pool, no pickling), one
+trace at a time, and delivers each cell the moment it lands; a retry
+runs before the next trace, so its trace is still in the trace LRU.
+The pool path submits whole tasks, so there a cell lands when its task
+finishes; while there are fewer tasks than workers, the task with the
+most sims is split in two.  Both paths feed every outcome to the same
+policy object (:class:`_GridState`), so a cell completes, retries and
+quarantines the same way whatever the worker count.  Telemetry counts
+each simulation as one task.
 """
 
 from __future__ import annotations
@@ -43,33 +49,29 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from collections import deque
 from concurrent.futures import CancelledError, FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro import obs
-from repro.common.errors import (
-    ErrorKind,
-    ExecError,
-    PermanentError,
-    classify_error,
-)
+from repro.common.errors import ErrorKind, classify_error
 from repro.exec import faults, traces
 from repro.exec import telemetry as telemetry_module
 from repro.exec.cache import ResultCache
 from repro.exec.journal import RunJournal, RunReplay
-from repro.exec.keys import short_digest
 from repro.exec.plan import GridPlan, SimNode, TraceNode
 from repro.exec.pool import (
     InjectSpec,
-    SimTaskPayload,
+    Outcome,
+    TraceTask,
     WorkerPool,
-    execute_sim_task,
-    execute_trace_task,
+    run_task,
+    run_task_list,
 )
 from repro.exec.telemetry import ExecTelemetry
-from repro.sim.engine import simulate
 from repro.sim.results import SimResult
 
 #: Progress callback signature: each delivered cell's node and result.
@@ -83,8 +85,10 @@ class ExecOptions:
     Attributes:
         jobs: worker processes; None means ``os.cpu_count()``; 1 runs
             in-process.
-        timeout: per-task wall-clock limit in seconds (pool mode only —
-            an in-process task cannot be interrupted).  None disables.
+        timeout: wall-clock limit per simulation in seconds (pool mode
+            only — an in-process task cannot be interrupted).  A task's
+            deadline scales with its size: ``timeout × (1 + its sim
+            count)``, one share for the trace build.  None disables.
         max_retries: failed attempts beyond the first before a task is
             quarantined (so a task runs at most ``1 + max_retries`` times).
             Permanent failures ignore this and quarantine immediately.
@@ -108,11 +112,11 @@ class ExecOptions:
 
 
 class _GridState:
-    """The per-task outcome policy; the serial and pool paths both call it.
+    """The per-outcome policy; the serial and pool paths both call it.
 
-    ``pending`` maps each trace that has not landed yet to its
-    cache-missed sims.  The circuit breaker and degradation are scoped
-    to a :class:`TraceNode`: in a plan with one trace per workload (a
+    ``failures`` counts each node's failed attempts.  The circuit
+    breaker and degradation are scoped to a :class:`TraceNode`: in a
+    plan with one trace per workload (a
     :class:`~repro.harness.runner.GridRunner` grid) that is the
     workload, and in a heterogeneous plan every cell replaying one
     trace shares one breaker.
@@ -134,7 +138,7 @@ class _GridState:
         self.journal = journal
         self.progress = progress
         self.results: dict[SimNode, SimResult] = {}
-        self.pending: dict[TraceNode, list[SimNode]] = {}
+        self.failures: dict[TraceNode | SimNode, int] = {}
         self.breaker: dict[TraceNode, int] = {}
         self.degraded: dict[TraceNode, str] = {}
         if carried is not None:
@@ -153,35 +157,74 @@ class _GridState:
         if self.progress is not None:
             self.progress(node, result)
 
-    def trace_done(self, node: TraceNode, source: str, seconds: float,
-                   attempts: int) -> None:
-        """Count one trace task (a memory hit builds none)."""
-        if source == traces.BUILT:
-            self.telemetry.traces_built += 1
-        self.telemetry.task_finished(node.name, "trace", seconds, attempts)
-        if self.journal is not None:
-            self.journal.task_done(node.name, "trace")
-
-    def sim_done(self, node: SimNode, result: SimResult, seconds: float,
-                 attempts: int) -> None:
+    def sim_done(self, node: SimNode, result: SimResult,
+                 seconds: float) -> None:
         """One simulation finished: cache it, then journal it."""
         self.telemetry.sims_run += 1
-        self.telemetry.task_finished(node.name, "sim", seconds, attempts)
+        self.telemetry.task_finished(node.name, "sim", seconds,
+                                     self.failures.get(node, 0) + 1)
         if self.cache is not None:
             self.cache.put(node.key, result)
         self.cell_done(node, result, "run")
         faults.check("task-done")
 
-    def attempt_failed(self, node: TraceNode | SimNode, attempts: int,
-                       error: Exception | str) -> bool:
-        """Decide one failed attempt: True to retry it after a backoff.
+    def finish_task(self, task: TraceTask,
+                    outcomes: Iterable[Outcome]) -> TraceTask | None:
+        """Take one attempt's outcomes of ``task`` as they land.
 
-        ``attempts`` counts the task's failed attempts, this one
-        included.  ``error`` is what the attempt raised, or why its
-        worker died or hung (classified as poisoned).  A permanent
-        failure or an exhausted retry budget quarantines the task.
+        Returns what to queue again — the whole task when its failed
+        build will be retried, else a task of the sims that will be —
+        or None.  Sims left without an outcome (the build was
+        quarantined, or the breaker tripped mid-task) are quarantined.
         """
-        self.telemetry.task_failed_attempt()
+        waiting = list(task.sims)
+        retry: list[SimNode] = []
+        finished = 0
+        for outcome in outcomes:
+            node, value = outcome.node, outcome.value
+            if isinstance(node, TraceNode):
+                if not isinstance(value, Exception):
+                    if value == traces.BUILT:
+                        self.telemetry.traces_built += 1
+                    continue
+                if self.attempt_failed(node, value):
+                    retry = waiting
+                else:
+                    for sim in waiting:
+                        self.quarantine(
+                            sim, f"trace build for {sim.workload} was "
+                            "quarantined", 0, "degraded")
+                waiting = []
+                break
+            waiting.remove(node)
+            if not isinstance(value, Exception):
+                self.sim_done(node, value, outcome.seconds)
+                finished += 1
+            elif self.attempt_failed(node, value):
+                retry.append(node)
+            if node.trace in self.degraded:
+                break
+        self.telemetry.task_failed_attempt(len(task.sims) - finished)
+        for node in waiting:
+            self.quarantine_degraded(node, self.failures.get(node, 0))
+        if not retry:
+            return None
+        self.telemetry.tasks_queued += len(retry)
+        return replace(task, sims=tuple(retry))
+
+    def attempt_failed(self, node: TraceNode | SimNode,
+                       error: Exception | str) -> bool:
+        """Decide one failed attempt of a node: True to retry it after a
+        backoff.
+
+        ``error`` is what the attempt raised, or why its worker died or
+        hung (classified as poisoned).  A permanent failure or an
+        exhausted retry budget quarantines the node, and a quarantined
+        build degrades its trace.
+        """
+        attempts = self.failures[node] = self.failures.get(node, 0) + 1
+        if isinstance(node, TraceNode) and node in self.degraded:
+            return False  # another task of this trace already gave up
         if isinstance(error, str):
             classification, permanent = "poisoned", False
         else:
@@ -189,10 +232,10 @@ class _GridState:
             classification = kind.value
             permanent = kind is ErrorKind.PERMANENT
         if permanent or attempts > self.options.max_retries:
+            self.quarantine(node, str(error), attempts, classification)
             if isinstance(node, TraceNode):
-                self.trace_failed(node, str(error), attempts, classification)
+                self.degrade(node, f"trace build failed: {error}", attempts)
             else:
-                self.quarantine(node, str(error), attempts, classification)
                 self.record_sim_failure(node.trace)
             return False
         if isinstance(node, SimNode) and node.trace in self.degraded:
@@ -202,22 +245,9 @@ class _GridState:
         time.sleep(self.options.retry_backoff * (2 ** (attempts - 1)))
         return True
 
-    def trace_failed(self, node: TraceNode, reason: str, attempts: int,
-                     classification: str) -> None:
-        """Quarantine a trace task, degrade its trace, drop its sims."""
-        self.quarantine(node, reason, attempts, classification)
-        self.degrade(node, f"trace build failed: {reason}", attempts)
-        for sim in self.pending.pop(node, []):
-            self.telemetry.tasks_queued = max(
-                0, self.telemetry.tasks_queued - 1)
-            self.quarantine(
-                sim, f"trace build for {node.workload} was quarantined", 0,
-                "degraded",
-            )
-
     def quarantine(self, node: TraceNode | SimNode, reason: str,
                    attempts: int, classification: str) -> None:
-        """Give up on one task; a sim's entry names its result key."""
+        """Give up on one node; a sim's entry names its result key."""
         if isinstance(node, TraceNode):
             kind, cell, key = "trace", None, None
         else:
@@ -253,12 +283,14 @@ class _GridState:
             attempts, "degraded",
         )
 
-    def skip_degraded(self, node: SimNode, attempts: int = 0) -> bool:
-        """Drop a queued sim if its trace is DEGRADED; True if dropped."""
-        if node.trace not in self.degraded:
+    def skip_degraded(self, task: TraceTask) -> bool:
+        """Drop a queued task if its trace is DEGRADED; True if dropped."""
+        if task.trace not in self.degraded:
             return False
-        self.telemetry.tasks_queued = max(0, self.telemetry.tasks_queued - 1)
-        self.quarantine_degraded(node, attempts)
+        self.telemetry.tasks_queued = max(
+            0, self.telemetry.tasks_queued - len(task.sims))
+        for node in task.sims:
+            self.quarantine_degraded(node, self.failures.get(node, 0))
         return True
 
 
@@ -313,7 +345,7 @@ def execute_grid(
     carried_quarantined = (carried.quarantined_cells if carried is not None
                            else set())
 
-    misses = 0
+    pending: dict[TraceNode, list[SimNode]] = {}
     for node in plan.sim_nodes:
         if node.trace in state.degraded:
             state.quarantine(
@@ -348,20 +380,31 @@ def execute_grid(
                     "journal records %s complete but the cache cannot "
                     "replay it; re-executing", node.name,
                 )
-        state.pending.setdefault(node.trace, []).append(node)
-        misses += 1
+        pending.setdefault(node.trace, []).append(node)
 
     if pool is not None and jobs <= 1:
         # A borrowed pool implies the pool path even for one worker —
         # the owner sized it deliberately.
         jobs = max(jobs, pool.jobs)
     try:
-        if misses:
-            telemetry.task_queued(len(state.pending) + misses)
+        if pending:
+            telemetry.task_queued(sum(map(len, pending.values())))
+            inject = dict(inject or {})
             if jobs <= 1:
-                _run_serial(state, dict(inject or {}))
-            else:
-                _run_pool(state, dict(inject or {}), jobs, shared_pool=pool)
+                # A crash or hang would take the caller down with it, so
+                # (as documented on InjectSpec) only raise modes run here.
+                inject = {cell: spec for cell, spec in inject.items()
+                          if spec.mode.startswith("raise")}
+            # Injected faults count their attempts in side files, so the
+            # count survives the worker restarts a crash or hang causes.
+            with (tempfile.TemporaryDirectory(prefix="repro-inject-")
+                  if inject else nullcontext()) as inject_dir:
+                tasks = [TraceTask(trace, tuple(sims), inject, inject_dir)
+                         for trace, sims in pending.items()]
+                if jobs <= 1:
+                    _run_serial(state, tasks)
+                else:
+                    _run_pool(state, tasks, jobs, shared_pool=pool)
     finally:
         telemetry.finish()
         telemetry_module.LAST_RUN = telemetry
@@ -383,77 +426,16 @@ def execute_grid(
 # ---------------------------------------------------------------------------
 
 
-def _run_serial(
-    state: _GridState,
-    inject: dict[tuple[str, str], InjectSpec],
-) -> None:
-    for trace_node in list(state.pending):
-        done = _attempt_serial(state, trace_node, traces.get_trace,
-                               trace_node)
-        if done is None:
+def _run_serial(state: _GridState, tasks: list[TraceTask]) -> None:
+    queue = deque(tasks)
+    while queue:
+        task = queue.popleft()
+        if state.skip_degraded(task):
             continue
-        (trace, source), seconds, attempts = done
-        state.trace_done(trace_node, source, seconds, attempts)
-        for node in state.pending.pop(trace_node):
-            if state.skip_degraded(node):
-                continue
-            done = _attempt_serial(state, node, _simulate_serial, node,
-                                   trace, inject.get(node.cell), [0])
-            if done is not None:
-                result, seconds, attempts = done
-                state.sim_done(node, result, seconds, attempts)
-
-
-def _attempt_serial(state: _GridState, node: TraceNode | SimNode,
-                    fn: Callable, *args: object) -> tuple | None:
-    """Run ``fn(*args)`` in-process under the retry policy.
-
-    Returns (value, seconds, attempts), or None once the task is
-    quarantined.
-    """
-    failures = 0
-    while True:
-        state.telemetry.task_started()
-        started = time.perf_counter()
-        try:
-            value = fn(*args)
-        except Exception as error:
-            failures += 1
-            if state.attempt_failed(node, failures, error):
-                continue
-            return None
-        return value, time.perf_counter() - started, failures + 1
-
-
-def _simulate_serial(node: SimNode, trace: object, spec: InjectSpec | None,
-                     counter: list[int]) -> SimResult:
-    from repro.harness.registry import make_prefetcher
-
-    _apply_serial_injection(spec, counter)
-    result = simulate(node.config, make_prefetcher(node.prefetcher), trace)
-    result.prefetcher = node.prefetcher
-    return result
-
-
-def _apply_serial_injection(spec: InjectSpec | None, counter: list[int]) -> None:
-    """Honour an in-process injection spec.
-
-    Only the raise modes are meaningful in-process: ``crash`` and
-    ``hang`` would take the caller down with them, so (as documented on
-    :class:`InjectSpec`) they are ignored on the serial path.
-    """
-    if spec is None or counter[0] >= spec.times:
-        return
-    counter[0] += 1
-    if spec.mode == "raise-permanent":
-        raise PermanentError(
-            f"injected permanent failure (attempt {counter[0]} of "
-            f"{spec.times})"
-        )
-    if spec.mode == "raise":
-        raise ExecError(
-            f"injected failure (attempt {counter[0]} of {spec.times})"
-        )
+        state.telemetry.task_started(len(task.sims))
+        retry = state.finish_task(task, run_task(task))
+        if retry is not None:
+            queue.appendleft(retry)
 
 
 # ---------------------------------------------------------------------------
@@ -461,112 +443,89 @@ def _apply_serial_injection(spec: InjectSpec | None, counter: list[int]) -> None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _TaskState:
-    """Scheduler-side bookkeeping for one DAG task (identity-hashed)."""
-
-    node: TraceNode | SimNode
-    payload: object
-    fn: Callable
-    attempts: int = 0
-    future: Future | None = None
-    submitted_at: float = 0.0
+def _split(tasks: list[TraceTask], jobs: int) -> list[TraceTask]:
+    """Halve the task with the most sims while there are fewer tasks
+    than ``jobs`` and some task holds more than one sim."""
+    tasks = list(tasks)
+    while len(tasks) < jobs:
+        index = max(range(len(tasks)), key=lambda i: len(tasks[i].sims))
+        task = tasks[index]
+        if len(task.sims) < 2:
+            break
+        half = (len(task.sims) + 1) // 2
+        tasks[index:index + 1] = [replace(task, sims=task.sims[:half]),
+                                  replace(task, sims=task.sims[half:])]
+    return tasks
 
 
 def _run_pool(
     state: _GridState,
-    inject: dict[tuple[str, str], InjectSpec],
+    tasks: list[TraceTask],
     jobs: int,
     shared_pool: WorkerPool | None = None,
 ) -> None:
     telemetry = state.telemetry
-    options = state.options
-    # Injected faults count their attempts in side files, so the count
-    # survives the worker restarts a crash or hang causes.
-    counters = (tempfile.TemporaryDirectory(prefix="repro-inject-")
-                if inject else None)
-
+    timeout = state.options.timeout
     pool = shared_pool if shared_pool is not None else WorkerPool(jobs)
-    active: list[_TaskState] = []
+    queue = deque(_split(tasks, jobs))
     # After a pool break the culprit is ambiguous (every in-flight future
-    # dies), so suspects are re-run one at a time: a repeat crash then
-    # charges exactly the task in flight, and healthy tasks are never
+    # dies), so suspects are re-run one at a time, one sim each: a repeat
+    # crash then charges exactly that sim, and healthy sims are never
     # quarantined for a neighbour's crash.
-    probe_queue: list[_TaskState] = []
-    _probing = [False]  # True while the single in-flight task is a suspect
+    probe: deque[TraceTask] = deque()
+    probing = False  # True while the one task in flight is a suspect
+    running: dict[Future, tuple[TraceTask, float]] = {}
 
-    def submit(task: _TaskState) -> None:
-        telemetry.task_started()
+    def start(task: TraceTask) -> bool:
+        if state.skip_degraded(task):
+            return False
+        telemetry.task_started(len(task.sims))
         try:
-            task.future = pool.submit(task.fn, task.payload)
+            future = pool.submit(run_task_list, task)
         except Exception:
             # The executor broke between our crash detection and this
             # submission; rebuild it once and retry.
             pool.restart()
-            task.future = pool.submit(task.fn, task.payload)
-        task.submitted_at = time.monotonic()
-        active.append(task)
+            future = pool.submit(run_task_list, task)
+        deadline = (time.monotonic() + timeout * (1 + len(task.sims))
+                    if timeout is not None else float("inf"))
+        running[future] = (task, deadline)
+        return True
 
-    def skipped(task: _TaskState) -> bool:
-        """Drop a sim whose trace was DEGRADED while it waited."""
-        return (isinstance(task.node, SimNode)
-                and state.skip_degraded(task.node, task.attempts))
+    def requeue(task: TraceTask, to: deque) -> None:
+        """Queue an interrupted task again, uncharged."""
+        telemetry.task_failed_attempt(len(task.sims))
+        telemetry.tasks_queued += len(task.sims)
+        to.append(task)
 
-    def dispatch(task: _TaskState) -> None:
-        """Run a task: immediately, or queued behind the serial probe."""
-        if skipped(task):
-            return
-        if probe_queue or _probing[0]:
-            probe_queue.append(task)
-        else:
-            submit(task)
+    def suspect(task: TraceTask) -> None:
+        for node in task.sims:
+            requeue(replace(task, sims=(node,)), probe)
 
-    def failed(task: _TaskState, error: Exception | str) -> None:
-        task.attempts += 1
-        if state.attempt_failed(task.node, task.attempts, error):
+    def charge(task: TraceTask, reason: str) -> None:
+        """A one-sim task's worker died or hung: a failed attempt."""
+        telemetry.task_failed_attempt()
+        if state.attempt_failed(task.sims[0], reason):
             telemetry.tasks_queued += 1
-            dispatch(task)
-
-    def make_sim_state(node: SimNode) -> _TaskState:
-        spec = inject.get(node.cell)
-        counter = None
-        if spec is not None:
-            counter = str(Path(counters.name) /
-                          f"inject-{short_digest(*node.cell)}.count")
-        payload = SimTaskPayload(node=node, inject=spec,
-                                 inject_counter_path=counter)
-        return _TaskState(node, payload, execute_sim_task)
-
-    def complete(task: _TaskState, outcome) -> None:
-        if isinstance(task.node, SimNode):
-            state.sim_done(task.node, outcome.result, outcome.seconds,
-                           task.attempts + 1)
-            return
-        state.trace_done(task.node, outcome.source, outcome.seconds,
-                         task.attempts + 1)
-        for node in state.pending.pop(task.node, []):
-            dispatch(make_sim_state(node))
-
-    for node in state.pending:
-        submit(_TaskState(node, node, execute_trace_task))
+            queue.append(task)
 
     try:
-        while active or probe_queue:
-            if not active and probe_queue:
-                # Pump the serial probe: exactly one suspect in flight,
-                # so a pool break now has an unambiguous culprit.
-                task = probe_queue.pop(0)
-                if skipped(task):
-                    continue
-                _probing[0] = True
-                submit(task)
+        while queue or probe or running:
+            if probe or probing:
+                if not running and probe:
+                    # Pump the serial probe: exactly one suspect in
+                    # flight, so a pool break has an unambiguous culprit.
+                    probing = start(probe.popleft())
+            else:
+                while queue and len(running) < jobs:
+                    start(queue.popleft())
+            if not running:
+                continue
 
-            futures = {task.future: task for task in active}
-            done, _ = wait(list(futures), timeout=0.25,
+            done, _ = wait(list(running), timeout=0.25,
                            return_when=FIRST_COMPLETED)
             pool_broke = False
             for future in done:
-                task = futures[future]
                 try:
                     error = future.exception()
                 except CancelledError:
@@ -575,63 +534,55 @@ def _run_pool(
                 if error is not None and WorkerPool.is_pool_failure(error):
                     pool_broke = True
                     continue
-                active.remove(task)
-                _probing[0] = False
-                if error is None:
-                    complete(task, future.result())
-                else:
-                    failed(task, error)
+                task, _ = running.pop(future)
+                probing = False
+                # run_task reports every Exception as an outcome, so a
+                # raising future (say, an unpicklable result) failed the
+                # task as a whole: it is charged like a failed build.
+                outcomes = (future.result() if error is None
+                            else [Outcome(task.trace, error, 0.0)])
+                retry = state.finish_task(task, outcomes)
+                if retry is not None:
+                    queue.append(retry)
 
             if pool_broke:
                 # A worker died and every outstanding future died with
-                # the executor.
+                # the executor.  Only a lone one-sim task is charged:
+                # otherwise the culprit is unknown, and every sim goes
+                # to the probe, uncharged.
                 telemetry.worker_crashes += 1
                 pool.restart()
-                if len(active) == 1:
-                    # Exactly one task was in flight (e.g. the serial
-                    # probe): attribution is exact, so charge it.
-                    task = active.pop()
-                    _probing[0] = False
-                    failed(task, "worker process died")
+                probing = False
+                died = [task for task, _ in running.values()]
+                running.clear()
+                if len(died) == 1 and len(died[0].sims) == 1:
+                    charge(died[0], "worker process died")
                 else:
-                    # Several tasks were in flight, so the culprit is
-                    # unknown; move them all — uncharged — to the probe
-                    # queue to be re-run one at a time.
-                    for task in active:
-                        telemetry.task_failed_attempt()
-                        telemetry.tasks_queued += 1
-                    probe_queue[:0] = active
-                    active.clear()
+                    for task in died:
+                        suspect(task)
                 continue
 
-            if options.timeout is not None and active:
-                now = time.monotonic()
-                expired = {
-                    task for task in active
-                    if now - task.submitted_at > options.timeout
-                }
-                if expired:
-                    # A hung task only dies with its worker, and the
-                    # executor cannot survive that — kill the pool and
-                    # resubmit everything, charging only the laggards.
-                    telemetry.timeouts += len(expired)
-                    pool.restart()
-                    _probing[0] = False
-                    pending = list(active)
-                    active.clear()
-                    for task in pending:
-                        if task in expired:
-                            failed(task, f"timed out after "
-                                         f"{options.timeout:.1f}s")
-                        else:
-                            telemetry.task_failed_attempt()
-                            telemetry.tasks_queued += 1
-                            dispatch(task)
+            now = time.monotonic()
+            expired = [future for future, (_, deadline) in running.items()
+                       if now > deadline]
+            if expired:
+                # A hung task only dies with its worker, and the
+                # executor cannot survive that — kill the pool and
+                # resubmit everything, charging only a lone-sim laggard.
+                telemetry.timeouts += len(expired)
+                pool.restart()
+                probing = False
+                for future, (task, _) in running.items():
+                    if future not in expired:
+                        requeue(task, queue)
+                    elif len(task.sims) == 1:
+                        charge(task, f"timed out after {2 * timeout:.1f}s")
+                    else:
+                        suspect(task)
+                running.clear()
     finally:
         if shared_pool is None:
             pool.shutdown()
-        if counters is not None:
-            counters.cleanup()
 
 
 def quarantine_report(telemetry: ExecTelemetry) -> str:

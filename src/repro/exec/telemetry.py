@@ -64,9 +64,9 @@ class ExecTelemetry:
         self.tasks_total += count
         self.tasks_queued += count
 
-    def task_started(self) -> None:
-        self.tasks_queued = max(0, self.tasks_queued - 1)
-        self.tasks_running += 1
+    def task_started(self, count: int = 1) -> None:
+        self.tasks_queued = max(0, self.tasks_queued - count)
+        self.tasks_running += count
 
     def task_finished(self, name: str, kind: str, seconds: float,
                       attempts: int) -> None:
@@ -74,9 +74,9 @@ class ExecTelemetry:
         self.tasks_done += 1
         self.task_times.append(TaskTiming(name, kind, seconds, attempts))
 
-    def task_failed_attempt(self) -> None:
-        """A submitted attempt ended without producing a result."""
-        self.tasks_running = max(0, self.tasks_running - 1)
+    def task_failed_attempt(self, count: int = 1) -> None:
+        """Started attempts that ended without producing a result."""
+        self.tasks_running = max(0, self.tasks_running - count)
 
     def quarantine(self, name: str, kind: str, reason: str,
                    attempts: int, classification: str = "permanent",

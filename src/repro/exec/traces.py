@@ -2,9 +2,9 @@
 
 A figure replays one trace per workload under every prefetcher, so each
 trace is built once and shared.  This module alone decides how: it owns
-the process-wide LRU of in-memory traces.  ``GridRunner.trace``, both
-paths of :func:`repro.exec.scheduler.execute_grid` (serial, and the
-pool's trace and simulation tasks) and everything above them call
+the process-wide LRU of in-memory traces.  ``GridRunner.trace`` and
+every task of :func:`repro.exec.scheduler.execute_grid`
+(:func:`repro.exec.pool.run_task`, in-process or on a pool worker) call
 :func:`get_trace`, which answers from the LRU or builds the trace with
 :func:`repro.workloads.base.build_trace`.  Nothing is written to disk:
 rebuilding a trace is cheaper than decoding a file of it.
@@ -17,8 +17,10 @@ The LRU keeps at most :data:`CAPACITY` traces and :data:`MAX_BYTES` of
 event columns (26 bytes per event, :func:`trace_nbytes`); at budget 1.0
 the count cap binds first.  The newest entry is always kept, so
 repeated sims of one oversized workload still hit.  Every pool worker
-process has its own copy, so a simulation task on a worker that did not
-run the trace's build task builds the trace again.
+process has its own copy.  A task gets its trace once and then runs all
+of its sims, so a worker builds a trace once per task it is given; only
+a trace whose sims are split across tasks, or retried, can be built by
+more than one worker.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ runner gets each workload's trace from the trace store
 (:mod:`repro.exec.traces`), a bounded process-wide in-memory LRU.
 
 Every grid cell runs through :func:`repro.exec.scheduler.execute_grid`:
-the grid becomes a task DAG with bounded retries and quarantine, plus,
-given a ``cache_dir``, a content-addressed result cache and a run
-journal.  ``jobs=1`` runs it in-process; more jobs fan out to a worker
+the grid becomes one task per trace with bounded retries and
+quarantine, plus, given a ``cache_dir``, a content-addressed result
+cache and a run journal.  ``jobs=1`` runs it in-process; more jobs fan out to a worker
 pool.
 """
 

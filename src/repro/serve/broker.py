@@ -32,7 +32,8 @@ One :class:`Broker` owns the path from a validated
    in one batch never collide.  With ``workers > 1``
    the broker owns a persistent :class:`~repro.exec.pool.WorkerPool`
    that every batch submits into, so worker startup is paid once per
-   server, not once per request.
+   server, not once per request; there a cell lands when its task (the
+   batch's cells of one trace) finishes.
 4. **Caching.**  ``execute_grid`` probes the same content-addressed
    :class:`~repro.exec.cache.ResultCache` the CLI uses; a repeated
    request is a pure cache read and never touches the pool.

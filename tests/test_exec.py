@@ -1,6 +1,8 @@
 """Tests for repro.exec: keys, cache, plan, scheduler, runner wiring."""
 
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -25,7 +27,8 @@ from repro.exec import (
 from repro.exec import telemetry as telemetry_module
 from repro.exec import traces
 from repro.exec.keys import canonicalize, sim_key
-from repro.exec.scheduler import execute_grid
+from repro.exec.pool import TraceTask
+from repro.exec.scheduler import _split, execute_grid
 from repro.exec.telemetry import ExecTelemetry, load_stats
 from repro.harness import experiments
 from repro.harness.registry import EXTENDED_PREFETCHER_ORDER
@@ -49,6 +52,30 @@ def tiny_plan(workloads=("nw",), prefetchers=("no-prefetch", "stride")):
         list(workloads), list(prefetchers),
         scale=1.0, budget_fraction=0.02, seed=0, config=REDUCED_CONFIG,
     )
+
+
+@pytest.fixture
+def build_log(tmp_path, monkeypatch):
+    """A file that gets one ``<pid> <workload>`` line per trace build,
+    in this process and in every pool worker forked after it exists."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("counting builds on pool workers needs fork")
+    log = tmp_path / "builds.log"
+    log.touch()
+    real_build_trace = traces.build_trace
+
+    def logged(spec, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {spec.name}\n")
+        return real_build_trace(spec, **kwargs)
+
+    monkeypatch.setattr(traces, "build_trace", logged)
+    return log
+
+
+def builds(log):
+    """The (pid, workload) of every build in a :func:`build_log` file."""
+    return [tuple(line.split()) for line in log.read_text().splitlines()]
 
 
 def cells(results):
@@ -245,6 +272,104 @@ class TestExecuteGrid:
         assert names == ["sim:nw:stride"]
         assert ("nw", "no-prefetch") in cells(results)
 
+    def test_pool_builds_each_trace_once(self, fresh_trace_cache, build_log):
+        workloads = ("nw", "stencil-default", "histo-large")
+        results, telemetry = execute_grid(
+            tiny_plan(workloads, ("no-prefetch", "stride", "sms")),
+            options=ExecOptions(jobs=2))
+        assert len(results) == 9
+        logged = builds(build_log)
+        assert sorted(workload for _, workload in logged) == sorted(workloads)
+        assert str(os.getpid()) not in {pid for pid, _ in logged}
+        assert telemetry.traces_built == len(logged)
+
+    def test_crash_in_a_split_task_quarantines_only_guilty(
+            self, fresh_trace_cache):
+        # One trace, four sims, two workers: two tasks of two sims.  The
+        # crashing sim's task dies whole, and its sims re-run uncharged
+        # one at a time until only the crasher is charged.
+        prefetchers = ("no-prefetch", "stride", "sms", "ghb-pc/dc")
+        results, telemetry = execute_grid(
+            tiny_plan(prefetchers=prefetchers),
+            options=ExecOptions(jobs=2, max_retries=1, retry_backoff=0.0),
+            inject={("nw", "sms"): InjectSpec(mode="crash", times=10)},
+        )
+        names = [entry["task"] for entry in telemetry.quarantined]
+        assert names == ["sim:nw:sms"]
+        assert telemetry.quarantined[0]["attempts"] == 2
+        assert set(cells(results)) == {
+            ("nw", p) for p in prefetchers if p != "sms"}
+        assert telemetry.worker_crashes >= 2
+
+    def test_lone_multi_sim_task_is_not_charged_for_a_crash(
+            self, fresh_trace_cache):
+        # The stencil task lands first, so the nw task crashes alone.
+        # It holds two sims, so the crash is not charged to either: both
+        # re-run through the probe, where only the crasher is charged.
+        results, telemetry = execute_grid(
+            tiny_plan(("nw", "stencil-default")),
+            options=ExecOptions(jobs=2, max_retries=1, retry_backoff=0.0),
+            inject={
+                ("nw", "no-prefetch"): InjectSpec(mode="hang",
+                                                  hang_seconds=1.0),
+                ("nw", "stride"): InjectSpec(mode="crash", times=10),
+            },
+        )
+        assert [(entry["task"], entry["attempts"])
+                for entry in telemetry.quarantined] == [("sim:nw:stride", 2)]
+        assert set(cells(results)) == {
+            ("nw", "no-prefetch"), ("stencil-default", "no-prefetch"),
+            ("stencil-default", "stride")}
+        assert telemetry.worker_crashes == 3
+
+    def test_hang_in_a_split_task_charges_only_the_hung_sim(
+            self, fresh_trace_cache):
+        # The expired task holds two sims, so neither is charged for the
+        # timeout; run alone through the probe, only the hung one is.
+        prefetchers = ("no-prefetch", "stride", "sms", "ghb-pc/dc")
+        results, telemetry = execute_grid(
+            tiny_plan(prefetchers=prefetchers),
+            options=ExecOptions(jobs=2, max_retries=0, timeout=0.75,
+                                retry_backoff=0.0),
+            inject={("nw", "stride"): InjectSpec(mode="hang",
+                                                 hang_seconds=30.0,
+                                                 times=10)},
+        )
+        assert [entry["task"] for entry in telemetry.quarantined] == [
+            "sim:nw:stride"]
+        assert set(cells(results)) == {
+            ("nw", p) for p in prefetchers if p != "stride"}
+        assert telemetry.timeouts == 2
+
+    def test_task_deadline_scales_with_its_sims(self, fresh_trace_cache):
+        # Two tasks of two sims; each sim stalls 1 s, inside the 1.5 s
+        # per-simulation timeout, so each task takes over 2 s in all.
+        prefetchers = ("no-prefetch", "stride", "sms", "ghb-pc/dc")
+        stall = InjectSpec(mode="hang", hang_seconds=1.0, times=1)
+        results, telemetry = execute_grid(
+            tiny_plan(prefetchers=prefetchers),
+            options=ExecOptions(jobs=2, max_retries=0, timeout=1.5,
+                                retry_backoff=0.0),
+            inject={("nw", p): stall for p in prefetchers},
+        )
+        assert telemetry.timeouts == 0
+        assert telemetry.quarantined == []
+        assert len(results) == len(prefetchers)
+
+    def test_split_halves_the_largest_task_up_to_jobs(self):
+        plan = tiny_plan(("nw", "stencil-default"),
+                         ("no-prefetch", "stride", "sms", "ghb-pc/dc"))
+        nw, stencil = ([node for node in plan.sim_nodes if node.trace == t]
+                       for t in plan.trace_nodes)
+        tasks = [TraceTask(nw[0].trace, tuple(nw[:3])),
+                 TraceTask(stencil[0].trace, (stencil[0],))]
+        assert [len(t.sims) for t in _split(tasks, 2)] == [3, 1]
+        assert [len(t.sims) for t in _split(tasks, 3)] == [2, 1, 1]
+        assert [len(t.sims) for t in _split(tasks, 8)] == [1, 1, 1, 1]
+        split = _split(tasks, 4)
+        assert [node for t in split for node in t.sims] == (
+            nw[:3] + stencil[:1])
+
     def test_cache_replay_runs_zero_sims(self, fresh_trace_cache, tmp_path):
         cache = ResultCache(tmp_path / "results")
         cold_results, cold = execute_grid(
@@ -403,17 +528,22 @@ class TestRunnerWiring:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trace_sources_counted_alike(self, fresh_trace_cache, tmp_path,
-                                         jobs):
+                                         build_log, jobs):
         def rerun():
             shutil.rmtree(tmp_path / "results", ignore_errors=True)
             clear_trace_cache()
+            before = len(builds(build_log))
             GridRunner(budget_fraction=0.02, cache_dir=tmp_path,
                        jobs=jobs).run_grid(["nw"], ["stride", "sms"])
-            return telemetry_module.LAST_RUN.traces_built
+            built = len(builds(build_log)) - before
+            assert telemetry_module.LAST_RUN.traces_built == built
+            return built
 
-        # Each process builds its own traces: a rerun builds again.
-        assert rerun() == 1
-        assert rerun() == 1
+        # Each process builds its own traces: a rerun builds again, and
+        # every build is counted.  Two workers split the trace's two
+        # sims, so each may build it.
+        for _ in range(2):
+            assert 1 <= rerun() <= jobs
 
     def test_no_trace_file_is_written_to_the_cache_dir(
             self, fresh_trace_cache, tmp_path):
@@ -440,6 +570,21 @@ class TestRunnerWiring:
         assert telemetry_module.LAST_RUN.sims_run == 1
         # With no cache directory nothing is written anywhere.
         assert list(tmp_path.iterdir()) == []
+
+    def test_serial_retry_runs_before_the_next_trace(
+            self, fresh_trace_cache, monkeypatch):
+        # With room for one trace in the LRU, a retry queued behind the
+        # next trace would find its own trace evicted and build it again.
+        monkeypatch.setattr(traces, "CAPACITY", 1)
+        results, telemetry = execute_grid(
+            tiny_plan(("nw", "stencil-default")),
+            options=ExecOptions(jobs=1, retry_backoff=0.0),
+            inject={("nw", "no-prefetch"): InjectSpec(mode="raise",
+                                                      times=1)},
+        )
+        assert len(results) == 4
+        assert telemetry.retries == 1
+        assert telemetry.traces_built == 2
 
     def test_serial_trace_build_retries_transient_error(
             self, fresh_trace_cache, monkeypatch):

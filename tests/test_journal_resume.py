@@ -61,7 +61,6 @@ class TestJournalFormat:
         assert state.fingerprint == "fp"
         assert state.cells == [("nw", "stride")]
         assert state.completed == {("nw", "stride"): "k1"}
-        assert state.traces_done == {"nw"}
         assert state.status == "complete"
         assert state.torn_lines == 0
         assert state.params["scale"] == 1.0
@@ -90,7 +89,6 @@ class TestJournalFormat:
         state = replay(journal.path)
         assert state.records == 2
         assert state.torn_lines == 1
-        assert state.traces_done == {"nw"}
 
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(JournalError, match="no run journal"):

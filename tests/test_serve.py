@@ -220,6 +220,30 @@ class TestCampaignOverServe:
                       for result in outcome.results.values()) == [
             "cbws[table_entries=2]", "cbws[table_entries=4]"]
 
+    def test_counts_cache_hits_and_simulations(self, server, tmp_path):
+        """One cell replays from the local cache and the server simulates
+        the other: the outcome counts one of each."""
+        from repro.campaign.runner import run_campaign
+        from repro.campaign.spec import SPEC_VERSION, parse_spec
+        from repro.cli import main
+
+        assert main([
+            "run", "--workload", "nw", "--prefetcher", "cbws[table_entries=8]",
+            "--budget-fraction", str(BUDGET), "--cache-dir", str(tmp_path),
+        ]) == 0
+        spec = parse_spec({
+            "version": SPEC_VERSION,
+            "name": "counters",
+            "base": {"workloads": ["nw"], "prefetchers": ["cbws"],
+                     "budget_fraction": BUDGET},
+            "axes": [{"name": "cbws.table_entries", "values": [8, 32]}],
+        })
+        outcome = run_campaign(spec, tmp_path, executor="serve",
+                               serve_port=server.port)
+        assert len(outcome.results) == 2
+        assert outcome.execution["cache_hits"] == 1
+        assert outcome.execution["sims_run"] == 1
+
 
 class TestBackpressureHttp:
     def test_admission_overflow_is_429_with_retry_after(self, tmp_path):
