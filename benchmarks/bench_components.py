@@ -7,7 +7,6 @@ keeping the pure-Python model fast enough to sweep all 30 benchmarks.
 from repro.core.predictor import CbwsConfig, CbwsPredictor
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.prefetchers.base import DemandInfo
 from repro.prefetchers.ghb import GhbConfig, GhbPrefetcher
 from repro.prefetchers.sms import SmsPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
@@ -50,49 +49,43 @@ def bench_cbws_predictor_throughput(benchmark):
 
 
 def _accesses(count):
+    """``(pc, line, address, l1_hit)`` tuples: a miss stream of 8 PCs."""
     return [
-        DemandInfo(
-            pc=0x400000 + (k % 8) * 16,
-            line=k * 16,
-            address=k * 1024,
-            is_write=False,
-            l1_hit=False,
-            l2_hit=False,
-        )
+        (0x400000 + (k % 8) * 16, k * 16, k * 1024, False)
         for k in range(count)
     ]
 
 
 def bench_stride_throughput(benchmark):
-    infos = _accesses(2048)
+    accesses = _accesses(2048)
 
     def run():
         prefetcher = StridePrefetcher()
-        for info in infos:
-            prefetcher.on_access(info)
+        for access in accesses:
+            prefetcher.on_access(*access)
 
     benchmark(run)
 
 
 def bench_ghb_pcdc_throughput(benchmark):
-    infos = _accesses(2048)
+    accesses = _accesses(2048)
 
     def run():
         prefetcher = GhbPrefetcher(GhbConfig(mode="pc"))
-        for info in infos:
-            prefetcher.on_access(info)
+        for access in accesses:
+            prefetcher.on_access(*access)
 
     benchmark(run)
 
 
 def bench_sms_throughput(benchmark):
-    infos = _accesses(2048)
+    accesses = _accesses(2048)
 
     def run():
         prefetcher = SmsPrefetcher()
-        for info in infos:
-            prefetcher.on_access(info)
-        for info in infos[::7]:
-            prefetcher.on_l1_eviction(info.line)
+        for access in accesses:
+            prefetcher.on_access(*access)
+        for _, line, _, _ in accesses[::7]:
+            prefetcher.on_l1_eviction(line)
 
     benchmark(run)

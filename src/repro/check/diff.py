@@ -35,7 +35,7 @@ from repro.check.reference import hierarchy_oracle_for, run_reference
 from repro.harness.registry import PREFETCHER_FACTORIES, make_prefetcher
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.sim.config import REDUCED_CONFIG, CoreConfig, SimConfig
 from repro.sim.engine import SimulationEngine
 from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
@@ -136,12 +136,12 @@ def diff_prefetcher(
 ) -> Optional[Divergence]:
     """Replay ``trace`` through implementation and oracle; first mismatch.
 
-    Both sides receive the identical :class:`DemandInfo` stream and
-    L1-eviction callbacks, derived from the hierarchy oracle running
-    demand accesses only (64-byte lines, reduced geometry).  The
-    implementation gets ``on_trace`` first, as in a simulation; the
-    oracle follows the block markers one event at a time.  Custom
-    factories support fault-injection self-tests.
+    Both sides receive the identical stream of ``on_access(pc, line,
+    address, l1_hit)`` arguments and L1-eviction callbacks, derived from
+    the hierarchy oracle running demand accesses only (64-byte lines,
+    reduced geometry).  The implementation gets ``on_trace`` first, as
+    in a simulation; the oracle follows the block markers one event at
+    a time.  Custom factories support fault-injection self-tests.
     """
     impl = impl_factory() if impl_factory is not None else make_prefetcher(name)
     oracle = oracle_factory() if oracle_factory is not None else make_oracle(name)
@@ -153,16 +153,9 @@ def diff_prefetcher(
         if kind == MEMORY_ACCESS:
             line = event.address >> 6
             outcome, evictions = hierarchy.demand_access(line)
-            info = DemandInfo(
-                pc=event.pc,
-                line=line,
-                address=event.address,
-                is_write=event.is_write,
-                l1_hit=outcome == "l1",
-                l2_hit=outcome != "memory",
-            )
-            actual = impl.on_access(info)
-            expected = oracle.on_access(info)
+            args = (event.pc, line, event.address, outcome == "l1")
+            actual = impl.on_access(*args)
+            expected = oracle.on_access(*args)
             if actual != expected:
                 return Divergence(
                     kind="prefetcher", subject=name, trace=trace.name,

@@ -230,7 +230,6 @@ def mutate(trace: Trace, rng: DeterministicRng, generation: int = 0) -> Trace:
 def collect_features(trace: Trace, names: List[str]) -> Set[str]:
     """Feature labels the oracles light up while replaying ``trace``."""
     from repro.check.reference import hierarchy_oracle_for
-    from repro.prefetchers.base import DemandInfo
     from repro.sim.config import REDUCED_CONFIG
 
     features: Set[str] = set()
@@ -240,13 +239,9 @@ def collect_features(trace: Trace, names: List[str]) -> Set[str]:
         if event.kind == MEMORY_ACCESS:
             line = event.address >> 6
             outcome, evictions = hierarchy.demand_access(line)
-            info = DemandInfo(
-                pc=event.pc, line=line, address=event.address,
-                is_write=event.is_write, l1_hit=outcome == "l1",
-                l2_hit=outcome != "memory",
-            )
+            l1_hit = outcome == "l1"
             for oracle in oracles:
-                oracle.on_access(info)
+                oracle.on_access(event.pc, line, event.address, l1_hit)
             for evicted in evictions:
                 for oracle in oracles:
                     oracle.on_l1_eviction(evicted)

@@ -8,12 +8,10 @@ both being right.  Data structures are plain lists/dicts with explicit
 recency bookkeeping; nothing is optimized.
 
 Oracles speak the same event protocol as
-:class:`repro.prefetchers.base.Prefetcher` (``on_access`` /
-``on_block_begin`` / ``on_block_end`` / ``on_l1_eviction``) so the
-differential harness can drive both sides with identical stimuli.  The
-``info`` object passed to ``on_access`` is duck-typed: anything with
-``pc`` / ``line`` / ``address`` / ``is_write`` / ``l1_hit`` / ``l2_hit``
-attributes works.
+:class:`repro.prefetchers.base.Prefetcher` (``on_access(pc, line,
+address, l1_hit)`` / ``on_block_begin`` / ``on_block_end`` /
+``on_l1_eviction``) so the differential harness can drive both sides
+with identical stimuli.
 
 Each oracle additionally exposes a ``features`` set of string labels
 recording which behaviours a stimulus exercised ("stride:steady",
@@ -42,7 +40,8 @@ class _OracleBase:
     def __init__(self) -> None:
         self.features: Set[str] = set()
 
-    def on_access(self, info: Any) -> List[int]:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
         return []
 
     def on_block_begin(self, block_id: int) -> None:
@@ -89,8 +88,8 @@ class StrideOracle(_OracleBase):
     def _touch(self, pc: int) -> None:
         self.table[pc] = self.table.pop(pc)
 
-    def on_access(self, info: Any) -> List[int]:
-        pc, address = info.pc, info.address
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
         entry = self.table.get(pc)
         if entry is None:
             if len(self.table) >= self.table_entries:
@@ -134,9 +133,9 @@ class StrideOracle(_OracleBase):
         walk = address
         for _ in range(self.degree):
             walk += entry[1]
-            line = walk >> 6  # mirrored quirk: global 64-byte line shift
-            if line != info.line and line >= 0 and line not in candidates:
-                candidates.append(line)
+            target = walk >> 6  # mirrored quirk: global 64-byte line shift
+            if target != line and target >= 0 and target not in candidates:
+                candidates.append(target)
         if candidates:
             self.features.add("stride:predict")
         return candidates
@@ -174,12 +173,13 @@ class GhbOracle(_OracleBase):
         self.pushes = 0
         self.history: Dict[int, List[Tuple[int, int]]] = {}  # key -> [(serial, line)]
 
-    def on_access(self, info: Any) -> List[int]:
-        if info.l1_hit:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        if l1_hit:
             return []
-        key = self.GLOBAL_KEY if self.mode == "global" else info.pc
+        key = self.GLOBAL_KEY if self.mode == "global" else pc
         entries = self.history.setdefault(key, [])
-        entries.append((self.pushes, info.line))
+        entries.append((self.pushes, line))
         self.pushes += 1
         self.features.add("ghb:miss")
 
@@ -187,7 +187,7 @@ class GhbOracle(_OracleBase):
         # Keep per-key history bounded; dead entries can never matter again.
         if len(entries) > 2 * self.buffer_entries:
             entries[:] = [e for e in entries if e[0] >= oldest_live]
-        addresses = [line for serial, line in entries if serial >= oldest_live]
+        addresses = [past for serial, past in entries if serial >= oldest_live]
         if len(addresses) < self.match_length + 2:
             return []
         deltas = [addresses[i + 1] - addresses[i] for i in range(len(addresses) - 1)]
@@ -241,9 +241,10 @@ class SmsOracle(_OracleBase):
         # (trigger_pc, trigger_offset) -> pattern; order = recency.
         self.pht: Dict[Tuple[int, int], int] = {}
 
-    def on_access(self, info: Any) -> List[int]:
-        region = info.line >> self.region_shift
-        offset = info.line & (self.lines_per_region - 1)
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        region = line >> self.region_shift
+        offset = line & (self.lines_per_region - 1)
 
         generation = self.agt.get(region)
         if generation is not None:
@@ -267,13 +268,13 @@ class SmsOracle(_OracleBase):
             oldest = next(iter(self.filter))
             del self.filter[oldest]  # silent drop, as in hardware
             self.features.add("sms:filter-evict")
-        self.filter[region] = [info.pc, offset, 1 << offset]
+        self.filter[region] = [pc, offset, 1 << offset]
         self.features.add("sms:trigger")
 
-        pattern = self.pht.get((info.pc, offset))
+        pattern = self.pht.get((pc, offset))
         if pattern is None:
             return []
-        self.pht[(info.pc, offset)] = self.pht.pop((info.pc, offset))
+        self.pht[(pc, offset)] = self.pht.pop((pc, offset))
         base_line = region << self.region_shift
         candidates = [
             base_line + bit
@@ -322,10 +323,10 @@ class MarkovOracle(_OracleBase):
         self.table: Dict[int, List[int]] = {}  # order = recency
         self.last_miss: Optional[int] = None
 
-    def on_access(self, info: Any) -> List[int]:
-        if info.l1_hit:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        if l1_hit:
             return []
-        line = info.line
         previous = self.last_miss
         if previous is not None and previous != line:
             followers = self.table.get(previous)
@@ -411,9 +412,10 @@ class AmpmOracle(_OracleBase):
         offset = line & (self.zone_lines - 1)
         return offset in entry[0] or offset in entry[1]
 
-    def on_access(self, info: Any) -> List[int]:
-        zone = info.line >> self.zone_shift
-        offset = info.line & (self.zone_lines - 1)
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        zone = line >> self.zone_shift
+        offset = line & (self.zone_lines - 1)
         self._map_for(zone)[0].add(offset)
 
         candidates: List[int] = []
@@ -428,7 +430,7 @@ class AmpmOracle(_OracleBase):
                     "ampm:match-fwd" if direction == 1 else "ampm:match-bwd"
                 )
                 for step in range(1, self.degree + 1):
-                    target = info.line + stride * step
+                    target = line + stride * step
                     if target < 0:
                         break
                     if not self._covered(target):
@@ -522,11 +524,12 @@ class PanglossOracle(_OracleBase):
             return None
         return best
 
-    def on_access(self, info: Any) -> List[int]:
-        if info.l1_hit:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        if l1_hit:
             return []
-        page = info.line >> self.page_shift
-        offset = info.line & (self.lines_per_page - 1)
+        page = line >> self.page_shift
+        offset = line & (self.lines_per_page - 1)
         entry = self.pages.get(page)
         if entry is None:
             if len(self.pages) >= self.page_entries:
@@ -556,9 +559,9 @@ class PanglossOracle(_OracleBase):
             walk_offset += successor
             if not 0 <= walk_offset < self.lines_per_page:
                 break
-            line = page_base + walk_offset
-            if line != info.line and line not in candidates:
-                candidates.append(line)
+            target = page_base + walk_offset
+            if target != line and target not in candidates:
+                candidates.append(target)
             walk_delta = successor
         if candidates:
             self.features.add("pangloss:predict")
@@ -660,8 +663,9 @@ class PythiaOracle(_OracleBase):
             entry[2] = reward
             self._apply(decision)
 
-    def on_access(self, info: Any) -> List[int]:
-        record = self.inflight.pop(info.line, None)
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        record = self.inflight.pop(line, None)
         if record is not None:
             decision, issue_tick = record
             if self.tick - issue_tick >= self.timely_age:
@@ -670,20 +674,20 @@ class PythiaOracle(_OracleBase):
             else:
                 self.features.add("pythia:late")
                 self._resolve(decision, self.reward_late)
-        if info.l1_hit:
+        if l1_hit:
             return []
 
         while self.inflight:
-            line = next(iter(self.inflight))
-            decision, issue_tick = self.inflight[line]
+            stale = next(iter(self.inflight))
+            decision, issue_tick = self.inflight[stale]
             if self.tick - issue_tick <= self.useless_age:
                 break
-            del self.inflight[line]
+            del self.inflight[stale]
             self.features.add("pythia:useless")
             self._resolve(decision, self.reward_useless)
 
-        page = info.line >> self.page_shift
-        offset = info.line & (self.lines_per_page - 1)
+        page = line >> self.page_shift
+        offset = line & (self.lines_per_page - 1)
         last_offset = self.pages.get(page)
         if last_offset is None:
             if len(self.pages) >= self.page_entries:
@@ -699,7 +703,7 @@ class PythiaOracle(_OracleBase):
         state_parts: List[Any] = []
         for part in self.feature_parts:
             if part == "pc":
-                state_parts.append(info.pc & self.pc_mask)
+                state_parts.append(pc & self.pc_mask)
             elif part == "delta":
                 state_parts.append(tuple(self.history))
             else:  # offset
@@ -751,8 +755,8 @@ class PythiaOracle(_OracleBase):
             if displaced is not None:
                 self._resolve(displaced[0], self.reward_useless)
             if len(self.inflight) >= self.inflight_entries:
-                line = next(iter(self.inflight))
-                old_decision, _ = self.inflight.pop(line)
+                oldest = next(iter(self.inflight))
+                old_decision, _ = self.inflight.pop(oldest)
                 self.features.add("pythia:useless")
                 self._resolve(old_decision, self.reward_useless)
             self.inflight[target] = (decision, self.tick)
@@ -868,10 +872,11 @@ class CbwsOracle(_OracleBase):
         self.diffs = [[] for _ in range(self.max_step)]
         self.in_block = True
 
-    def on_access(self, info: Any) -> List[int]:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
         if not self.in_block:
             return []
-        truncated = info.line & self.line_mask
+        truncated = line & self.line_mask
         if truncated in self.current:
             return []
         if len(self.current) >= self.vector:
@@ -970,10 +975,11 @@ class CbwsSmsOracle(_OracleBase):
             self.owned.append(line)
         return predicted
 
-    def on_access(self, info: Any) -> List[int]:
-        self.cbws.on_access(info)
-        candidates = self.sms.on_access(info)
-        return [line for line in candidates if line not in self.owned]
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        self.cbws.on_access(pc, line, address, l1_hit)
+        candidates = self.sms.on_access(pc, line, address, l1_hit)
+        return [cand for cand in candidates if cand not in self.owned]
 
     def on_l1_eviction(self, line: int) -> None:
         self.sms.on_l1_eviction(line)

@@ -27,7 +27,6 @@ from collections import deque
 from repro.check import invariants
 from repro.check.oracles import HierarchyOracle
 from repro.common.bitops import log2_exact
-from repro.prefetchers.base import DemandInfo
 from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import DemandClass, SimResult
@@ -161,21 +160,16 @@ def run_reference(
             result.demand_accesses += 1
 
             latency = 0.0
-            if outcome == "l1":
-                info_l1_hit = True
-                info_l2_hit = True
-            else:
+            l1_hit = outcome == "l1"
+            if not l1_hit:
                 result.l1_misses += 1
-                info_l1_hit = False
                 if outcome != "memory":  # "l2" or "l2-prefetch"
-                    info_l2_hit = True
                     latency = l2_extra
                     if outcome == "l2-prefetch":
                         classes[DemandClass.TIMELY] += 1
                     else:
                         classes[DemandClass.PLAIN_HIT] += 1
                 else:  # memory
-                    info_l2_hit = False
                     completion = in_flight.pop(line, None)
                     if completion is not None:
                         # Prefetch in flight: wait out the remainder.
@@ -226,15 +220,10 @@ def run_reference(
                 for evicted_line in evicted:
                     prefetcher.on_l1_eviction(evicted_line)
 
-            info = DemandInfo(
-                pc=event.pc,
-                line=line,
-                address=event.address,
-                is_write=event.is_write,
-                l1_hit=info_l1_hit,
-                l2_hit=info_l2_hit,
+            enqueue_candidates(
+                prefetcher.on_access(event.pc, line, event.address, l1_hit),
+                now,
             )
-            enqueue_candidates(prefetcher.on_access(info), now)
             if checking:
                 checked_events += 1
                 invariants.check_engine_state(

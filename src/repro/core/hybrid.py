@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.predictor import CbwsConfig
 from repro.core.prefetcher import CbwsPrefetcher
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.sms import SmsConfig, SmsPrefetcher
 
 if TYPE_CHECKING:
@@ -74,12 +74,13 @@ class CbwsSmsPrefetcher(Prefetcher):
         self._claim(predicted)
         return predicted
 
-    def on_access(self, info: DemandInfo) -> list[int]:
-        sms_candidates = self.sms.on_access(info)
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> list[int]:
+        sms_candidates = self.sms.on_access(pc, line, address, l1_hit)
         if not sms_candidates:
             return []
         owned = self._owned
-        return [line for line in sms_candidates if line not in owned]
+        return [cand for cand in sms_candidates if cand not in owned]
 
     def on_l1_eviction(self, line: int) -> None:
         self.sms.on_l1_eviction(line)

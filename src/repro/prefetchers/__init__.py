@@ -13,7 +13,7 @@ plus the CBWS prefetchers, which live in :mod:`repro.core` because they
 are the paper's contribution.
 """
 
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.none import NoPrefetcher
 from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 from repro.prefetchers.ghb import GhbConfig, GhbPrefetcher, GlobalHistoryBuffer
@@ -28,7 +28,6 @@ from repro.prefetchers.storage import (
 )
 
 __all__ = [
-    "DemandInfo",
     "Prefetcher",
     "NoPrefetcher",
     "StrideConfig",

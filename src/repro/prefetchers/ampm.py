@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.common.bitops import is_power_of_two, log2_exact
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.storage import ampm_storage
 
 
@@ -99,9 +99,10 @@ class AmpmPrefetcher(Prefetcher):
 
     # -- prefetcher interface --------------------------------------------------
 
-    def on_access(self, info: DemandInfo) -> list[int]:
-        zone = info.line >> self._zone_shift
-        offset = info.line & self._offset_mask
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> list[int]:
+        zone = line >> self._zone_shift
+        offset = line & self._offset_mask
         entry = self._map_for(zone, create=True)
         entry[0] |= 1 << offset
 
@@ -114,9 +115,8 @@ class AmpmPrefetcher(Prefetcher):
                     continue
                 if not self._is_accessed(zone, offset - 2 * stride):
                     continue
-                base = info.line
                 for step in range(1, config.degree + 1):
-                    target = base + stride * step
+                    target = line + stride * step
                     if target < 0:
                         break
                     if not self._already_covered(target):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.storage import ghb_gdc_storage, ghb_pcdc_storage
 
 #: Sentinel key for the single global chain in G/DC mode.
@@ -157,12 +157,13 @@ class GhbPrefetcher(Prefetcher):
         self._match_length = self.config.match_length
         self._degree = self.config.degree
 
-    def on_access(self, info: DemandInfo) -> list[int]:
-        if info.l1_hit:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> list[int]:
+        if l1_hit:
             return []  # the GHB records cache misses only
-        key = _GLOBAL_KEY if self.config.mode == "global" else info.pc
-        self.buffer.push(key, info.line)
-        return self._predict_incremental(key, info.line)
+        key = _GLOBAL_KEY if self.config.mode == "global" else pc
+        self.buffer.push(key, line)
+        return self._predict_incremental(key, line)
 
     def _predict_incremental(self, key: int, line: int) -> list[int]:
         """O(match_length) replacement for the :meth:`_predict` walk.

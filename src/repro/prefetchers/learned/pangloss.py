@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.storage import pangloss_storage
 
 
@@ -169,11 +169,12 @@ class PanglossPrefetcher(Prefetcher):
 
     # -- event protocol ------------------------------------------------------
 
-    def on_access(self, info: DemandInfo) -> List[int]:
-        if info.l1_hit:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
+        if l1_hit:
             return []  # the chain correlates the miss stream
-        page = info.line >> self._page_shift
-        offset = info.line & self._offset_mask
+        page = line >> self._page_shift
+        offset = line & self._offset_mask
 
         entry = self._pages.get(page)
         if entry is None:
@@ -202,9 +203,9 @@ class PanglossPrefetcher(Prefetcher):
             walk_offset += successor
             if not 0 <= walk_offset < self.config.lines_per_page:
                 break
-            line = page_base + walk_offset
-            if line != info.line and line not in candidates:
-                candidates.append(line)
+            target = page_base + walk_offset
+            if target != line and target not in candidates:
+                candidates.append(target)
             walk_delta = successor
         return candidates
 

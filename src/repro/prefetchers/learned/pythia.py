@@ -72,7 +72,7 @@ from typing import List, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import named_stream
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.storage import pythia_storage
 
 #: Feature names accepted in :attr:`PythiaConfig.feature_set`.
@@ -224,9 +224,10 @@ class PythiaPrefetcher(Prefetcher):
 
     # -- event protocol ------------------------------------------------------
 
-    def on_access(self, info: DemandInfo) -> List[int]:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> List[int]:
         # 1. Demand feedback: a touch on a tracked line resolves it.
-        record = self._inflight.pop(info.line, None)
+        record = self._inflight.pop(line, None)
         if record is not None:
             decision, issue_tick = record
             age = self._tick - issue_tick
@@ -235,20 +236,20 @@ class PythiaPrefetcher(Prefetcher):
                 self.config.reward_timely if age >= self.config.timely_age
                 else self.config.reward_late,
             )
-        if info.l1_hit:
+        if l1_hit:
             return []  # decisions ride the miss stream only
 
         # 2. Expire stale predictions, oldest first, in ledger order.
         while self._inflight:
-            line, (decision, issue_tick) = next(iter(self._inflight.items()))
+            stale, (decision, issue_tick) = next(iter(self._inflight.items()))
             if self._tick - issue_tick <= self.config.useless_age:
                 break
-            del self._inflight[line]
+            del self._inflight[stale]
             self._resolve(decision, self.config.reward_useless)
 
         # 3. Build the state.
-        page = info.line >> self._page_shift
-        offset = info.line & self._offset_mask
+        page = line >> self._page_shift
+        offset = line & self._offset_mask
         last_offset = self._pages.get(page)
         if last_offset is None:
             if len(self._pages) >= self.config.page_entries:
@@ -260,7 +261,7 @@ class PythiaPrefetcher(Prefetcher):
         if delta != 0:
             self._history.append(delta)
             del self._history[: -self.config.history_len]
-        state = self._state_key(info.pc, offset)
+        state = self._state_key(pc, offset)
 
         # 4. Q-row lookup (LRU).
         row = self._q.get(state)

@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.storage import markov_storage
 
 
@@ -59,10 +59,10 @@ class MarkovPrefetcher(Prefetcher):
         self._table: OrderedDict[int, list[int]] = OrderedDict()
         self._last_miss: int | None = None
 
-    def on_access(self, info: DemandInfo) -> list[int]:
-        if info.l1_hit:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> list[int]:
+        if l1_hit:
             return []  # the Markov model correlates the miss stream
-        line = info.line
 
         # Train: record `line` as the successor of the previous miss.
         previous = self._last_miss

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.common.bitops import is_power_of_two, log2_exact
 from repro.common.constants import DEFAULT_LINE_SIZE
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.storage import sms_storage
 
 
@@ -99,9 +99,10 @@ class SmsPrefetcher(Prefetcher):
 
     # -- event handlers --------------------------------------------------------
 
-    def on_access(self, info: DemandInfo) -> list[int]:
-        region = info.line >> self._region_shift
-        offset = info.line & self._offset_mask
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> list[int]:
+        region = line >> self._region_shift
+        offset = line & self._offset_mask
 
         generation = self._agt.get(region)
         if generation is not None:
@@ -117,11 +118,11 @@ class SmsPrefetcher(Prefetcher):
             return []
 
         # Trigger access: start a generation and stream any learned pattern.
-        generation = _Generation(info.pc, offset)
+        generation = _Generation(pc, offset)
         if len(self._filter) >= self.config.filter_entries:
             self._filter.popitem(last=False)  # silent drop, like hardware
         self._filter[region] = generation
-        return self._stream(region, info.pc, offset)
+        return self._stream(region, pc, offset)
 
     def on_l1_eviction(self, line: int) -> None:
         """A line left L1: close the generation of its region, if active."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.common.constants import LINE_SHIFT
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.storage import stride_storage
 
 _INITIAL = 0
@@ -77,18 +77,19 @@ class StridePrefetcher(Prefetcher):
         self.config = config or StrideConfig()
         self._table: OrderedDict[int, _RptEntry] = OrderedDict()
 
-    def on_access(self, info: DemandInfo) -> list[int]:
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> list[int]:
         table = self._table
-        entry = table.get(info.pc)
+        entry = table.get(pc)
         if entry is None:
             if len(table) >= self.config.table_entries:
                 table.popitem(last=False)
-            table[info.pc] = _RptEntry(info.address)
+            table[pc] = _RptEntry(address)
             return []
-        table.move_to_end(info.pc)
+        table.move_to_end(pc)
 
-        new_stride = info.address - entry.last_address
-        entry.last_address = info.address
+        new_stride = address - entry.last_address
+        entry.last_address = address
         matched = new_stride == entry.stride
 
         if entry.state == _INITIAL:
@@ -116,14 +117,17 @@ class StridePrefetcher(Prefetcher):
             return []
         # Predict degree strides ahead; only lines that differ from the
         # demand's own line are worth fetching.
-        current_line = info.line
         candidates: list[int] = []
-        address = info.address
+        target = address
         for _ in range(self.config.degree):
-            address += entry.stride
-            line = address >> LINE_SHIFT
-            if line != current_line and line >= 0 and line not in candidates:
-                candidates.append(line)
+            target += entry.stride
+            target_line = target >> LINE_SHIFT
+            if (
+                target_line != line
+                and target_line >= 0
+                and target_line not in candidates
+            ):
+                candidates.append(target_line)
         return candidates
 
     def storage_bits(self) -> int:

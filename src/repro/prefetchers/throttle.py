@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 
 if TYPE_CHECKING:
     from repro.trace.stream import Trace
@@ -116,12 +116,13 @@ class ThrottledPrefetcher(Prefetcher):
 
     # -- prefetcher interface --------------------------------------------------
 
-    def on_access(self, info: DemandInfo) -> list[int]:
-        if info.line in self._outstanding:
-            self._outstanding.discard(info.line)
+    def on_access(self, pc: int, line: int, address: int,
+                  l1_hit: bool) -> list[int]:
+        if line in self._outstanding:
+            self._outstanding.discard(line)
             self._used_in_interval += 1
         self._tick()
-        return self._filter(self.inner.on_access(info))
+        return self._filter(self.inner.on_access(pc, line, address, l1_hit))
 
     def on_trace(self, trace: Trace, line_shift: int) -> None:
         self.inner.on_trace(trace, line_shift)

@@ -35,10 +35,10 @@ steps out once.  The prefetcher's ``on_trace`` runs once, before the
 first event; a ``BLOCK_BEGIN`` is then skipped; every other event issues
 queued prefetches, drains completed fills, runs its own step (the demand
 path and ``on_access`` for a memory access, ``on_block_end`` for a
-block end), then enqueues the candidates it got back.  A hook the
-prefetcher's class does not override is not called at all, and
-``on_access`` skipped means no :class:`DemandInfo` is built; the issue,
-drain and eviction steps run the same either way.
+block end), then enqueues the candidates it got back.  ``on_access``
+gets four plain positional arguments, ``(pc, line, address, l1_hit)``.
+A hook the prefetcher's class does not override is not called at all;
+the issue, drain and eviction steps run the same either way.
 
 The readable specification of the same model is the object-per-event
 engine oracle in :mod:`repro.check.reference`, which runs on the
@@ -57,7 +57,7 @@ from time import perf_counter
 from repro import obs
 from repro.check import invariants
 from repro.common.bitops import log2_exact
-from repro.prefetchers.base import DemandInfo, Prefetcher, overrides
+from repro.prefetchers.base import Prefetcher, overrides
 from repro.sim.config import SimConfig
 from repro.sim.results import DemandClass, SimResult
 from repro.trace.events import BLOCK_BEGIN, MEMORY_ACCESS
@@ -176,12 +176,8 @@ class SimulationEngine:
 
         prefetcher.on_trace(trace, line_shift)
         columns = trace.columns()
-        for kind, icount, pc, payload, write in zip(
-            columns.kinds,
-            columns.icounts,
-            columns.pcs,
-            columns.payloads,
-            columns.writes,
+        for kind, icount, pc, payload in zip(
+            columns.kinds, columns.icounts, columns.pcs, columns.payloads
         ):
             if kind == BLOCK_BEGIN:
                 continue
@@ -221,21 +217,16 @@ class SimulationEngine:
                 n_demand += 1
 
                 latency = 0.0
-                if code == FAST_L1_HIT:
-                    info_l1_hit = True
-                    info_l2_hit = True
-                else:
+                l1_hit = code == FAST_L1_HIT
+                if not l1_hit:
                     n_l1_miss += 1
-                    info_l1_hit = False
                     if code < FAST_MEMORY:  # either L2-hit code
-                        info_l2_hit = True
                         latency = l2_extra
                         if code == FAST_L2_HIT_PREFETCH:
                             n_timely += 1
                         else:
                             n_plain_hit += 1
                     else:  # memory
-                        info_l2_hit = False
                         completion = in_flight_pop(line, None)
                         if completion is not None:
                             # Prefetch in flight: wait out the remainder.
@@ -292,16 +283,7 @@ class SimulationEngine:
                         evictions.clear()
 
                 if calls_access:
-                    candidates = on_access(
-                        DemandInfo(
-                            pc=pc,
-                            line=line,
-                            address=payload,
-                            is_write=bool(write),
-                            l1_hit=info_l1_hit,
-                            l2_hit=info_l2_hit,
-                        )
-                    )
+                    candidates = on_access(pc, line, payload, l1_hit)
             elif calls_block_end:  # BLOCK_END
                 candidates = on_block_end(payload)
 

@@ -5,7 +5,6 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.core.hybrid import CbwsSmsPrefetcher
 from repro.core.prefetcher import CbwsPrefetcher
-from repro.prefetchers.base import DemandInfo
 from repro.sim.config import REDUCED_CONFIG
 from repro.sim.engine import simulate
 from repro.trace.events import BlockBegin, BlockEnd, MemoryAccess
@@ -13,10 +12,8 @@ from repro.trace.stream import Trace
 
 
 def access(line, pc=0x400000, l1_hit=False):
-    return DemandInfo(
-        pc=pc, line=line, address=line * 64,
-        is_write=False, l1_hit=l1_hit, l2_hit=l1_hit,
-    )
+    """``on_access`` arguments for an access to ``line``."""
+    return pc, line, line * 64, l1_hit
 
 
 def block_trace(blocks, block_id=0, before=()):
@@ -52,7 +49,7 @@ class TestStandalone:
         prefetcher = CbwsPrefetcher()
         prefetcher.on_trace(block_trace([], before=range(100, 140)), 6)
         for line in range(100, 140):
-            assert prefetcher.on_access(access(line)) == []
+            assert prefetcher.on_access(*access(line)) == []
         predictor = prefetcher.stream.predictor
         assert predictor.stats.blocks_completed == 0
         assert predictor.current.lines == []
@@ -61,7 +58,7 @@ class TestStandalone:
         """CBWS only issues at BLOCK_END, never mid-block."""
         prefetcher = CbwsPrefetcher()
         prefetcher.on_trace(block_trace([[1]]), 6)
-        assert prefetcher.on_access(access(1)) == []
+        assert prefetcher.on_access(*access(1)) == []
 
     def test_predicts_on_steady_blocks(self):
         prefetcher = CbwsPrefetcher()
@@ -114,11 +111,11 @@ class TestHybrid:
     def test_sms_trains_outside_blocks(self):
         hybrid = CbwsSmsPrefetcher()
         # Train SMS with a full generation outside any block.
-        hybrid.on_access(access(64, pc=9))
-        hybrid.on_access(access(67, pc=9))
+        hybrid.on_access(*access(64, pc=9))
+        hybrid.on_access(*access(67, pc=9))
         hybrid.on_l1_eviction(64)
         # The trigger on a new region streams the learned pattern.
-        assert hybrid.on_access(access(128, pc=9)) == [131]
+        assert hybrid.on_access(*access(128, pc=9)) == [131]
 
     def test_cbws_predictions_take_priority(self):
         hybrid = CbwsSmsPrefetcher()
@@ -133,18 +130,18 @@ class TestHybrid:
         # Teach SMS a pattern whose streamed line collides with `owned`.
         region_base = (owned >> 5) << 5
         trigger = region_base + ((owned + 1) & 31)
-        hybrid.on_access(access(trigger, pc=77))
-        hybrid.on_access(access(owned, pc=77))
+        hybrid.on_access(*access(trigger, pc=77))
+        hybrid.on_access(*access(owned, pc=77))
         hybrid.on_l1_eviction(trigger)
-        streamed = hybrid.on_access(access(trigger, pc=77))
+        streamed = hybrid.on_access(*access(trigger, pc=77))
         assert owned not in streamed
 
     def test_sms_flows_when_cbws_has_no_claim(self):
         hybrid = CbwsSmsPrefetcher()
-        hybrid.on_access(access(64, pc=9))
-        hybrid.on_access(access(70, pc=9))
+        hybrid.on_access(*access(64, pc=9))
+        hybrid.on_access(*access(70, pc=9))
         hybrid.on_l1_eviction(64)
-        assert hybrid.on_access(access(256, pc=9)) == [262]
+        assert hybrid.on_access(*access(256, pc=9)) == [262]
 
     def test_storage_is_sum_of_parts(self):
         hybrid = CbwsSmsPrefetcher()

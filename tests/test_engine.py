@@ -4,7 +4,7 @@ import pytest
 
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.none import NoPrefetcher
 from repro.sim.config import CoreConfig, PrefetchPathConfig, SimConfig
 from repro.sim.engine import simulate
@@ -44,7 +44,7 @@ class _ScriptedPrefetcher(Prefetcher):
         self.candidates = list(candidates)
         self.fired = False
 
-    def on_access(self, info: DemandInfo):
+    def on_access(self, pc, line, address, l1_hit):
         if not self.fired:
             self.fired = True
             return list(self.candidates)
@@ -236,7 +236,7 @@ class _Recorder(Prefetcher):
         self.candidates = list(candidates)
         self.accesses = 0
 
-    def on_access(self, info):
+    def on_access(self, pc, line, address, l1_hit):
         self.accesses += 1
         return list(self.candidates) if self.accesses == 1 else []
 
@@ -298,24 +298,46 @@ class TestHookSkip:
         assert fast.prefetches_issued == 1
         assert fast.to_dict() == reference.to_dict()
 
-    def test_no_prefetch_builds_no_demand_info(self, monkeypatch):
-        import repro.sim.engine as engine
+    def test_on_access_gets_four_plain_arguments(self, monkeypatch):
+        """Each access reaches ``on_access`` as the positional values
+        ``(pc, line, address, l1_hit)``, the same stream on both
+        engines; a prefetcher without an ``on_access`` gets no call."""
+        from repro.check.reference import run_reference
+        from repro.sim.engine import SimulationEngine
 
-        built = []
+        class ArgsRecorder(Prefetcher):
+            name = "args-recorder"
 
-        class CountingInfo(DemandInfo):
-            __slots__ = ()
+            def __init__(self):
+                self.calls = []
 
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+            def on_access(self, *args):
+                self.calls.append(args)
+                return []
 
-        monkeypatch.setattr(engine, "DemandInfo", CountingInfo)
         trace = _blocks_and_evictions_trace()
+        fast = ArgsRecorder()
+        simulate(tiny_config(), fast, trace)
+        assert len(fast.calls) == 25
+        assert all(len(args) == 4 for args in fast.calls)
+        assert all(
+            line == address >> 6 and type(l1_hit) is bool
+            for _, line, address, l1_hit in fast.calls
+        )
+        assert {l1_hit for *_, l1_hit in fast.calls} == {True, False}
+        reference = ArgsRecorder()
+        run_reference(SimulationEngine(tiny_config(), reference), trace)
+        assert reference.calls == fast.calls
+
+        base_calls = []
+
+        def on_access(self, *args):
+            base_calls.append(args)
+            return []
+
+        monkeypatch.setattr(Prefetcher, "on_access", on_access)
         simulate(tiny_config(), NoPrefetcher(), trace)
-        assert built == []
-        simulate(tiny_config(), _Recorder(), trace)
-        assert len(built) == 25
+        assert base_calls == []
 
 
 class TestResultMetadata:

@@ -4,22 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo
 from repro.prefetchers.ghb import GhbConfig, GhbPrefetcher, GlobalHistoryBuffer
 
 
 def miss(pc, line):
-    return DemandInfo(
-        pc=pc, line=line, address=line * 64,
-        is_write=False, l1_hit=False, l2_hit=False,
-    )
+    """``on_access`` arguments for an L1 miss on ``line``."""
+    return pc, line, line * 64, False
 
 
 def l1_hit(pc, line):
-    return DemandInfo(
-        pc=pc, line=line, address=line * 64,
-        is_write=False, l1_hit=True, l2_hit=True,
-    )
+    """``on_access`` arguments for an L1 hit on ``line``."""
+    return pc, line, line * 64, True
 
 
 class TestBuffer:
@@ -99,7 +94,7 @@ class TestDeltaCorrelation:
         prefetcher = GhbPrefetcher(GhbConfig(mode="pc", degree=3))
         candidates = []
         for k in range(6):
-            candidates = prefetcher.on_access(miss(1, 100 + 16 * k))
+            candidates = prefetcher.on_access(*miss(1, 100 + 16 * k))
         # Most-recent-match replay: only the delta between the match and
         # the head remains, so the constant stream predicts one line.
         assert candidates == [196]
@@ -109,42 +104,42 @@ class TestDeltaCorrelation:
         # Deltas cycle 1, 1, 10.
         lines = [0, 1, 2, 12, 13, 14, 24, 25]
         for line in lines:
-            candidates = prefetcher.on_access(miss(1, line))
+            candidates = prefetcher.on_access(*miss(1, line))
         # History (1, 1) last seen followed by 10, 1, 1.
         assert candidates == [26, 36, 37]
 
     def test_hits_do_not_train(self):
         prefetcher = GhbPrefetcher(GhbConfig(mode="pc"))
         for k in range(6):
-            assert prefetcher.on_access(l1_hit(1, 100 + k * 16)) == []
+            assert prefetcher.on_access(*l1_hit(1, 100 + k * 16)) == []
         assert len(prefetcher.buffer) == 0
 
     def test_too_short_history_is_silent(self):
         prefetcher = GhbPrefetcher(GhbConfig(mode="pc"))
-        assert prefetcher.on_access(miss(1, 0)) == []
-        assert prefetcher.on_access(miss(1, 16)) == []
+        assert prefetcher.on_access(*miss(1, 0)) == []
+        assert prefetcher.on_access(*miss(1, 16)) == []
 
     def test_global_mode_mixes_pcs(self):
         prefetcher = GhbPrefetcher(GhbConfig(mode="global", degree=2))
         # Two PCs interleave into one global +8 stream.
         candidates = []
         for k in range(8):
-            candidates = prefetcher.on_access(miss(k % 2, k * 8))
+            candidates = prefetcher.on_access(*miss(k % 2, k * 8))
         assert candidates == [64]
 
     def test_pc_mode_separates_pcs(self):
         prefetcher = GhbPrefetcher(GhbConfig(mode="pc", degree=1))
         for k in range(4):
-            prefetcher.on_access(miss(1, k * 16))
-            candidates = prefetcher.on_access(miss(2, 1000 + k * 4))
+            prefetcher.on_access(*miss(1, k * 16))
+            candidates = prefetcher.on_access(*miss(2, 1000 + k * 4))
         assert candidates == [1000 + 4 * 4]
 
     def test_reset(self):
         prefetcher = GhbPrefetcher()
         for k in range(6):
-            prefetcher.on_access(miss(1, k * 16))
+            prefetcher.on_access(*miss(1, k * 16))
         prefetcher.reset()
-        assert prefetcher.on_access(miss(1, 0)) == []
+        assert prefetcher.on_access(*miss(1, 0)) == []
 
 
 class TestConfigAndStorage:

@@ -22,7 +22,6 @@ from repro.harness.registry import (
     make_prefetcher,
     parse_prefetcher_name,
 )
-from repro.prefetchers.base import DemandInfo
 from repro.prefetchers.learned import (
     PanglossConfig,
     PanglossPrefetcher,
@@ -45,14 +44,14 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 _BASE_LINE = 4096
 
 
-def _miss(pc: int, line: int) -> DemandInfo:
-    return DemandInfo(pc=pc, line=line, address=line << 6,
-                      is_write=False, l1_hit=False, l2_hit=False)
+def _miss(pc: int, line: int) -> tuple:
+    """``on_access`` arguments for an L1 miss on ``line``."""
+    return pc, line, line << 6, False
 
 
-def _hit(pc: int, line: int) -> DemandInfo:
-    return DemandInfo(pc=pc, line=line, address=line << 6,
-                      is_write=False, l1_hit=True, l2_hit=True)
+def _hit(pc: int, line: int) -> tuple:
+    """``on_access`` arguments for an L1 hit on ``line``."""
+    return pc, line, line << 6, True
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +76,7 @@ class TestPanglossMechanics:
 
     def test_learns_unit_stride_and_chains_to_degree(self):
         p = PanglossPrefetcher()
-        outs = [p.on_access(_miss(0x400, _BASE_LINE + i)) for i in range(10)]
+        outs = [p.on_access(*_miss(0x400, _BASE_LINE + i)) for i in range(10)]
         # Access 0 is page-new, access 1 records the first delta; from
         # access 2 the (+1 -> +1) row exists and the chain walk emits
         # `degree` successive in-page lines.
@@ -89,17 +88,17 @@ class TestPanglossMechanics:
     def test_l1_hits_are_invisible(self):
         p = PanglossPrefetcher()
         for i in range(6):
-            p.on_access(_miss(0x400, _BASE_LINE + i))
-        assert p.on_access(_hit(0x400, _BASE_LINE + 50)) == []
+            p.on_access(*_miss(0x400, _BASE_LINE + i))
+        assert p.on_access(*_hit(0x400, _BASE_LINE + 50)) == []
         # The hit neither trained nor moved the page tracker: the miss
         # stream resumes exactly where it left off.
-        assert p.on_access(_miss(0x400, _BASE_LINE + 6))[0] == _BASE_LINE + 7
+        assert p.on_access(*_miss(0x400, _BASE_LINE + 6))[0] == _BASE_LINE + 7
 
     def test_chain_stops_at_page_boundary(self):
         p = PanglossPrefetcher()
         last = PanglossConfig().lines_per_page - 1
         outs = [
-            p.on_access(_miss(0x400, _BASE_LINE + last - 4 + i))
+            p.on_access(*_miss(0x400, _BASE_LINE + last - 4 + i))
             for i in range(5)
         ]
         # At the page's last line every successor is out-of-page.
@@ -111,7 +110,7 @@ class TestPanglossMechanics:
         config = PanglossConfig(counter_max=2, row_slots=2)
         p = PanglossPrefetcher(config)
         for i in range(8):
-            p.on_access(_miss(0x400, _BASE_LINE + i))
+            p.on_access(*_miss(0x400, _BASE_LINE + i))
         # Counts saturate at counter_max and halve instead of growing.
         slots = dict(p.row_of(1))
         assert slots and all(
@@ -129,7 +128,7 @@ class TestPanglossMechanics:
         outs = []
         for delta in pattern:
             line += delta
-            outs.append(p.on_access(_miss(0x400, line)))
+            outs.append(p.on_access(*_miss(0x400, line)))
         assert outs[-1] == []
 
     def test_storage_matches_estimate(self):
@@ -141,9 +140,9 @@ class TestPanglossMechanics:
 
     def test_reset_forgets_everything(self):
         p = PanglossPrefetcher()
-        first = [p.on_access(_miss(0x400, _BASE_LINE + i)) for i in range(8)]
+        first = [p.on_access(*_miss(0x400, _BASE_LINE + i)) for i in range(8)]
         p.reset()
-        again = [p.on_access(_miss(0x400, _BASE_LINE + i)) for i in range(8)]
+        again = [p.on_access(*_miss(0x400, _BASE_LINE + i)) for i in range(8)]
         assert first == again
 
 
@@ -166,7 +165,7 @@ class TestPythiaMechanics:
                               actions=(-1, 0, 1), alpha=0.5, epsilon=0.0,
                               timely_age=1, useless_age=4)
         p = PythiaPrefetcher(config)
-        outs = [p.on_access(_miss(0x500, _BASE_LINE + i)) for i in range(40)]
+        outs = [p.on_access(*_miss(0x500, _BASE_LINE + i)) for i in range(40)]
         for index in range(35, 40):
             assert outs[index] == [_BASE_LINE + index + 1]
 
@@ -174,7 +173,7 @@ class TestPythiaMechanics:
         config = PythiaConfig(inflight_entries=4)
         p = PythiaPrefetcher(config)
         for i in range(200):
-            p.on_access(_miss(0x500 + (i % 7) * 4, _BASE_LINE + (i * 3) % 512))
+            p.on_access(*_miss(0x500 + (i % 7) * 4, _BASE_LINE + (i * 3) % 512))
         assert p.outstanding <= config.inflight_entries
 
     def test_determinism_and_reset(self):
@@ -182,11 +181,11 @@ class TestPythiaMechanics:
         second = PythiaPrefetcher()
         stream = [(0x500 + (i % 5) * 4, _BASE_LINE + (i * 7) % 256)
                   for i in range(300)]
-        out_first = [first.on_access(_miss(pc, ln)) for pc, ln in stream]
-        out_second = [second.on_access(_miss(pc, ln)) for pc, ln in stream]
+        out_first = [first.on_access(*_miss(pc, ln)) for pc, ln in stream]
+        out_second = [second.on_access(*_miss(pc, ln)) for pc, ln in stream]
         assert out_first == out_second
         first.reset()
-        assert [first.on_access(_miss(pc, ln)) for pc, ln in stream] == out_first
+        assert [first.on_access(*_miss(pc, ln)) for pc, ln in stream] == out_first
 
     def test_distinct_seeds_explore_differently(self):
         config = PythiaConfig(epsilon=0.5)
@@ -197,7 +196,7 @@ class TestPythiaMechanics:
                 PythiaConfig(epsilon=0.5, seed=seed,
                              actions=config.actions)
             )
-            outs.append([p.on_access(_miss(pc, ln)) for pc, ln in stream])
+            outs.append([p.on_access(*_miss(pc, ln)) for pc, ln in stream])
         assert outs[0] != outs[1]
 
     def test_storage_matches_estimate(self):

@@ -12,7 +12,6 @@ from repro.core.predictor import (
     predict_trace,
 )
 from repro.core.prefetcher import CbwsPrefetcher
-from repro.prefetchers.base import DemandInfo
 from repro.trace.events import (
     BLOCK_BEGIN,
     BLOCK_END,
@@ -214,8 +213,8 @@ class TestHistoryState:
 
 
 def access(line):
-    return DemandInfo(pc=0, line=line, address=line << 6, is_write=False,
-                      l1_hit=True, l2_hit=False)
+    """``on_access`` arguments for an L1 hit on ``line``."""
+    return 0, line, line << 6, True
 
 
 @st.composite
@@ -265,9 +264,9 @@ class TestMatchesOracle:
                 predictor.block_begin(block_id)
                 oracle.on_block_begin(block_id)
                 for base in bases:
-                    info = access((base + stride * n) % (1 << 20))
-                    predictor.memory_access(info.line)
-                    assert oracle.on_access(info) == []
+                    line = (base + stride * n) % (1 << 20)
+                    predictor.memory_access(line)
+                    assert oracle.on_access(*access(line)) == []
                 overflowed = oracle.overflowed
                 got = predictor.block_end()
                 want = oracle.on_block_end(block_id)

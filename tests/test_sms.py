@@ -3,22 +3,19 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo
 from repro.prefetchers.sms import SmsConfig, SmsPrefetcher
 
 
 def access(pc, line):
-    return DemandInfo(
-        pc=pc, line=line, address=line * 64,
-        is_write=False, l1_hit=False, l2_hit=False,
-    )
+    """``on_access`` arguments for an L1 miss on ``line``."""
+    return pc, line, line * 64, False
 
 
 def train_region(prefetcher, pc, base_line, offsets):
     """Run one full generation: touch the lines, then end it by evicting
     the trigger line from L1."""
     for offset in offsets:
-        prefetcher.on_access(access(pc, base_line + offset))
+        prefetcher.on_access(*access(pc, base_line + offset))
     prefetcher.on_l1_eviction(base_line + offsets[0])
 
 
@@ -47,7 +44,7 @@ class TestGenerationLifecycle:
 
     def test_single_access_region_still_trains_via_filter(self):
         prefetcher = SmsPrefetcher()
-        prefetcher.on_access(access(7, 64))
+        prefetcher.on_access(*access(7, 64))
         prefetcher.on_l1_eviction(64)
         assert prefetcher.learned_pattern(7, 0) == 1
 
@@ -55,27 +52,27 @@ class TestGenerationLifecycle:
         prefetcher = SmsPrefetcher()
         train_region(prefetcher, pc=7, base_line=64, offsets=[0, 3, 9])
         # Same trigger (pc, offset 0) on a new region streams the pattern.
-        candidates = prefetcher.on_access(access(7, 128))
+        candidates = prefetcher.on_access(*access(7, 128))
         assert sorted(candidates) == [131, 137]  # trigger line excluded
 
     def test_different_trigger_offset_is_different_pattern(self):
         prefetcher = SmsPrefetcher()
         train_region(prefetcher, pc=7, base_line=64, offsets=[0, 3])
-        assert prefetcher.on_access(access(7, 128 + 5)) == []
+        assert prefetcher.on_access(*access(7, 128 + 5)) == []
 
     def test_different_pc_is_different_pattern(self):
         prefetcher = SmsPrefetcher()
         train_region(prefetcher, pc=7, base_line=64, offsets=[0, 3])
-        assert prefetcher.on_access(access(8, 128)) == []
+        assert prefetcher.on_access(*access(8, 128)) == []
 
     def test_agt_capacity_eviction_still_trains(self):
         prefetcher = SmsPrefetcher(SmsConfig(agt_entries=1, filter_entries=1))
         # Region A promoted to the 1-entry AGT, then region B's promotion
         # evicts it; A's partial pattern must still reach the PHT.
-        prefetcher.on_access(access(1, 0))
-        prefetcher.on_access(access(1, 2))       # promote A
-        prefetcher.on_access(access(2, 320))
-        prefetcher.on_access(access(2, 322))     # promote B, evict A
+        prefetcher.on_access(*access(1, 0))
+        prefetcher.on_access(*access(1, 2))       # promote A
+        prefetcher.on_access(*access(2, 320))
+        prefetcher.on_access(*access(2, 322))     # promote B, evict A
         assert prefetcher.learned_pattern(1, 0) == 0b101
 
     def test_eviction_of_untracked_region_is_noop(self):
@@ -90,8 +87,8 @@ class TestRegionGeometry:
         stencil exploits."""
         prefetcher = SmsPrefetcher()
         last_line_of_region = 31
-        prefetcher.on_access(access(1, last_line_of_region))
-        prefetcher.on_access(access(1, last_line_of_region + 1))
+        prefetcher.on_access(*access(1, last_line_of_region))
+        prefetcher.on_access(*access(1, last_line_of_region + 1))
         prefetcher.on_l1_eviction(last_line_of_region)
         prefetcher.on_l1_eviction(last_line_of_region + 1)
         assert prefetcher.learned_pattern(1, 31) == 1 << 31

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo
 from repro.prefetchers.stride import (
     StrideConfig,
     StridePrefetcher,
@@ -15,10 +14,8 @@ from repro.prefetchers.stride import (
 
 
 def access(pc, address, l1_hit=False):
-    return DemandInfo(
-        pc=pc, line=address >> 6, address=address,
-        is_write=False, l1_hit=l1_hit, l2_hit=False,
-    )
+    """``on_access`` arguments for an access to byte ``address``."""
+    return pc, address >> 6, address, l1_hit
 
 
 class TestConfig:
@@ -37,42 +34,42 @@ class TestConfig:
 class TestStateMachine:
     def test_warmup_takes_three_accesses(self):
         prefetcher = StridePrefetcher()
-        assert prefetcher.on_access(access(1, 0)) == []
-        assert prefetcher.on_access(access(1, 1024)) == []
+        assert prefetcher.on_access(*access(1, 0)) == []
+        assert prefetcher.on_access(*access(1, 1024)) == []
         # Third access confirms the stride: prediction fires.
-        assert prefetcher.on_access(access(1, 2048)) != []
+        assert prefetcher.on_access(*access(1, 2048)) != []
         assert prefetcher.entry_state(1) == (1024, _STEADY)
 
     def test_stride_change_silences(self):
         prefetcher = StridePrefetcher()
         for address in (0, 1024, 2048):
-            prefetcher.on_access(access(1, address))
-        assert prefetcher.on_access(access(1, 2048 + 640)) == []
+            prefetcher.on_access(*access(1, address))
+        assert prefetcher.on_access(*access(1, 2048 + 640)) == []
         assert prefetcher.entry_state(1)[1] == _INITIAL
 
     def test_two_changes_reach_no_pred(self):
         prefetcher = StridePrefetcher()
-        prefetcher.on_access(access(1, 0))
-        prefetcher.on_access(access(1, 100))   # stride 100, TRANSIENT
-        prefetcher.on_access(access(1, 350))   # stride 250, NO_PRED
+        prefetcher.on_access(*access(1, 0))
+        prefetcher.on_access(*access(1, 100))   # stride 100, TRANSIENT
+        prefetcher.on_access(*access(1, 350))   # stride 250, NO_PRED
         assert prefetcher.entry_state(1) == (250, _NO_PRED)
 
     def test_recovery_from_no_pred(self):
         prefetcher = StridePrefetcher()
-        prefetcher.on_access(access(1, 0))
-        prefetcher.on_access(access(1, 100))
-        prefetcher.on_access(access(1, 350))    # NO_PRED, stride 250
-        prefetcher.on_access(access(1, 600))    # matched -> TRANSIENT
+        prefetcher.on_access(*access(1, 0))
+        prefetcher.on_access(*access(1, 100))
+        prefetcher.on_access(*access(1, 350))    # NO_PRED, stride 250
+        prefetcher.on_access(*access(1, 600))    # matched -> TRANSIENT
         assert prefetcher.entry_state(1)[1] == _TRANSIENT
-        assert prefetcher.on_access(access(1, 850)) != []  # STEADY again
+        assert prefetcher.on_access(*access(1, 850)) != []  # STEADY again
 
 
 class TestPredictions:
     def test_predicts_degree_strides_ahead(self):
         prefetcher = StridePrefetcher(StrideConfig(degree=2))
         for address in (0, 1024):
-            prefetcher.on_access(access(1, address))
-        candidates = prefetcher.on_access(access(1, 2048))
+            prefetcher.on_access(*access(1, address))
+        candidates = prefetcher.on_access(*access(1, 2048))
         assert candidates == [(2048 + 1024) >> 6, (2048 + 2048) >> 6]
 
     def test_unit_word_stride_mostly_stays_in_line(self):
@@ -82,7 +79,7 @@ class TestPredictions:
         streaming code."""
         prefetcher = StridePrefetcher(StrideConfig(degree=2))
         per_access = [
-            prefetcher.on_access(access(1, k * 8)) for k in range(8)
+            prefetcher.on_access(*access(1, k * 8)) for k in range(8)
         ]
         # Steady from k=2; only the last two accesses (bytes 48 and 56,
         # within 16 bytes of the boundary) reach into the next line.
@@ -93,20 +90,20 @@ class TestPredictions:
     def test_zero_stride_never_predicts(self):
         prefetcher = StridePrefetcher()
         for _ in range(5):
-            candidates = prefetcher.on_access(access(1, 4096))
+            candidates = prefetcher.on_access(*access(1, 4096))
         assert candidates == []
 
     def test_negative_stride_supported(self):
         prefetcher = StridePrefetcher(StrideConfig(degree=1))
         for address in (8192, 7168, 6144):
-            candidates = prefetcher.on_access(access(1, address))
+            candidates = prefetcher.on_access(*access(1, address))
         assert candidates == [5120 >> 6]
 
     def test_streams_tracked_independently_per_pc(self):
         prefetcher = StridePrefetcher()
         for k in range(3):
-            prefetcher.on_access(access(1, k * 1024))
-            prefetcher.on_access(access(2, 65536 + k * 2048))
+            prefetcher.on_access(*access(1, k * 1024))
+            prefetcher.on_access(*access(2, 65536 + k * 2048))
         assert prefetcher.entry_state(1)[0] == 1024
         assert prefetcher.entry_state(2)[0] == 2048
 
@@ -114,15 +111,15 @@ class TestPredictions:
 class TestCapacity:
     def test_lru_replacement_of_streams(self):
         prefetcher = StridePrefetcher(StrideConfig(table_entries=2))
-        prefetcher.on_access(access(1, 0))
-        prefetcher.on_access(access(2, 0))
-        prefetcher.on_access(access(3, 0))  # evicts pc=1
+        prefetcher.on_access(*access(1, 0))
+        prefetcher.on_access(*access(2, 0))
+        prefetcher.on_access(*access(3, 0))  # evicts pc=1
         assert prefetcher.entry_state(1) is None
         assert prefetcher.entry_state(2) is not None
 
     def test_reset(self):
         prefetcher = StridePrefetcher()
-        prefetcher.on_access(access(1, 0))
+        prefetcher.on_access(*access(1, 0))
         prefetcher.reset()
         assert prefetcher.entry_state(1) is None
 

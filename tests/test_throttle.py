@@ -3,16 +3,14 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.prefetchers.base import DemandInfo, Prefetcher
+from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.throttle import ThrottleConfig, ThrottledPrefetcher
 from repro.trace.stream import Trace
 
 
 def access(line):
-    return DemandInfo(
-        pc=0x400000, line=line, address=line * 64,
-        is_write=False, l1_hit=False, l2_hit=False,
-    )
+    """``on_access`` arguments for an L1 miss on ``line``."""
+    return 0x400000, line, line * 64, False
 
 
 class _FixedPrefetcher(Prefetcher):
@@ -24,8 +22,8 @@ class _FixedPrefetcher(Prefetcher):
         self.fan = fan
         self.offset = offset
 
-    def on_access(self, info):
-        return [info.line + self.offset + k for k in range(self.fan)]
+    def on_access(self, pc, line, address, l1_hit):
+        return [line + self.offset + k for k in range(self.fan)]
 
 
 class TestConfig:
@@ -48,21 +46,21 @@ class TestQuota:
             _FixedPrefetcher(fan=8),
             ThrottleConfig(quota_levels=(0.25, 1.0), start_level=0),
         )
-        assert len(throttled.on_access(access(0))) == 2
+        assert len(throttled.on_access(*access(0))) == 2
 
     def test_full_quota_passes_everything(self):
         throttled = ThrottledPrefetcher(
             _FixedPrefetcher(fan=8),
             ThrottleConfig(quota_levels=(1.0,), start_level=0),
         )
-        assert len(throttled.on_access(access(0))) == 8
+        assert len(throttled.on_access(*access(0))) == 8
 
     def test_at_least_one_candidate_survives(self):
         throttled = ThrottledPrefetcher(
             _FixedPrefetcher(fan=2),
             ThrottleConfig(quota_levels=(0.25,), start_level=0),
         )
-        assert len(throttled.on_access(access(0))) == 1
+        assert len(throttled.on_access(*access(0))) == 1
 
 
 class TestFeedback:
@@ -75,7 +73,7 @@ class TestFeedback:
         # The predicted lines are never demanded: accuracy 0 each
         # interval, so the level falls to the floor.
         for k in range(64 * 4):
-            throttled.on_access(access(k))
+            throttled.on_access(*access(k))
         assert throttled.level < start
         assert throttled.level == 0
         assert throttled.feedback_log
@@ -89,7 +87,7 @@ class TestFeedback:
         # Unit-stride consumer: every predicted line (line+1) is demanded
         # on the next access, so accuracy is ~1.0 per interval.
         for k in range(64 * 4):
-            throttled.on_access(access(k))
+            throttled.on_access(*access(k))
         assert throttled.level == len(config.quota_levels) - 1
 
     def test_block_callbacks_forwarded(self):
@@ -115,7 +113,7 @@ class TestFeedback:
             _FixedPrefetcher(), ThrottleConfig(interval_accesses=8)
         )
         for k in range(40):
-            throttled.on_access(access(k))
+            throttled.on_access(*access(k))
         throttled.reset()
         assert throttled.feedback_log == []
         assert throttled.level == ThrottleConfig().start_level
