@@ -40,37 +40,6 @@ class ReuseProfile:
     accesses: int
     histogram: dict[int, int]
 
-    @property
-    def cold_fraction(self) -> float:
-        """Fraction of accesses that are first touches."""
-        if self.accesses == 0:
-            return 0.0
-        return self.histogram.get(COLD, 0) / self.accesses
-
-    def hit_ratio_at(self, capacity_lines: int) -> float:
-        """Hit ratio of a fully-associative LRU cache of that capacity."""
-        if self.accesses == 0:
-            return 0.0
-        hits = sum(
-            count for distance, count in self.histogram.items()
-            if distance != COLD and distance < capacity_lines
-        )
-        return hits / self.accesses
-
-    def working_set_lines(self, coverage: float = 0.9) -> int:
-        """Smallest LRU capacity achieving ``coverage`` of the maximum
-        achievable (non-cold) hit ratio."""
-        reuses = self.accesses - self.histogram.get(COLD, 0)
-        if reuses == 0:
-            return 0
-        target = coverage * reuses
-        covered = 0
-        for distance in sorted(d for d in self.histogram if d != COLD):
-            covered += self.histogram[distance]
-            if covered >= target:
-                return distance + 1
-        return max(d for d in self.histogram if d != COLD) + 1
-
 
 def reuse_profile(trace: Trace, max_tracked: int = 1 << 20) -> ReuseProfile:
     """Measure the LRU stack-distance histogram of a trace.

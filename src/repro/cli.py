@@ -1253,7 +1253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # Workers flush the journal per record (fsync'd) and telemetry in
+        # Workers flush the journal per record and telemetry in
         # their own finally blocks, so the interrupt just needs the
         # conventional exit status.
         print("interrupted", file=sys.stderr)

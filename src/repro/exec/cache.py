@@ -14,8 +14,11 @@ checksum of its canonical result payload.  ``get`` verifies both before
 deserializing — a bit-flipped, truncated, or stale-schema entry is
 *demoted to a miss* (logged, deleted, rebuilt by the caller) instead of
 crashing the run or, worse, silently poisoning it.  Writes are atomic
-and durable (temp file + fsync + ``os.replace``) so a crashed or
-concurrent writer can never leave a half-written entry.
+(temp file + ``os.replace``) so a crashed or concurrent writer can never
+leave a half-written entry under the final name.  They are not fsync'd:
+a finished write survives any process death, and an entry that a kernel
+crash or power cut truncates or loses fails its checksum or is absent,
+so the cell is simulated again (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -42,6 +45,24 @@ def _result_checksum(result_payload: dict) -> str:
     canonical = json.dumps(result_payload, sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` through a temp file and ``os.replace``.
+
+    Readers see the old file or the whole new one, never a prefix.  No
+    fsync: the callers (result-cache entries, the telemetry snapshot)
+    verify or can lose what they read back.  The temp file is unlinked
+    only when the replace did not happen.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -127,7 +148,7 @@ class ResultCache:
             return None
 
     def put(self, key: str, result: SimResult) -> None:
-        """Store one result atomically and durably.
+        """Store one result atomically (no fsync; see the module doc).
 
         A full disk (``ENOSPC``/``EDQUOT``) is escalated to
         :class:`~repro.common.errors.DiskFullError` — a *permanent*
@@ -144,18 +165,11 @@ class ResultCache:
             "checksum": _result_checksum(payload),
             "result": payload,
         }
-        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with open(temporary, "w") as handle:
-                handle.write(json.dumps(document, sort_keys=True))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, path)
+            _write_atomically(path, json.dumps(document, sort_keys=True))
         except OSError as error:
             raise_if_disk_full(error, f"result-cache entry {key[:12]}…")
             raise
-        finally:
-            temporary.unlink(missing_ok=True)
 
     def contains(self, key: str) -> bool:
         return self.path_for(key).exists()

@@ -17,7 +17,7 @@ Sites are plain strings checked by the code that owns them; a
     result is cached and journaled.
 ``journal.append``
     Checked (via :func:`mangle`) by :meth:`repro.exec.journal.RunJournal
-    .append` around the write+fsync of one record — shared by grid runs,
+    .append` around the write+flush of one record — shared by grid runs,
     campaigns, and the serve job journal, so ``torn`` here reproduces a
     torn *serve* journal too.
 ``serve.admit``

@@ -5,7 +5,7 @@ and without a durable record the whole campaign restarts from zero.  The
 journal fixes that: before any work runs, the *intent* (the full cell
 list and its content fingerprint) is committed to an append-only JSONL
 file, and every task outcome (done / quarantined / workload degraded) is
-appended behind it with an fsync.  ``repro run --resume <run-id>``
+appended behind it.  ``repro run --resume <run-id>``
 replays the journal, re-attaches completed cells through the result
 cache, carries forward quarantine and degradation decisions, and
 executes only the remainder.
@@ -20,6 +20,13 @@ at the first such line, treating everything before it as the durable
 truth.  Appends are atomic-enough by construction: a record is only
 trusted once its full line round-trips.
 
+Durability: each record is written and flushed to the kernel, never
+fsync'd.  A flushed record survives ``kill -9``, an OOM kill and
+``os._exit``; only a kernel crash or power cut can lose it, and then
+the lost tail reads as torn or missing and resume re-runs (or re-finds
+in the result cache) the cells it named.  DESIGN.md §8 tabulates what
+each write point can lose.
+
 Record kinds: ``run-started`` (intent: cells + fingerprint + params),
 ``run-resumed``, ``task-done`` (one completed cell),
 ``task-quarantined``, ``workload-degraded``, ``run-finished``.  Older
@@ -30,13 +37,13 @@ counts it as a record and reads nothing from it.
 from __future__ import annotations
 
 import json
-import os
 import time
 import uuid
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, BinaryIO, Callable, Iterable
 
 from repro.common.errors import JournalError, raise_if_disk_full
 from repro.exec import faults
@@ -128,8 +135,29 @@ def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     return records, torn
 
 
+def _open_for_append(path: Path) -> BinaryIO:
+    """Open a journal for appending, first cutting off any torn tail.
+
+    A record appended behind a torn line would be glued onto it, and
+    replay stops at the first bad line, so everything a resumed run
+    journals would be lost.  The cut keeps every record that
+    :func:`read_records` trusts, bar a last one that lacks its newline.
+    """
+    handle = open(path, "ab")
+    if handle.tell():
+        trusted = 0
+        for line in path.read_bytes().splitlines(keepends=True):
+            if not line.endswith(b"\n") or (line.strip() and _decode(
+                    line.decode("utf-8", errors="replace")) is None):
+                break
+            trusted += len(line)
+        if trusted < handle.tell():
+            handle.truncate(trusted)
+    return handle
+
+
 class RunJournal:
-    """Append-only, fsync'd journal of one run's task outcomes."""
+    """Append-only journal of one run's task outcomes."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
@@ -143,7 +171,7 @@ class RunJournal:
         return cls(Path(runs_root) / run_id / "journal.jsonl")
 
     def append(self, kind: str, **fields: Any) -> None:
-        """Durably append one record (write + flush + fsync).
+        """Append one record (write + flush, no fsync).
 
         The fault-injection site ``journal.append`` can tear this write
         in half: the truncated bytes are flushed first and the injected
@@ -159,12 +187,14 @@ class RunJournal:
         data, post_error = faults.mangle("journal.append", _encode(record))
         try:
             if self._handle is None:
-                self._handle = open(self.path, "ab")
+                self._handle = _open_for_append(self.path)
             self._handle.write(data)
             self._handle.flush()
-            os.fsync(self._handle.fileno())
         except OSError as error:
-            self.close()
+            # Closing re-flushes the buffered bytes and fails the same
+            # way; the first error is the one to classify.
+            with suppress(OSError):
+                self.close()
             raise_if_disk_full(error, f"journal record in {self.path.name}")
             raise
         if post_error is not None:
@@ -172,9 +202,9 @@ class RunJournal:
             raise post_error
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
     def __enter__(self) -> "RunJournal":
         return self

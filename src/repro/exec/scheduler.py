@@ -28,10 +28,10 @@ completion:
 
 Durability: when a :class:`~repro.exec.journal.RunJournal` is supplied,
 every outcome (cache hit, completed simulation, quarantine,
-degradation) is appended to it with an fsync, and a prior run's
-:class:`~repro.exec.journal.RunReplay` can be *carried* in: completed
-cells replay through the cache, and quarantine/degradation decisions are
-preserved instead of re-attempted.
+degradation) is appended to it (written and flushed, not fsync'd),
+and a prior run's :class:`~repro.exec.journal.RunReplay` can be
+*carried* in: completed cells replay through the cache, and
+quarantine/degradation decisions are preserved instead of re-attempted.
 
 ``jobs=1`` iterates each task in-process (no pool, no pickling), one
 trace at a time, and delivers each cell the moment it lands; a retry

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
+
+from repro.exec.cache import _write_atomically
 
 logger = logging.getLogger("repro.exec")
 
@@ -168,8 +169,8 @@ class ExecTelemetry:
     def persist(self, path: str | Path) -> None:
         """Write a JSON snapshot (summary + per-task timings).
 
-        The write is atomic (temp file + fsync + ``os.replace``): a crash
-        mid-flush leaves the previous snapshot intact rather than a
+        The write is atomic (temp file + ``os.replace``): a crash
+        mid-write leaves the previous snapshot intact rather than a
         truncated JSON file that would poison ``repro exec-stats``.
         """
         document = {
@@ -180,15 +181,8 @@ class ExecTelemetry:
         }
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        try:
-            with open(temporary, "w") as handle:
-                handle.write(json.dumps(document, indent=2, sort_keys=True))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, target)
-        finally:
-            temporary.unlink(missing_ok=True)
+        _write_atomically(target,
+                          json.dumps(document, indent=2, sort_keys=True))
 
 
 def load_stats(path: str | Path) -> dict[str, Any]:

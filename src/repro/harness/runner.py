@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.common.errors import ExecError
+from repro.common.errors import ExecError, JournalError
 from repro.exec.plan import SimNode, TraceNode
 from repro.metrics.aggregate import ResultGrid
 from repro.sim.config import REDUCED_CONFIG, SimConfig
@@ -245,9 +245,14 @@ class GridRunner:
                     "the run journal"
                 )
             carried = load_run(runs_root, self.resume)
+            if carried.fingerprint is None:
+                raise JournalError(
+                    f"run {self.resume!r} has no intact run-started "
+                    "record (a crash lost or cut its journal); run the "
+                    "grid again without --resume, and the cells the "
+                    "result cache still holds replay from it"
+                )
             if carried.fingerprint != fingerprint:
-                from repro.common.errors import JournalError
-
                 raise JournalError(
                     f"run {self.resume!r} was journaled for a different "
                     f"grid (fingerprint {carried.fingerprint} != "

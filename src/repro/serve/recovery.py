@@ -4,10 +4,13 @@ A broker crash (OOM kill, SIGKILL of a hung process, injected
 ``serve.job-finished:exit`` chaos) used to drop every accepted-but-
 unfinished job on the floor: the client would poll a job id the
 restarted process had never heard of, forever.  This module journals the
-broker's admission decisions through the same CRC-framed, fsync'd,
-torn-tail-tolerant machinery as grid runs
-(:mod:`repro.exec.journal`), so a restarted broker *re-admits* the
-journaled-but-unfinished jobs instead of forgetting them.
+broker's admission decisions through the same CRC-framed,
+torn-tail-tolerant machinery as grid runs (:mod:`repro.exec.journal`),
+so a restarted broker *re-admits* the journaled-but-unfinished jobs
+instead of forgetting them.  Records are flushed, not fsync'd: a
+broker process death loses none.  A job whose ``job-accepted`` an OS
+crash lost answers 404 after the restart, and a client with a
+``RetryPolicy`` resubmits it (:mod:`repro.serve.client`).
 
 Record kinds::
 

@@ -218,8 +218,3 @@ def trace_to_bytes(trace: Trace) -> bytes:
     buffer = io.BytesIO()
     _write(trace, buffer)
     return buffer.getvalue()
-
-
-def trace_from_bytes(data: bytes) -> Trace:
-    """Deserialize a trace from bytes produced by :func:`trace_to_bytes`."""
-    return _read(io.BytesIO(data))

@@ -4,12 +4,50 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.reuse import COLD, ReuseProfile
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.ir.nodes import ArrayDecl, Compute, For, Kernel, Load, Store
 from repro.ir.builder import c, v
 from repro.passes.annotate import annotate_tight_loops
 from repro.ir.interp import run_kernel
 from repro.trace.stream import Trace
+
+
+# -- reading a reuse profile --------------------------------------------------
+
+
+def cold_fraction(profile: ReuseProfile) -> float:
+    """Fraction of accesses that are first touches."""
+    if profile.accesses == 0:
+        return 0.0
+    return profile.histogram.get(COLD, 0) / profile.accesses
+
+
+def hit_ratio_at(profile: ReuseProfile, capacity_lines: int) -> float:
+    """Hit ratio of a fully-associative LRU cache of that capacity."""
+    if profile.accesses == 0:
+        return 0.0
+    hits = sum(
+        count for distance, count in profile.histogram.items()
+        if distance != COLD and distance < capacity_lines
+    )
+    return hits / profile.accesses
+
+
+def working_set_lines(profile: ReuseProfile, coverage: float = 0.9) -> int:
+    """Smallest LRU capacity achieving ``coverage`` of the maximum
+    achievable (non-cold) hit ratio."""
+    histogram = profile.histogram
+    reuses = profile.accesses - histogram.get(COLD, 0)
+    if reuses == 0:
+        return 0
+    target = coverage * reuses
+    covered = 0
+    for distance in sorted(d for d in histogram if d != COLD):
+        covered += histogram[distance]
+        if covered >= target:
+            return distance + 1
+    return max(d for d in histogram if d != COLD) + 1
 
 
 def make_stream_kernel(

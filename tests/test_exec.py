@@ -162,6 +162,20 @@ class TestResultCache:
         cache.path_for(key).write_text(json.dumps(document))
         assert cache.get(key) is None
 
+    def test_put_publishes_without_unlinking(self, tiny_runner, tmp_path,
+                                             monkeypatch):
+        # The temp file is renamed into place, so a successful put has
+        # nothing left to unlink.
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink",
+                            lambda path, missing_ok=False: unlinked.append(path))
+        cache = ResultCache(tmp_path)
+        key = sim_key("nw", "stride", 1.0, 0.05, 0, REDUCED_CONFIG)
+        cache.put(key, tiny_runner.run_one("nw", "stride"))
+        assert unlinked == []
+        assert [path.name for path in tmp_path.rglob("*")
+                if path.is_file()] == [f"{key}.json"]
+
     def test_clear(self, tiny_runner, tmp_path):
         cache = ResultCache(tmp_path)
         key = sim_key("nw", "stride", 1.0, 0.05, 0, REDUCED_CONFIG)

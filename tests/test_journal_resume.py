@@ -12,6 +12,7 @@ import repro
 from repro.cli import main
 from repro.common.errors import InjectedCrash, JournalError
 from repro.exec import faults
+from repro.exec.cache import ResultCache
 from repro.exec import telemetry as telemetry_module
 from repro.exec.faults import FaultSpec
 from repro.exec.journal import (
@@ -89,6 +90,21 @@ class TestJournalFormat:
         state = replay(journal.path)
         assert state.records == 2
         assert state.torn_lines == 1
+
+    def test_append_after_torn_tail_is_trusted(self, tmp_path):
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        journal.run_started("r1", "fp", [])
+        journal.close()
+        with open(journal.path, "ab") as handle:
+            handle.write(b'deadbeef {"kind": "task-done", "tr')  # mid-write
+
+        resumed = RunJournal(journal.path)
+        resumed.append("run-resumed", run_id="r1")
+        resumed.run_finished("complete")
+        resumed.close()
+        state = replay(journal.path)
+        assert (state.records, state.torn_lines) == (3, 0)
+        assert state.status == "complete"
 
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(JournalError, match="no run journal"):
@@ -203,6 +219,18 @@ class TestResume:
         with pytest.raises(JournalError, match="different grid"):
             other.run_grid(WORKLOADS, PREFETCHERS)
 
+    def test_resume_of_journal_without_intent_refused(
+            self, fresh_trace_cache, tmp_path):
+        # An OS crash can leave a run's journal empty; resume says what
+        # happened instead of reporting a fingerprint mismatch.
+        cache_dir = tmp_path / "crash"
+        self._crash_first_run(cache_dir)
+        (cache_dir / RUNS_DIRNAME / "r1" / "journal.jsonl").write_bytes(b"")
+        resumed = GridRunner(budget_fraction=0.02, jobs=1,
+                             cache_dir=cache_dir, resume="r1")
+        with pytest.raises(JournalError, match="without --resume"):
+            resumed.run_grid(WORKLOADS, PREFETCHERS)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_resume_needs_a_cache_dir(self, fresh_trace_cache, tmp_path,
                                       jobs):
@@ -283,6 +311,84 @@ class TestResume:
         summaries = list_runs(tmp_path / RUNS_DIRNAME)
         starts = [s.started_at for s in summaries]
         assert starts == sorted(starts, reverse=True)
+
+
+class TestLostWrites:
+    """Neither the result cache nor the journal fsyncs (DESIGN.md §8), so
+    an OS crash or power cut can lose any write the kernel had not yet
+    flushed.  What it loses must cost re-simulation, never a result."""
+
+    PREFETCHERS = ["no-prefetch", "stride", "ghb-pc/dc", "sms", "cbws"]
+
+    def _run(self, cache_dir, **kwargs):
+        return GridRunner(budget_fraction=0.02, jobs=1, cache_dir=cache_dir,
+                          **kwargs).run_grid(WORKLOADS, self.PREFETCHERS)
+
+    def test_resume_after_lost_writes_rebuilds_only_damaged_cells(
+            self, fresh_trace_cache, tmp_path):
+        reference = self._run(tmp_path / "ref", run_id="ref")
+        clear_trace_cache()
+        cache_dir = tmp_path / "crash"
+        faults.install(FaultSpec(site="task-done", kind="crash", at=4))
+        with pytest.raises(InjectedCrash):
+            self._run(cache_dir, run_id="r1")
+        faults.deactivate()
+        clear_trace_cache()
+
+        # Play the crash's lost writes: one cache entry never reached
+        # the disk, two were published but their data was not, and the
+        # journal lost the second half of its last record.
+        journal_path = cache_dir / RUNS_DIRNAME / "r1" / "journal.jsonl"
+        completed = list(replay(journal_path).completed.items())
+        assert len(completed) == 4
+        cache = ResultCache(cache_dir / "results")
+        (deleted, deleted_key), *truncated, (kept, _) = completed
+        cache.path_for(deleted_key).unlink()
+        for _, key in truncated:
+            os.truncate(cache.path_for(key), 0)
+        data = journal_path.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        journal_path.write_bytes(data[:last + (len(data) - last) // 2])
+        cut = replay(journal_path)
+        assert cut.torn_lines == 1
+        assert kept not in cut.completed
+
+        grid = self._run(cache_dir, resume="r1")
+        telemetry = telemetry_module.LAST_RUN
+        simulated = {timing.name for timing in telemetry.task_times}
+        never_run = [("nw", p) for p in self.PREFETCHERS
+                     if ("nw", p) not in dict(completed)]
+        damaged = [deleted, *(cell for cell, _ in truncated)]
+        assert simulated == {f"sim:{w}:{p}" for w, p in damaged + never_run}
+        assert telemetry.cache_hits == 1  # the kept cell, unjournaled
+
+        ref_json = tmp_path / "ref.json"
+        res_json = tmp_path / "res.json"
+        write_json(reference, ref_json, budget_fraction=0.02)
+        write_json(grid, res_json, budget_fraction=0.02)
+        assert ref_json.read_bytes() == res_json.read_bytes()
+        assert load_run(cache_dir / RUNS_DIRNAME, "r1").status == "complete"
+
+    def test_fsync_calls_do_not_grow_with_cells(self, fresh_trace_cache,
+                                                tmp_path, monkeypatch):
+        # Earlier versions fsync'd every cache entry and journal record,
+        # two calls per simulated cell; DESIGN.md §8 keeps no barrier.
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        counts = []
+        for size in (1, len(self.PREFETCHERS)):
+            before = len(calls)
+            GridRunner(budget_fraction=0.02, jobs=1,
+                       cache_dir=tmp_path / str(size)).run_grid(
+                WORKLOADS, self.PREFETCHERS[:size])
+            counts.append(len(calls) - before)
+        assert counts == [0, 0]
 
 
 class TestCli:

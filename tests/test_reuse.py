@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import cold_fraction, hit_ratio_at, working_set_lines
 from repro.analysis.reuse import COLD, reuse_profile
 from repro.harness.runner import GridRunner
 from repro.trace.events import MemoryAccess
@@ -20,7 +21,7 @@ class TestStackDistance:
     def test_first_touches_are_cold(self):
         profile = reuse_profile(trace_of([1, 2, 3]))
         assert profile.histogram == {COLD: 3}
-        assert profile.cold_fraction == 1.0
+        assert cold_fraction(profile) == 1.0
 
     def test_immediate_reuse_is_distance_zero(self):
         profile = reuse_profile(trace_of([7, 7, 7]))
@@ -54,7 +55,7 @@ class TestStackDistance:
                 elif len(cache) >= capacity:
                     cache.pop(0)
                 cache.append(line)
-            assert profile.hit_ratio_at(capacity) == pytest.approx(
+            assert hit_ratio_at(profile, capacity) == pytest.approx(
                 hits / len(lines)
             ), f"capacity {capacity}"
 
@@ -62,13 +63,13 @@ class TestStackDistance:
         # A loop over 8 lines: every reuse at distance 7.
         lines = list(range(8)) * 10
         profile = reuse_profile(trace_of(lines))
-        assert profile.working_set_lines() == 8
+        assert working_set_lines(profile) == 8
 
     def test_empty_trace(self):
         profile = reuse_profile(Trace("t", [], 0))
         assert profile.accesses == 0
-        assert profile.hit_ratio_at(100) == 0.0
-        assert profile.working_set_lines() == 0
+        assert hit_ratio_at(profile, 100) == 0.0
+        assert working_set_lines(profile) == 0
 
 
 class TestWorkloadFootprints:
@@ -86,9 +87,8 @@ class TestWorkloadFootprints:
         """libquantum's only reuse is spatial (within a line, distance
         ~0); the L2's extra capacity buys essentially nothing."""
         profile = reuse_profile(runner.trace("462.libquantum-ref"))
-        gain = profile.hit_ratio_at(self.L2_LINES) - profile.hit_ratio_at(
-            self.L1_LINES
-        )
+        gain = (hit_ratio_at(profile, self.L2_LINES)
+                - hit_ratio_at(profile, self.L1_LINES))
         assert gain < 0.05
 
     def test_resident_workload_exploits_l2(self):
@@ -98,8 +98,7 @@ class TestWorkloadFootprints:
         profile = reuse_profile(
             GridRunner(budget_fraction=0.4).trace("mxm-linpack")
         )
-        gain = profile.hit_ratio_at(self.L2_LINES) - profile.hit_ratio_at(
-            self.L1_LINES
-        )
+        gain = (hit_ratio_at(profile, self.L2_LINES)
+                - hit_ratio_at(profile, self.L1_LINES))
         assert gain > 0.03  # B-matrix re-walks land between L1 and L2
-        assert profile.hit_ratio_at(self.L2_LINES) > 0.95
+        assert hit_ratio_at(profile, self.L2_LINES) > 0.95

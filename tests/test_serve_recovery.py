@@ -79,32 +79,37 @@ class TestServeJournalReplay:
 
 
 class TestDiskFullClassification:
-    """ENOSPC/EDQUOT on durable writes must fail fast with remediation."""
+    """ENOSPC/EDQUOT on the cache and journal writes fail fast with
+    remediation; other I/O errors pass through unclassified."""
+
+    KEY = "ab" + "0" * 62
 
     def _result(self):
         from repro.sim.results import SimResult
 
         return SimResult(workload="nw", prefetcher="stride")
 
+    @staticmethod
+    def _failing_replace(code):
+        def replace(_source, _target):
+            raise OSError(code, os.strerror(code))
+
+        return replace
+
     @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EDQUOT])
     def test_cache_put_raises_disk_full(self, tmp_path, monkeypatch, code):
         cache = ResultCache(tmp_path / "results")
-
-        def full(_fd):
-            raise OSError(code, os.strerror(code))
-
-        monkeypatch.setattr(os, "fsync", full)
+        monkeypatch.setattr(os, "replace", self._failing_replace(code))
         with pytest.raises(DiskFullError) as caught:
-            cache.put("ab" + "0" * 62, self._result())
+            cache.put(self.KEY, self._result())
         assert "repro cache gc" in str(caught.value)
+        # The temp file the replace never published is gone too.
+        assert list((tmp_path / "results").rglob("*.tmp")) == []
 
-    def test_journal_append_raises_disk_full(self, tmp_path, monkeypatch):
-        journal = RunJournal(tmp_path / "run.journal.jsonl")
-
-        def full(_fd):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        monkeypatch.setattr(os, "fsync", full)
+    def test_journal_append_raises_disk_full(self):
+        # /dev/full fails every write with ENOSPC, as a full disk does;
+        # the append sees it when it flushes the record.
+        journal = RunJournal("/dev/full")
         with pytest.raises(DiskFullError) as caught:
             journal.append("task-done", task_id="t1")
         assert "repro cache gc" in str(caught.value)
@@ -112,13 +117,9 @@ class TestDiskFullClassification:
     def test_other_oserror_passes_through_unclassified(self, tmp_path,
                                                        monkeypatch):
         cache = ResultCache(tmp_path / "results")
-
-        def io_error(_fd):
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
-
-        monkeypatch.setattr(os, "fsync", io_error)
+        monkeypatch.setattr(os, "replace", self._failing_replace(errno.EIO))
         with pytest.raises(OSError) as caught:
-            cache.put("ab" + "0" * 62, self._result())
+            cache.put(self.KEY, self._result())
         assert not isinstance(caught.value, DiskFullError)
 
 

@@ -1,17 +1,20 @@
 """Round-trip and error-path tests for the binary trace format."""
 
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import TraceError
 from repro.trace.events import BlockBegin, BlockEnd, MemoryAccess
-from repro.trace.io import (
-    read_trace,
-    trace_from_bytes,
-    trace_to_bytes,
-    write_trace,
-)
+from repro.trace.io import _read, read_trace, trace_to_bytes, write_trace
 from repro.trace.stream import Trace
+
+
+def trace_from_bytes(data: bytes) -> Trace:
+    """Deserialize bytes from :func:`trace_to_bytes` with the decoder
+    behind :func:`read_trace`, without its file-path context."""
+    return _read(io.BytesIO(data))
 
 
 def simple_trace():

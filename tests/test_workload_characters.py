@@ -178,10 +178,11 @@ class TestLowGroupCharacters:
     cache-friendliness mechanisms."""
 
     def test_mxm_fits_the_l2(self, runner):
+        from conftest import hit_ratio_at
         from repro.analysis.reuse import reuse_profile
 
         profile = reuse_profile(runner.trace("mxm-linpack"))
-        assert profile.hit_ratio_at(2048) > 0.85
+        assert hit_ratio_at(profile, 2048) > 0.85
 
     def test_sjeng_probes_are_sparse(self, runner):
         """One transposition-table probe per position: the miss source
