@@ -4,7 +4,8 @@ These time the structures every grid simulation leans on — useful for
 keeping the pure-Python model fast enough to sweep all 30 benchmarks.
 """
 
-from repro.core.predictor import CbwsConfig, CbwsPredictor
+from repro.core.predictor import CbwsConfig, predict_trace
+from repro.harness.runner import GridRunner
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.prefetchers.ghb import GhbConfig, GhbPrefetcher
@@ -32,20 +33,19 @@ def bench_cache_access_throughput(benchmark):
 
 
 def bench_cbws_predictor_throughput(benchmark):
-    predictor = CbwsPredictor(CbwsConfig())
-    blocks = [
-        [80, 81, 6515 + 1024 * n, 4467 + 1024 * n, 5499 + 1024 * n]
-        for n in range(64)
-    ]
+    """Algorithm 1's prediction pass over one fig14-cold trace (stencil,
+    budget 0.03, data seed 1), as a CBWS simulation runs it."""
+    from repro.core import predictor as predictor_module
+
+    trace = GridRunner(budget_fraction=0.03, seed=1).trace("stencil-default")
+    config = CbwsConfig()
 
     def run():
-        for block in blocks:
-            predictor.block_begin(0)
-            for line in block:
-                predictor.memory_access(line)
-            predictor.block_end()
+        predictor_module._last_stream = None  # run the pass every round
+        return predict_trace(trace, config, 6)
 
-    benchmark(run)
+    stream = benchmark(run)
+    assert len(stream) and stream.predictor.stats.table_hits
 
 
 def _accesses(count):

@@ -8,15 +8,18 @@ constant differential.  This script prints:
 * the CBWS matrix (Figure 3) — rows are loop iterations, columns static
   instructions;
 * the differential matrix (Figure 4) — one constant stride vector;
-* the live CBWS predictor consuming the same stream and the point at
-  which its history table starts predicting entire future working sets.
+* the CBWS predictor run over those iterations and the point at which
+  its history table starts predicting entire future working sets.
 
 Run:  python examples/stencil_deep_dive.py
 """
 
-from repro import CbwsConfig, CbwsPredictor, GridRunner
+from repro import CbwsConfig, GridRunner
 from repro.analysis.differentials import extract_cbws_sequences
 from repro.core.cbws import differential
+from repro.core.predictor import predict_trace
+from repro.trace.events import BlockBegin, BlockEnd, MemoryAccess
+from repro.trace.stream import Trace
 
 
 def main() -> None:
@@ -43,18 +46,20 @@ def main() -> None:
               "paper")
 
     print("\nLive predictor (Algorithm 1):")
-    predictor = CbwsPredictor(CbwsConfig())
-    for n, cbws in enumerate(sequences[block_id][:16]):
-        predictor.block_begin(block_id)
-        for line in cbws:
-            predictor.memory_access(line)
-        predicted = predictor.block_end()
+    events = []
+    for cbws in sequences[block_id][:16]:
+        events.append(BlockBegin(0, block_id))
+        events += [MemoryAccess(0, 0, line << 6, False) for line in cbws]
+        events.append(BlockEnd(0, block_id))
+    stream = predict_trace(Trace("stencil-loop", events, 0), CbwsConfig(), 6)
+    for n in range(len(stream)):
+        predicted = stream.block(n)
         status = f"predicted {len(predicted):2d} lines" if predicted else (
             "no prediction (history warming up)"
         )
         print(f"  after iteration {n:2d}: {status}")
 
-    stats = predictor.stats
+    stats = stream.predictor.stats
     print(f"\nhistory-table hit rate: {stats.hit_rate:.0%} "
           f"({stats.table_hits}/{stats.table_lookups} lookups), "
           f"{stats.lines_predicted} lines predicted in total")

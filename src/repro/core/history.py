@@ -10,13 +10,12 @@ into a 16-bit tag and whose eviction policy is random (Table II).
 The predictor holds each register as a plain tuple of hashes (oldest
 first), so this module supplies the two pure functions of that state —
 :func:`hash_differential` and :func:`history_tag` — plus the table.  Both
-functions are written with inline arithmetic because the predictor calls
-them on the per-block path.
+functions are written with inline arithmetic; the predictor calls them
+only on a miss of its per-run memos.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Sequence
 
 from repro.common.bitops import mask
@@ -84,63 +83,29 @@ def history_tag(values: Sequence[int], hash_bits: int = CBWS_HASH_BITS,
 class DifferentialHistoryTable:
     """The 16-entry fully-associative tag -> differential-vector store.
 
-    Replacement is random (Table II: "History Table Repl. Random"),
-    driven by a seeded RNG for reproducibility.  Stored vectors are kept
-    as tuples of 16-bit two's-complement strides, exactly what the
-    hardware would hold.
+    ``_table`` maps a shift-register tag to the differential stored
+    under it, in insertion order.  Replacement is random (Table II:
+    "History Table Repl. Random"): when a new tag finds the table full,
+    the victim is ``rng.choice(list(_table))``, drawn from a seeded RNG
+    for reproducibility.  Stored vectors are tuples of 16-bit
+    two's-complement strides, exactly what the hardware would hold.
+    Algorithm 1 (:func:`repro.core.predictor.predict_trace`) probes and
+    trains the table; tags come from :func:`history_tag`, so they
+    already fit the tag width.
     """
 
-    def __init__(
-        self,
-        entries: int = 16,
-        tag_bits: int = 16,
-        rng: DeterministicRng | None = None,
-    ) -> None:
+    def __init__(self, entries: int = 16,
+                 rng: DeterministicRng | None = None) -> None:
         if entries <= 0:
             raise ConfigError("history table needs at least one entry")
         self.entries = entries
-        self.tag_bits = tag_bits
-        self._tag_mask = mask(tag_bits)
         # Default replacement randomness comes from a *named* seeded
         # stream, never module-level RNG state: two tables constructed
         # the same way must evict identically so differential runs
         # (implementation vs oracle) reproduce bit-for-bit.
         self._rng = rng or named_stream("cbws.history-table", 0xCB35)
-        self._table: OrderedDict[int, tuple[int, ...]] = OrderedDict()
-        self.lookups = 0
-        self.hits = 0
-
-    def lookup(self, tag: int) -> tuple[int, ...] | None:
-        """Probe the table; hit statistics feed the confidence policy."""
-        self.lookups += 1
-        value = self._table.get(tag & self._tag_mask)
-        if value is not None:
-            self.hits += 1
-        return value
-
-    def insert(self, tag: int, delta: Sequence[int]) -> None:
-        """Store a differential under ``tag``, evicting randomly if full."""
-        key = tag & self._tag_mask
-        if key not in self._table and len(self._table) >= self.entries:
-            victim = self._rng.choice(list(self._table.keys()))
-            del self._table[victim]
-        self._table[key] = tuple(delta)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit (prediction confidence proxy)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, tag: int) -> bool:
-        return (tag & self._tag_mask) in self._table
+        self._table: dict[int, tuple[int, ...]] = {}
 
     def clear(self) -> None:
-        """Drop all stored differentials and statistics."""
+        """Drop all stored differentials."""
         self._table.clear()
-        self.lookups = 0
-        self.hits = 0

@@ -1,8 +1,8 @@
 """Algorithm 1: differential CBWS prediction.
 
-The predictor receives the three hardware events — ``BLOCK_BEGIN``,
+The predictor follows the three hardware events — ``BLOCK_BEGIN``,
 ``MEMORY_ACCESS`` (for accesses committed inside a block) and
-``BLOCK_END`` — and maintains the Figure 8 structures:
+``BLOCK_END`` — over the Figure 8 structures:
 
 * on ``BLOCK_BEGIN`` the current-CBWS tracing is reset;
 * on each ``MEMORY_ACCESS`` the line is pushed into the current CBWS and
@@ -27,12 +27,23 @@ runs it once over a whole trace and records every BLOCK_END's output as
 one :class:`PredictionStream`, which the CBWS prefetchers replay; the
 last stream built is kept, so a second CBWS-family simulation of the
 same trace replays it without running Algorithm 1 again.
+
+The pass is one loop over the trace's ``kinds``/``payloads`` columns
+(:func:`_drive`), the only copy of Algorithm 1's per-event logic: the
+predictor's structures are read into locals on entry and written back
+on exit, so no event costs a method call.  Two per-run memos stand in
+for the hash and the register shift: one maps a differential tuple to
+its hash, the other maps ``(register, hash)`` to the shifted register
+and its tag.  Each holds at most :data:`MEMO_ENTRIES` entries and is
+emptied when full, so a pass's memory stays bounded on traces whose
+differentials never repeat.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +55,7 @@ from repro.common.constants import (
 )
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
-from repro.core.buffers import CurrentCbwsBuffer, LastBlocksBuffer
+from repro.core.buffers import CurrentCbwsBuffer
 from repro.core.history import (
     DifferentialHistoryTable,
     hash_differential,
@@ -54,6 +65,10 @@ from repro.trace.events import BLOCK_BEGIN, MEMORY_ACCESS
 
 if TYPE_CHECKING:
     from repro.trace.stream import Trace
+
+#: Capacity of each per-run memo of :func:`_drive`.  A memo that reaches
+#: it is emptied, so a pass's extra memory is bounded on any trace.
+MEMO_ENTRIES = 512
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,8 @@ class CbwsConfig:
             raise ConfigError("cbws: vector capacity must be positive")
         if self.history_depth <= 0:
             raise ConfigError("cbws: history_depth must be positive")
+        if self.table_entries < 1:
+            raise ConfigError("cbws: table_entries must be positive")
         if not 0 < self.line_addr_bits <= 64:
             raise ConfigError("cbws: line_addr_bits outside [1, 64]")
 
@@ -121,18 +138,16 @@ class PredictorStats:
 
 
 class CbwsPredictor:
-    """The CBWS differential predictor of Algorithm 1.
+    """The state of the CBWS differential predictor of Algorithm 1.
 
-    Per step the shift register is a tuple of hashed differentials
-    (oldest first) and ``_tags`` holds its table tag, written once per
-    BLOCK_END: the post-shift probe tag of one block is the training tag
-    of the next.  Two last-value shortcuts keep the steady state of a
-    regular loop cheap without any memo that grows with the trace: a
-    step whose differential equals its previous one reuses that hash,
-    and a register left unchanged by the shift (already full of that
-    same hash) keeps its tag.  They only pay off for loops whose
-    differentials repeat block after block; DESIGN.md §9 gives their hit
-    rates and gain per workload.
+    ``current`` is the current-CBWS FIFO, ``last_blocks`` the
+    predecessor CBWSs (``last_blocks[k - 1]`` is the block ``k``
+    completions back), ``table`` the differential history table.  Per
+    step, ``_current_diffs`` holds the differential being built,
+    ``_registers`` the shift register as a tuple of hashed
+    differentials (oldest first) and ``_tags`` its table tag: the
+    post-shift probe tag of one block is the training tag of the next.
+    :func:`predict_trace` runs Algorithm 1 over this state.
     """
 
     def __init__(self, config: CbwsConfig | None = None) -> None:
@@ -141,32 +156,20 @@ class CbwsPredictor:
         self.current = CurrentCbwsBuffer(
             config.max_vector_members, config.line_addr_bits
         )
-        self.last_blocks = LastBlocksBuffer(config.max_step)
+        self.last_blocks: deque[tuple[int, ...]] = deque(
+            maxlen=config.max_step)
         self.table = DifferentialHistoryTable(
-            config.table_entries,
-            config.tag_bits,
-            DeterministicRng(config.seed),
+            config.table_entries, DeterministicRng(config.seed)
         )
         self.stats = PredictorStats()
         self._current_diffs: list[list[int]] = [[] for _ in range(config.max_step)]
         self._block_id: int | None = None
-        self._line_mask = mask(config.line_addr_bits)
-        # Precomputed truncate/sign-extend constants for the per-access
-        # differential: sign_extend(bit_select(raw, b), b) is equivalent
-        # to ((raw & mask) ^ sign_bit) - sign_bit, with no calls.
-        self._stride_mask = mask(config.stride_bits)
-        self._stride_sign = 1 << (config.stride_bits - 1)
         self._empty_tag = history_tag((), config.hash_bits, config.tag_bits)
         self._registers: list[tuple[int, ...]] = []
         self._tags: list[int] = []
         self._clear_history()
-        # Last-value shortcuts, one slot per step (pure-function memos of
-        # bounded size, so they survive history flushes).
-        empty_hash = hash_differential((), config.hash_bits)
-        self._last_deltas: list[tuple[int, ...]] = [()] * config.max_step
-        self._last_hashes: list[int] = [empty_hash] * config.max_step
         #: Whether the most recent BLOCK_END produced at least one
-        #: table-hit prediction; the hybrid policy keys off this.
+        #: table hit (cleared when the static block id changes).
         self.confident = False
         #: Whether the most recent completed block overflowed the CBWS
         #: buffer (more distinct lines than fit).  An overflowed block's
@@ -177,131 +180,14 @@ class CbwsPredictor:
     def _clear_history(self) -> None:
         """Empty every shift register (their tags become the empty tag)."""
         steps = self.config.max_step
-        self._registers = [()] * steps
-        self._tags = [self._empty_tag] * steps
-
-    def _clear_block(self) -> None:
-        """Drop the current block's working set and differentials."""
-        self.current.clear()
-        for diffs in self._current_diffs:
-            diffs.clear()
-
-    # -- event protocol ----------------------------------------------------
-
-    def block_begin(self, block_id: int) -> None:
-        """BLOCK_BEGIN(id): reset per-block tracing.
-
-        A change of static block id means a different loop is now
-        executing; predecessor CBWSs and shift registers of the old loop
-        are meaningless for it, so the cross-block history is flushed
-        (the hardware holds a single context, Section V-A).
-        """
-        if block_id != self._block_id:
-            self.last_blocks.clear()
-            self._clear_history()
-            self._block_id = block_id
-            self.confident = False
-        current = self.current
-        if current.lines or current.overflowed:
-            self._clear_block()
-
-    def memory_access(self, line: int) -> None:
-        """A load/store committed inside the current block."""
-        current = self.current
-        index = current.push(line)
-        if index is None:
-            return  # repeated line, or the 16-entry buffer is full
-        truncated = current.lines[index]
-        stride_mask = self._stride_mask
-        stride_sign = self._stride_sign
-        # Predecessor k (1-based step) pairs with the step-k differential;
-        # missing predecessors simply end the iteration.  Lines arrive at
-        # consecutive indices, so each differential stays aligned with the
-        # working set and stops at the shorter of the two vectors.
-        for diffs, predecessor in zip(self._current_diffs,
-                                      self.last_blocks._blocks):
-            if index < len(predecessor):
-                raw = (truncated - predecessor[index]) & stride_mask
-                diffs.append((raw ^ stride_sign) - stride_sign)
-
-    def block_end(self) -> list[int]:
-        """BLOCK_END: train, rotate history, and predict future CBWSs.
-
-        Returns the list of predicted lines for the next
-        ``predict_steps`` block instances (duplicates removed, order
-        preserved).  Empty when no shift-register tag hits the table —
-        the standalone prefetcher stays silent in that case.
-        """
-        config = self.config
-        current = self.current
-        completed = tuple(current.lines)
-        stats = self.stats
-        stats.blocks_completed += 1
-        overflowed = current.overflowed
-        self.last_block_overflowed = overflowed
-        if overflowed:
-            stats.blocks_overflowed += 1
-
-        # 1. Train: store each completed differential under the tag of the
-        #    *pre-update* history, then shift its hash in and re-tag.
-        table = self.table
-        registers = self._registers
-        tags = self._tags
-        last_deltas = self._last_deltas
-        last_hashes = self._last_hashes
-        depth = config.history_depth
-        for step, diffs in enumerate(self._current_diffs):
-            delta = tuple(diffs)
-            diffs.clear()
-            if delta:
-                table.insert(tags[step], delta)
-            if delta == last_deltas[step]:
-                hashed = last_hashes[step]
-            else:
-                hashed = hash_differential(delta, config.hash_bits)
-                last_deltas[step] = delta
-                last_hashes[step] = hashed
-            register = registers[step]
-            shifted = (register + (hashed,))[-depth:]
-            if shifted != register:
-                registers[step] = shifted
-                tags[step] = history_tag(shifted, config.hash_bits,
-                                         config.tag_bits)
-
-        # 2. Rotate: the completed CBWS becomes predecessor #1.
-        if completed:
-            self.last_blocks.push(completed)
-
-        # 3. Predict the next blocks with the updated history tags.  A
-        #    k-step differential already spans k block instances, so
-        #    base + delta predicts the CBWS k blocks ahead (Figure 7).
-        line_mask = self._line_mask
-        predict_steps = config.predict_steps
-        candidates: list[int] = []
-        hits = 0
-        for tag in tags[:predict_steps]:
-            predicted = table.lookup(tag)
-            if predicted is not None:
-                hits += 1
-                candidates += [(base + delta) & line_mask
-                               for base, delta in zip(completed, predicted)]
-        stats.table_lookups += predict_steps
-        self.confident = hits > 0
-        if hits:
-            stats.table_hits += hits
-            if candidates:
-                candidates = list(dict.fromkeys(candidates))
-                stats.predictions_made += 1
-                stats.lines_predicted += len(candidates)
-
-        # 4. Reset per-block tracing for safety (BLOCK_BEGIN does it too);
-        #    the differentials were cleared as they were consumed.
-        current.clear()
-        return candidates
+        self._registers[:] = [()] * steps
+        self._tags[:] = [self._empty_tag] * steps
 
     def reset(self) -> None:
         """Drop every piece of learned state."""
-        self._clear_block()
+        self.current.clear()
+        for diffs in self._current_diffs:
+            diffs.clear()
         self.last_blocks.clear()
         self._clear_history()
         self.table.clear()
@@ -340,32 +226,178 @@ class PredictionStream:
 
 def _drive(predictor: CbwsPredictor, kinds: array, payloads: array,
            line_shift: int) -> PredictionStream:
-    """Run ``predictor`` over the ``kinds``/``payloads`` event columns.
+    """Run Algorithm 1 for ``predictor`` over the ``kinds``/``payloads``
+    event columns.
 
     A BLOCK_BEGIN opens a block and a BLOCK_END closes it; an access is
     pushed only while a block is open (the CBWS hardware does not see
-    the others).
+    the others).  A change of static block id at BLOCK_BEGIN means a
+    different loop is now executing: the predecessor CBWSs and shift
+    registers of the old loop are meaningless for it, so the
+    cross-block history is flushed (the hardware holds a single
+    context, Section V-A).  Each BLOCK_END yields the predicted lines
+    of the next ``predict_steps`` block instances (duplicates removed,
+    order preserved), empty when no shift-register tag hits the table.
+
+    The predictor's state is held in locals for the pass and written
+    back at its end, so a later pass continues from it.
     """
+    config = predictor.config
+    current = predictor.current
+    capacity = current.capacity
+    addr_mask = current.addr_mask
+    lines = current.lines
+    members = current.members
+    overflowed = current.overflowed
+    predecessors = predictor.last_blocks
+    current_diffs = predictor._current_diffs
+    registers = predictor._registers
+    tags = predictor._tags
+    table = predictor.table._table
+    table_entries = predictor.table.entries
+    choice = predictor.table._rng.choice
+    block_id = predictor._block_id
+    confident = predictor.confident
+    last_overflowed = predictor.last_block_overflowed
+
+    max_step = config.max_step
+    predict_steps = config.predict_steps
+    depth = config.history_depth
+    hash_bits = config.hash_bits
+    tag_bits = config.tag_bits
+    line_mask = mask(config.line_addr_bits)
+    # sign_extend(bit_select(raw, b), b) is ((raw & mask) ^ sign) - sign.
+    stride_mask = mask(config.stride_bits)
+    stride_sign = 1 << (config.stride_bits - 1)
+    empty_hash = hash_differential((), hash_bits)
+    empty_registers = [()] * max_step
+    empty_tags = [predictor._empty_tag] * max_step
+    hashes: dict[tuple[int, ...], int] = {}
+    shifts: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+
     # Lines are truncated to line_addr_bits, so 32-bit fields fit 4-byte
     # items; this halves the kept stream at the paper's geometry.
-    lines = array("I" if predictor.config.line_addr_bits <= 32 else "Q")
+    out = array("I" if config.line_addr_bits <= 32 else "Q")
     ends = array("Q", [0])
-    block_begin = predictor.block_begin
-    memory_access = predictor.memory_access
-    block_end = predictor.block_end
+    emitted = completed_blocks = overflows = predictions = hits_total = 0
+    # Local names: the loop would otherwise look up a global per event.
+    access_kind = MEMORY_ACCESS
+    begin_kind = BLOCK_BEGIN
     in_block = False
     for kind, payload in zip(kinds, payloads):
-        if kind == MEMORY_ACCESS:
-            if in_block:
-                memory_access(payload >> line_shift)
-        elif kind == BLOCK_BEGIN:
-            block_begin(payload)
+        if kind == access_kind:
+            if not in_block:
+                continue
+            line = (payload >> line_shift) & addr_mask
+            if line in members:
+                continue  # a repeated line
+            index = len(lines)
+            if index >= capacity:
+                overflowed = True
+                continue
+            members.add(line)
+            lines.append(line)
+            # Predecessor k (1-based step) pairs with the step-k
+            # differential; missing predecessors end the iteration.  Lines
+            # arrive at consecutive indices, so each differential stays
+            # aligned with the working set and stops at the shorter of
+            # the two vectors.
+            for diffs, predecessor in zip(current_diffs, predecessors):
+                if index < len(predecessor):
+                    raw = (line - predecessor[index]) & stride_mask
+                    diffs.append((raw ^ stride_sign) - stride_sign)
+        elif kind == begin_kind:
+            if payload != block_id:
+                predecessors.clear()
+                registers[:] = empty_registers
+                tags[:] = empty_tags
+                block_id = payload
+                confident = False
+            if lines or overflowed:
+                lines.clear()
+                members.clear()
+                overflowed = False
+                for diffs in current_diffs:
+                    diffs.clear()
             in_block = True
         else:
-            lines.extend(block_end())
-            ends.append(len(lines))
             in_block = False
-    return PredictionStream(lines, ends, predictor)
+            completed_blocks += 1
+            last_overflowed = overflowed
+            if overflowed:
+                overflows += 1
+                overflowed = False
+
+            # 1. Train: store each completed differential under the tag
+            #    of the *pre-update* history, then shift its hash in and
+            #    re-tag.
+            for step, diffs in enumerate(current_diffs):
+                if diffs:
+                    delta = tuple(diffs)
+                    diffs.clear()
+                    tag = tags[step]
+                    if tag not in table and len(table) >= table_entries:
+                        del table[choice(list(table))]
+                    table[tag] = delta
+                    hashed = hashes.get(delta)
+                    if hashed is None:
+                        if len(hashes) >= MEMO_ENTRIES:
+                            hashes.clear()
+                        hashed = hashes[delta] = hash_differential(
+                            delta, hash_bits)
+                else:
+                    hashed = empty_hash
+                key = (registers[step], hashed)
+                shifted = shifts.get(key)
+                if shifted is None:
+                    if len(shifts) >= MEMO_ENTRIES:
+                        shifts.clear()
+                    register = (key[0] + (hashed,))[-depth:]
+                    shifted = shifts[key] = (
+                        register, history_tag(register, hash_bits, tag_bits))
+                registers[step], tags[step] = shifted
+
+            # 2. Rotate: the completed CBWS becomes predecessor #1.
+            completed = tuple(lines)
+            if completed:
+                predecessors.appendleft(completed)
+                lines.clear()
+                members.clear()
+
+            # 3. Predict the next blocks with the updated history tags.
+            #    A k-step differential already spans k block instances,
+            #    so base + delta predicts the CBWS k blocks ahead
+            #    (Figure 7).
+            hits = 0
+            candidates: list[int] = []
+            for step in range(predict_steps):
+                predicted = table.get(tags[step])
+                if predicted is not None:
+                    hits += 1
+                    candidates += [(base + delta) & line_mask
+                                   for base, delta in zip(completed,
+                                                          predicted)]
+            confident = hits > 0
+            if candidates:
+                unique = dict.fromkeys(candidates)
+                out.extend(unique)
+                emitted += len(unique)
+                predictions += 1
+            hits_total += hits
+            ends.append(emitted)
+
+    current.overflowed = overflowed
+    predictor._block_id = block_id
+    predictor.confident = confident
+    predictor.last_block_overflowed = last_overflowed
+    stats = predictor.stats
+    stats.blocks_completed += completed_blocks
+    stats.blocks_overflowed += overflows
+    stats.predictions_made += predictions
+    stats.lines_predicted += emitted
+    stats.table_lookups += completed_blocks * predict_steps
+    stats.table_hits += hits_total
+    return PredictionStream(out, ends, predictor)
 
 
 #: The last stream built, as (weak references to the kinds and payloads

@@ -157,10 +157,13 @@ def _default_config(base: str, params: dict[str, object]) -> object:
     For the CBWS families ``predict_steps`` defaults to "all
     ``max_step`` registers" (Section IV-C): a sweep that shrinks
     ``max_step`` must not trip the ``predict_steps <= max_step``
-    validation, so the default follows ``max_step`` down.
+    validation, so the default follows ``max_step`` down.  A
+    ``max_step`` below 1 leaves it alone, so the error names
+    ``max_step``, the parameter the user set.
     """
     defaults = _FAMILY_DEFAULTS[base]()
-    if isinstance(defaults, CbwsConfig) and "max_step" in params:
+    if (isinstance(defaults, CbwsConfig)
+            and params.get("max_step", 0) >= 1):
         defaults = dataclasses.replace(
             defaults,
             predict_steps=min(defaults.predict_steps, params["max_step"]),

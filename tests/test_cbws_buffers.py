@@ -1,97 +1,127 @@
-"""Tests for the CBWS hardware buffers (Figure 8)."""
+"""Tests for the CBWS hardware buffers (Figure 8), as Algorithm 1 fills
+and drains them: the current-CBWS FIFO and the predecessor CBWSs."""
+
+from array import array
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.buffers import CurrentCbwsBuffer, LastBlocksBuffer
+from repro.core.buffers import CurrentCbwsBuffer
+from repro.core.predictor import CbwsConfig, CbwsPredictor, _drive
+from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
+
+
+def drive(predictor, blocks, block_id=0, close=True):
+    """One pass over ``blocks`` (lists of lines, at line size 1); the
+    last block stays open when ``close`` is false."""
+    kinds, payloads = array("B"), array("Q")
+    for number, lines in enumerate(blocks, 1):
+        kinds.append(BLOCK_BEGIN)
+        payloads.append(block_id)
+        kinds.extend([MEMORY_ACCESS] * len(lines))
+        payloads.extend(lines)
+        if close or number < len(blocks):
+            kinds.append(BLOCK_END)
+            payloads.append(block_id)
+    return _drive(predictor, kinds, payloads, 0)
+
+
+def predictor(**geometry):
+    return CbwsPredictor(CbwsConfig(**geometry))
 
 
 class TestCurrentCbwsBuffer:
     def test_push_returns_append_position(self):
-        buffer = CurrentCbwsBuffer(capacity=4)
-        assert buffer.push(100) == 0
-        assert buffer.push(200) == 1
-        assert buffer.push(100) is None  # repeat
-        assert buffer.push(300) == 2
+        """New lines append in first-touch order; a repeat is dropped."""
+        state = predictor(max_vector_members=4)
+        drive(state, [[100, 200, 100, 300]])
+        assert list(state.last_blocks) == [(100, 200, 300)]
+        assert not state.last_block_overflowed
 
     def test_capacity_enforced(self):
-        buffer = CurrentCbwsBuffer(capacity=2)
-        buffer.push(1)
-        buffer.push(2)
-        assert buffer.push(3) is None
-        assert buffer.overflowed
-        assert buffer.snapshot() == (1, 2)
+        state = predictor(max_vector_members=2)
+        drive(state, [[1, 2, 3]], close=False)
+        assert state.current.lines == [1, 2]
+        assert state.current.overflowed
+        drive(state, [[1, 2, 3]])
+        assert list(state.last_blocks) == [(1, 2)]
+        assert state.last_block_overflowed
+        assert state.stats.blocks_overflowed == 1
 
     def test_address_truncation_to_32_bits(self):
-        buffer = CurrentCbwsBuffer(capacity=4, line_addr_bits=32)
-        buffer.push((1 << 40) | 123)
-        assert buffer.snapshot() == (123,)
+        state = predictor(line_addr_bits=32)
+        drive(state, [[(1 << 40) | 123]])
+        assert list(state.last_blocks) == [(123,)]
 
     def test_truncation_can_alias(self):
         """Two far-apart lines with equal low bits alias in hardware —
-        the second push is treated as a repeat."""
-        buffer = CurrentCbwsBuffer(capacity=4, line_addr_bits=8)
-        assert buffer.push(0x101) == 0
-        assert buffer.push(0x201) is None  # same low 8 bits
+        the second access is treated as a repeat."""
+        state = predictor(max_vector_members=4, line_addr_bits=8)
+        drive(state, [[0x101, 0x201]])
+        assert list(state.last_blocks) == [(0x01,)]
 
     def test_clear(self):
-        buffer = CurrentCbwsBuffer(capacity=2)
-        buffer.push(1)
-        buffer.push(2)
-        buffer.push(3)
-        buffer.clear()
-        assert len(buffer) == 0
-        assert not buffer.overflowed
-        assert buffer.push(9) == 0
+        """BLOCK_BEGIN and BLOCK_END both leave the buffer empty."""
+        state = predictor(max_vector_members=2)
+        drive(state, [[1, 2, 3], [9]], close=False)
+        assert state.current.lines == [9]
+        assert state.current.members == {9}
+        assert not state.current.overflowed
+        drive(state, [[9]])
+        assert state.current.lines == []
+        assert state.current.members == set()
+        assert list(state.last_blocks) == [(9,), (1, 2)]
 
     def test_indexing(self):
-        buffer = CurrentCbwsBuffer(capacity=4)
-        buffer.push(7)
-        assert buffer[0] == 7
+        """An open block's working set reads in first-touch order."""
+        state = predictor(max_vector_members=4)
+        drive(state, [[7, 8, 7]], close=False)
+        assert state.current.lines[0] == 7
+        assert state.current.lines == [7, 8]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
             CurrentCbwsBuffer(capacity=0)
+        with pytest.raises(ConfigError):
+            CbwsConfig(max_vector_members=0)
 
 
 class TestLastBlocksBuffer:
     def test_step_ordering(self):
-        buffer = LastBlocksBuffer(max_step=3)
-        buffer.push((1,))
-        buffer.push((2,))
-        buffer.push((3,))
-        assert buffer.get(1) == (3,)
-        assert buffer.get(2) == (2,)
-        assert buffer.get(3) == (1,)
+        state = predictor(max_step=3, predict_steps=3)
+        drive(state, [[1], [2], [3]])
+        assert list(state.last_blocks) == [(3,), (2,), (1,)]
 
     def test_depth_bounded(self):
-        buffer = LastBlocksBuffer(max_step=2)
-        for value in range(5):
-            buffer.push((value,))
-        assert len(buffer) == 2
-        assert buffer.get(1) == (4,)
-        assert buffer.get(2) == (3,)
+        state = predictor(max_step=2, predict_steps=2)
+        drive(state, [[value] for value in range(5)])
+        assert list(state.last_blocks) == [(4,), (3,)]
 
     def test_missing_steps_return_none(self):
-        buffer = LastBlocksBuffer(max_step=4)
-        buffer.push((1,))
-        assert buffer.get(1) == (1,)
-        assert buffer.get(2) is None
+        """With one predecessor only the 1-step differential is built;
+        an empty block is not a predecessor."""
+        state = predictor(max_step=4)
+        drive(state, [[1], [], [5]], close=False)
+        assert list(state.last_blocks) == [(1,)]
+        assert state._current_diffs == [[4], [], [], []]
 
     def test_step_bounds_enforced(self):
-        buffer = LastBlocksBuffer(max_step=2)
         with pytest.raises(ConfigError):
-            buffer.get(0)
+            CbwsConfig(max_step=2, predict_steps=3)
         with pytest.raises(ConfigError):
-            buffer.get(3)
+            CbwsConfig(max_step=2, predict_steps=0)
+        state = predictor(max_step=2, predict_steps=2)
+        assert state.last_blocks.maxlen == 2
+        assert len(state._current_diffs) == len(state._registers) == 2
 
     def test_clear(self):
-        buffer = LastBlocksBuffer(max_step=2)
-        buffer.push((1,))
-        buffer.clear()
-        assert buffer.get(1) is None
-        assert len(buffer) == 0
+        """A new static block id flushes the predecessors."""
+        state = predictor(max_step=2, predict_steps=2)
+        drive(state, [[1], [2]])
+        drive(state, [[3]], block_id=1, close=False)
+        assert len(state.last_blocks) == 0
+        assert state._current_diffs == [[], []]
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ConfigError):
-            LastBlocksBuffer(max_step=0)
+            CbwsConfig(max_step=0)

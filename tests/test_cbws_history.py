@@ -1,5 +1,8 @@
 """Tests for the differential hash, the history tag and the history table."""
 
+import random
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,13 @@ from repro.core.history import (
     hash_differential,
     history_tag,
 )
-from repro.core.predictor import CbwsConfig
+from repro.core.predictor import (
+    CbwsConfig,
+    CbwsPredictor,
+    PredictorStats,
+    _drive,
+)
+from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
 
 
 class TestHashDifferential:
@@ -116,68 +125,90 @@ class TestShiftRegister:
             CbwsConfig(history_depth=-1)
 
 
+def one_line_blocks(lines, **geometry):
+    """A predictor after one pass over single-line blocks, at line
+    size 1."""
+    kinds, payloads = array("B"), array("Q")
+    for line in lines:
+        kinds.extend([BLOCK_BEGIN, MEMORY_ACCESS, BLOCK_END])
+        payloads.extend([0, line, 0])
+    predictor = CbwsPredictor(CbwsConfig(**geometry))
+    return _drive(predictor, kinds, payloads, 0)
+
+
+def random_blocks(count, seed=5):
+    rng = random.Random(seed)
+    return [rng.randrange(1 << 20) for _ in range(count)]
+
+
 class TestHistoryTable:
+    """The differential history table, as Algorithm 1 trains and probes
+    it."""
+
     def test_insert_lookup(self):
-        table = DifferentialHistoryTable(entries=4)
-        table.insert(0x12, (1, 2, 3))
-        assert table.lookup(0x12) == (1, 2, 3)
-        assert table.lookup(0x13) is None
+        """A trained differential is found again: the constant 1-line
+        stride predicts the next line."""
+        stream = one_line_blocks(range(100, 106), max_step=1,
+                                 predict_steps=1, history_depth=1)
+        assert (1,) in stream.predictor.table._table.values()
+        assert stream.block(len(stream) - 1) == [106]
 
     def test_update_in_place(self):
-        table = DifferentialHistoryTable(entries=4)
-        table.insert(0x12, (1,))
-        table.insert(0x12, (2,))
-        assert table.lookup(0x12) == (2,)
-        assert len(table) == 1
+        """Retraining a tag replaces its differential in place."""
+        stream = one_line_blocks([0, 1, 2, 3, 5], max_step=1,
+                                 predict_steps=1, history_depth=1)
+        table = stream.predictor.table._table
+        # Block 1 trains (1,) under the empty-hash tag; blocks 2-4 all
+        # train under the tag of hash((1,)), the last one with (2,).
+        assert list(table.values()) == [(1,), (2,)]
 
     def test_capacity_with_random_eviction(self):
-        table = DifferentialHistoryTable(
-            entries=4, rng=DeterministicRng(1)
-        )
-        for tag in range(10):
-            table.insert(tag, (tag,))
-        assert len(table) == 4
+        stream = one_line_blocks(random_blocks(40), table_entries=4)
+        assert len(stream.predictor.table._table) == 4
 
     def test_random_eviction_is_seeded(self):
         def fill(seed):
-            table = DifferentialHistoryTable(entries=4,
-                                             rng=DeterministicRng(seed))
-            for tag in range(32):
-                table.insert(tag, (tag,))
-            return sorted(tag for tag in range(32) if tag in table)
+            table = one_line_blocks(random_blocks(60), table_entries=4,
+                                    seed=seed).predictor.table
+            return list(table._table.items()), table._rng._rng.getstate()
 
         assert fill(7) == fill(7)
+        assert fill(7)[1] != DeterministicRng(7)._rng.getstate()
 
     def test_hit_rate_tracking(self):
-        table = DifferentialHistoryTable(entries=4)
-        table.insert(1, (1,))
-        table.lookup(1)
-        table.lookup(2)
-        assert table.hit_rate == pytest.approx(0.5)
+        assert PredictorStats(table_lookups=2, table_hits=1).hit_rate == \
+            pytest.approx(0.5)
+        assert PredictorStats().hit_rate == 0.0
+        stats = one_line_blocks(range(100, 120)).predictor.stats
+        assert stats.table_lookups == 20 * CbwsConfig().predict_steps
+        assert 0 < stats.table_hits < stats.table_lookups
 
     def test_tags_masked_to_width(self):
-        table = DifferentialHistoryTable(entries=4, tag_bits=8)
-        table.insert(0x1FF, (9,))
-        assert table.lookup(0xFF) == (9,)
+        predictor = one_line_blocks(random_blocks(40), tag_bits=3,
+                                    table_entries=16).predictor
+        assert predictor.table._table
+        assert all(0 <= tag < 8 for tag in predictor.table._table)
+        assert all(0 <= tag < 8 for tag in predictor._tags)
 
     def test_clear(self):
-        table = DifferentialHistoryTable(entries=4)
-        table.insert(1, (1,))
-        table.lookup(1)
-        table.clear()
-        assert len(table) == 0
-        assert table.lookups == 0
+        predictor = one_line_blocks(range(100, 110)).predictor
+        assert predictor.table._table
+        predictor.table.clear()
+        assert predictor.table._table == {}
 
     def test_zero_entries_rejected(self):
         with pytest.raises(ConfigError):
             DifferentialHistoryTable(entries=0)
+        with pytest.raises(ConfigError):
+            CbwsConfig(table_entries=0)
 
-    @settings(max_examples=30)
-    @given(st.lists(st.tuples(st.integers(0, 0xFFFF),
-                              st.lists(st.integers(-100, 100), max_size=4)),
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 1 << 16), max_size=4),
                     max_size=100))
-    def test_occupancy_never_exceeds_capacity(self, inserts):
-        table = DifferentialHistoryTable(entries=8)
-        for tag, delta in inserts:
-            table.insert(tag, tuple(delta))
-            assert len(table) <= 8
+    def test_occupancy_never_exceeds_capacity(self, blocks):
+        predictor = CbwsPredictor(CbwsConfig(table_entries=8))
+        for lines in blocks:
+            kinds = array("B", [BLOCK_BEGIN, *[MEMORY_ACCESS] * len(lines),
+                                BLOCK_END])
+            _drive(predictor, kinds, array("Q", [0, *lines, 0]), 0)
+            assert len(predictor.table._table) <= 8

@@ -85,7 +85,7 @@ class TestStandalone:
         trace = block_trace([[7]], before=[7])
         result = simulate(REDUCED_CONFIG, prefetcher, trace)
         assert result.l1_misses == 1
-        assert prefetcher.stream.predictor.last_blocks.get(1) == (7,)
+        assert prefetcher.stream.predictor.last_blocks[0] == (7,)
 
     def test_overflow_reported(self):
         prefetcher = CbwsPrefetcher()

@@ -1,14 +1,20 @@
 """Tests for Algorithm 1 — the CBWS differential predictor."""
 
+import dataclasses
+import sys
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check.oracles import CbwsOracle
+from repro.core import predictor as predictor_module
 from repro.core.history import history_tag
 from repro.core.predictor import (
     CbwsConfig,
     CbwsPredictor,
     PredictorStats,
+    _drive,
     predict_trace,
 )
 from repro.core.prefetcher import CbwsPrefetcher
@@ -23,11 +29,19 @@ from repro.trace.events import (
 from repro.trace.stream import Trace
 
 
+def block_columns(lines, block_id=0):
+    """The ``kinds``/``payloads`` columns of one block over ``lines``,
+    at line size 1 (the payload is the line itself)."""
+    kinds = array("B", [BLOCK_BEGIN] + [MEMORY_ACCESS] * len(lines)
+                  + [BLOCK_END])
+    payloads = array("Q", [block_id, *lines, block_id])
+    return kinds, payloads
+
+
 def run_block(predictor, lines, block_id=0):
-    predictor.block_begin(block_id)
-    for line in lines:
-        predictor.memory_access(line)
-    return predictor.block_end()
+    """One block through Algorithm 1, continuing ``predictor``'s state;
+    the lines that block's BLOCK_END predicts."""
+    return _drive(predictor, *block_columns(lines, block_id), 0).block(0)
 
 
 def stencil_block(n, stride=1024):
@@ -53,6 +67,27 @@ class TestConfig:
             CbwsConfig(predict_steps=5, max_step=4)
         with pytest.raises(ConfigError):
             CbwsConfig(max_vector_members=0)
+
+    @pytest.mark.parametrize("entries", [0, -3])
+    def test_empty_table_rejected(self, entries):
+        from repro.common.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="table_entries"):
+            CbwsConfig(table_entries=entries)
+        assert CbwsConfig(table_entries=1).table_entries == 1
+
+    @pytest.mark.parametrize("name, message", [
+        ("cbws[table_entries=0]", "table_entries must be positive"),
+        ("cbws+sms[table_entries=0]", "table_entries must be positive"),
+        ("cbws[max_step=0]", "max_step must be positive"),
+        ("cbws+sms[max_step=-1]", "max_step must be positive"),
+    ])
+    def test_registry_names_the_bad_parameter(self, name, message):
+        from repro.common.errors import ConfigError
+        from repro.harness.registry import make_prefetcher
+
+        with pytest.raises(ConfigError, match=message):
+            make_prefetcher(name)
 
 
 class TestWarmup:
@@ -117,8 +152,8 @@ class TestBlockIdHandling:
             run_block(predictor, stencil_block(n), block_id=0)
         # Switching to a different static loop must not predict from the
         # old loop's history.
-        predictions = run_block(predictor, [1, 2, 3], block_id=1)
-        assert len(predictor.last_blocks) == 1  # only the new block
+        run_block(predictor, [1, 2, 3], block_id=1)
+        assert list(predictor.last_blocks) == [(1, 2, 3)]  # only the new block
 
     def test_same_block_id_keeps_history(self):
         predictor = CbwsPredictor()
@@ -135,6 +170,7 @@ class TestDivergence:
         # Differentials were computed over the aligned prefix only; no
         # crash, and history contains both CBWSs.
         assert len(predictor.last_blocks) == 2
+        assert list(predictor.table._table.values()) == [(1, 1)]
 
     def test_empty_block_is_harmless(self):
         predictor = CbwsPredictor()
@@ -163,6 +199,7 @@ class TestReset:
         predictor.reset()
         assert predictor.stats.blocks_completed == 0
         assert len(predictor.last_blocks) == 0
+        assert predictor.table._table == {}
         assert run_block(predictor, stencil_block(0)) == []
 
     def test_reset_clears_overflow_flag(self):
@@ -192,11 +229,15 @@ class TestHistoryState:
 
     def test_block_switch_empties_history(self):
         predictor = CbwsPredictor()
-        for n in range(4):
+        for n in range(8):
             run_block(predictor, stencil_block(n))
-        predictor.block_begin(1)
+        assert predictor.confident
+        # A pass that ends on BLOCK_BEGIN(1) leaves block 1 open.
+        _drive(predictor, array("B", [BLOCK_BEGIN]), array("Q", [1]), 0)
+        assert not predictor.confident
         assert predictor._registers == [()] * 4
         assert predictor._tags == [history_tag(())] * 4
+        assert len(predictor.last_blocks) == 0
 
     def test_state_does_not_grow_with_the_trace(self):
         import random
@@ -206,15 +247,13 @@ class TestHistoryState:
         predictor = CbwsPredictor(config)
         for _ in range(300):
             run_block(predictor, [rng.randrange(1 << 20) for _ in range(6)])
-        assert len(predictor._last_deltas) == config.max_step
-        assert all(len(delta) <= config.max_vector_members
-                   for delta in predictor._last_deltas)
-        assert len(predictor.table) <= config.table_entries
-
-
-def access(line):
-    """``on_access`` arguments for an L1 hit on ``line``."""
-    return 0, line, line << 6, True
+        assert len(predictor.table._table) <= config.table_entries
+        assert len(predictor.last_blocks) <= config.max_step
+        assert all(len(block) <= config.max_vector_members
+                   for block in predictor.last_blocks)
+        assert all(len(register) <= config.history_depth
+                   for register in predictor._registers)
+        assert predictor._current_diffs == [[]] * config.max_step
 
 
 @st.composite
@@ -235,9 +274,9 @@ def geometries(draw):
 
 
 #: A run repeats one block shape ``repetitions`` times, moving every line
-#: by ``stride`` per repetition: a constant differential (the shortcut
-#: hit path) until the next run changes it (the miss path).  Empty line
-#: lists make empty blocks; two block ids make switches.
+#: by ``stride`` per repetition: a constant differential (a memo hit)
+#: until the next run changes it (a memo miss).  Empty line lists make
+#: empty blocks; two block ids make switches.
 block_runs = st.lists(
     st.tuples(
         st.integers(0, 1),
@@ -247,83 +286,6 @@ block_runs = st.lists(
     ),
     max_size=8,
 )
-
-
-class TestMatchesOracle:
-    """CbwsPredictor against the clean-room CbwsOracle, event by event."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(geometries(), block_runs)
-    def test_candidates_and_stats_match(self, geometry, runs):
-        predictor = CbwsPredictor(CbwsConfig(**geometry))
-        oracle = CbwsOracle(**geometry)
-        predict_steps = geometry["predict_steps"]
-        expected = PredictorStats()
-        for block_id, bases, stride, repetitions in runs:
-            for n in range(repetitions):
-                predictor.block_begin(block_id)
-                oracle.on_block_begin(block_id)
-                for base in bases:
-                    line = (base + stride * n) % (1 << 20)
-                    predictor.memory_access(line)
-                    assert oracle.on_access(*access(line)) == []
-                overflowed = oracle.overflowed
-                got = predictor.block_end()
-                want = oracle.on_block_end(block_id)
-                assert got == want
-                hits = sum(
-                    oracle._tag(register) in oracle.table
-                    for register in oracle.registers[:predict_steps]
-                )
-                expected.blocks_completed += 1
-                expected.blocks_overflowed += overflowed
-                expected.table_lookups += predict_steps
-                expected.table_hits += hits
-                expected.predictions_made += bool(want)
-                expected.lines_predicted += len(want)
-                assert predictor.last_block_overflowed == overflowed
-                assert predictor.confident == (hits > 0)
-                assert list(predictor.table._table.items()) == \
-                    list(oracle.table.items())
-        assert predictor.stats == expected
-        assert predictor.table.lookups == expected.table_lookups
-        assert predictor.table.hits == expected.table_hits
-
-
-class TestRobustnessProperty:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 1 << 34), max_size=20),
-            max_size=30,
-        )
-    )
-    def test_never_crashes_and_respects_width(self, blocks):
-        predictor = CbwsPredictor()
-        for block in blocks:
-            predictions = run_block(predictor, block)
-            for line in predictions:
-                assert 0 <= line < (1 << 32)
-            assert len(predictor.last_blocks) <= 4
-
-
-def live_drive(trace, config, line_shift):
-    """Every BLOCK_END's output of a predictor driven event by event: a
-    BLOCK_BEGIN opens a block, accesses count only while one is open."""
-    predictor = CbwsPredictor(config)
-    outputs = []
-    in_block = False
-    for event in trace.events:
-        if event.kind == MEMORY_ACCESS:
-            if in_block:
-                predictor.memory_access(event.address >> line_shift)
-        elif event.kind == BLOCK_BEGIN:
-            predictor.block_begin(event.block_id)
-            in_block = True
-        else:
-            outputs.append(predictor.block_end())
-            in_block = False
-    return outputs, predictor
 
 
 @st.composite
@@ -360,6 +322,168 @@ loose_events = st.lists(
 )
 
 
+def oracle_drive(trace, geometry, line_shift):
+    """The clean-room CbwsOracle following ``trace`` event by event.
+
+    Returns every BLOCK_END's output, the :class:`PredictorStats` and
+    the ``confident`` / ``last_block_overflowed`` flags Algorithm 1
+    should report after the trace, and the oracle itself.
+    """
+    oracle = CbwsOracle(**geometry)
+    predict_steps = geometry["predict_steps"]
+    stats = PredictorStats()
+    outputs = []
+    confident = overflowed = False
+    for event in trace.events:
+        if event.kind == MEMORY_ACCESS:
+            line = event.address >> line_shift
+            assert oracle.on_access(event.pc, line, event.address,
+                                    False) == []
+        elif event.kind == BLOCK_BEGIN:
+            if event.block_id != oracle.block_id:
+                confident = False
+            oracle.on_block_begin(event.block_id)
+        else:
+            overflowed = oracle.overflowed
+            want = oracle.on_block_end(event.block_id)
+            hits = sum(
+                oracle._tag(register) in oracle.table
+                for register in oracle.registers[:predict_steps]
+            )
+            confident = hits > 0
+            stats.blocks_completed += 1
+            stats.blocks_overflowed += overflowed
+            stats.table_lookups += predict_steps
+            stats.table_hits += hits
+            stats.predictions_made += bool(want)
+            stats.lines_predicted += len(want)
+            outputs.append(want)
+    return outputs, stats, confident, overflowed, oracle
+
+
+def assert_matches_oracle(trace, geometry, line_shift, stream=None):
+    """``predict_trace`` (or ``stream``, its result) equals the oracle:
+    per-block outputs, stats, table items in order, RNG state, and the
+    predictor's end state."""
+    outputs, stats, confident, overflowed, oracle = oracle_drive(
+        trace, geometry, line_shift)
+    if stream is None:
+        stream = predict_trace(trace, CbwsConfig(**geometry), line_shift)
+    predictor = stream.predictor
+    assert [stream.block(i) for i in range(len(stream))] == outputs
+    assert predictor.stats == stats
+    assert list(predictor.table._table.items()) == list(oracle.table.items())
+    assert predictor.table._rng._rng.getstate() == oracle.rng.getstate()
+    assert predictor.confident == confident
+    assert predictor.last_block_overflowed == overflowed
+    assert list(predictor.last_blocks) == oracle.last_blocks
+    assert predictor._registers == [tuple(r) for r in oracle.registers]
+    assert predictor._tags == [oracle._tag(r) for r in oracle.registers]
+    assert predictor.current.lines == oracle.current
+    assert predictor.current.overflowed == oracle.overflowed
+    assert predictor._current_diffs == oracle.diffs
+    assert predictor._block_id == oracle.block_id
+
+
+def memo_peaks(run):
+    """``run()``'s result and the largest sizes the two memos of
+    ``_drive`` reach while it runs (0 when no pass ran)."""
+    memos = []
+    peaks = [0, 0]
+
+    def local(frame, event, arg):
+        if not memos:
+            names = frame.f_locals
+            if "shifts" in names:
+                memos.extend((names["hashes"], names["shifts"]))
+        else:
+            for position, memo in enumerate(memos):
+                peaks[position] = max(peaks[position], len(memo))
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is _drive.__code__:
+            return local
+        return None
+
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+    return result, peaks
+
+
+class TestMatchesOracle:
+    """predict_trace against the clean-room CbwsOracle, whole traces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(geometries(), run_traces())
+    def test_candidates_and_stats_match(self, geometry, traced):
+        trace, line_shift = traced
+        assert_matches_oracle(trace, geometry, line_shift)
+
+    @settings(max_examples=150, deadline=None)
+    @given(geometries(), loose_events)
+    def test_any_marker_order_matches(self, geometry, events):
+        assert_matches_oracle(Trace("loose", events, 0), geometry, 6)
+
+    def test_memos_stay_within_their_bound(self):
+        """More distinct differentials than a memo holds: each memo
+        fills to the bound, is emptied, and the stream is unchanged."""
+        import random
+
+        rng = random.Random(11)
+        blocks = [[rng.randrange(1 << 20) for _ in range(3)]
+                  for _ in range(predictor_module.MEMO_ENTRIES + 200)]
+        events = []
+        for block in blocks:
+            events.append(BlockBegin(0, 0))
+            events += [MemoryAccess(0, 0, line << 6, False) for line in block]
+            events.append(BlockEnd(0, 0))
+        trace = Trace("distinct", events, 0)
+        geometry = dataclasses.asdict(CbwsConfig())
+        stream, peaks = memo_peaks(
+            lambda: predict_trace(trace, CbwsConfig(), 6))
+        assert peaks == [predictor_module.MEMO_ENTRIES] * 2
+        assert_matches_oracle(trace, geometry, 6, stream)
+
+
+class TestRobustnessProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 1 << 34), max_size=20),
+            max_size=30,
+        )
+    )
+    def test_never_crashes_and_respects_width(self, blocks):
+        predictor = CbwsPredictor()
+        for block in blocks:
+            predictions = run_block(predictor, block)
+            for line in predictions:
+                assert 0 <= line < (1 << 32)
+            assert len(predictor.last_blocks) <= 4
+
+
+def live_drive(trace, config, line_shift):
+    """Every BLOCK_END's output of one predictor fed ``trace`` in
+    separate passes, one ending at each BLOCK_END: each pass continues
+    from the state the last one wrote back."""
+    predictor = CbwsPredictor(config)
+    columns = trace.columns()
+    kinds, payloads = columns.kinds, columns.payloads
+    outputs = []
+    start = 0
+    for end, kind in enumerate(kinds, 1):
+        if kind == BLOCK_END or end == len(kinds):
+            stream = _drive(predictor, kinds[start:end], payloads[start:end],
+                            line_shift)
+            outputs += [stream.block(i) for i in range(len(stream))]
+            start = end
+    return outputs, predictor
+
+
 def replayed(prefetcher, trace, line_shift):
     """Every BLOCK_END's output of ``prefetcher`` replaying ``trace``."""
     prefetcher.on_trace(trace, line_shift)
@@ -368,7 +492,8 @@ def replayed(prefetcher, trace, line_shift):
 
 
 class TestPredictTrace:
-    """One pass over a trace equals a predictor driven event by event."""
+    """One pass over a trace equals the trace cut into one pass per
+    block, and the prefetcher replays it."""
 
     @settings(max_examples=150, deadline=None)
     @given(geometries(), run_traces())
@@ -379,6 +504,8 @@ class TestPredictTrace:
         stream = predict_trace(trace, config, line_shift)
         assert [stream.block(i) for i in range(len(stream))] == want
         assert stream.predictor.stats == live.stats
+        assert list(stream.predictor.table._table.items()) == \
+            list(live.table._table.items())
         assert replayed(CbwsPrefetcher(config), trace, line_shift) == want
 
     @settings(max_examples=100, deadline=None)

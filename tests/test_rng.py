@@ -88,18 +88,22 @@ class TestNamedStreams:
         # Regression: the CBWS history table's random-eviction path draws
         # from the named stream, so two default-constructed tables evict
         # the same victims in the same order.
-        from repro.core.history import DifferentialHistoryTable
+        from array import array
 
-        def evictions(table):
+        from repro.core.history import DifferentialHistoryTable
+        from repro.core.predictor import CbwsConfig, CbwsPredictor, _drive
+
+        def evictions():
+            predictor = CbwsPredictor(CbwsConfig(table_entries=4))
+            predictor.table = DifferentialHistoryTable(entries=4)
             victims = []
-            for key in range(table.entries * 3):
-                before = set(table._table)
-                table.insert(1000 + key, (key,))
-                gone = before - set(table._table)
-                victims.extend(sorted(gone))
+            for line in range(0, 64 * 7, 7):
+                before = set(predictor.table._table)
+                _drive(predictor, array("B", [1, 0, 2]),
+                       array("Q", [0, line * line, 0]), 0)
+                victims.extend(sorted(before - set(predictor.table._table)))
             return victims
 
-        first = evictions(DifferentialHistoryTable())
-        second = evictions(DifferentialHistoryTable())
-        assert first == second
+        first = evictions()
+        assert first == evictions()
         assert first  # the table filled and actually evicted

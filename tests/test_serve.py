@@ -295,6 +295,21 @@ class TestBrokerSemantics:
         # Nothing was admitted: the queue stays empty.
         assert broker._queue.qsize() == 0
 
+    @pytest.mark.parametrize("prefetcher, message", [
+        ("cbws[table_entries=0]", "table_entries must be positive"),
+        ("cbws[table_entries=-3]", "table_entries must be positive"),
+        ("cbws+sms[table_entries=0]", "table_entries must be positive"),
+        ("cbws[max_step=0]", "max_step must be positive"),
+    ])
+    def test_bad_cbws_geometry_fails_at_admission(self, tmp_path,
+                                                  prefetcher, message):
+        from repro.common.errors import ConfigError
+
+        broker = Broker(workers=1, cache_dir=tmp_path)
+        with pytest.raises(ConfigError, match=message):
+            broker.submit(request(prefetcher))
+        assert broker._queue.qsize() == 0
+
 
 class TestBrokerBatches:
     """Whole batches through a started broker (no HTTP)."""

@@ -13,9 +13,8 @@ from repro.analysis.differentials import (
     extract_cbws_sequences,
 )
 from repro.analysis.workingsets import working_set_distribution
-from repro.core.predictor import CbwsPredictor
+from repro.core.predictor import CbwsConfig, predict_trace
 from repro.harness.runner import GridRunner
-from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +23,8 @@ def runner():
 
 
 def table_hit_rate(trace) -> float:
-    """Drive the CBWS predictor over a trace; return its hit rate."""
-    predictor = CbwsPredictor()
-    for event in trace.events:
-        if event.kind == MEMORY_ACCESS:
-            predictor.memory_access(event.address >> 6)
-        elif event.kind == BLOCK_BEGIN:
-            predictor.block_begin(event.block_id)
-        elif event.kind == BLOCK_END:
-            predictor.block_end()
-    return predictor.stats.hit_rate
+    """Run the CBWS predictor over a trace; return its hit rate."""
+    return predict_trace(trace, CbwsConfig(), 6).predictor.stats.hit_rate
 
 
 class TestStencil:
