@@ -37,7 +37,6 @@ from repro.check.diff import (
     diff_prefetcher,
 )
 from repro.check.oracles import CbwsOracle, PanglossOracle, make_oracle
-from repro.core.buffers import CurrentCbwsBuffer
 from repro.core.predictor import CbwsConfig, CbwsPredictor
 from repro.core.prefetcher import CbwsPrefetcher
 from repro.prefetchers.learned import PanglossConfig, PanglossPrefetcher
@@ -421,9 +420,7 @@ class _FifoOffByOnePredictor(CbwsPredictor):
 
     def __init__(self, config: CbwsConfig) -> None:
         super().__init__(config)
-        self.current = CurrentCbwsBuffer(
-            config.max_vector_members - 1, config.line_addr_bits
-        )
+        self.capacity = config.max_vector_members - 1
 
 
 class _FifoOffByOneCbws(CbwsPrefetcher):

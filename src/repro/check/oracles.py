@@ -778,7 +778,8 @@ class CbwsOracle(_OracleBase):
     predictions (``CBWS[i] + Δ[i]``, deduplicated, order preserved).
 
     Accesses only register between BLOCK_BEGIN and BLOCK_END; a change
-    of static block id flushes all cross-block history.  The table's
+    of static block id flushes the predecessor working sets and the
+    shift registers but keeps the history table.  The table's
     random replacement draws from ``random.Random(seed)`` over the keys
     in insertion order — the mirrored contract that makes eviction
     sequences reproducible against the implementation.

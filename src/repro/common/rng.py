@@ -65,7 +65,7 @@ def named_stream(name: str, seed: int = 0) -> DeterministicRng:
 
     Every random-eviction (or otherwise stochastic) path in the system
     draws from a stream obtained here, keyed by a stable site label such
-    as ``"cbws.history-table"``.  The function is pure — two calls with
+    as ``"pythia.explore"``.  The function is pure — two calls with
     the same ``(name, seed)`` return generators that produce identical
     sequences, and there is no module-level generator whose state one
     caller could perturb for another.  That purity is what makes

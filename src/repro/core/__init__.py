@@ -4,12 +4,12 @@ Layering, bottom-up:
 
 * :mod:`repro.core.cbws` — the CBWS / differential algebra of Section IV
   (Equations 1 and 2, Table I);
-* :mod:`repro.core.buffers` — the current-CBWS FIFO of Figure 8;
-* :mod:`repro.core.history` — the differential hash, the shift-register
-  tag fold, and the 16-entry differential history table;
-* :mod:`repro.core.predictor` — Algorithm 1: ``predict_trace`` runs the
-  BLOCK_BEGIN / MEMORY_ACCESS / BLOCK_END protocol once over a whole
-  trace, as one loop over its event columns;
+* :mod:`repro.core.history` — the differential hash and the
+  shift-register tag fold;
+* :mod:`repro.core.predictor` — the Figure 8 structures as the plain
+  fields of one ``CbwsPredictor``, and Algorithm 1: ``predict_trace``
+  runs the BLOCK_BEGIN / MEMORY_ACCESS / BLOCK_END protocol once over a
+  whole trace, as one loop over its event columns;
 * :mod:`repro.core.prefetcher` — the standalone CBWS prefetcher
   (prefetch only on a history-table hit), replaying those predictions;
 * :mod:`repro.core.hybrid` — CBWS+SMS, falling back to spatial memory
@@ -17,12 +17,7 @@ Layering, bottom-up:
 """
 
 from repro.core.cbws import CodeBlockWorkingSet, differential
-from repro.core.buffers import CurrentCbwsBuffer
-from repro.core.history import (
-    DifferentialHistoryTable,
-    hash_differential,
-    history_tag,
-)
+from repro.core.history import hash_differential, history_tag
 from repro.core.predictor import (
     CbwsConfig,
     CbwsPredictor,
@@ -36,8 +31,6 @@ from repro.core.hybrid import CbwsSmsPrefetcher
 __all__ = [
     "CodeBlockWorkingSet",
     "differential",
-    "CurrentCbwsBuffer",
-    "DifferentialHistoryTable",
     "hash_differential",
     "history_tag",
     "CbwsConfig",

@@ -7,11 +7,12 @@ branch outcomes.  The registers index the 16-entry, fully-associative
 *differential history table*, whose concatenated bits are XOR-folded
 into a 16-bit tag and whose eviction policy is random (Table II).
 
-The predictor holds each register as a plain tuple of hashes (oldest
-first), so this module supplies the two pure functions of that state —
-:func:`hash_differential` and :func:`history_tag` — plus the table.  Both
-functions are written with inline arithmetic; the predictor calls them
-only on a miss of its per-run memos.
+The predictor (:class:`repro.core.predictor.CbwsPredictor`) holds each
+register as a plain tuple of hashes (oldest first) and the table as a
+plain dict, so this module supplies only the two pure functions of that
+state: :func:`hash_differential` and :func:`history_tag`.  Both are
+written with inline arithmetic; the predictor calls them only on a miss
+of its per-run memos.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from typing import Sequence
 
 from repro.common.bitops import mask
 from repro.common.constants import CBWS_HASH_BITS
-from repro.common.errors import ConfigError
-from repro.common.rng import DeterministicRng, named_stream
 
 
 def hash_differential(delta: Sequence[int], hash_bits: int = CBWS_HASH_BITS) -> int:
@@ -78,34 +77,3 @@ def history_tag(values: Sequence[int], hash_bits: int = CBWS_HASH_BITS,
         tag ^= concatenated & low
         concatenated >>= tag_bits
     return tag
-
-
-class DifferentialHistoryTable:
-    """The 16-entry fully-associative tag -> differential-vector store.
-
-    ``_table`` maps a shift-register tag to the differential stored
-    under it, in insertion order.  Replacement is random (Table II:
-    "History Table Repl. Random"): when a new tag finds the table full,
-    the victim is ``rng.choice(list(_table))``, drawn from a seeded RNG
-    for reproducibility.  Stored vectors are tuples of 16-bit
-    two's-complement strides, exactly what the hardware would hold.
-    Algorithm 1 (:func:`repro.core.predictor.predict_trace`) probes and
-    trains the table; tags come from :func:`history_tag`, so they
-    already fit the tag width.
-    """
-
-    def __init__(self, entries: int = 16,
-                 rng: DeterministicRng | None = None) -> None:
-        if entries <= 0:
-            raise ConfigError("history table needs at least one entry")
-        self.entries = entries
-        # Default replacement randomness comes from a *named* seeded
-        # stream, never module-level RNG state: two tables constructed
-        # the same way must evict identically so differential runs
-        # (implementation vs oracle) reproduce bit-for-bit.
-        self._rng = rng or named_stream("cbws.history-table", 0xCB35)
-        self._table: dict[int, tuple[int, ...]] = {}
-
-    def clear(self) -> None:
-        """Drop all stored differentials."""
-        self._table.clear()

@@ -87,9 +87,3 @@ class CbwsSmsPrefetcher(Prefetcher):
 
     def storage_bits(self) -> int:
         return self.cbws.storage_bits() + self.sms.storage_bits()
-
-    def reset(self) -> None:
-        self.cbws.reset()
-        self.sms.reset()
-        self._owned.clear()
-        self._owned_fifo.clear()

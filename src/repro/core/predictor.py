@@ -55,12 +55,7 @@ from repro.common.constants import (
 )
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
-from repro.core.buffers import CurrentCbwsBuffer
-from repro.core.history import (
-    DifferentialHistoryTable,
-    hash_differential,
-    history_tag,
-)
+from repro.core.history import hash_differential, history_tag
 from repro.trace.events import BLOCK_BEGIN, MEMORY_ACCESS
 
 if TYPE_CHECKING:
@@ -138,61 +133,48 @@ class PredictorStats:
 
 
 class CbwsPredictor:
-    """The state of the CBWS differential predictor of Algorithm 1.
+    """The registers of the CBWS differential predictor (Figure 8), as
+    plain fields; :func:`predict_trace` runs Algorithm 1 over them.
 
-    ``current`` is the current-CBWS FIFO, ``last_blocks`` the
-    predecessor CBWSs (``last_blocks[k - 1]`` is the block ``k``
-    completions back), ``table`` the differential history table.  Per
-    step, ``_current_diffs`` holds the differential being built,
-    ``_registers`` the shift register as a tuple of hashed
-    differentials (oldest first) and ``_tags`` its table tag: the
-    post-shift probe tag of one block is the training tag of the next.
-    :func:`predict_trace` runs Algorithm 1 over this state.
+    * ``lines`` is the current-CBWS FIFO in first-touch order and
+      ``members`` the same lines for the repeat test; lines are
+      truncated by ``addr_mask`` (the 32-bit fields of Figure 8), at
+      most ``capacity`` are kept, and ``overflowed`` is set when the
+      block touches more distinct lines than that.
+    * ``last_blocks`` holds the predecessor CBWSs (``last_blocks[k - 1]``
+      is the block ``k`` completions back).
+    * Per step ``k``, ``diffs[k - 1]`` is the differential being built
+      against predecessor ``k``, ``registers[k - 1]`` the shift register
+      as a tuple of hashed differentials (oldest first) and
+      ``tags[k - 1]`` its table tag: the post-shift probe tag of one
+      block is the training tag of the next.
+    * ``table`` is the differential history table, tag -> differential
+      in insertion order; when a new tag finds it full, the victim is
+      ``rng.choice(list(table))`` (Table II: random replacement).
+    * ``block_id`` is the static id of the block being traced.
+    * ``confident`` says whether the most recent BLOCK_END hit the
+      table (cleared when the block id changes), and
+      ``last_block_overflowed`` whether the most recent completed block
+      overflowed: its prediction covers only a prefix of the working
+      set, so the hybrid must not let it silence SMS (the bzip2 case).
     """
 
     def __init__(self, config: CbwsConfig | None = None) -> None:
-        self.config = config or CbwsConfig()
-        config = self.config
-        self.current = CurrentCbwsBuffer(
-            config.max_vector_members, config.line_addr_bits
-        )
-        self.last_blocks: deque[tuple[int, ...]] = deque(
-            maxlen=config.max_step)
-        self.table = DifferentialHistoryTable(
-            config.table_entries, DeterministicRng(config.seed)
-        )
+        self.config = config = config or CbwsConfig()
+        steps = config.max_step
+        self.capacity = config.max_vector_members
+        self.addr_mask = mask(config.line_addr_bits)
+        self.lines: list[int] = []
+        self.members: set[int] = set()
+        self.overflowed = False
+        self.last_blocks: deque[tuple[int, ...]] = deque(maxlen=steps)
+        self.table: dict[int, tuple[int, ...]] = {}
+        self.rng = DeterministicRng(config.seed)
+        self.diffs: list[list[int]] = [[] for _ in range(steps)]
+        self.registers: list[tuple[int, ...]] = [()] * steps
+        self.tags = [history_tag((), config.hash_bits, config.tag_bits)] * steps
+        self.block_id: int | None = None
         self.stats = PredictorStats()
-        self._current_diffs: list[list[int]] = [[] for _ in range(config.max_step)]
-        self._block_id: int | None = None
-        self._empty_tag = history_tag((), config.hash_bits, config.tag_bits)
-        self._registers: list[tuple[int, ...]] = []
-        self._tags: list[int] = []
-        self._clear_history()
-        #: Whether the most recent BLOCK_END produced at least one
-        #: table hit (cleared when the static block id changes).
-        self.confident = False
-        #: Whether the most recent completed block overflowed the CBWS
-        #: buffer (more distinct lines than fit).  An overflowed block's
-        #: prediction covers only a prefix of the working set, so the
-        #: hybrid must not let it silence SMS (the bzip2 case).
-        self.last_block_overflowed = False
-
-    def _clear_history(self) -> None:
-        """Empty every shift register (their tags become the empty tag)."""
-        steps = self.config.max_step
-        self._registers[:] = [()] * steps
-        self._tags[:] = [self._empty_tag] * steps
-
-    def reset(self) -> None:
-        """Drop every piece of learned state."""
-        self.current.clear()
-        for diffs in self._current_diffs:
-            diffs.clear()
-        self.last_blocks.clear()
-        self._clear_history()
-        self.table.clear()
-        self.stats = PredictorStats()
-        self._block_id = None
         self.confident = False
         self.last_block_overflowed = False
 
@@ -232,46 +214,48 @@ def _drive(predictor: CbwsPredictor, kinds: array, payloads: array,
     A BLOCK_BEGIN opens a block and a BLOCK_END closes it; an access is
     pushed only while a block is open (the CBWS hardware does not see
     the others).  A change of static block id at BLOCK_BEGIN means a
-    different loop is now executing: the predecessor CBWSs and shift
-    registers of the old loop are meaningless for it, so the
-    cross-block history is flushed (the hardware holds a single
-    context, Section V-A).  Each BLOCK_END yields the predicted lines
-    of the next ``predict_steps`` block instances (duplicates removed,
-    order preserved), empty when no shift-register tag hits the table.
+    different loop is now executing (the hardware holds a single
+    context, Section V-A): the predecessor CBWSs and the shift
+    registers, with their tags, are flushed and ``confident`` is
+    cleared.  The differential history table, its RNG and the stats are
+    kept, so the new loop's first probes, made with the empty-history
+    tags, can hit entries the old loop trained under those tags
+    (whether they should is open: DESIGN.md §6).  Each BLOCK_END yields
+    the predicted lines of the next ``predict_steps`` block instances
+    (duplicates removed, order preserved), empty when no shift-register
+    tag hits the table.
 
     The predictor's state is held in locals for the pass and written
     back at its end, so a later pass continues from it.
     """
     config = predictor.config
-    current = predictor.current
-    capacity = current.capacity
-    addr_mask = current.addr_mask
-    lines = current.lines
-    members = current.members
-    overflowed = current.overflowed
+    capacity = predictor.capacity
+    addr_mask = predictor.addr_mask
+    lines = predictor.lines
+    members = predictor.members
+    overflowed = predictor.overflowed
     predecessors = predictor.last_blocks
-    current_diffs = predictor._current_diffs
-    registers = predictor._registers
-    tags = predictor._tags
-    table = predictor.table._table
-    table_entries = predictor.table.entries
-    choice = predictor.table._rng.choice
-    block_id = predictor._block_id
+    current_diffs = predictor.diffs
+    registers = predictor.registers
+    tags = predictor.tags
+    table = predictor.table
+    choice = predictor.rng.choice
+    block_id = predictor.block_id
     confident = predictor.confident
     last_overflowed = predictor.last_block_overflowed
 
     max_step = config.max_step
     predict_steps = config.predict_steps
     depth = config.history_depth
+    table_entries = config.table_entries
     hash_bits = config.hash_bits
     tag_bits = config.tag_bits
-    line_mask = mask(config.line_addr_bits)
     # sign_extend(bit_select(raw, b), b) is ((raw & mask) ^ sign) - sign.
     stride_mask = mask(config.stride_bits)
     stride_sign = 1 << (config.stride_bits - 1)
     empty_hash = hash_differential((), hash_bits)
     empty_registers = [()] * max_step
-    empty_tags = [predictor._empty_tag] * max_step
+    empty_tags = [history_tag((), hash_bits, tag_bits)] * max_step
     hashes: dict[tuple[int, ...], int] = {}
     shifts: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
 
@@ -374,7 +358,7 @@ def _drive(predictor: CbwsPredictor, kinds: array, payloads: array,
                 predicted = table.get(tags[step])
                 if predicted is not None:
                     hits += 1
-                    candidates += [(base + delta) & line_mask
+                    candidates += [(base + delta) & addr_mask
                                    for base, delta in zip(completed,
                                                           predicted)]
             confident = hits > 0
@@ -386,8 +370,8 @@ def _drive(predictor: CbwsPredictor, kinds: array, payloads: array,
             hits_total += hits
             ends.append(emitted)
 
-    current.overflowed = overflowed
-    predictor._block_id = block_id
+    predictor.overflowed = overflowed
+    predictor.block_id = block_id
     predictor.confident = confident
     predictor.last_block_overflowed = last_overflowed
     stats = predictor.stats

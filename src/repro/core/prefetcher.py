@@ -61,7 +61,3 @@ class CbwsPrefetcher(Prefetcher):
 
     def storage_bits(self) -> int:
         return cbws_storage(self.config).bits
-
-    def reset(self) -> None:
-        self.stream = None
-        self.blocks_replayed = 0

@@ -22,7 +22,6 @@ scope, so the harness can import it freely.
 ``telemetry``  counters, per-task wall times, ETA, persistence
 ``journal``    write-ahead run journal + resume replay
 ``faults``     deterministic fault injection for the test suite
-``singleflight`` key -> in-flight-work dedup registry (serve broker)
 ============== ==========================================================
 """
 
@@ -48,7 +47,6 @@ from repro.exec.keys import (
 from repro.exec.plan import GridPlan, SimNode, TraceNode
 from repro.exec.pool import InjectSpec, WorkerPool
 from repro.exec.scheduler import ExecOptions, execute_grid
-from repro.exec.singleflight import SingleFlight
 from repro.exec.telemetry import ExecTelemetry
 from repro.exec.traces import trace_nbytes
 
@@ -67,7 +65,6 @@ __all__ = [
     "RunReplay",
     "RunSummary",
     "SimNode",
-    "SingleFlight",
     "TraceNode",
     "WorkerPool",
     "execute_grid",

@@ -139,9 +139,6 @@ class AmpmPrefetcher(Prefetcher):
     def storage_bits(self) -> int:
         return self.config.storage_bits_total
 
-    def reset(self) -> None:
-        self._maps.clear()
-
     # -- inspection ----------------------------------------------------------
 
     def accessed_bitmap(self, zone: int) -> int:

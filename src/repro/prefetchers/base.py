@@ -64,9 +64,6 @@ class Prefetcher:
         """Hardware budget of the configuration (Table III)."""
         return 0
 
-    def reset(self) -> None:
-        """Drop all learned state."""
-
 
 def overrides(prefetcher: Prefetcher, hook: str) -> bool:
     """True when ``prefetcher``'s class replaces the base ``hook``."""

@@ -279,7 +279,3 @@ class GhbPrefetcher(Prefetcher):
         if self.config.mode == "global":
             return ghb_gdc_storage(self.config).bits
         return ghb_pcdc_storage(self.config).bits
-
-    def reset(self) -> None:
-        self.buffer.clear()
-        self._histories.clear()

@@ -212,10 +212,6 @@ class PanglossPrefetcher(Prefetcher):
     def storage_bits(self) -> int:
         return pangloss_storage(self.config).bits
 
-    def reset(self) -> None:
-        self._pages.clear()
-        self._rows.clear()
-
     # -- inspection ----------------------------------------------------------
 
     def row_of(self, delta: int) -> List[Tuple[int, int]]:

@@ -324,17 +324,6 @@ class PythiaPrefetcher(Prefetcher):
     def storage_bits(self) -> int:
         return pythia_storage(self.config).bits
 
-    def reset(self) -> None:
-        self._stream = named_stream("pythia.explore", self.config.seed)
-        self._tick = 0
-        self._next_decision = 0
-        self._history.clear()
-        self._pages.clear()
-        self._q.clear()
-        self._inflight.clear()
-        self._ledger.clear()
-        self._previous_decision = None
-
     # -- inspection ----------------------------------------------------------
 
     @property

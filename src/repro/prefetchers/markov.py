@@ -90,10 +90,6 @@ class MarkovPrefetcher(Prefetcher):
     def storage_bits(self) -> int:
         return markov_storage(self.config).bits
 
-    def reset(self) -> None:
-        self._table.clear()
-        self._last_miss = None
-
     # -- inspection ----------------------------------------------------------
 
     def successors_of(self, line: int) -> list[int]:

@@ -169,11 +169,6 @@ class SmsPrefetcher(Prefetcher):
     def storage_bits(self) -> int:
         return sms_storage(self.config).bits
 
-    def reset(self) -> None:
-        self._filter.clear()
-        self._agt.clear()
-        self._pht.clear()
-
     # -- inspection ----------------------------------------------------------
 
     def learned_pattern(self, pc: int, offset: int) -> int | None:

@@ -133,9 +133,6 @@ class StridePrefetcher(Prefetcher):
     def storage_bits(self) -> int:
         return stride_storage(self.config).bits
 
-    def reset(self) -> None:
-        self._table.clear()
-
     # -- inspection ----------------------------------------------------------
 
     def entry_state(self, pc: int) -> tuple[int, int] | None:

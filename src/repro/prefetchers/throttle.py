@@ -137,13 +137,3 @@ class ThrottledPrefetcher(Prefetcher):
         # Counters plus a small outstanding-line CAM (modelled as 64
         # entries of 32-bit line addresses).
         return self.inner.storage_bits() + 64 * 32 + 4 * 16
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self.level = self.config.start_level
-        self._accesses_in_interval = 0
-        self._issued_in_interval = 0
-        self._used_in_interval = 0
-        self._outstanding.clear()
-        self.feedback_log.clear()
-        self._interval_index = 0

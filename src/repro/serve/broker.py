@@ -13,8 +13,8 @@ One :class:`Broker` owns the path from a validated
    of its request (:meth:`SimulateRequest.node`), identified by the
    node's ``key``.  A request whose key is already in flight — the same
    simulation, however its overrides or prefetcher parameters are
-   spelled — attaches to the leader job (via
-   :class:`repro.exec.SingleFlight`) instead of queueing duplicate work.
+   spelled — attaches to the leader job (the broker's map of in-flight
+   keys to leader jobs) instead of queueing duplicate work.
    An identical request gets the leader job itself; a differently
    spelled one gets its own *follower* job (own id, own spelling, its
    result labelled with its own prefetcher name) that shares the
@@ -62,7 +62,7 @@ from typing import Any
 
 from repro import obs
 from repro.common.errors import ReproError
-from repro.exec import ExecOptions, GridPlan, ResultCache, SingleFlight
+from repro.exec import ExecOptions, GridPlan, ResultCache
 from repro.exec import faults
 from repro.exec.plan import SimNode
 from repro.exec.pool import WorkerPool
@@ -178,7 +178,8 @@ class Broker:
                          if self.cache_dir is not None else None)
         self._pool = (WorkerPool(self.workers)
                       if self.workers > 1 else None)
-        self._singleflight: SingleFlight[ServeJob] = SingleFlight()
+        #: In-flight leader jobs by key; a leader leaves when it ends.
+        self._inflight: dict[str, ServeJob] = {}
         self._jobs: "dict[str, ServeJob]" = {}
         self._history: deque[str] = deque()
         self._queue: asyncio.Queue[ServeJob] = asyncio.Queue()
@@ -284,8 +285,6 @@ class Broker:
         path = self.cache_dir / "serve-stats.json"
         document = {
             "counters": dict(self.counters),
-            "singleflight": {"hits": self._singleflight.hits,
-                             "leaders": self._singleflight.leaders},
             "obs": obs.snapshot(),
         }
         path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
@@ -314,10 +313,10 @@ class Broker:
         node = request.node(self.base_config)
         key = node.key
 
-        existing = self._singleflight.peek(key)
-        if existing is not None and not existing.status.terminal:
+        leader = self._inflight.get(key)
+        if leader is not None:
             self.counters["serve.deduplicated"] += 1
-            return self._follow(existing, request, node), True
+            return self._follow(leader, request, node), True
 
         if self._pending >= self.max_pending:
             self.counters["serve.rejected"] += 1
@@ -332,13 +331,7 @@ class Broker:
             request=request,
             node=node,
         )
-        # Re-lease under the registry lock; the earlier peek was only a
-        # fast path and another leader cannot have appeared on this
-        # single-threaded loop, but lease() keeps the accounting honest.
-        leased, is_leader = self._singleflight.lease(key, lambda: job)
-        if not is_leader:
-            self.counters["serve.deduplicated"] += 1
-            return self._follow(leased, request, node), True
+        self._inflight[key] = job
         if self._journal is not None:
             self._journal.job_accepted(job.job_id, key, request)
         self._jobs[job.job_id] = job
@@ -413,8 +406,6 @@ class Broker:
     def metrics(self) -> dict[str, dict[str, float]]:
         """Counters + gauges for the ``/metrics`` endpoint."""
         counters = dict(self.counters)
-        counters["serve.singleflight_hits"] = self._singleflight.hits
-        counters["serve.singleflight_leaders"] = self._singleflight.leaders
         gauges = {
             "serve.pending_jobs": float(self._pending),
             "serve.queue_depth": float(self._queue.qsize()),
@@ -546,7 +537,7 @@ class Broker:
         if self._journal is not None:
             self._journal.job_finished(job.job_id, job.key,
                                        job.status.value)
-        self._singleflight.release(job.key)
+        self._inflight.pop(job.key, None)
         self._pending = max(0, self._pending - 1)
         self._emit(job, {"event": "terminal",
                          "wall_seconds": job.wall_seconds,

@@ -90,13 +90,6 @@ class TestMapTable:
         prefetcher.on_access(*access(9))
         assert prefetcher.accessed_bitmap(0) == (1 << 7) | (1 << 9)
 
-    def test_reset(self):
-        prefetcher = AmpmPrefetcher()
-        prefetcher.on_access(*access(5))
-        prefetcher.reset()
-        assert prefetcher.accessed_bitmap(0) == 0
-
-
 class TestIntegration:
     def test_registered_in_registry(self):
         from repro.harness.registry import (

@@ -1,12 +1,13 @@
 """Tests for the CBWS hardware buffers (Figure 8), as Algorithm 1 fills
-and drains them: the current-CBWS FIFO and the predecessor CBWSs."""
+and drains them: the current-CBWS FIFO (the predictor's ``lines``,
+``members`` and ``overflowed``) and the predecessor CBWSs
+(``last_blocks``)."""
 
 from array import array
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.buffers import CurrentCbwsBuffer
 from repro.core.predictor import CbwsConfig, CbwsPredictor, _drive
 from repro.trace.events import BLOCK_BEGIN, BLOCK_END, MEMORY_ACCESS
 
@@ -41,8 +42,8 @@ class TestCurrentCbwsBuffer:
     def test_capacity_enforced(self):
         state = predictor(max_vector_members=2)
         drive(state, [[1, 2, 3]], close=False)
-        assert state.current.lines == [1, 2]
-        assert state.current.overflowed
+        assert state.lines == [1, 2]
+        assert state.overflowed
         drive(state, [[1, 2, 3]])
         assert list(state.last_blocks) == [(1, 2)]
         assert state.last_block_overflowed
@@ -64,24 +65,22 @@ class TestCurrentCbwsBuffer:
         """BLOCK_BEGIN and BLOCK_END both leave the buffer empty."""
         state = predictor(max_vector_members=2)
         drive(state, [[1, 2, 3], [9]], close=False)
-        assert state.current.lines == [9]
-        assert state.current.members == {9}
-        assert not state.current.overflowed
+        assert state.lines == [9]
+        assert state.members == {9}
+        assert not state.overflowed
         drive(state, [[9]])
-        assert state.current.lines == []
-        assert state.current.members == set()
+        assert state.lines == []
+        assert state.members == set()
         assert list(state.last_blocks) == [(9,), (1, 2)]
 
     def test_indexing(self):
         """An open block's working set reads in first-touch order."""
         state = predictor(max_vector_members=4)
         drive(state, [[7, 8, 7]], close=False)
-        assert state.current.lines[0] == 7
-        assert state.current.lines == [7, 8]
+        assert state.lines[0] == 7
+        assert state.lines == [7, 8]
 
     def test_zero_capacity_rejected(self):
-        with pytest.raises(ConfigError):
-            CurrentCbwsBuffer(capacity=0)
         with pytest.raises(ConfigError):
             CbwsConfig(max_vector_members=0)
 
@@ -103,7 +102,7 @@ class TestLastBlocksBuffer:
         state = predictor(max_step=4)
         drive(state, [[1], [], [5]], close=False)
         assert list(state.last_blocks) == [(1,)]
-        assert state._current_diffs == [[4], [], [], []]
+        assert state.diffs == [[4], [], [], []]
 
     def test_step_bounds_enforced(self):
         with pytest.raises(ConfigError):
@@ -112,7 +111,7 @@ class TestLastBlocksBuffer:
             CbwsConfig(max_step=2, predict_steps=0)
         state = predictor(max_step=2, predict_steps=2)
         assert state.last_blocks.maxlen == 2
-        assert len(state._current_diffs) == len(state._registers) == 2
+        assert len(state.diffs) == len(state.registers) == 2
 
     def test_clear(self):
         """A new static block id flushes the predecessors."""
@@ -120,7 +119,7 @@ class TestLastBlocksBuffer:
         drive(state, [[1], [2]])
         drive(state, [[3]], block_id=1, close=False)
         assert len(state.last_blocks) == 0
-        assert state._current_diffs == [[], []]
+        assert state.diffs == [[], []]
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ConfigError):

@@ -9,11 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.bitops import bit_select, fold_xor, mask
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
-from repro.core.history import (
-    DifferentialHistoryTable,
-    hash_differential,
-    history_tag,
-)
+from repro.core.history import hash_differential, history_tag
 from repro.core.predictor import (
     CbwsConfig,
     CbwsPredictor,
@@ -150,27 +146,27 @@ class TestHistoryTable:
         stride predicts the next line."""
         stream = one_line_blocks(range(100, 106), max_step=1,
                                  predict_steps=1, history_depth=1)
-        assert (1,) in stream.predictor.table._table.values()
+        assert (1,) in stream.predictor.table.values()
         assert stream.block(len(stream) - 1) == [106]
 
     def test_update_in_place(self):
         """Retraining a tag replaces its differential in place."""
         stream = one_line_blocks([0, 1, 2, 3, 5], max_step=1,
                                  predict_steps=1, history_depth=1)
-        table = stream.predictor.table._table
+        table = stream.predictor.table
         # Block 1 trains (1,) under the empty-hash tag; blocks 2-4 all
         # train under the tag of hash((1,)), the last one with (2,).
         assert list(table.values()) == [(1,), (2,)]
 
     def test_capacity_with_random_eviction(self):
         stream = one_line_blocks(random_blocks(40), table_entries=4)
-        assert len(stream.predictor.table._table) == 4
+        assert len(stream.predictor.table) == 4
 
     def test_random_eviction_is_seeded(self):
         def fill(seed):
-            table = one_line_blocks(random_blocks(60), table_entries=4,
-                                    seed=seed).predictor.table
-            return list(table._table.items()), table._rng._rng.getstate()
+            predictor = one_line_blocks(random_blocks(60), table_entries=4,
+                                        seed=seed).predictor
+            return list(predictor.table.items()), predictor.rng._rng.getstate()
 
         assert fill(7) == fill(7)
         assert fill(7)[1] != DeterministicRng(7)._rng.getstate()
@@ -186,19 +182,17 @@ class TestHistoryTable:
     def test_tags_masked_to_width(self):
         predictor = one_line_blocks(random_blocks(40), tag_bits=3,
                                     table_entries=16).predictor
-        assert predictor.table._table
-        assert all(0 <= tag < 8 for tag in predictor.table._table)
-        assert all(0 <= tag < 8 for tag in predictor._tags)
+        assert predictor.table
+        assert all(0 <= tag < 8 for tag in predictor.table)
+        assert all(0 <= tag < 8 for tag in predictor.tags)
 
     def test_clear(self):
         predictor = one_line_blocks(range(100, 110)).predictor
-        assert predictor.table._table
+        assert predictor.table
         predictor.table.clear()
-        assert predictor.table._table == {}
+        assert predictor.table == {}
 
     def test_zero_entries_rejected(self):
-        with pytest.raises(ConfigError):
-            DifferentialHistoryTable(entries=0)
         with pytest.raises(ConfigError):
             CbwsConfig(table_entries=0)
 
@@ -211,4 +205,4 @@ class TestHistoryTable:
             kinds = array("B", [BLOCK_BEGIN, *[MEMORY_ACCESS] * len(lines),
                                 BLOCK_END])
             _drive(predictor, kinds, array("Q", [0, *lines, 0]), 0)
-            assert len(predictor.table._table) <= 8
+            assert len(predictor.table) <= 8

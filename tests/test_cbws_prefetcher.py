@@ -52,7 +52,7 @@ class TestStandalone:
             assert prefetcher.on_access(*access(line)) == []
         predictor = prefetcher.stream.predictor
         assert predictor.stats.blocks_completed == 0
-        assert predictor.current.lines == []
+        assert predictor.lines == []
 
     def test_accesses_return_no_candidates_inline(self):
         """CBWS only issues at BLOCK_END, never mid-block."""
@@ -91,13 +91,6 @@ class TestStandalone:
         prefetcher = CbwsPrefetcher()
         drive_blocks(prefetcher, [range(100, 130)])  # 30 distinct lines > 16
         assert prefetcher.stream.predictor.last_block_overflowed
-
-    def test_reset(self):
-        prefetcher = CbwsPrefetcher()
-        drive_blocks(prefetcher, strided_blocks(8))
-        prefetcher.reset()
-        assert prefetcher.stream is None
-        assert prefetcher.blocks_replayed == 0
 
     def test_block_end_needs_a_trace(self):
         with pytest.raises(ConfigError, match="before on_trace"):
@@ -148,10 +141,3 @@ class TestHybrid:
         assert hybrid.storage_bits() == (
             hybrid.cbws.storage_bits() + hybrid.sms.storage_bits()
         )
-
-    def test_reset(self):
-        hybrid = CbwsSmsPrefetcher()
-        drive_blocks(hybrid, strided_blocks(8))
-        hybrid.reset()
-        assert hybrid.cbws.stream is None
-        assert not hybrid._owned  # noqa: SLF001 - internal check

@@ -251,6 +251,25 @@ def _blocks_and_evictions_trace():
     return Trace("hooks", events, 6100)
 
 
+class TestPrefetcherInterface:
+    def test_base_methods_are_the_ones_called(self):
+        """The base class's public methods are exactly the hooks
+        something calls: the engine's five, and ``on_block_begin``,
+        which only perfbench's tracer wraps."""
+        import inspect
+
+        from repro.sim import engine
+
+        public = {name for name, value in vars(Prefetcher).items()
+                  if callable(value) and not name.startswith("_")}
+        called = {"on_trace", "on_access", "on_block_end",
+                  "on_l1_eviction", "storage_bits"}
+        assert public == called | {"on_block_begin"}
+        source = inspect.getsource(engine.SimulationEngine)
+        for hook in called:
+            assert f"prefetcher.{hook}" in source, hook
+
+
 class TestHookSkip:
     """The engine calls only the hooks a prefetcher's class overrides."""
 

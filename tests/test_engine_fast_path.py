@@ -158,11 +158,3 @@ class TestGhbIncrementalMatcher:
             ) == prefetcher._predict(_GLOBAL_KEY)
         history = prefetcher._histories[_GLOBAL_KEY]
         assert len(history.addresses) <= 2 * config.buffer_entries
-
-    def test_reset_clears_matcher_state(self):
-        prefetcher = GhbPrefetcher(GhbConfig(mode="global"))
-        prefetcher.buffer.push(_GLOBAL_KEY, 1)
-        prefetcher._predict_incremental(_GLOBAL_KEY, 1)
-        prefetcher.reset()
-        assert prefetcher._histories == {}
-        assert len(prefetcher.buffer) == 0

@@ -710,37 +710,6 @@ class TestWorkerTraceCacheBytes:
         assert len(traces._LRU) == traces.CAPACITY
 
 
-class TestSingleFlight:
-    def test_leader_then_followers(self):
-        from repro.exec import SingleFlight
-
-        flight = SingleFlight()
-        work, is_leader = flight.lease("k", lambda: "payload")
-        assert is_leader and work == "payload"
-        again, still_leader = flight.lease("k", lambda: "other")
-        assert not still_leader and again == "payload"
-        assert flight.hits == 1 and flight.leaders == 1
-        assert flight.peek("k") == "payload"
-
-    def test_release_allows_fresh_lease(self):
-        from repro.exec import SingleFlight
-
-        flight = SingleFlight()
-        flight.lease("k", lambda: "first")
-        flight.release("k")
-        assert flight.peek("k") is None
-        work, is_leader = flight.lease("k", lambda: "second")
-        assert is_leader and work == "second"
-        assert flight.leaders == 2
-
-    def test_release_unknown_key_is_noop(self):
-        from repro.exec import SingleFlight
-
-        flight = SingleFlight()
-        flight.release("never-leased")
-        assert len(flight) == 0
-
-
 class TestSharedPool:
     def test_execute_grid_reuses_borrowed_pool(self):
         from repro.exec.pool import WorkerPool

@@ -134,14 +134,6 @@ class TestDeltaCorrelation:
             candidates = prefetcher.on_access(*miss(2, 1000 + k * 4))
         assert candidates == [1000 + 4 * 4]
 
-    def test_reset(self):
-        prefetcher = GhbPrefetcher()
-        for k in range(6):
-            prefetcher.on_access(*miss(1, k * 16))
-        prefetcher.reset()
-        assert prefetcher.on_access(*miss(1, 0)) == []
-
-
 class TestConfigAndStorage:
     def test_mode_names(self):
         assert GhbPrefetcher(GhbConfig(mode="global")).name == "ghb-g/dc"

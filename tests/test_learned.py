@@ -138,14 +138,6 @@ class TestPanglossMechanics:
         assert p.storage_bits() == estimate.bits
         assert 10 < estimate.kilobytes < 20
 
-    def test_reset_forgets_everything(self):
-        p = PanglossPrefetcher()
-        first = [p.on_access(*_miss(0x400, _BASE_LINE + i)) for i in range(8)]
-        p.reset()
-        again = [p.on_access(*_miss(0x400, _BASE_LINE + i)) for i in range(8)]
-        assert first == again
-
-
 class TestPythiaMechanics:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -176,7 +168,7 @@ class TestPythiaMechanics:
             p.on_access(*_miss(0x500 + (i % 7) * 4, _BASE_LINE + (i * 3) % 512))
         assert p.outstanding <= config.inflight_entries
 
-    def test_determinism_and_reset(self):
+    def test_determinism(self):
         first = PythiaPrefetcher()
         second = PythiaPrefetcher()
         stream = [(0x500 + (i % 5) * 4, _BASE_LINE + (i * 7) % 256)
@@ -184,8 +176,6 @@ class TestPythiaMechanics:
         out_first = [first.on_access(*_miss(pc, ln)) for pc, ln in stream]
         out_second = [second.on_access(*_miss(pc, ln)) for pc, ln in stream]
         assert out_first == out_second
-        first.reset()
-        assert [first.on_access(*_miss(pc, ln)) for pc, ln in stream] == out_first
 
     def test_distinct_seeds_explore_differently(self):
         config = PythiaConfig(epsilon=0.5)

@@ -72,14 +72,6 @@ class TestCorrelation:
         assert prefetcher.successors_of(1) == []
         assert prefetcher.successors_of(3) == [4]
 
-    def test_reset(self):
-        prefetcher = MarkovPrefetcher()
-        prefetcher.on_access(*miss(1))
-        prefetcher.on_access(*miss(2))
-        prefetcher.reset()
-        assert prefetcher.successors_of(1) == []
-
-
 class TestPointerChase:
     def test_covers_repeating_permutation_cycle(self):
         """The mcf scenario: a pointer chase repeating the same cycle is

@@ -150,10 +150,29 @@ class TestBlockIdHandling:
         predictor = CbwsPredictor()
         for n in range(8):
             run_block(predictor, stencil_block(n), block_id=0)
-        # Switching to a different static loop must not predict from the
-        # old loop's history.
+        # Switching to a different static loop flushes the predecessor
+        # CBWSs and the shift registers (the history table is kept: see
+        # test_block_id_change_keeps_the_table).
         run_block(predictor, [1, 2, 3], block_id=1)
         assert list(predictor.last_blocks) == [(1, 2, 3)]  # only the new block
+
+    def test_block_id_change_keeps_the_table(self):
+        """The history table survives a block-id switch, so a new loop's
+        first block can predict from the old loop's entries.
+
+        Open question (DESIGN.md §6): whether a new loop should start
+        from an empty table.  Here the new block's step-1 register holds
+        one empty-differential hash, as the old loop's did after its
+        first block, so its tag finds the old loop's first step-1
+        differential (0, 0, 1024, 1024, 1024) and predicts from it.
+        """
+        predictor = CbwsPredictor()
+        for n in range(8):
+            run_block(predictor, stencil_block(n), block_id=0)
+        table = dict(predictor.table)
+        assert run_block(predictor, [1, 2, 3], block_id=1) == [1, 2, 1027]
+        assert predictor.table == table
+        assert predictor.confident
 
     def test_same_block_id_keeps_history(self):
         predictor = CbwsPredictor()
@@ -170,7 +189,7 @@ class TestDivergence:
         # Differentials were computed over the aligned prefix only; no
         # crash, and history contains both CBWSs.
         assert len(predictor.last_blocks) == 2
-        assert list(predictor.table._table.values()) == [(1, 1)]
+        assert list(predictor.table.values()) == [(1, 1)]
 
     def test_empty_block_is_harmless(self):
         predictor = CbwsPredictor()
@@ -191,40 +210,21 @@ class TestStrideTruncation:
             assert 0 <= line < (1 << 32)
 
 
-class TestReset:
-    def test_reset_clears_everything(self):
-        predictor = CbwsPredictor()
-        for n in range(8):
-            run_block(predictor, stencil_block(n))
-        predictor.reset()
-        assert predictor.stats.blocks_completed == 0
-        assert len(predictor.last_blocks) == 0
-        assert predictor.table._table == {}
-        assert run_block(predictor, stencil_block(0)) == []
-
-    def test_reset_clears_overflow_flag(self):
-        predictor = CbwsPredictor()
-        run_block(predictor, list(range(100, 117)))  # 17 lines > 16
-        assert predictor.last_block_overflowed
-        predictor.reset()
-        assert predictor.last_block_overflowed is False
-
-
 class TestHistoryState:
     def test_registers_bounded_by_depth(self):
         predictor = CbwsPredictor(CbwsConfig(history_depth=2))
         for n in range(6):
             run_block(predictor, stencil_block(n))
-        assert all(len(register) == 2 for register in predictor._registers)
+        assert all(len(register) == 2 for register in predictor.registers)
 
     def test_tags_follow_registers(self):
         config = CbwsConfig()
         predictor = CbwsPredictor(config)
         for n in range(6):
             run_block(predictor, stencil_block(n * n))
-        assert predictor._tags == [
+        assert predictor.tags == [
             history_tag(register, config.hash_bits, config.tag_bits)
-            for register in predictor._registers
+            for register in predictor.registers
         ]
 
     def test_block_switch_empties_history(self):
@@ -235,8 +235,8 @@ class TestHistoryState:
         # A pass that ends on BLOCK_BEGIN(1) leaves block 1 open.
         _drive(predictor, array("B", [BLOCK_BEGIN]), array("Q", [1]), 0)
         assert not predictor.confident
-        assert predictor._registers == [()] * 4
-        assert predictor._tags == [history_tag(())] * 4
+        assert predictor.registers == [()] * 4
+        assert predictor.tags == [history_tag(())] * 4
         assert len(predictor.last_blocks) == 0
 
     def test_state_does_not_grow_with_the_trace(self):
@@ -247,13 +247,13 @@ class TestHistoryState:
         predictor = CbwsPredictor(config)
         for _ in range(300):
             run_block(predictor, [rng.randrange(1 << 20) for _ in range(6)])
-        assert len(predictor.table._table) <= config.table_entries
+        assert len(predictor.table) <= config.table_entries
         assert len(predictor.last_blocks) <= config.max_step
         assert all(len(block) <= config.max_vector_members
                    for block in predictor.last_blocks)
         assert all(len(register) <= config.history_depth
-                   for register in predictor._registers)
-        assert predictor._current_diffs == [[]] * config.max_step
+                   for register in predictor.registers)
+        assert predictor.diffs == [[]] * config.max_step
 
 
 @st.composite
@@ -372,17 +372,19 @@ def assert_matches_oracle(trace, geometry, line_shift, stream=None):
     predictor = stream.predictor
     assert [stream.block(i) for i in range(len(stream))] == outputs
     assert predictor.stats == stats
-    assert list(predictor.table._table.items()) == list(oracle.table.items())
-    assert predictor.table._rng._rng.getstate() == oracle.rng.getstate()
+    assert list(predictor.table.items()) == list(oracle.table.items())
+    assert predictor.rng._rng.getstate() == oracle.rng.getstate()
     assert predictor.confident == confident
     assert predictor.last_block_overflowed == overflowed
+    assert predictor.capacity == oracle.vector
+    assert predictor.addr_mask == oracle.line_mask
+    assert predictor.lines == oracle.current
+    assert predictor.overflowed == oracle.overflowed
     assert list(predictor.last_blocks) == oracle.last_blocks
-    assert predictor._registers == [tuple(r) for r in oracle.registers]
-    assert predictor._tags == [oracle._tag(r) for r in oracle.registers]
-    assert predictor.current.lines == oracle.current
-    assert predictor.current.overflowed == oracle.overflowed
-    assert predictor._current_diffs == oracle.diffs
-    assert predictor._block_id == oracle.block_id
+    assert predictor.diffs == oracle.diffs
+    assert predictor.registers == [tuple(r) for r in oracle.registers]
+    assert predictor.tags == [oracle._tag(r) for r in oracle.registers]
+    assert predictor.block_id == oracle.block_id
 
 
 def memo_peaks(run):
@@ -504,8 +506,8 @@ class TestPredictTrace:
         stream = predict_trace(trace, config, line_shift)
         assert [stream.block(i) for i in range(len(stream))] == want
         assert stream.predictor.stats == live.stats
-        assert list(stream.predictor.table._table.items()) == \
-            list(live.table._table.items())
+        assert list(stream.predictor.table.items()) == \
+            list(live.table.items())
         assert replayed(CbwsPrefetcher(config), trace, line_shift) == want
 
     @settings(max_examples=100, deadline=None)

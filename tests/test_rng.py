@@ -86,22 +86,21 @@ class TestNamedStreams:
 
     def test_history_table_default_evictions_are_reproducible(self):
         # Regression: the CBWS history table's random-eviction path draws
-        # from the named stream, so two default-constructed tables evict
-        # the same victims in the same order.
+        # from the predictor's own generator, seeded by its config, so two
+        # predictors of one config evict the same victims in the same
+        # order.
         from array import array
 
-        from repro.core.history import DifferentialHistoryTable
         from repro.core.predictor import CbwsConfig, CbwsPredictor, _drive
 
         def evictions():
             predictor = CbwsPredictor(CbwsConfig(table_entries=4))
-            predictor.table = DifferentialHistoryTable(entries=4)
             victims = []
             for line in range(0, 64 * 7, 7):
-                before = set(predictor.table._table)
+                before = set(predictor.table)
                 _drive(predictor, array("B", [1, 0, 2]),
                        array("Q", [0, line * line, 0]), 0)
-                victims.extend(sorted(before - set(predictor.table._table)))
+                victims.extend(sorted(before - set(predictor.table)))
             return victims
 
         first = evictions()

@@ -271,6 +271,24 @@ class TestBrokerSemantics:
         job3, dedup3 = broker.submit(request("cbws"))
         assert dedup3 is False and job3 is not job1
 
+    def test_metrics_report_each_join(self, tmp_path):
+        broker = Broker(workers=1, cache_dir=tmp_path)
+        leader, _ = broker.submit(request("cbws[table_entries=64,max_step=2]"))
+        same, dedup_same = broker.submit(
+            request("cbws[table_entries=64,max_step=2]"))
+        spelled, dedup_spelled = broker.submit(
+            request("cbws[max_step=2,table_entries=64]"))
+        assert dedup_same and dedup_spelled
+        assert same is leader and spelled is not leader
+        counters = broker.metrics()["counters"]
+        assert counters["serve.deduplicated"] == 2
+        assert counters["serve.requests"] == 3
+        assert not [name for name in counters if "singleflight" in name]
+        broker.flush_telemetry()
+        stats = json.loads((tmp_path / "serve-stats.json").read_text())
+        assert stats["counters"]["serve.deduplicated"] == 2
+        assert "singleflight" not in stats
+
     def test_overflow_raises_admission_full(self, tmp_path):
         broker = Broker(workers=1, cache_dir=tmp_path, max_pending=2)
         broker.submit(request("stride"))
@@ -351,6 +369,27 @@ class TestBrokerBatches:
         assert broker.job(second.job_id) is second
         assert [e["event"] for e in second.events] == [
             e["event"] for e in first.events]
+        assert broker.counters["serve.cells_executed"] == 1
+
+    def test_resubmit_after_the_leader_ends_gets_a_new_job(self, tmp_path):
+        import asyncio
+
+        async def main():
+            broker = Broker(workers=1, cache_dir=tmp_path, batch_window=0.01)
+            await broker.start()
+            first, _ = broker.submit(request("stride"))
+            await first.done.wait()
+            second, deduplicated = broker.submit(request("stride"))
+            await second.done.wait()
+            await broker.drain()
+            return broker, first, second, deduplicated
+
+        broker, first, second, deduplicated = asyncio.run(main())
+        assert not deduplicated
+        assert second is not first and second.job_id != first.job_id
+        assert first.status is second.status is JobStatus.DONE
+        assert second.cache_hit
+        assert broker.counters["serve.deduplicated"] == 0
         assert broker.counters["serve.cells_executed"] == 1
 
     def test_follower_shares_the_leaders_failure(self, tmp_path,

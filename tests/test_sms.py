@@ -104,11 +104,5 @@ class TestCapacityAndReset:
         assert prefetcher.learned_pattern(1, 0) is None
         assert prefetcher.learned_pattern(3, 0) is not None
 
-    def test_reset(self):
-        prefetcher = SmsPrefetcher()
-        train_region(prefetcher, pc=1, base_line=0, offsets=[0, 1])
-        prefetcher.reset()
-        assert prefetcher.learned_pattern(1, 0) is None
-
     def test_storage_is_reported(self):
         assert SmsPrefetcher().storage_bits() > 0

@@ -117,11 +117,5 @@ class TestCapacity:
         assert prefetcher.entry_state(1) is None
         assert prefetcher.entry_state(2) is not None
 
-    def test_reset(self):
-        prefetcher = StridePrefetcher()
-        prefetcher.on_access(*access(1, 0))
-        prefetcher.reset()
-        assert prefetcher.entry_state(1) is None
-
     def test_storage_matches_table3(self):
         assert StridePrefetcher().storage_bits() == 18432  # 2.25 KB

@@ -108,16 +108,6 @@ class TestFeedback:
         assert calls == [(trace, 7)]
         assert throttled.on_block_end(5) == [42]
 
-    def test_reset(self):
-        throttled = ThrottledPrefetcher(
-            _FixedPrefetcher(), ThrottleConfig(interval_accesses=8)
-        )
-        for k in range(40):
-            throttled.on_access(*access(k))
-        throttled.reset()
-        assert throttled.feedback_log == []
-        assert throttled.level == ThrottleConfig().start_level
-
     def test_name_and_storage(self):
         throttled = ThrottledPrefetcher(_FixedPrefetcher())
         assert throttled.name == "fdp(fixed)"
