@@ -103,6 +103,7 @@ def run_campaign_bench(
         started = perf_counter()
         warm_plan = plan_campaign(spec, cache=cache)
         warm_plan_seconds = perf_counter() - started
+        cache.close()
 
         if progress is not None:
             progress("journal replay")

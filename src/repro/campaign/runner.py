@@ -280,6 +280,7 @@ def run_campaign(
         )
     finally:
         journal.close()
+        cache.close()
     outcome.execution["wall_seconds"] = time.perf_counter() - started
     outcome.execution["resumed"] = resume
     return outcome

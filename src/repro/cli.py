@@ -393,6 +393,7 @@ def _parse_age(text: str) -> float:
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
+    from contextlib import closing
     from pathlib import Path
 
     from repro.exec.cache import ResultCache
@@ -403,11 +404,12 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
         return 0
     max_bytes = None if args.max_bytes is None else _parse_size(args.max_bytes)
     max_age = None if args.max_age is None else _parse_age(args.max_age)
-    stats = ResultCache(results_root).gc(
-        max_bytes=max_bytes,
-        max_age_seconds=max_age,
-        dry_run=args.dry_run,
-    )
+    with closing(ResultCache(results_root)) as cache:
+        stats = cache.gc(
+            max_bytes=max_bytes,
+            max_age_seconds=max_age,
+            dry_run=args.dry_run,
+        )
     verb = "would evict" if args.dry_run else "evicted"
     print(f"scanned {stats.scanned} entr(ies), {stats.bytes_total:,} bytes")
     print(f"{verb} {stats.evicted} ({stats.evicted_by_age} by age, "
@@ -586,8 +588,10 @@ def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
     CRC, cached results against their schema + checksum envelope, and
     run journals for torn tails.  Exit 0 when everything verifies; exit
     1 and list the offenders otherwise (``--purge`` deletes corrupt
-    files: a purged result is simulated again on the next run).
+    trace files and result rows: a purged result is simulated again on
+    the next run).
     """
+    from contextlib import closing
     from pathlib import Path
 
     from repro.exec.cache import ResultCache
@@ -609,10 +613,11 @@ def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
             corrupt.append((path, reason))
 
     results_root = root / "results"
+    cache_bad: list[tuple[str, str]] = []
     if results_root.is_dir():
-        cache_ok, cache_bad = ResultCache(results_root).verify()
+        with closing(ResultCache(results_root)) as cache:
+            cache_ok, cache_bad = cache.verify(purge=args.purge)
         ok += cache_ok
-        corrupt.extend(cache_bad)
 
     torn_runs = 0
     for summary in list_runs(root / RUNS_DIRNAME):
@@ -621,16 +626,19 @@ def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
             print(f"journal {summary.run_id}: {summary.torn_lines} torn "
                   "line(s) discarded at replay (tolerated)")
 
-    print(f"verified {ok} artifact(s): {len(corrupt)} corrupt, "
-          f"{torn_runs} journal(s) with torn tails")
-    if not corrupt:
+    print(f"verified {ok} artifact(s): {len(corrupt) + len(cache_bad)} "
+          f"corrupt, {torn_runs} journal(s) with torn tails")
+    if not corrupt and not cache_bad:
         return 0
-    for path, reason in corrupt:
+    for path, reason in corrupt + cache_bad:
         print(f"corrupt: {path}: {reason}", file=sys.stderr)
-        if args.purge:
-            Path(path).unlink(missing_ok=True)
-            print(f"purged:  {path}", file=sys.stderr)
-    return 0 if args.purge else 1
+    if not args.purge:
+        return 1
+    for path, _ in corrupt:
+        path.unlink(missing_ok=True)
+    for path, _ in corrupt + cache_bad:
+        print(f"purged:  {path}", file=sys.stderr)
+    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -316,7 +316,8 @@ def execute_grid(
     spelling, also when the cache entry was filled under another one.
 
     Args:
-        cache: result cache; probed before scheduling, filled after.
+        cache: result cache; probed before scheduling, filled after,
+            and closed on return (it reopens on its next use).
         inject: test-only fault injection per (workload, prefetcher).
         progress: called with each delivered cell's node and result, as
             it lands.
@@ -406,6 +407,8 @@ def execute_grid(
                 else:
                     _run_pool(state, tasks, jobs, shared_pool=pool)
     finally:
+        if cache is not None:
+            cache.close()
         telemetry.finish()
         telemetry_module.LAST_RUN = telemetry
         if stats_path is not None:

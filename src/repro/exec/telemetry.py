@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
-
-from repro.exec.cache import _write_atomically
 
 logger = logging.getLogger("repro.exec")
 
@@ -183,6 +182,24 @@ class ExecTelemetry:
         target.parent.mkdir(parents=True, exist_ok=True)
         _write_atomically(target,
                           json.dumps(document, indent=2, sort_keys=True))
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` through a temp file and ``os.replace``.
+
+    Readers see the old file or the whole new one, never a prefix.  No
+    fsync: a lost snapshot costs only what ``repro exec-stats`` shows
+    (DESIGN.md §8).  The temp file is unlinked only when the replace did
+    not happen.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_stats(path: str | Path) -> dict[str, Any]:

@@ -269,6 +269,8 @@ class Broker:
             self._batch_task = None
         if self._pool is not None:
             await asyncio.to_thread(self._pool.shutdown)
+        if self._cache is not None:
+            self._cache.close()
         if self._journal is not None:
             # Every accepted job is finished after the queue join, so the
             # journal holds no recoverable state — drop it.

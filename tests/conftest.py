@@ -2,15 +2,63 @@
 
 from __future__ import annotations
 
+import sqlite3
+import time
+from contextlib import closing
+from pathlib import Path
+from typing import Callable
+
 import pytest
 
 from repro.analysis.reuse import COLD, ReuseProfile
+from repro.exec.cache import STORE_NAME, ResultCache
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.ir.nodes import ArrayDecl, Compute, For, Kernel, Load, Store
 from repro.ir.builder import c, v
 from repro.passes.annotate import annotate_tight_loops
+from repro.sim.results import SimResult
 from repro.ir.interp import run_kernel
 from repro.trace.stream import Trace
+
+
+# -- damaging the result store -------------------------------------------------
+
+
+def rewrite_envelope(
+    results_root: str | Path,
+    change: Callable[[str | None], str | None],
+    key: str | None = None,
+    written: float | None = None,
+) -> str:
+    """Rewrite one stored result-cache envelope behind the cache's back,
+    as a damaged disk or an older build would leave it.
+
+    ``change`` maps the stored text (None when ``key`` has no row) to
+    the new text, or to None to delete the row.  ``key`` defaults to the
+    smallest stored key; ``written`` defaults to the row's stored time,
+    or now for a new row.  Returns the key.
+    """
+    path = Path(results_root) / STORE_NAME
+    with closing(ResultCache(results_root)) as cache:
+        len(cache)  # creates the store and its table if missing
+        with closing(sqlite3.connect(path)) as db:
+            if key is None:
+                key = db.execute("SELECT min(key) FROM results").fetchone()[0]
+                assert key is not None, f"no stored envelope in {path}"
+            row = db.execute("SELECT envelope, written FROM results "
+                             "WHERE key = ?", (key,)).fetchone()
+        text = change(None if row is None else row[0])
+        if text is None:
+            cache.discard([key])
+            return key
+        if row is None:  # a row in the key's slot, to overwrite below
+            cache.put(key, SimResult(workload="", prefetcher=""))
+    if written is None:
+        written = time.time() if row is None else row[1]
+    with closing(sqlite3.connect(path)) as db, db:
+        db.execute("UPDATE results SET envelope = ?, written = ? "
+                   "WHERE key = ?", (text, written, key))
+    return key
 
 
 # -- reading a reuse profile --------------------------------------------------

@@ -19,6 +19,8 @@ from repro.exec.faults import parse_fault_plan
 from repro.exec.scheduler import ExecOptions
 from repro.trace.io import write_trace
 
+from conftest import rewrite_envelope
+
 
 @pytest.fixture(autouse=True)
 def _no_lingering_faults():
@@ -282,15 +284,10 @@ class TestRefinement:
 
 class TestCacheGc:
     def make_cache(self, tmp_path, entries):
-        import os
-
-        cache = ResultCache(tmp_path / "results")
         for index, age in enumerate(entries):
-            path = cache.root / "ab" / f"entry{index}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("x" * 100)
-            os.utime(path, (1000.0 - age, 1000.0 - age))
-        return cache
+            rewrite_envelope(tmp_path / "results", lambda _: "x" * 100,
+                             f"entry{index}", written=1000.0 - age)
+        return ResultCache(tmp_path / "results")
 
     def test_census_with_no_bounds(self, tmp_path):
         cache = self.make_cache(tmp_path, [0, 10, 20])
@@ -303,20 +300,21 @@ class TestCacheGc:
         stats = cache.gc(max_age_seconds=15.0, now=1000.0)
         assert stats.evicted == 1 and stats.evicted_by_age == 1
         assert stats.kept == 2
-        assert len(list(cache.root.glob("*/*.json"))) == 2
+        assert len(cache) == 2
 
     def test_size_eviction_is_oldest_first(self, tmp_path):
         cache = self.make_cache(tmp_path, [0, 10, 20])
         stats = cache.gc(max_bytes=150, now=1000.0)
         assert stats.evicted == 2 and stats.evicted_by_size == 2
-        survivors = list(cache.root.glob("*/*.json"))
-        assert [p.name for p in survivors] == ["entry0.json"]  # newest
+        survivors = [key for key in ("entry0", "entry1", "entry2")
+                     if cache.contains(key)]
+        assert survivors == ["entry0"]  # newest
 
     def test_dry_run_deletes_nothing(self, tmp_path):
         cache = self.make_cache(tmp_path, [0, 10, 20])
         stats = cache.gc(max_bytes=0, now=1000.0, dry_run=True)
         assert stats.evicted == 3 and stats.dry_run
-        assert len(list(cache.root.glob("*/*.json"))) == 3
+        assert len(cache) == 3
 
     def test_age_then_size_compose(self, tmp_path):
         cache = self.make_cache(tmp_path, [0, 10, 20, 30])

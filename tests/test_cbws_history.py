@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import bit_select, fold_xor, mask
 from repro.common.errors import ConfigError
+from repro.check.oracles import CbwsOracle
 from repro.common.rng import DeterministicRng
 from repro.core.history import hash_differential, history_tag
 from repro.core.predictor import (
@@ -187,10 +188,31 @@ class TestHistoryTable:
         assert all(0 <= tag < 8 for tag in predictor.tags)
 
     def test_clear(self):
-        predictor = one_line_blocks(range(100, 110)).predictor
-        assert predictor.table
-        predictor.table.clear()
-        assert predictor.table == {}
+        """A pass continues from a table emptied between passes: its
+        stream and its retrained table, in insertion order (which steers
+        random replacement), match the oracle's given the same two
+        passes and the same emptying."""
+        geometry = dict(table_entries=4)
+        predictor = CbwsPredictor(CbwsConfig(**geometry))
+        oracle = CbwsOracle(**geometry)
+        passes = (range(100, 140), range(140, 170))
+        for lines in passes:
+            assert predictor.table == oracle.table
+            predictor.table.clear()
+            oracle.table.clear()
+            kinds, payloads = array("B"), array("Q")
+            want = []
+            for line in lines:
+                kinds.extend([BLOCK_BEGIN, MEMORY_ACCESS, BLOCK_END])
+                payloads.extend([0, line, 0])
+                oracle.on_block_begin(0)
+                oracle.on_access(0, line, line, False)
+                want.append(oracle.on_block_end(0))
+            stream = _drive(predictor, kinds, payloads, 0)
+            assert [stream.block(i) for i in range(len(stream))] == want
+            assert any(want)
+            assert list(predictor.table.items()) == list(oracle.table.items())
+        assert predictor.rng._rng.getstate() == oracle.rng.getstate()
 
     def test_zero_entries_rejected(self):
         with pytest.raises(ConfigError):

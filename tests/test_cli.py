@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+from contextlib import closing
+
 import pytest
 
 from repro.cli import main
+from repro.exec.cache import ResultCache
+
+from conftest import rewrite_envelope
 
 
 class TestList:
@@ -197,10 +202,9 @@ class TestCampaignCli:
 
 class TestCacheGcCli:
     def test_gc_census_and_eviction(self, tmp_path, capsys):
-        results = tmp_path / "cache" / "results" / "ab"
-        results.mkdir(parents=True)
-        (results / "one.json").write_text("x" * 50)
-        (results / "two.json").write_text("y" * 50)
+        results = tmp_path / "cache" / "results"
+        rewrite_envelope(results, lambda _: "x" * 50, "one", written=1.0)
+        rewrite_envelope(results, lambda _: "y" * 50, "two", written=2.0)
         cache = str(tmp_path / "cache")
 
         assert main(["cache", "gc", "--cache-dir", cache]) == 0
@@ -211,11 +215,13 @@ class TestCacheGcCli:
                      "--max-bytes", "60", "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "would evict 1" in out
-        assert len(list(results.glob("*.json"))) == 2
+        with closing(ResultCache(results)) as store:
+            assert len(store) == 2
 
         assert main(["cache", "gc", "--cache-dir", cache,
                      "--max-bytes", "60"]) == 0
-        assert len(list(results.glob("*.json"))) == 1
+        with closing(ResultCache(results)) as store:
+            assert len(store) == 1 and store.contains("two")
 
     def test_gc_missing_cache_dir(self, tmp_path, capsys):
         assert main(["cache", "gc",

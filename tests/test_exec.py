@@ -39,6 +39,8 @@ from repro.trace.columnar import ROW, EventColumns
 from repro.trace.stream import Trace
 from repro.workloads import ALL_WORKLOADS, build_trace, get_workload
 
+from conftest import rewrite_envelope
+
 WORKLOADS = ["nw", "stencil-default"]
 PREFETCHERS = ["no-prefetch", "stride"]
 
@@ -149,23 +151,27 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = sim_key("nw", "stride", 1.0, 0.05, 0, REDUCED_CONFIG)
         cache.put(key, tiny_runner.run_one("nw", "stride"))
-        cache.path_for(key).write_text("{ not json")
+        rewrite_envelope(tmp_path, lambda _: "{ not json", key)
         assert cache.get(key) is None
-        assert not cache.path_for(key).exists()
+        assert not cache.contains(key)
 
     def test_schema_mismatch_is_miss(self, tiny_runner, tmp_path):
         cache = ResultCache(tmp_path)
         key = sim_key("nw", "stride", 1.0, 0.05, 0, REDUCED_CONFIG)
         cache.put(key, tiny_runner.run_one("nw", "stride"))
-        document = json.loads(cache.path_for(key).read_text())
-        document["result"]["schema"] = 999
-        cache.path_for(key).write_text(json.dumps(document))
+
+        def stale(text):
+            document = json.loads(text)
+            document["result"]["schema"] = 999
+            return json.dumps(document)
+
+        rewrite_envelope(tmp_path, stale, key)
         assert cache.get(key) is None
 
     def test_put_publishes_without_unlinking(self, tiny_runner, tmp_path,
                                              monkeypatch):
-        # The temp file is renamed into place, so a successful put has
-        # nothing left to unlink.
+        # A put is one row in one database file: no temp file, no
+        # fan-out directory, nothing to unlink.
         unlinked = []
         monkeypatch.setattr(Path, "unlink",
                             lambda path, missing_ok=False: unlinked.append(path))
@@ -173,8 +179,10 @@ class TestResultCache:
         key = sim_key("nw", "stride", 1.0, 0.05, 0, REDUCED_CONFIG)
         cache.put(key, tiny_runner.run_one("nw", "stride"))
         assert unlinked == []
-        assert [path.name for path in tmp_path.rglob("*")
-                if path.is_file()] == [f"{key}.json"]
+        assert not [path for path in tmp_path.rglob("*") if path.is_dir()]
+        cache.close()
+        assert [path.name for path in tmp_path.rglob("*")] == [
+            "results.sqlite"]
 
     def test_clear(self, tiny_runner, tmp_path):
         cache = ResultCache(tmp_path)

@@ -36,6 +36,8 @@ from repro.sim.config import REDUCED_CONFIG
 from repro.sim.results import SimResult
 from repro.trace.io import read_trace, verify_trace_file, write_trace
 
+from conftest import rewrite_envelope
+
 
 @pytest.fixture(autouse=True)
 def _no_lingering_faults():
@@ -171,15 +173,19 @@ class TestArtifactCorruption:
 
         cache = ResultCache(tmp_path / "results")
         key = sim_key("nw", "stride", 1.0, 0.02, 0, REDUCED_CONFIG)
-        path = cache.path_for(key)
-        document = json.loads(path.read_text())
-        document["result"]["cycles"] += 1  # silent bit rot
-        path.write_text(json.dumps(document))
+
+        def bit_rot(text):
+            document = json.loads(text)
+            document["result"]["cycles"] += 1  # silent bit rot
+            return json.dumps(document)
+
+        rewrite_envelope(tmp_path / "results", bit_rot, key)
 
         with caplog.at_level("WARNING", logger="repro.exec"):
             assert cache.get(key) is None
         assert "discarding unusable result-cache entry" in caplog.text
-        assert not path.exists()
+        assert not cache.contains(key)
+        cache.close()
 
         # A fresh runner rebuilds the cell rather than crashing.
         rebuilt = GridRunner(budget_fraction=0.02, jobs=1,
@@ -194,13 +200,16 @@ class TestArtifactCorruption:
         runner.run_grid(["nw"], ["stride"])
         cache = ResultCache(tmp_path / "results")
         key = sim_key("nw", "stride", 1.0, 0.02, 0, REDUCED_CONFIG)
-        path = cache.path_for(key)
-        document = json.loads(path.read_text())
-        document["schema"] = 1  # an envelope from an older build
-        path.write_text(json.dumps(document))
+
+        def older_build(text):
+            document = json.loads(text)
+            document["schema"] = 1  # an envelope from an older build
+            return json.dumps(document)
+
+        rewrite_envelope(tmp_path / "results", older_build, key)
 
         assert cache.get(key) is None
-        assert not path.exists()
+        assert not cache.contains(key)
 
 
 class TestCircuitBreaker:

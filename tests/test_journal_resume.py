@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ from repro.harness.export import write_json
 from repro.harness.runner import GridRunner, clear_trace_cache
 from repro.sim.config import REDUCED_CONFIG
 from repro.trace.io import write_trace
+
+from conftest import rewrite_envelope
 
 WORKLOADS = ["nw"]
 PREFETCHERS = ["no-prefetch", "stride"]
@@ -201,8 +204,8 @@ class TestResume:
 
         # Lose the cached artifact behind the journaled-complete cell:
         # resume must demote it to a rebuild, not trust a phantom.
-        for entry in (cache_dir / "results").glob("*/*.json"):
-            entry.unlink()
+        with closing(ResultCache(cache_dir / "results")) as cache:
+            cache.clear()
         resumed = GridRunner(budget_fraction=0.02, jobs=1,
                              cache_dir=cache_dir, resume="r1")
         grid = resumed.run_grid(WORKLOADS, PREFETCHERS)
@@ -341,11 +344,11 @@ class TestLostWrites:
         journal_path = cache_dir / RUNS_DIRNAME / "r1" / "journal.jsonl"
         completed = list(replay(journal_path).completed.items())
         assert len(completed) == 4
-        cache = ResultCache(cache_dir / "results")
+        results = cache_dir / "results"
         (deleted, deleted_key), *truncated, (kept, _) = completed
-        cache.path_for(deleted_key).unlink()
+        rewrite_envelope(results, lambda _: None, deleted_key)
         for _, key in truncated:
-            os.truncate(cache.path_for(key), 0)
+            rewrite_envelope(results, lambda _: "", key)
         data = journal_path.read_bytes()
         last = data.rstrip(b"\n").rfind(b"\n") + 1
         journal_path.write_bytes(data[:last + (len(data) - last) // 2])
@@ -437,11 +440,14 @@ class TestCli:
         ingested.parent.mkdir()
         write_trace(stream_trace, ingested)
         faults.bitflip_file(ingested, -3)
-        result_files = sorted((tmp_path / "results").glob("*/*.json"))
-        assert result_files
-        document = json.loads(result_files[0].read_text())
-        document["result"]["instructions"] += 1  # silent data corruption
-        result_files[0].write_text(json.dumps(document))
+
+        def corrupt(text):
+            document = json.loads(text)
+            document["result"]["instructions"] += 1  # silent corruption
+            return json.dumps(document)
+
+        results = tmp_path / "results"
+        key = rewrite_envelope(results, corrupt)
 
         assert main(["verify-artifacts", "--cache-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -451,7 +457,8 @@ class TestCli:
                      "--purge"]) == 0
         capsys.readouterr()
         assert not ingested.exists()
-        assert not result_files[0].exists()
+        with closing(ResultCache(results)) as cache:
+            assert not cache.contains(key)
         # After the purge everything left verifies.
         assert main(["verify-artifacts", "--cache-dir", str(tmp_path)]) == 0
 

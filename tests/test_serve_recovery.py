@@ -3,7 +3,7 @@
 The expensive proof — SIGKILL a live ``python -m repro serve`` mid-
 batch, restart it on the same cache dir, and show the journaled jobs
 are re-admitted with bit-identical results — runs in real subprocesses;
-everything else (replay set difference, torn tails, ENOSPC
+everything else (replay set difference, torn tails, disk-full
 classification) is unit-level and fast.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import DiskFullError
+from repro.exec import cache as cache_module
 from repro.exec.cache import ResultCache
 from repro.exec.journal import RunJournal
 from repro.exec.keys import stable_hash
@@ -79,8 +81,10 @@ class TestServeJournalReplay:
 
 
 class TestDiskFullClassification:
-    """ENOSPC/EDQUOT on the cache and journal writes fail fast with
-    remediation; other I/O errors pass through unclassified."""
+    """A full disk or quota under the result store (SQLITE_FULL, or an
+    I/O error that a probe write traces to ENOSPC/EDQUOT) or the journal
+    (ENOSPC) fails fast with remediation; other errors pass through
+    unclassified."""
 
     KEY = "ab" + "0" * 62
 
@@ -90,21 +94,75 @@ class TestDiskFullClassification:
         return SimResult(workload="nw", prefetcher="stride")
 
     @staticmethod
-    def _failing_replace(code):
-        def replace(_source, _target):
-            raise OSError(code, os.strerror(code))
+    def _fail_inserts(monkeypatch):
+        """Every INSERT on a store connection raises SQLite's I/O error."""
+        real_connect = sqlite3.connect
 
-        return replace
+        class FailingInserts:
+            def __init__(self, connection):
+                self._connection = connection
+
+            def execute(self, sql, *args):
+                if sql.startswith("INSERT"):
+                    raise sqlite3.OperationalError("disk I/O error")
+                return self._connection.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._connection, name)
+
+        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs:
+                            FailingInserts(real_connect(*args, **kwargs)))
 
     @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EDQUOT])
     def test_cache_put_raises_disk_full(self, tmp_path, monkeypatch, code):
+        # SQLite reports an exhausted quota as a plain I/O error; the
+        # store's probe write, failing with the same errno, names it.
+        def failing_open(_path, _mode):
+            raise OSError(code, os.strerror(code))
+
+        self._fail_inserts(monkeypatch)
+        monkeypatch.setattr(cache_module, "open", failing_open,
+                            raising=False)
         cache = ResultCache(tmp_path / "results")
-        monkeypatch.setattr(os, "replace", self._failing_replace(code))
         with pytest.raises(DiskFullError) as caught:
             cache.put(self.KEY, self._result())
         assert "repro cache gc" in str(caught.value)
-        # The temp file the replace never published is gone too.
-        assert list((tmp_path / "results").rglob("*.tmp")) == []
+        assert caught.value.__cause__.errno == code
+        assert not cache.contains(self.KEY)
+        cache.close()
+
+    def test_io_error_with_room_passes_through(self, tmp_path, monkeypatch):
+        # An I/O error while the disk has room is not a full disk: the
+        # probe write succeeds, leaves no file, and the error propagates.
+        self._fail_inserts(monkeypatch)
+        cache = ResultCache(tmp_path / "results")
+        with pytest.raises(sqlite3.OperationalError) as caught:
+            cache.put(self.KEY, self._result())
+        assert not isinstance(caught.value, DiskFullError)
+        assert list((tmp_path / "results").glob(".space-probe-*")) == []
+        cache.close()
+
+    def test_full_store_raises_disk_full(self, tmp_path, monkeypatch):
+        # SQLite reports SQLITE_FULL when the database may not grow, as
+        # on a full disk: cap it at three pages, room for a few rows.
+        real_connect = sqlite3.connect
+
+        def capped(*args, **kwargs):
+            connection = real_connect(*args, **kwargs)
+            connection.execute("PRAGMA max_page_count = 3")
+            return connection
+
+        monkeypatch.setattr(sqlite3, "connect", capped)
+        cache = ResultCache(tmp_path / "results")
+        first = "00" + "0" * 62
+        with pytest.raises(DiskFullError) as caught:
+            for index in range(100):
+                cache.put(f"{index:02x}" + "0" * 62, self._result())
+        assert "repro cache gc" in str(caught.value)
+        # A full store is not a damaged one: what it holds stays readable.
+        assert cache.contains(first)
+        assert list((tmp_path / "results").glob("*.corrupt-*")) == []
+        cache.close()
 
     def test_journal_append_raises_disk_full(self):
         # /dev/full fails every write with ENOSPC, as a full disk does;
@@ -114,13 +172,28 @@ class TestDiskFullClassification:
             journal.append("task-done", task_id="t1")
         assert "repro cache gc" in str(caught.value)
 
-    def test_other_oserror_passes_through_unclassified(self, tmp_path,
-                                                       monkeypatch):
+    def test_locked_store_passes_through_unclassified(self, tmp_path,
+                                                      monkeypatch):
+        # Another process holding the write lock is neither a full disk
+        # nor a damaged file: the put raises after the busy timeout, and
+        # the store stays where it is.
+        monkeypatch.setattr(cache_module, "BUSY_TIMEOUT_S", 0.05)
         cache = ResultCache(tmp_path / "results")
-        monkeypatch.setattr(os, "replace", self._failing_replace(errno.EIO))
-        with pytest.raises(OSError) as caught:
-            cache.put(self.KEY, self._result())
-        assert not isinstance(caught.value, DiskFullError)
+        assert len(cache) == 0
+        holder = sqlite3.connect(cache.path, isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            with pytest.raises(sqlite3.OperationalError) as caught:
+                cache.put(self.KEY, self._result())
+            assert not isinstance(caught.value, DiskFullError)
+            assert "locked" in str(caught.value)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert list((tmp_path / "results").glob("*.corrupt-*")) == []
+        cache.put(self.KEY, self._result())
+        assert cache.contains(self.KEY)
+        cache.close()
 
 
 class TestInProcessRecovery:
