@@ -20,7 +20,7 @@ from time import perf_counter
 from typing import Any, Callable
 
 from repro.campaign.planner import plan_campaign
-from repro.campaign.report import build_report, write_report
+from repro.campaign.report import build_report
 from repro.campaign.runner import replay_campaign, run_campaign
 from repro.campaign.spec import CampaignSpec, parse_spec
 from repro.exec.cache import ResultCache
@@ -66,21 +66,17 @@ def quick_campaign_spec() -> CampaignSpec:
 
 
 def run_campaign_bench(
-    cache_dir: str | Path | None = None,
     jobs: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Run the quick reference campaign and measure engine overhead.
 
-    A private temporary cache is used unless ``cache_dir`` is given (a
-    persistent dir makes the execute phase a warm replay, which is fine:
-    the bench's subject is the engine around the simulations, not the
-    simulations).
+    The campaign runs in a private temporary cache, deleted on return,
+    so the execute phase always simulates every cell.
     """
     spec = quick_campaign_spec()
-    temporary = (tempfile.TemporaryDirectory(prefix="repro-campaign-bench-")
-                 if cache_dir is None else None)
-    root = Path(temporary.name if temporary else cache_dir)
+    temporary = tempfile.TemporaryDirectory(prefix="repro-campaign-bench-")
+    root = Path(temporary.name)
     bench_started = perf_counter()
     try:
         if progress is not None:
@@ -94,7 +90,6 @@ def run_campaign_bench(
         started = perf_counter()
         outcome = run_campaign(spec, root, jobs=jobs)
         execute_seconds = perf_counter() - started
-        artifacts = write_report(outcome)
         report = build_report(outcome)
 
         if progress is not None:
@@ -154,9 +149,6 @@ def run_campaign_bench(
                 "records": replayed.records,
                 "replay_seconds": replay_seconds,
             },
-            "artifacts": {
-                name: str(path) for name, path in artifacts.items()
-            },
             "status": outcome.status,
         }
         document["totals"] = {
@@ -164,8 +156,7 @@ def run_campaign_bench(
         }
         return document
     finally:
-        if temporary is not None:
-            temporary.cleanup()
+        temporary.cleanup()
 
 
 def render_campaign_bench(document: dict[str, Any]) -> str:

@@ -3,8 +3,10 @@
 A *cell* is the atomic unit of a campaign: one fully determined
 simulation — workload, (possibly parametrized) prefetcher name, trace
 identity (scale / budget_fraction / seed), and a sparse set of machine
-overrides.  :meth:`CampaignCell.node` turns a cell into the
-:class:`~repro.exec.plan.SimNode` every execution path runs, and the
+overrides.  That is exactly a serve request, so a cell holds a
+:class:`~repro.serve.protocol.SimulateRequest`, whose
+:meth:`~repro.serve.protocol.SimulateRequest.node` is the
+:class:`~repro.exec.plan.SimNode` every execution path runs.  The
 node's ``key`` is the cell's content address — so a campaign cell, a
 ``repro run`` cell and a serve request that describe the same
 simulation share one cache entry.
@@ -19,12 +21,9 @@ one of three groups:
 *identity*
     ``scale``, ``budget_fraction``, ``seed`` — trace identity fields.
 *config*
-    ``l1_kb``, ``l2_kb``, ``l1.associativity``,
-    ``l1.mshrs``, ``l2.associativity``, ``l2.mshrs``, ``core.*``,
-    ``prefetch.*`` — sparse :class:`~repro.sim.config.SimConfig`
-    overrides, resolved by :func:`repro.sim.config.resolve_cell_config`
-    exactly like a serve request's.  The cache-shape paths go beyond
-    what the wire protocol can express (see :func:`serve_inexpressible`).
+    :data:`~repro.sim.config.CONFIG_PARAMS` — sparse
+    :class:`~repro.sim.config.SimConfig` overrides, resolved by
+    :func:`repro.sim.config.resolve_cell_config`.
 *prefetcher geometry*
     ``cbws.*``, ``pangloss.*``, ``pythia.*`` — geometry and learning
     knobs of the parametric prefetcher families.  These do not touch
@@ -45,7 +44,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.common.errors import CampaignError, ConfigError
-from repro.exec.plan import SimNode, TraceNode
 from repro.harness.registry import (
     CBWS_PARAM_FIELDS,
     PANGLOSS_PARAM_FIELDS,
@@ -55,10 +53,12 @@ from repro.harness.registry import (
     format_param_value,
     parse_prefetcher_name,
 )
+from repro.serve.protocol import SimulateRequest
 from repro.sim.config import (
     CONFIG_PARAMS,
     REDUCED_CONFIG,
     SimConfig,
+    config_values,
     resolve_cell_config,
 )
 
@@ -94,48 +94,22 @@ GEOMETRY_PARAMS = CBWS_PARAMS | PANGLOSS_PARAMS | PYTHIA_PARAMS
 #: Every sweepable parameter path.
 KNOWN_PARAMS = IDENTITY_PARAMS | CONFIG_PARAMS | GEOMETRY_PARAMS
 
-#: Config paths the serve wire protocol cannot express (cache shape is
-#: not part of the sparse-override schema).
-SERVE_INEXPRESSIBLE_PARAMS = frozenset({
-    "l1.associativity",
-    "l1.mshrs",
-    "l2.associativity",
-    "l2.mshrs",
-})
-
-
 @dataclass(frozen=True)
 class CampaignCell:
     """One fully determined simulation point.
 
     Attributes:
-        workload: workload name.
-        prefetcher: final (canonicalized, possibly parametrized) name.
-        scale / budget_fraction / seed: trace identity.
-        overrides: sorted ``(path, value)`` machine-config overrides.
+        request: the simulation, as a serve request describes it; its
+            prefetcher name is canonicalized and possibly parametrized.
         coords: sorted ``(axis, value)`` point that produced this cell —
             kept for reporting and refinement, not part of the content
-            key (the resolved config in :meth:`node` is).
+            key (the resolved config in ``request.node()`` is).
         wave: 0 for the initial sweep, ``n`` for refinement wave *n*.
     """
 
-    workload: str
-    prefetcher: str
-    scale: float = 1.0
-    budget_fraction: float = 1.0
-    seed: int = 0
-    overrides: tuple[tuple[str, int], ...] = ()
+    request: SimulateRequest
     coords: tuple[tuple[str, Any], ...] = ()
     wave: int = 0
-
-    def node(self, base: SimConfig = REDUCED_CONFIG) -> SimNode:
-        """The simulation this cell describes over machine ``base``."""
-        return SimNode(
-            TraceNode(self.workload, self.scale, self.budget_fraction,
-                      self.seed),
-            self.prefetcher,
-            resolve_cell_config(self.overrides, base),
-        )
 
     def coord(self, axis: str, default: Any = None) -> Any:
         """The value this cell takes on one axis."""
@@ -145,40 +119,18 @@ class CampaignCell:
         return default
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form; :meth:`from_dict` round-trips it exactly."""
+        """JSON-ready form (the ``wave-planned`` journal record's)."""
+        request = self.request
         return {
-            "workload": self.workload,
-            "prefetcher": self.prefetcher,
-            "scale": self.scale,
-            "budget_fraction": self.budget_fraction,
-            "seed": self.seed,
-            "overrides": [[path, value] for path, value in self.overrides],
+            "workload": request.workload,
+            "prefetcher": request.prefetcher,
+            "scale": request.scale,
+            "budget_fraction": request.budget_fraction,
+            "seed": request.seed,
+            "overrides": [[path, value] for path, value in request.overrides],
             "coords": [[axis, value] for axis, value in self.coords],
             "wave": self.wave,
         }
-
-    @classmethod
-    def from_dict(cls, body: Mapping[str, Any]) -> "CampaignCell":
-        """Rebuild a cell from its journaled form."""
-        try:
-            return cls(
-                workload=body["workload"],
-                prefetcher=body["prefetcher"],
-                scale=float(body["scale"]),
-                budget_fraction=float(body["budget_fraction"]),
-                seed=int(body["seed"]),
-                overrides=tuple(
-                    (path, value) for path, value in body["overrides"]
-                ),
-                coords=tuple(
-                    (axis, value) for axis, value in body["coords"]
-                ),
-                wave=int(body.get("wave", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise CampaignError(
-                f"malformed journaled cell {body!r}: {error}"
-            ) from None
 
 
 def build_cell(
@@ -241,12 +193,9 @@ def build_cell(
         (path, int(point[path])) for path in CONFIG_PARAMS & set(point)
     ))
     cell = CampaignCell(
-        workload=workload,
-        prefetcher=prefetcher,
-        scale=scale,
-        budget_fraction=budget_fraction,
-        seed=seed,
-        overrides=overrides,
+        SimulateRequest(workload=workload, prefetcher=prefetcher,
+                        scale=scale, budget_fraction=budget_fraction,
+                        seed=seed, overrides=overrides),
         coords=coords,
         wave=wave,
     )
@@ -278,20 +227,7 @@ def baseline_params(base: SimConfig = REDUCED_CONFIG) -> dict[str, Any]:
         "scale": 1.0,
         "budget_fraction": 1.0,
         "seed": 0,
-        "l1_kb": base.hierarchy.l1.size_bytes // 1024,
-        "l2_kb": base.hierarchy.l2.size_bytes // 1024,
-        "l1.associativity": base.hierarchy.l1.associativity,
-        "l1.mshrs": base.hierarchy.l1.mshrs,
-        "l2.associativity": base.hierarchy.l2.associativity,
-        "l2.mshrs": base.hierarchy.l2.mshrs,
-        "core.width": base.core.width,
-        "core.rob_entries": base.core.rob_entries,
-        "core.l1_latency": base.core.l1_latency,
-        "core.l2_latency": base.core.l2_latency,
-        "core.memory_latency": base.core.memory_latency,
-        "prefetch.queue_capacity": base.prefetch.queue_capacity,
-        "prefetch.issue_interval": base.prefetch.issue_interval,
-        "prefetch.max_in_flight": base.prefetch.max_in_flight,
+        **config_values(base),
         **{
             f"cbws.{field}": getattr(cbws, field)
             for field in sorted(CBWS_PARAM_FIELDS)
@@ -305,24 +241,3 @@ def baseline_params(base: SimConfig = REDUCED_CONFIG) -> dict[str, Any]:
             for field in sorted(PYTHIA_PARAM_FIELDS)
         },
     }
-
-
-def serve_inexpressible(cell: CampaignCell) -> str | None:
-    """Why this cell cannot run through a serve endpoint (None if it can).
-
-    The wire protocol's sparse overrides cover cache *sizes* and the
-    core/prefetch scalars but not cache shape (associativity, MSHRs);
-    cbws geometry always travels in the prefetcher name, which serve
-    accepts as-is.
-    """
-    blocked = sorted(
-        path for path, _ in cell.overrides
-        if path in SERVE_INEXPRESSIBLE_PARAMS
-    )
-    if blocked:
-        return (
-            f"override(s) {', '.join(blocked)} are not expressible in "
-            "the serve wire protocol; run this campaign with the grid "
-            "executor instead"
-        )
-    return None

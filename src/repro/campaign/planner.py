@@ -204,10 +204,10 @@ def plan_wave(
                     wave=wave,
                     base=base,
                 )
-                node = cell.node(base)
+                node = cell.request.node(base)
                 plan.samples.append(CellSample(
-                    workload=cell.workload,
-                    prefetcher=cell.prefetcher,
+                    workload=workload,
+                    prefetcher=cell.request.prefetcher,
                     coords=cell.coords,
                     key=node.key,
                     wave=wave,

@@ -57,8 +57,8 @@ def build_report(outcome: CampaignOutcome) -> dict[str, Any]:
     for plan in outcome.waves:
         for cell, key in zip(plan.cells, plan.keys):
             entry: dict[str, Any] = {
-                "workload": cell.workload,
-                "prefetcher": cell.prefetcher,
+                "workload": cell.request.workload,
+                "prefetcher": cell.request.prefetcher,
                 "coords": [[axis, value] for axis, value in cell.coords],
                 "key": key,
                 "wave": cell.wave,

@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
-from repro.campaign.cells import serve_inexpressible
 from repro.campaign.planner import (
     CampaignPlan,
     CellSample,
@@ -419,14 +418,6 @@ def _execute_wave_serve(
     of the same geometry.
     """
     from repro.serve.client import RetryPolicy, ServeClient, ServeClientError
-    from repro.serve.protocol import SimulateRequest
-
-    for cell in plan.cells:
-        reason = serve_inexpressible(cell)
-        if reason is not None:
-            raise CampaignError(
-                f"cell {cell.coords!r}: {reason}"
-            )
 
     client = ServeClient(host=host, port=port,
                          retry=RetryPolicy(max_attempts=8,
@@ -434,30 +425,21 @@ def _execute_wave_serve(
     execution = outcome.execution
     done = 0
     for cell, key in zip(plan.cells, plan.keys):
+        workload, prefetcher = cell.request.workload, cell.request.prefetcher
+        name = f"sim:{workload}:{prefetcher}"
         cached = cache.get(key)
         if cached is not None:
-            cached.prefetcher = cell.prefetcher
+            cached.prefetcher = prefetcher
             outcome.results[key] = cached
             execution["cache_hits"] = execution.get("cache_hits", 0) + 1
-            journal.task_done(
-                f"sim:{cell.workload}:{cell.prefetcher}", "sim",
-                cell=(cell.workload, cell.prefetcher), key=key,
-                source="cache",
-            )
+            journal.task_done(name, "sim", cell=(workload, prefetcher),
+                              key=key, source="cache")
             done += 1
             if progress is not None:
                 progress(wave, done, plan.unique)
             continue
-        request = SimulateRequest(
-            workload=cell.workload,
-            prefetcher=cell.prefetcher,
-            scale=cell.scale,
-            budget_fraction=cell.budget_fraction,
-            seed=cell.seed,
-            overrides=cell.overrides,
-        )
         try:
-            view = client.run(request)
+            view = client.run(cell.request)
         except ServeClientError as error:
             raise CampaignError(
                 f"server at {host}:{port} failed cell {cell.coords!r} "
@@ -465,22 +447,18 @@ def _execute_wave_serve(
             ) from error
         if view.result is not None:
             result = SimResult.from_dict(view.result)
-            result.prefetcher = cell.prefetcher
+            result.prefetcher = prefetcher
             outcome.results[key] = result
             counter = "cache_hits" if view.cache_hit else "sims_run"
             execution[counter] = execution.get(counter, 0) + 1
             cache.put(key, result)
-            journal.task_done(
-                f"sim:{cell.workload}:{cell.prefetcher}", "sim",
-                cell=(cell.workload, cell.prefetcher), key=key,
-                source="serve",
-            )
+            journal.task_done(name, "sim", cell=(workload, prefetcher),
+                              key=key, source="serve")
         else:
             outcome.quarantined_keys.add(key)
             journal.task_quarantined(
-                f"sim:{cell.workload}:{cell.prefetcher}", "sim",
-                view.error or "server reported failure", 1, "serve",
-                cell=(cell.workload, cell.prefetcher),
+                name, "sim", view.error or "server reported failure", 1,
+                "serve", cell=(workload, prefetcher),
             )
         done += 1
         if progress is not None:

@@ -416,6 +416,10 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
           f"{stats.evicted_by_size} by size), "
           f"reclaiming {stats.bytes_reclaimed:,} bytes")
     print(f"kept {stats.kept} entr(ies), {stats.bytes_after:,} bytes")
+    if stats.old_layout_files:
+        verb = "would delete" if args.dry_run else "deleted"
+        print(f"{verb} {stats.old_layout_files} old-layout result "
+              f"file(s), {stats.old_layout_bytes:,} bytes")
     if max_bytes is None and max_age is None:
         print("note: no --max-bytes / --max-age bound given, so this was "
               "a census only")

@@ -34,6 +34,7 @@ and :meth:`ResultCache.close` ends it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -110,6 +111,11 @@ class GcStats:
     bytes_reclaimed: int = 0
     evicted_by_age: int = 0
     evicted_by_size: int = 0
+    #: Files of the older one-file-per-entry layout
+    #: (``<root>/<key[:2]>/<key>.json``), which nothing reads; a pass
+    #: deletes them unless it is a dry run.
+    old_layout_files: int = 0
+    old_layout_bytes: int = 0
     dry_run: bool = False
 
     def evict(self, size: int, reason: str) -> None:
@@ -330,9 +336,11 @@ class ResultCache:
         Eviction is safe by construction — every entry is a pure
         function of its key, so a future miss simply recomputes.  A
         real eviction ends with a VACUUM, so the file shrinks too.
-        ``dry_run`` reports what *would* be evicted without deleting.
-        Returns :class:`GcStats`; with no bounds given, nothing is
-        evicted and the stats are a pure census.
+        Every pass also deletes the files an older version's
+        one-file-per-entry layout left, which nothing reads.
+        ``dry_run`` reports what *would* be deleted without deleting.
+        Returns :class:`GcStats`; with no bounds given, no row is
+        evicted and the row stats are a pure census.
         """
         clock = time.time() if now is None else now
         entries = self._execute(lambda db: db.execute(
@@ -362,6 +370,15 @@ class ResultCache:
         if evicted and not dry_run:
             self.discard(evicted)
             self._execute(lambda db: db.execute("VACUUM"))
+        old_files = list(self.root.glob("??/*.json"))
+        stats.old_layout_files = len(old_files)
+        stats.old_layout_bytes = sum(path.stat().st_size for path in old_files)
+        if not dry_run:
+            for path in old_files:
+                path.unlink()
+            for directory in {path.parent for path in old_files}:
+                with contextlib.suppress(OSError):  # holds something else
+                    directory.rmdir()
         return stats
 
     def verify(self, purge: bool = False) -> tuple[int, list[tuple[str, str]]]:

@@ -50,7 +50,6 @@ class ExecTelemetry:
     retries: int = 0
     timeouts: int = 0
     worker_crashes: int = 0
-    corrupt_results: int = 0
     resumed_cells: int = 0
     degraded: list[dict[str, Any]] = field(default_factory=list)
     quarantined: list[dict[str, Any]] = field(default_factory=list)
@@ -144,7 +143,6 @@ class ExecTelemetry:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "worker_crashes": self.worker_crashes,
-            "corrupt_results": self.corrupt_results,
             "resumed_cells": self.resumed_cells,
             "degraded": len(self.degraded),
             "degraded_workloads": [

@@ -87,7 +87,6 @@ _EXEC_STAT_ROWS = [
     ("retries", "retries", "{:d}"),
     ("timeouts", "timeouts", "{:d}"),
     ("worker_crashes", "worker crashes", "{:d}"),
-    ("corrupt_results", "corrupt results rebuilt", "{:d}"),
     ("resumed_cells", "cells resumed from journal", "{:d}"),
     ("degraded", "workloads degraded", "{:d}"),
     ("quarantined", "tasks quarantined", "{:d}"),

@@ -16,13 +16,16 @@ Request layout (``POST /v1/simulate``)::
      "budget_fraction": 0.05,
      "seed": 0,
      "config": {"l1_kb": 4, "l2_kb": 128,
+                "l1": {"associativity": 8},
                 "core": {"rob_entries": 64},
                 "prefetch": {"issue_interval": 4}}}
 
 ``config`` is a sparse override of the reduced Table II machine: only
-the listed fields change, everything else keeps its default.  A parsed
-request holds the overrides as the same sorted ``(path, value)`` pairs
-a campaign cell does, and :meth:`SimulateRequest.node` resolves them
+the listed fields change, everything else keeps its default.  Its
+fields are the override paths of :data:`~repro.sim.config.CONFIG_PARAMS`
+nested by group (``l1.associativity`` is ``{"l1": {"associativity":
+...}}``).  A parsed request holds them as sorted ``(path, value)``
+pairs, and :meth:`SimulateRequest.node` resolves them
 (:func:`repro.sim.config.resolve_cell_config`) into the
 :class:`~repro.exec.plan.SimNode` the broker runs.  The node's ``key``
 hashes the fully resolved config and the canonical prefetcher name, so
@@ -36,7 +39,6 @@ status, dedup/cache provenance, and (when terminal) the serialized
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -44,8 +46,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.common.errors import ReproError
 from repro.sim.config import (
-    CoreConfig,
-    PrefetchPathConfig,
+    CONFIG_PARAMS,
     REDUCED_CONFIG,
     SimConfig,
     resolve_cell_config,
@@ -75,12 +76,6 @@ class JobStatus(Enum):
     def terminal(self) -> bool:
         """Whether the job can no longer change state."""
         return self in (JobStatus.DONE, JobStatus.FAILED)
-
-
-_CORE_FIELDS = {field.name for field in dataclasses.fields(CoreConfig)}
-_PREFETCH_FIELDS = {
-    field.name for field in dataclasses.fields(PrefetchPathConfig)
-}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -137,26 +132,45 @@ def _check_version(payload: Mapping[str, Any], what: str) -> int:
     return version
 
 
-def _check_overrides(value: object, what: str,
-                     allowed: set[str]) -> tuple[tuple[str, int], ...]:
-    mapping = _check_mapping(value, what)
-    pairs: list[tuple[str, int]] = []
-    for key in sorted(mapping):
-        _require(key in allowed,
-                 f"{what} has no overridable field {key!r}; "
-                 f"known: {', '.join(sorted(allowed))}")
-        pairs.append((key, _check_int(mapping[key], f"{what}.{key}")))
-    return tuple(pairs)
+def _check_config(value: object) -> tuple[tuple[str, int], ...]:
+    """``config``'s overrides as sorted dotted ``(path, value)`` pairs.
+
+    A top-level scalar (``l1_kb``) is its own path, and each field of a
+    group object (``{"core": {"rob_entries": 64}}``) is one path
+    (``core.rob_entries``); a dotted top-level key is refused, so each
+    path has one spelling.  Every path must be in
+    :data:`~repro.sim.config.CONFIG_PARAMS` and every value a positive
+    integer; the config dataclasses check the rest when
+    :meth:`SimulateRequest.node` resolves them.
+    """
+    config = _check_mapping(value, "config")
+    pairs: list[tuple[str, Any]] = []
+    for key, item in config.items():
+        if isinstance(item, Mapping):
+            pairs.extend((f"{key}.{name}", item[name]) for name in item)
+        else:
+            _require("." not in str(key),
+                     f"config field {key!r} must be nested in its group")
+            pairs.append((key, item))
+    for path, item in pairs:
+        _require(path in CONFIG_PARAMS,
+                 f"unknown config field {path!r}: no overridable field "
+                 f"has that path; known: {', '.join(sorted(CONFIG_PARAMS))}")
+        _require(_check_int(item, f"config.{path}") > 0,
+                 f"config.{path} must be positive")
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)
 class SimulateRequest:
-    """One validated ``POST /v1/simulate`` body.
+    """One simulation cell, not yet resolved against a machine.
 
-    Config overrides are stored as the sorted ``(path, value)`` tuple a
-    campaign cell holds (``("l1_kb", 8)``, ``("core.rob_entries", 64)``),
-    so the dataclass stays hashable and order-insensitive: two requests
-    spelling the same overrides in different orders are equal.
+    The validated ``POST /v1/simulate`` body, and the request every
+    campaign cell holds (:class:`~repro.campaign.cells.CampaignCell`).
+    Config overrides are stored as a sorted ``(path, value)`` tuple
+    (``("l1_kb", 8)``, ``("core.rob_entries", 64)``), so the dataclass
+    stays hashable and order-insensitive: two requests spelling the same
+    overrides in different orders are equal.
     """
 
     workload: str
@@ -171,7 +185,6 @@ class SimulateRequest:
         "version", "workload", "prefetcher", "scale", "budget_fraction",
         "seed", "config",
     })
-    _CONFIG_KEYS = frozenset({"l1_kb", "l2_kb", "core", "prefetch"})
 
     @classmethod
     def from_dict(cls, payload: object) -> "SimulateRequest":
@@ -189,28 +202,6 @@ class SimulateRequest:
         _require(budget_fraction <= 1.0, "budget_fraction must be <= 1.0")
         seed = _check_int(body.get("seed", 0), "seed")
 
-        overrides: list[tuple[str, int]] = []
-        if "config" in body:
-            config = _check_mapping(body["config"], "config")
-            unknown = set(config) - cls._CONFIG_KEYS
-            _require(
-                not unknown,
-                f"unknown config field(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(cls._CONFIG_KEYS))}",
-            )
-            for path in ("l1_kb", "l2_kb"):
-                if path in config:
-                    value = _check_int(config[path], f"config.{path}")
-                    _require(value > 0, f"config.{path} must be positive")
-                    overrides.append((path, value))
-            for group, allowed in (("core", _CORE_FIELDS),
-                                   ("prefetch", _PREFETCH_FIELDS)):
-                if group in config:
-                    overrides.extend(
-                        (f"{group}.{name}", value)
-                        for name, value in _check_overrides(
-                            config[group], f"config.{group}", allowed))
-
         return cls(
             workload=workload,
             prefetcher=prefetcher,
@@ -218,7 +209,8 @@ class SimulateRequest:
             scale=scale,
             budget_fraction=budget_fraction,
             seed=seed,
-            overrides=tuple(sorted(overrides)),
+            overrides=(_check_config(body["config"]) if "config" in body
+                       else ()),
         )
 
     def to_dict(self) -> dict[str, Any]:

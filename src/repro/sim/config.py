@@ -12,8 +12,10 @@ Two canonical configurations are provided:
 
 Campaign cells and serve requests name a machine as sparse overrides of
 a base config — sorted ``(path, value)`` pairs such as
-``("l1_kb", 8)`` or ``("core.rob_entries", 64)`` — and
-:func:`resolve_cell_config` is the one place those resolve.
+``("l1_kb", 8)`` or ``("core.rob_entries", 64)``.  This module is the
+only one that names the paths: :func:`config_values` reads each path's
+value off a config, :data:`CONFIG_PARAMS` is its key set, and
+:func:`resolve_cell_config` is the one place overrides resolve.
 """
 
 from __future__ import annotations
@@ -128,23 +130,37 @@ PAPER_CONFIG = SimConfig(hierarchy=_hierarchy(32, 2048, _CORE), core=_CORE)
 REDUCED_CONFIG = SimConfig(hierarchy=_hierarchy(4, 128, _CORE), core=_CORE)
 
 
+#: The fields of a cache level an override may set, besides its capacity
+#: (``l1_kb`` / ``l2_kb``).  Its name, line size and latency are not
+#: overrides: the latencies come from :class:`CoreConfig`.
+_CACHE_FIELDS = ("associativity", "mshrs")
+
+
+def config_values(base: SimConfig = REDUCED_CONFIG) -> dict[str, int]:
+    """The value every override path takes on ``base``.
+
+    The inverse of :func:`resolve_cell_config`: resolving these values
+    over ``base`` gives ``base`` back.  Its keys are
+    :data:`CONFIG_PARAMS`: ``l1_kb`` / ``l2_kb``, ``l1.*`` / ``l2.*``
+    (:data:`_CACHE_FIELDS`), and every field of :class:`CoreConfig`
+    (``core.*``) and :class:`PrefetchPathConfig` (``prefetch.*``).
+    """
+    hierarchy = base.hierarchy
+    values = {
+        "l1_kb": hierarchy.l1.size_bytes // 1024,
+        "l2_kb": hierarchy.l2.size_bytes // 1024,
+    }
+    for group, config in (("l1", hierarchy.l1), ("l2", hierarchy.l2),
+                          ("core", base.core), ("prefetch", base.prefetch)):
+        names = (_CACHE_FIELDS if group in ("l1", "l2") else
+                 [field.name for field in dataclasses.fields(config)])
+        for name in names:
+            values[f"{group}.{name}"] = getattr(config, name)
+    return values
+
+
 #: Every sparse override path :func:`resolve_cell_config` accepts.
-CONFIG_PARAMS = frozenset({
-    "l1_kb",
-    "l2_kb",
-    "l1.associativity",
-    "l1.mshrs",
-    "l2.associativity",
-    "l2.mshrs",
-    "core.width",
-    "core.rob_entries",
-    "core.l1_latency",
-    "core.l2_latency",
-    "core.memory_latency",
-    "prefetch.queue_capacity",
-    "prefetch.issue_interval",
-    "prefetch.max_in_flight",
-})
+CONFIG_PARAMS = frozenset(config_values())
 
 
 def resolve_cell_config(

@@ -83,7 +83,7 @@ class TestRun:
         state = replay_campaign(outcome.directory / "journal.jsonl")
         assert state.status == "complete"
         assert state.wave_keys[0] == [
-            cell.node().key for cell in outcome.waves[0].cells]
+            cell.request.node().key for cell in outcome.waves[0].cells]
         assert state.completed_keys == set(outcome.results)
 
         artifacts = write_report(outcome)
@@ -157,14 +157,14 @@ class TestWaveExecution:
         outcome = run_campaign(spec, tmp_path / "one")
         assert len(calls) == 1
         (wave,) = outcome.waves
-        assert {cell.overrides for cell in wave.cells} == {
+        assert {cell.request.overrides for cell in wave.cells} == {
             (("l1_kb", 4),), (("l1_kb", 8),)}
 
         # The same cells, one config group at a time.
         cache = ResultCache(tmp_path / "grouped")
         for l1_kb in (4, 8):
             nodes = [node for cell, node in zip(wave.cells, wave.nodes)
-                     if cell.overrides == (("l1_kb", l1_kb),)]
+                     if cell.request.overrides == (("l1_kb", l1_kb),)]
             results, _ = execute_grid(GridPlan(nodes), cache=cache,
                                       options=ExecOptions(jobs=1))
             for node in nodes:

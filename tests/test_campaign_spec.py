@@ -6,11 +6,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.campaign.cells import (
-    KNOWN_PARAMS,
-    build_cell,
-    serve_inexpressible,
-)
+from repro.campaign.cells import KNOWN_PARAMS, build_cell
 from repro.campaign.planner import expand_points, plan_campaign
 from repro.campaign.spec import (
     SPEC_VERSION,
@@ -267,9 +263,9 @@ class TestPlanning:
 
     def test_keys_are_stable_across_plans(self):
         spec = parse_spec(minimal_document())
-        first = [cell.node(REDUCED_CONFIG).key for cell in
+        first = [cell.request.node(REDUCED_CONFIG).key for cell in
                  plan_campaign(spec).cells]
-        second = [cell.node(REDUCED_CONFIG).key for cell in
+        second = [cell.request.node(REDUCED_CONFIG).key for cell in
                   plan_campaign(spec).cells]
         assert first == second
 
@@ -287,34 +283,53 @@ class TestCells:
             "nw", "cbws", {"l2_kb": 256, "cbws.table_entries": 4},
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
-        config = resolve_cell_config(cell.overrides, REDUCED_CONFIG)
-        assert cell.node(REDUCED_CONFIG).config == config
+        config = resolve_cell_config(cell.request.overrides, REDUCED_CONFIG)
+        assert cell.request.node(REDUCED_CONFIG).config == config
         assert config.hierarchy.l2.size_bytes == 256 * 1024
-        assert cell.prefetcher == "cbws[table_entries=4]"
+        assert cell.request.prefetcher == "cbws[table_entries=4]"
 
     def test_cbws_axis_wins_over_base_name_params(self):
         cell = build_cell(
             "nw", "cbws[table_entries=2]", {"cbws.table_entries": 8},
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
-        assert cell.prefetcher == "cbws[table_entries=8]"
+        assert cell.request.prefetcher == "cbws[table_entries=8]"
 
     def test_line_size_is_not_an_override(self):
         assert "line_size" not in KNOWN_PARAMS
         with pytest.raises(ConfigError, match="line_size"):
             resolve_cell_config({"line_size": 128})
 
-    def test_serve_inexpressible_params_detected(self):
+    def test_cache_shape_cells_are_expressible_on_the_wire(self):
+        """Every config path a campaign sweeps travels in a serve
+        request: the cell's request survives the wire unchanged."""
+        from repro.serve.protocol import SimulateRequest, dumps, loads
+
         cell = build_cell(
-            "nw", "stride", {"l1.associativity": 8},
+            "nw", "stride", {"l1.associativity": 8, "l2.mshrs": 16},
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
-        assert serve_inexpressible(cell) is not None
-        plain = build_cell(
-            "nw", "stride", {"l2_kb": 64},
-            scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
+        wire = loads(dumps(cell.request.to_dict()))
+        assert wire["config"] == {"l1": {"associativity": 8},
+                                  "l2": {"mshrs": 16}}
+        assert SimulateRequest.from_dict(wire) == cell.request
+
+    def test_to_dict_keeps_the_flat_journal_layout(self):
+        cell = build_cell(
+            "nw", "cbws", {"l1_kb": 8, "cbws.table_entries": 4},
+            scale=1.0, budget_fraction=0.02, seed=3, wave=2,
+            base=REDUCED_CONFIG,
         )
-        assert serve_inexpressible(plain) is None
+        assert cell.to_dict() == {
+            "workload": "nw",
+            "prefetcher": "cbws[table_entries=4]",
+            "scale": 1.0,
+            "budget_fraction": 0.02,
+            "seed": 3,
+            "overrides": [["l1_kb", 8]],
+            "coords": [["cbws.table_entries", 4], ["l1_kb", 8]],
+            "wave": 2,
+        }
 
     def test_known_params_cover_all_axis_families(self):
         assert "l1_kb" in KNOWN_PARAMS
@@ -330,14 +345,14 @@ class TestCells:
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
         # gamma=0.556 is the family default and drops out of the name.
-        assert cell.prefetcher == "pythia[alpha=0.065]"
+        assert cell.request.prefetcher == "pythia[alpha=0.065]"
 
     def test_learned_axes_are_noops_off_family(self):
         cell = build_cell(
             "nw", "pangloss", {"pythia.alpha": 0.065},
             scale=1.0, budget_fraction=0.02, seed=0, base=REDUCED_CONFIG,
         )
-        assert cell.prefetcher == "pangloss"
+        assert cell.request.prefetcher == "pangloss"
 
 
 # -- fuzzed spec documents ---------------------------------------------------

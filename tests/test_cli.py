@@ -223,6 +223,34 @@ class TestCacheGcCli:
         with closing(ResultCache(results)) as store:
             assert len(store) == 1 and store.contains("two")
 
+    def test_gc_deletes_old_layout_files(self, tmp_path, capsys):
+        """Files of the one-file-per-entry layout are counted, kept by
+        a dry run and deleted by a real pass; the store's rows stay."""
+        results = tmp_path / "cache" / "results"
+        rewrite_envelope(results, lambda _: "x" * 50, "kept", written=1.0)
+        old = [results / "ab" / "ab01.json", results / "ab" / "ab02.json",
+               results / "cd" / "cd03.json"]
+        for path in old:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("y" * 100)
+        cache = str(tmp_path / "cache")
+
+        assert main(["cache", "gc", "--cache-dir", cache, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "would delete 3 old-layout result file(s), 300 bytes" in out
+        assert all(path.exists() for path in old)
+
+        assert main(["cache", "gc", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "deleted 3 old-layout result file(s), 300 bytes" in out
+        assert sorted(p.name for p in results.iterdir()
+                      if p.is_dir()) == []
+        with closing(ResultCache(results)) as store:
+            assert len(store) == 1 and store.contains("kept")
+
+        assert main(["cache", "gc", "--cache-dir", cache]) == 0
+        assert "old-layout" not in capsys.readouterr().out
+
     def test_gc_missing_cache_dir(self, tmp_path, capsys):
         assert main(["cache", "gc",
                      "--cache-dir", str(tmp_path / "nope")]) == 0

@@ -411,6 +411,9 @@ class TestExecuteGrid:
         assert document["summary"]["sims_run"] == 2
         rendered = format_exec_stats(document["summary"])
         assert "simulations run" in rendered
+        # A damaged cached row counts as a miss; there is no separate
+        # counter for it.
+        assert "corrupt" not in rendered
         assert telemetry_module.LAST_RUN is not None
 
 

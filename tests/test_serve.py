@@ -117,6 +117,26 @@ class TestEndpoints:
             # Passes wire validation, fails registry resolution: still 400.
             client.submit(request(workload="not-a-workload"))
 
+    @pytest.mark.parametrize("config,kind,named", [
+        # Parses, then the L1's CacheConfig refuses 3 ways.
+        ({"l1": {"associativity": 3}}, "ConfigError", "L1D"),
+        ({"l1": {"warp": 1}}, "ProtocolError", "'l1.warp'"),
+        ({"l3_kb": 1024}, "ProtocolError", "'l3_kb'"),
+        ({"core": {"warp_drive": 9}}, "ProtocolError", "'core.warp_drive'"),
+    ])
+    def test_bad_config_400_without_traceback(self, client, caplog, config,
+                                              kind, named):
+        body = {**request().to_dict(), "config": config}
+        with caplog.at_level("DEBUG"):
+            status, _, raw = client._request("POST", "/v1/simulate",
+                                             body=body)
+        assert status == 400
+        error = json.loads(raw)["error"]
+        assert error["type"] == kind
+        assert named in error["message"]
+        assert "Traceback" not in raw.decode()
+        assert not [record for record in caplog.records if record.exc_info]
+
 
 class TestSimulation:
     def test_submit_and_wait_produces_result(self, client):
@@ -195,6 +215,31 @@ class TestSimulation:
 
 
 class TestCampaignOverServe:
+    def test_cache_shape_axes_match_the_grid(self, server, tmp_path):
+        """A campaign sweeping cache shape runs through the server and
+        yields the grid executor's keys and result digests."""
+        from repro.campaign.runner import run_campaign
+        from repro.campaign.spec import SPEC_VERSION, parse_spec
+        from repro.harness.bench import result_digest
+
+        spec = parse_spec({
+            "version": SPEC_VERSION,
+            "name": "cache-shape",
+            "base": {"workloads": ["nw"], "prefetchers": ["stride"],
+                     "budget_fraction": BUDGET},
+            "axes": [{"name": "l1.associativity", "values": [2, 8]},
+                     {"name": "l2.mshrs", "values": [8, 32]}],
+        })
+        served = run_campaign(spec, tmp_path / "serve", executor="serve",
+                              serve_port=server.port)
+        grid = run_campaign(spec, tmp_path / "grid")
+        assert served.status == grid.status == "complete"
+        assert len(served.results) == 4
+        assert served.waves[0].keys == grid.waves[0].keys
+        assert ({key: result_digest(result)
+                 for key, result in served.results.items()}
+                == {key: result_digest(result)
+                    for key, result in grid.results.items()})
     def test_results_carry_the_cells_own_spelling(self, server, tmp_path):
         """A campaign cell replayed from a cache entry that another
         spelling of the same geometry wrote keeps its own spelling."""

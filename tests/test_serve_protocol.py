@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JobStatus,
@@ -25,7 +25,7 @@ from repro.serve.protocol import (
     error_body,
     loads,
 )
-from repro.sim.config import REDUCED_CONFIG
+from repro.sim.config import CONFIG_PARAMS, REDUCED_CONFIG
 
 FIXTURES = Path(__file__).parent / "fixtures" / "serve"
 
@@ -133,6 +133,53 @@ class TestRequestValidation:
         with pytest.raises(ProtocolError):
             SimulateRequest.from_dict(self._minimal(config=config))
 
+    def test_cache_shape_override_round_trips(self):
+        document = self._minimal(config={"l1": {"associativity": 8}})
+        request = SimulateRequest.from_dict(document)
+        assert request.overrides == (("l1.associativity", 8),)
+        assert request.to_dict() == document
+        assert request.node().config.hierarchy.l1.associativity == 8
+
+    def test_cache_shape_request_shares_a_campaign_cells_key(self):
+        from repro.campaign.cells import build_cell
+
+        document = self._minimal(config={"l1": {"associativity": 8}})
+        request = SimulateRequest.from_dict(document)
+        cell = build_cell(
+            request.workload, request.prefetcher, {"l1.associativity": 8},
+            scale=request.scale, budget_fraction=request.budget_fraction,
+            seed=request.seed,
+        )
+        assert cell.request.overrides == (("l1.associativity", 8),)
+        assert request.node().key == cell.request.node().key
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_PARAMS))
+    def test_every_config_path_travels(self, path):
+        group, _, name = path.partition(".")
+        config = {group: {name: 2}} if name else {group: 2}
+        request = SimulateRequest.from_dict(self._minimal(config=config))
+        assert request.overrides == ((path, 2),)
+        assert request.to_dict()["config"] == config
+
+    def test_unknown_cache_field_names_its_path(self):
+        with pytest.raises(ProtocolError, match=r"'l1\.warp'"):
+            SimulateRequest.from_dict(
+                self._minimal(config={"l1": {"warp": 1}}))
+
+    def test_dotted_top_level_key_rejected(self):
+        with pytest.raises(ProtocolError, match="nested"):
+            SimulateRequest.from_dict(
+                self._minimal(config={"core.width": 2}))
+
+    def test_bad_cache_shape_fails_in_the_config(self):
+        # 3 ways do not divide a 4 KiB L1 of 64-byte lines into a
+        # power-of-two number of sets; the wire accepts the integer and
+        # the cache config refuses it.
+        request = SimulateRequest.from_dict(
+            self._minimal(config={"l1": {"associativity": 3}}))
+        with pytest.raises(ConfigError):
+            request.node()
+
     def test_override_order_does_not_matter(self):
         ab = SimulateRequest.from_dict(self._minimal(
             config={"prefetch": {"issue_interval": 4,
@@ -220,6 +267,8 @@ def _requests() -> st.SearchStrategy[SimulateRequest]:
         overrides=st.fixed_dictionaries({}, optional={
             "l1_kb": st.integers(min_value=1, max_value=1024),
             "l2_kb": st.integers(min_value=1, max_value=4096),
+            "l1.associativity": _OVERRIDE_INTS,
+            "l2.mshrs": _OVERRIDE_INTS,
             "core.rob_entries": _OVERRIDE_INTS,
             "core.width": _OVERRIDE_INTS,
             "prefetch.queue_capacity": _OVERRIDE_INTS,
@@ -289,7 +338,8 @@ _request_bodies = st.one_of(
     _with_fields({"version": 1, "workload": "nw", "prefetcher": "stride"},
                  ["version", "workload", "prefetcher", "scale",
                   "budget_fraction", "seed", "config", "extra"]),
-    _with_fields({"l1_kb": 8}, ["l1_kb", "l2_kb", "core", "prefetch"]).map(
+    _with_fields({"l1_kb": 8},
+                 ["l1_kb", "l2_kb", "l1", "l2", "core", "prefetch"]).map(
         lambda config: {"version": 1, "workload": "nw",
                         "prefetcher": "stride", "config": config}),
 )

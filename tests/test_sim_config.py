@@ -4,10 +4,13 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.sim.config import (
+    CONFIG_PARAMS,
     PAPER_CONFIG,
     REDUCED_CONFIG,
     CoreConfig,
     PrefetchPathConfig,
+    config_values,
+    resolve_cell_config,
 )
 
 
@@ -79,3 +82,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="MSHR"):
             CacheConfig(name="L1", size_bytes=4096, associativity=4,
                         mshrs=0)
+
+
+class TestOverridePaths:
+    @pytest.mark.parametrize("base", [REDUCED_CONFIG, PAPER_CONFIG],
+                             ids=["reduced", "paper"])
+    def test_config_values_inverts_resolve(self, base):
+        values = config_values(base)
+        assert set(values) == CONFIG_PARAMS
+        assert resolve_cell_config(values, base) == base
+
+    def test_values_read_the_base(self):
+        values = config_values(PAPER_CONFIG)
+        assert values["l1_kb"] == 32 and values["l2_kb"] == 2048
+        assert values["l2.associativity"] == 8
+        assert values["core.memory_latency"] == 300
+
+    def test_each_path_reaches_its_field(self):
+        base = config_values(REDUCED_CONFIG)
+        for path in CONFIG_PARAMS:
+            changed = resolve_cell_config({path: base[path] * 2})
+            assert config_values(changed) == {**base, path: base[path] * 2}
