@@ -25,17 +25,21 @@ one of three groups:
     :class:`~repro.sim.config.SimConfig` overrides, resolved by
     :func:`repro.sim.config.resolve_cell_config`.
 *prefetcher geometry*
-    ``cbws.*``, ``pangloss.*``, ``pythia.*`` — geometry and learning
-    knobs of the parametric prefetcher families.  These do not touch
-    the machine config at all: they fold into the prefetcher *name* as
-    an inline parameter block (``cbws[table_entries=64]``,
-    ``pythia[alpha=0.01]``), which the registry's
-    :func:`~repro.harness.registry.make_prefetcher` understands
-    everywhere.  Applied to a prefetcher outside the path's family
-    (e.g. ``pythia.alpha`` on ``sms`` — or on ``pangloss``) they are
-    no-ops, so all points along that axis collapse to one content key —
-    the planner's dedup turns that into compute saved rather than
-    wasted baseline reruns.
+    :data:`GEOMETRY_PARAMS` — ``cbws.*``, ``pangloss.*``, ``pythia.*``,
+    the settable fields of the registry's parametric families
+    (:func:`~repro.harness.registry.geometry_defaults`).  These do not
+    touch the machine config at all: they fold into the prefetcher
+    *name* as an inline parameter block (``cbws[table_entries=64]``,
+    ``pythia[alpha=0.01]``) through
+    :func:`~repro.harness.registry.apply_geometry`.  Applied to a
+    prefetcher outside the path's family (e.g. ``pythia.alpha`` on
+    ``sms`` — or on ``pangloss``) they are no-ops, so all points along
+    that axis collapse to one content key — the planner's dedup turns
+    that into compute saved rather than wasted baseline reruns.
+
+An axis takes values of the type of its path's baseline value
+(:func:`baseline_params`): integers on int paths, numbers on float
+paths, strings on str paths.
 """
 
 from __future__ import annotations
@@ -44,15 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.common.errors import CampaignError, ConfigError
-from repro.harness.registry import (
-    CBWS_PARAM_FIELDS,
-    PANGLOSS_PARAM_FIELDS,
-    PYTHIA_PARAM_FIELDS,
-    canonical_prefetcher_name,
-    coerce_param,
-    format_param_value,
-    parse_prefetcher_name,
-)
+from repro.harness.registry import apply_geometry, geometry_defaults
 from repro.serve.protocol import SimulateRequest
 from repro.sim.config import (
     CONFIG_PARAMS,
@@ -65,31 +61,8 @@ from repro.sim.config import (
 #: Identity (trace-key) parameter paths.
 IDENTITY_PARAMS = frozenset({"scale", "budget_fraction", "seed"})
 
-#: CBWS geometry paths (fold into the prefetcher name).
-CBWS_PARAMS = frozenset(f"cbws.{field}" for field in sorted(CBWS_PARAM_FIELDS))
-
-#: Pangloss geometry paths (fold into the prefetcher name).
-PANGLOSS_PARAMS = frozenset(
-    f"pangloss.{field}" for field in sorted(PANGLOSS_PARAM_FIELDS)
-)
-
-#: Pythia geometry/learning paths (fold into the prefetcher name).
-PYTHIA_PARAMS = frozenset(
-    f"pythia.{field}" for field in sorted(PYTHIA_PARAM_FIELDS)
-)
-
-#: Geometry path prefix -> the base names the paths apply to.  A path
-#: whose prefix does not match the cell's base prefetcher is a no-op
-#: (the point collapses onto the unparametrized cell).  ``cbws.*``
-#: reaches both CBWS variants because they share one config.
-GEOMETRY_FAMILIES: dict[str, tuple[str, ...]] = {
-    "cbws": ("cbws", "cbws+sms"),
-    "pangloss": ("pangloss",),
-    "pythia": ("pythia",),
-}
-
-#: Every geometry path (all families).
-GEOMETRY_PARAMS = CBWS_PARAMS | PANGLOSS_PARAMS | PYTHIA_PARAMS
+#: Every prefetcher geometry path (fold into the prefetcher name).
+GEOMETRY_PARAMS = frozenset(geometry_defaults())
 
 #: Every sweepable parameter path.
 KNOWN_PARAMS = IDENTITY_PARAMS | CONFIG_PARAMS | GEOMETRY_PARAMS
@@ -147,10 +120,11 @@ def build_cell(
     """One candidate cell from a (workload, prefetcher, axis-point).
 
     Partitions the point's parameters into identity fields, config
-    overrides, and cbws geometry (folded into the prefetcher name; axis
-    values override a parameter block already present in the base
-    name).  The resolved config is validated here so an invalid corner
-    fails at *plan* time with the offending coordinates, not mid-run.
+    overrides, and prefetcher geometry (folded into the prefetcher
+    name; axis values override a parameter block already present in
+    the base name).  The resolved config is validated here so an
+    invalid corner fails at *plan* time with the offending coordinates,
+    not mid-run.
     """
     coords = tuple(sorted(point.items()))
     unknown = set(point) - KNOWN_PARAMS
@@ -168,22 +142,7 @@ def build_cell(
             seed = int(value)
 
     try:
-        base_name, base_params = parse_prefetcher_name(prefetcher)
-        geometry_point: dict[str, Any] = {}
-        for path in GEOMETRY_PARAMS & set(point):
-            prefix, field = path.split(".", 1)
-            if base_name in GEOMETRY_FAMILIES[prefix]:
-                geometry_point[field] = coerce_param(
-                    base_name, field, point[path]
-                )
-        if geometry_point:
-            merged = {**base_params, **geometry_point}
-            body = ",".join(
-                f"{k}={format_param_value(merged[k])}" for k in sorted(merged)
-            )
-            prefetcher = canonical_prefetcher_name(f"{base_name}[{body}]")
-        else:
-            prefetcher = canonical_prefetcher_name(prefetcher)
+        prefetcher = apply_geometry(prefetcher, point)
     except ConfigError as error:
         raise CampaignError(
             f"cell {coords!r}: bad prefetcher {prefetcher!r}: {error}"
@@ -217,27 +176,10 @@ def baseline_params(base: SimConfig = REDUCED_CONFIG) -> dict[str, Any]:
     spec does not sweep (``l2_kb >= 4 * l1_kb`` holds — or not — at the
     baseline too).
     """
-    from repro.core.predictor import CbwsConfig
-    from repro.prefetchers.learned import PanglossConfig, PythiaConfig
-
-    cbws = CbwsConfig()
-    pangloss = PanglossConfig()
-    pythia = PythiaConfig()
     return {
         "scale": 1.0,
         "budget_fraction": 1.0,
         "seed": 0,
         **config_values(base),
-        **{
-            f"cbws.{field}": getattr(cbws, field)
-            for field in sorted(CBWS_PARAM_FIELDS)
-        },
-        **{
-            f"pangloss.{field}": getattr(pangloss, field)
-            for field in sorted(PANGLOSS_PARAM_FIELDS)
-        },
-        **{
-            f"pythia.{field}": getattr(pythia, field)
-            for field in sorted(PYTHIA_PARAM_FIELDS)
-        },
+        **geometry_defaults(),
     }

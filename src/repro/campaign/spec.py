@@ -503,18 +503,15 @@ def parse_spec(document: Mapping[str, Any]) -> CampaignSpec:
 
     # Axis paths and value types are validated against the parameter
     # registry here so a typo fails at parse time, not mid-campaign.
-    from repro.campaign.cells import CONFIG_PARAMS, KNOWN_PARAMS
+    # Each path takes values of its baseline value's type.
+    from repro.campaign.cells import baseline_params
 
+    baseline = baseline_params()
     for axis in axes:
-        _require(axis.name in KNOWN_PARAMS,
+        _require(axis.name in baseline,
                  f"axis {axis.name!r} is not a sweepable parameter; "
-                 f"known: {', '.join(sorted(KNOWN_PARAMS))}")
-        if axis.name in CONFIG_PARAMS or axis.name == "seed":
-            kind, accepts = "integers", _is_int
-        elif axis.name in ("scale", "budget_fraction"):
-            kind, accepts = "numbers", _is_number
-        else:
-            continue
+                 f"known: {', '.join(sorted(baseline))}")
+        kind, accepts = _AXIS_KINDS[type(baseline[axis.name])]
         for value in axis.values:
             _require(accepts(value), f"axis {axis.name!r}: values must be "
                                      f"{kind}, got {value!r}")
@@ -545,6 +542,14 @@ def _is_int(value: Any) -> bool:
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: What an axis accepts, by the type of its path's baseline value.
+_AXIS_KINDS = {
+    int: ("integers", _is_int),
+    float: ("numbers", _is_number),
+    str: ("strings", lambda value: isinstance(value, str)),
+}
 
 
 def _constraint_expr(entry: Any) -> str:

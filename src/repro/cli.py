@@ -646,6 +646,8 @@ def _cmd_verify_artifacts(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.harness.bench import (
         check_bench,
         embed_baseline,
@@ -655,6 +657,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_bench,
     )
 
+    if args.check and args.baseline is None:
+        print("error: --check requires --baseline", file=sys.stderr)
+        return 2
+    if (args.baseline is not None
+            and Path(args.out).resolve() == Path(args.baseline).resolve()):
+        print(f"error: --out {args.out} is the --baseline file; "
+              "write the new document elsewhere", file=sys.stderr)
+        return 2
     document = run_bench(
         quick=args.quick,
         progress=(None if args.no_progress
@@ -673,9 +683,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"\nwrote {args.out}")
 
     if args.check:
-        if baseline is None:
-            print("error: --check requires --baseline", file=sys.stderr)
-            return 2
         problems = check_bench(document, baseline,
                                tolerance=args.tolerance)
         failures = [p for p in problems if not p.startswith("note:")]

@@ -23,9 +23,10 @@ Sites are plain strings checked by the code that owns them; a
 ``serve.admit``
     Checked by the broker at the top of every admission.
 ``serve.job-finished``
-    Checked by the broker right after a job reaches a terminal state
-    (``exit`` here is the canonical kill-broker chaos: the process dies
-    mid-batch with journaled-but-unfinished jobs on the books).
+    Checked by the broker once a job's result is cached, before the
+    job turns terminal (``exit`` here is the canonical kill-broker
+    chaos: the process dies mid-batch with journaled-but-unfinished
+    jobs on the books).
 
 Fault kinds:
 

@@ -1,14 +1,17 @@
 """Prefetcher factories for the evaluation grid.
 
-Beyond the fixed paper set, names may carry an inline parameter block —
-``cbws[table_entries=64,max_step=2]`` — that rebuilds the prefetcher
-with a custom :class:`~repro.core.predictor.CbwsConfig` geometry.  The
-parametrized name is an ordinary string everywhere else in the system
-(grid cells, campaign cells, the serve wire protocol), which is exactly
-what makes design-space sweeps over prefetcher geometry
-(``repro campaign``) possible without new plumbing: the name *is* the
-configuration.  :func:`canonical_prefetcher_name` sorts the parameters
-and drops every one equal to its effective default, and
+Beyond the fixed paper set, the bases in :data:`FAMILIES` may carry an
+inline parameter block — ``cbws[table_entries=64,max_step=2]`` — that
+rebuilds the prefetcher with a custom config
+(:class:`~repro.core.predictor.CbwsConfig` geometry, Pangloss and
+Pythia knobs).  The parametrized name is an ordinary string everywhere
+else in the system (grid cells, campaign cells, the serve wire
+protocol), which is exactly what makes design-space sweeps over
+prefetcher geometry (``repro campaign``) possible without new plumbing:
+the name *is* the configuration; :func:`geometry_defaults` and
+:func:`apply_geometry` give the campaign its ``cbws.*``, ``pangloss.*``
+and ``pythia.*`` paths.  :func:`canonical_prefetcher_name` sorts the
+parameters and drops every one equal to its effective default, and
 :attr:`repro.exec.plan.SimNode.key` hashes that canonical form, so two
 spellings of one geometry (``cbws[max_step=4]`` and ``cbws``) share one
 cache key on every execution path.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Callable
+from typing import Callable, Mapping, NamedTuple
 
 from repro.common.errors import ConfigError
 from repro.core.hybrid import CbwsSmsPrefetcher
@@ -79,75 +82,63 @@ EXTENDED_PREFETCHER_ORDER: list[str] = [
 ]
 
 
-#: Bases that accept an inline ``[key=value,...]`` parameter block.
-#: The bool is the CBWS hybrid flag (True = CBWS over SMS); it is
-#: meaningless for the learned families, which build their own configs.
-PARAMETRIC_FAMILIES: dict[str, bool] = {
-    "cbws": False,       # hybrid=False
-    "cbws+sms": True,    # hybrid=True
-    "pangloss": False,
-    "pythia": False,
-}
+class Family(NamedTuple):
+    """One parametric prefetcher family.
 
-#: CbwsConfig fields settable through a parametrized name — the
-#: geometry knobs the paper's §VI sensitivity study varies.
-CBWS_PARAM_FIELDS = frozenset({
-    "table_entries",        # differential history table capacity
-    "max_step",             # predecessor CBWSs kept / differential depth k
-    "predict_steps",        # lookahead depth
+    Attributes:
+        prefix: the campaign path prefix of its fields
+            (``cbws.table_entries``).
+        config: the config class its parameter block fills.
+        fields: the config fields a name may set; each value parses
+            with the type of the field's default (``int``, ``float``
+            or ``str``).
+        build: the prefetcher for one config.
+    """
+
+    prefix: str
+    config: type
+    fields: tuple[str, ...]
+    build: Callable[[object], Prefetcher]
+
+
+#: The geometry knobs the paper's §VI sensitivity study varies.
+_CBWS_FIELDS = (
     "history_depth",        # shift-register depth
+    "max_step",             # predecessor CBWSs kept / differential depth k
     "max_vector_members",   # CBWS buffer capacity
-})
+    "predict_steps",        # lookahead depth
+    "table_entries",        # differential history table capacity
+)
 
-#: PanglossConfig fields settable through a parametrized name.
-PANGLOSS_PARAM_FIELDS = frozenset({
-    "lines_per_page",
-    "page_entries",
-    "markov_rows",
-    "row_slots",
-    "counter_max",
-    "degree",
-    "confidence_percent",
-})
-
-#: PythiaConfig fields settable through a parametrized name.  The
-#: learning parameters are floats (``pythia[alpha=0.065]``) and
-#: ``feature_set`` is a string (``pythia[feature_set=pc+offset]``);
+#: Bases that accept an inline ``[key=value,...]`` parameter block —
+#: the only table in the system that names the parametric families.
+#: Pythia's learning parameters are floats (``pythia[alpha=0.065]``)
+#: and ``feature_set`` is a string (``pythia[feature_set=pc+offset]``);
 #: values may not contain commas or brackets (the block grammar).
-PYTHIA_PARAM_FIELDS = frozenset({
-    "alpha",
-    "gamma",
-    "epsilon",
-    "feature_set",
-    "history_len",
-    "q_entries",
-    "page_entries",
-    "inflight_entries",
-    "timely_age",
-    "useless_age",
-})
-
-#: Per-family value parsers: base -> {field: str -> value}.
-_PARAM_SCHEMAS: dict[str, dict[str, Callable[[str], object]]] = {
-    "cbws": {f: int for f in CBWS_PARAM_FIELDS},
-    "cbws+sms": {f: int for f in CBWS_PARAM_FIELDS},
-    "pangloss": {f: int for f in PANGLOSS_PARAM_FIELDS},
-    "pythia": {
-        **{f: int for f in PYTHIA_PARAM_FIELDS},
-        "alpha": float,
-        "gamma": float,
-        "epsilon": float,
-        "feature_set": str,
-    },
+FAMILIES: dict[str, Family] = {
+    "cbws": Family("cbws", CbwsConfig, _CBWS_FIELDS, CbwsPrefetcher),
+    "cbws+sms": Family(
+        "cbws", CbwsConfig, _CBWS_FIELDS,
+        lambda config: CbwsSmsPrefetcher(cbws_config=config),
+    ),
+    "pangloss": Family(
+        "pangloss", PanglossConfig,
+        ("confidence_percent", "counter_max", "degree", "lines_per_page",
+         "markov_rows", "page_entries", "row_slots"),
+        PanglossPrefetcher,
+    ),
+    "pythia": Family(
+        "pythia", PythiaConfig,
+        ("alpha", "epsilon", "feature_set", "gamma", "history_len",
+         "inflight_entries", "page_entries", "q_entries", "timely_age",
+         "useless_age"),
+        PythiaPrefetcher,
+    ),
 }
 
-#: Per-family default-config factory.
-_FAMILY_DEFAULTS: dict[str, Callable[[], object]] = {
-    "cbws": CbwsConfig,
-    "cbws+sms": CbwsConfig,
-    "pangloss": PanglossConfig,
-    "pythia": PythiaConfig,
-}
+_PARAM_BLOCK = re.compile(r"^(?P<base>[^\[\]]+)\[(?P<params>[^\[\]]*)\]$")
+
+_TYPE_LABELS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _default_config(base: str, params: dict[str, object]) -> object:
@@ -161,7 +152,7 @@ def _default_config(base: str, params: dict[str, object]) -> object:
     ``max_step`` below 1 leaves it alone, so the error names
     ``max_step``, the parameter the user set.
     """
-    defaults = _FAMILY_DEFAULTS[base]()
+    defaults = FAMILIES[base].config()
     if (isinstance(defaults, CbwsConfig)
             and params.get("max_step", 0) >= 1):
         defaults = dataclasses.replace(
@@ -170,12 +161,8 @@ def _default_config(base: str, params: dict[str, object]) -> object:
         )
     return defaults
 
-_PARAM_BLOCK = re.compile(r"^(?P<base>[^\[\]]+)\[(?P<params>[^\[\]]*)\]$")
 
-_TYPE_LABELS = {int: "an integer", float: "a number", str: "a string"}
-
-
-def format_param_value(value: object) -> str:
+def _format_value(value: object) -> str:
     """The canonical spelling of one inline parameter value.
 
     Integers print plainly, floats through :func:`repr` (the shortest
@@ -187,37 +174,50 @@ def format_param_value(value: object) -> str:
     return str(value)
 
 
-def coerce_param(base: str, key: str, value: object) -> object:
-    """Coerce one parameter value to the typed form family ``base``
-    takes in an inline block.
+def geometry_defaults() -> dict[str, object]:
+    """Every campaign geometry path with its default value.
 
-    Campaign axes hand values over as whatever the sweep spec parsed
-    (strings, ints, floats); this funnels them through the same
-    per-family schema as :func:`parse_prefetcher_name` so a swept
-    ``pythia.alpha`` point and a hand-written ``pythia[alpha=...]``
-    name agree bit-for-bit on the canonical spelling.
+    One path per family prefix and field (``cbws.table_entries`` ->
+    16); ``cbws`` and ``cbws+sms`` share the ``cbws.*`` paths.
     """
-    try:
-        parser = _PARAM_SCHEMAS[base][key]
-    except KeyError:
-        raise ConfigError(f"unknown {base} parameter {key!r}") from None
-    if isinstance(value, str):
-        value = value.strip()
-    try:
-        return parser(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"parameter {key!r} of {base} must be "
-            f"{_TYPE_LABELS[parser]}, got {value!r}"
-        ) from None
+    values: dict[str, object] = {}
+    for family in FAMILIES.values():
+        defaults = family.config()
+        for field in family.fields:
+            values[f"{family.prefix}.{field}"] = getattr(defaults, field)
+    return values
+
+
+def apply_geometry(name: str, point: Mapping[str, object]) -> str:
+    """The canonical name of ``name`` with the geometry paths of
+    ``point`` set in its parameter block.
+
+    Only the paths of the base's own family apply, over any parameter
+    the name already sets; every other path in ``point`` (config,
+    identity, another family's geometry) is ignored.  Values parse as
+    they would in a hand-written block, so a swept ``pythia.alpha``
+    point and a ``pythia[alpha=...]`` name share one spelling.
+    """
+    base, params = parse_prefetcher_name(name)
+    family = FAMILIES.get(base)
+    if family is not None:
+        for field in family.fields:
+            path = f"{family.prefix}.{field}"
+            if path in point:
+                params[field] = point[path]
+    if not params:
+        return base
+    body = ",".join(f"{key}={_format_value(params[key])}" for key in params)
+    return canonical_prefetcher_name(f"{base}[{body}]")
 
 
 def parse_prefetcher_name(name: str) -> tuple[str, dict[str, object]]:
     """Split ``base[k=v,...]`` into its base name and parameter map.
 
-    A plain name returns ``(name, {})``.  Values parse through the
-    family's schema (ints for geometry fields, floats for the RL
-    learning parameters, strings for ``feature_set``).  Raises
+    A plain name returns ``(name, {})``.  Each value parses with the
+    type of its field's default in the family's config (ints for
+    geometry fields, floats for the RL learning parameters, strings
+    for ``feature_set``).  Raises
     :class:`ConfigError` on malformed blocks, unknown bases/fields,
     duplicates, or unparsable values.
     """
@@ -229,13 +229,14 @@ def parse_prefetcher_name(name: str) -> tuple[str, dict[str, object]]:
             )
         return name, {}
     base = match.group("base")
-    if base not in PARAMETRIC_FAMILIES:
-        known = ", ".join(sorted(PARAMETRIC_FAMILIES))
+    family = FAMILIES.get(base)
+    if family is None:
+        known = ", ".join(sorted(FAMILIES))
         raise ConfigError(
             f"prefetcher {base!r} does not accept parameters; "
             f"parametric families: {known}"
         )
-    schema = _PARAM_SCHEMAS[base]
+    defaults = family.config()
     params: dict[str, object] = {}
     body = match.group("params").strip()
     if not body:
@@ -250,14 +251,14 @@ def parse_prefetcher_name(name: str) -> tuple[str, dict[str, object]]:
                 f"malformed parameter clause {clause!r} in {name!r}; "
                 "want key=value"
             )
-        if key not in schema:
-            known = ", ".join(sorted(schema))
+        if key not in family.fields:
+            known = ", ".join(family.fields)
             raise ConfigError(
                 f"unknown {base} parameter {key!r} in {name!r}; known: {known}"
             )
         if key in params:
             raise ConfigError(f"duplicate parameter {key!r} in {name!r}")
-        parser = schema[key]
+        parser = type(getattr(defaults, key))
         try:
             params[key] = parser(value.strip())
         except ValueError:
@@ -290,7 +291,7 @@ def canonical_prefetcher_name(name: str) -> str:
     if not meaningful:
         return base
     body = ",".join(
-        f"{key}={format_param_value(meaningful[key])}"
+        f"{key}={_format_value(meaningful[key])}"
         for key in sorted(meaningful)
     )
     return f"{base}[{body}]"
@@ -301,22 +302,10 @@ def make_prefetcher(name: str) -> Prefetcher:
     base, params = parse_prefetcher_name(name)
     if params:
         config = dataclasses.replace(_default_config(base, params), **params)
-        if base == "pangloss":
-            return PanglossPrefetcher(config)
-        if base == "pythia":
-            return PythiaPrefetcher(config)
-        return make_cbws_variant(config, hybrid=PARAMETRIC_FAMILIES[base])
+        return FAMILIES[base].build(config)
     try:
         factory = PREFETCHER_FACTORIES[name]
     except KeyError:
         known = ", ".join(PAPER_PREFETCHER_ORDER)
         raise ConfigError(f"unknown prefetcher {name!r}; known: {known}") from None
     return factory()
-
-
-def make_cbws_variant(config: CbwsConfig, hybrid: bool = False) -> Prefetcher:
-    """Build a CBWS(-based) prefetcher with a custom geometry, used by
-    the ablation experiments."""
-    if hybrid:
-        return CbwsSmsPrefetcher(cbws_config=config)
-    return CbwsPrefetcher(config)

@@ -458,3 +458,29 @@ class TestTypedErrors:
         with pytest.raises(SpecError, match=f"axis '{axis}'.*'nw'"):
             parse_spec(minimal_document(
                 axes=[{"name": axis, "values": ["nw"]}]))
+
+    @pytest.mark.parametrize("axis, values", [
+        ("cbws.table_entries", [8.7, 32]),
+        ("pythia.history_len", [2.9]),
+        ("pangloss.degree", ["8"]),
+        ("pythia.alpha", ["0.1"]),
+        ("pythia.feature_set", [3]),
+    ])
+    def test_geometry_axis_takes_its_default_type(self, axis, values):
+        # A fractional value on an int path is not truncated into
+        # another (or the default) geometry; it names the axis.
+        with pytest.raises(SpecError, match=f"axis '{axis}': values must"):
+            parse_spec(minimal_document(
+                axes=[{"name": axis, "values": values}]))
+
+    def test_numbers_fill_float_geometry_paths(self):
+        spec = parse_spec(minimal_document(
+            base={"workloads": ["nw"], "prefetchers": ["pythia"],
+                  "budget_fraction": 0.02},
+            axes=[{"name": "pythia.alpha", "values": [0, 0.065]},
+                  {"name": "pythia.feature_set",
+                   "values": ["pc+offset", "pc+delta"]}]))
+        names = {cell.request.prefetcher
+                 for cell in plan_campaign(spec).cells}
+        assert "pythia[alpha=0.0,feature_set=pc+offset]" in names
+        assert "pythia[alpha=0.065,feature_set=pc+offset]" in names

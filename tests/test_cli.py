@@ -92,6 +92,31 @@ class TestParser:
             main(["figure", "99"])
 
 
+class TestBenchCli:
+    @pytest.mark.parametrize("args, error", [
+        (["--baseline", "BENCH.json", "--out", "BENCH.json", "--check"],
+         "is the --baseline file"),
+        (["--baseline", "BENCH.json", "--out", "./sub/../BENCH.json"],
+         "is the --baseline file"),
+        (["--check"], "--check requires --baseline"),
+    ])
+    def test_refusals_come_before_any_work(self, tmp_path, capsys,
+                                           monkeypatch, args, error):
+        import repro.harness.bench as bench
+
+        baseline = tmp_path / "BENCH.json"
+        baseline.write_text('{"committed": true}\n')
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(bench, "run_bench", lambda **_: pytest.fail(
+            "simulated before refusing"))
+        assert main(["bench", "--quick", "--no-progress", *args]) == 2
+        assert error in capsys.readouterr().err
+        assert baseline.read_text() == '{"committed": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["BENCH.json", "sub"]
+
+
 class TestJsonExport:
     def test_run_with_json_output(self, tmp_path, capsys):
         import json

@@ -2,16 +2,36 @@
 
 import pytest
 
+from repro.campaign.cells import GEOMETRY_PARAMS, baseline_params
 from repro.common.errors import ConfigError
 from repro.harness.registry import (
+    FAMILIES,
     PAPER_PREFETCHER_ORDER,
+    apply_geometry,
     canonical_prefetcher_name,
-    make_cbws_variant,
+    geometry_defaults,
     make_prefetcher,
 )
 from repro.harness.report import format_mapping, format_percent_table, format_table
 from repro.harness.runner import GridRunner, clear_trace_cache
-from repro.core.predictor import CbwsConfig
+
+#: Every (base, field) a parametrized name may set.
+FAMILY_FIELDS = [(base, field) for base, family in FAMILIES.items()
+                 for field in family.fields]
+
+
+def _config_of(prefetcher):
+    """The family config a built prefetcher runs with."""
+    return getattr(prefetcher, "cbws", prefetcher).config
+
+
+def _other_value(value):
+    """A value of ``value``'s type that differs from it."""
+    if isinstance(value, str):
+        return "pc+offset" if value == "pc+delta" else "pc+delta"
+    if isinstance(value, float):
+        return value / 2
+    return value * 2 if value else 1
 
 
 class TestRegistry:
@@ -29,11 +49,45 @@ class TestRegistry:
             make_prefetcher("oracle")
 
     def test_cbws_variant_builder(self):
-        config = CbwsConfig(table_entries=8)
-        standalone = make_cbws_variant(config)
-        hybrid = make_cbws_variant(config, hybrid=True)
+        standalone = make_prefetcher("cbws[table_entries=8]")
+        hybrid = make_prefetcher("cbws+sms[table_entries=8]")
+        assert standalone.name == "cbws"
+        assert hybrid.name == "cbws+sms"
         assert standalone.config.table_entries == 8
         assert hybrid.cbws.config.table_entries == 8
+
+    @pytest.mark.parametrize("base, field", FAMILY_FIELDS)
+    def test_default_value_spelled_out_is_the_base(self, base, field):
+        default = getattr(FAMILIES[base].config(), field)
+        name = f"{base}[{field}={default}]"
+        assert canonical_prefetcher_name(name) == base
+
+    @pytest.mark.parametrize("base, field", FAMILY_FIELDS)
+    def test_non_default_value_reaches_the_config(self, base, field):
+        family = FAMILIES[base]
+        value = _other_value(getattr(family.config(), field))
+        if field == "predict_steps":
+            value = 2  # must stay within max_step=4
+        name = canonical_prefetcher_name(f"{base}[{field}={value}]")
+        assert name == f"{base}[{field}={value}]"
+        assert apply_geometry(base, {f"{family.prefix}.{field}": value}) \
+            == name
+        config = _config_of(make_prefetcher(name))
+        assert isinstance(config, family.config)
+        assert getattr(config, field) == value
+
+    def test_campaign_paths_are_the_registrys(self):
+        defaults = geometry_defaults()
+        expected = {
+            f"{family.prefix}.{field}": getattr(family.config(), field)
+            for family in FAMILIES.values() for field in family.fields
+        }
+        assert defaults == expected
+        assert GEOMETRY_PARAMS == set(expected)
+        baseline = baseline_params()
+        assert {path: baseline[path] for path in expected} == expected
+        assert {"cbws.table_entries", "pangloss.degree",
+                "pythia.alpha"} <= GEOMETRY_PARAMS
 
     def test_effective_default_parameters_are_dropped(self):
         # predict_steps defaults to min(4, max_step), so spelling that
