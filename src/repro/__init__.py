@@ -60,11 +60,13 @@ from repro.workloads import (
     get_workload,
 )
 
+
 def _detect_version() -> str:
     """Installed distribution version, falling back for src checkouts.
 
     ``PYTHONPATH=src`` runs (tests, CI) have no installed distribution,
-    so the fallback literal below must track ``pyproject.toml``.
+    so the fallback literal below must track ``pyproject.toml`` (a test
+    pins the two together).
     """
     from importlib.metadata import PackageNotFoundError, version
 
@@ -74,7 +76,15 @@ def _detect_version() -> str:
         return "1.0.0"
 
 
-__version__ = _detect_version()
+def __getattr__(name: str) -> str:
+    # ``__version__`` is looked up on first read and then cached as a
+    # plain global: the metadata lookup costs more than most commands
+    # spend, and only ``--version`` and ``/healthz`` read it.
+    if name == "__version__":
+        globals()[name] = version = _detect_version()
+        return version
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

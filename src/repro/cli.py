@@ -873,6 +873,21 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+class _VersionAction(argparse.Action):
+    """``--version``, which looks the version up only when it is given."""
+
+    def __init__(self, option_strings: list[str], dest: str) -> None:
+        super().__init__(option_strings, dest=argparse.SUPPRESS,
+                         default=argparse.SUPPRESS, nargs=0,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from repro import __version__
+
+        print(f"repro {__version__}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -881,10 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Block Working Sets' (MICRO 2014)"
         ),
     )
-    from repro import __version__
-
-    parser.add_argument(
-        "--version", action="version", version=f"repro {__version__}")
+    parser.add_argument("--version", action=_VersionAction)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     list_parser = subparsers.add_parser(

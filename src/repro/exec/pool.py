@@ -25,18 +25,19 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.common.errors import ExecError, PermanentError
 from repro.exec import traces
 from repro.exec.keys import short_digest
 from repro.exec.plan import SimNode, TraceNode
 from repro.sim.engine import simulate
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,14 @@ class WorkerPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # The pool modules load here, not at import: a run that
+            # dispatches nothing (a warm replay, jobs=1) never needs them.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_all_start_methods, get_context
+
+            # Forked workers inherit the parent's modules, so load the
+            # trace-build stack once here rather than once per worker.
+            traces.load_build_stack()
             # fork is markedly cheaper than spawn and the parent is
             # single-threaded at submission time; fall back to the
             # platform default where fork does not exist.
@@ -198,4 +207,6 @@ class WorkerPool:
     @staticmethod
     def is_pool_failure(error: BaseException) -> bool:
         """True when a future failed because its worker died."""
+        from concurrent.futures.process import BrokenProcessPool
+
         return isinstance(error, BrokenProcessPool)

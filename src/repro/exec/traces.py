@@ -74,6 +74,13 @@ def clear() -> None:
     _LRU.clear()
 
 
+def load_build_stack() -> None:
+    """Import what building a trace needs but ``import repro`` skips
+    (numpy), for a caller that must not pay it later: a pool about to
+    fork its workers, or a server about to report ready."""
+    import numpy  # noqa: F401
+
+
 def _remember(key: str, trace: Trace) -> None:
     _LRU[key] = trace
     _LRU.move_to_end(key)

@@ -22,8 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 from types import CodeType
 
-import numpy as np
-
 from repro.common.errors import WorkloadError
 from repro.ir.interp import ExecutionLimits
 from repro.ir.nodes import (
@@ -280,6 +278,8 @@ class CompiledKernel:
         limits: ExecutionLimits | None = None,
     ) -> Trace:
         """Execute the compiled kernel; same contract as the interpreter."""
+        import numpy as np
+
         limits = limits or ExecutionLimits()
         address_space = AddressSpace()
         rng = np.random.default_rng(seed)

@@ -23,9 +23,7 @@ While          2 per iteration (condition + branch)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.common.errors import WorkloadError
 from repro.ir.nodes import (
@@ -48,6 +46,9 @@ from repro.ir.validate import number_kernel
 from repro.trace.events import BlockBegin, BlockEnd, MemoryAccess, TraceEvent
 from repro.trace.stream import Trace
 from repro.trace.synth import AddressSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,8 @@ class Interpreter:
         seed: int = 0,
         limits: ExecutionLimits | None = None,
     ) -> None:
+        import numpy as np
+
         number_kernel(kernel)
         self.kernel = kernel
         self.limits = limits or ExecutionLimits()

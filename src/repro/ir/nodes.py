@@ -8,11 +8,12 @@ exact commit-order access trace.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # --------------------------------------------------------------------------
 # Expressions
@@ -70,9 +71,6 @@ class Expr:
     # Comparisons produce 0/1 integers, mirroring C semantics.
     def lt(self, other: "Expr | int") -> "BinOp":
         return BinOp("<", self, _wrap(other))
-
-    def le(self, other: "Expr | int") -> "BinOp":
-        return BinOp("<=", self, _wrap(other))
 
     def gt(self, other: "Expr | int") -> "BinOp":
         return BinOp(">", self, _wrap(other))

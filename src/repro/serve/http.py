@@ -35,6 +35,7 @@ from typing import Any, Mapping
 
 from repro import obs
 from repro.common.errors import ReproError
+from repro.exec import traces
 from repro.obs.prometheus import render_prometheus
 from repro.serve.broker import (
     AdmissionFull,
@@ -360,6 +361,9 @@ async def run_server(
     """
     obs_was_enabled = obs.enabled()
     obs.enable()
+    # Load the trace-build stack before reporting ready, so the first
+    # fresh cell does not pay its import inside a request.
+    traces.load_build_stack()
     broker = Broker(**broker_kwargs)
     server = HttpServer(broker, host, port)
     await broker.start()

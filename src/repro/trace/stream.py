@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from repro.common.errors import TraceError
 from repro.trace.columnar import EventColumns
 from repro.trace.events import (
@@ -123,6 +121,8 @@ class Trace:
         A vectorized scan of the columns decides; only a malformed trace
         is walked event by event, to name its first violation.
         """
+        import numpy as np
+
         columns = self.events
         kinds, icounts, _, payloads, _ = map(np.asarray, columns.arrays())
         marker_kinds, marker_ids = (column[kinds != MEMORY_ACCESS]
@@ -178,6 +178,8 @@ class Trace:
         right after it among the markers, so the loop back-edge overhead
         counts as part of the block.
         """
+        import numpy as np
+
         kinds, icounts, _, payloads, writes = map(
             np.asarray, self.events.arrays())
         memory = kinds == MEMORY_ACCESS

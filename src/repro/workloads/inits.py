@@ -7,17 +7,20 @@ data-dependent kernels are reproducible.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-Initializer = Callable[[np.random.Generator], np.ndarray]
+    Initializer = Callable[[np.random.Generator], np.ndarray]
 
 
 def uniform_ints(length: int, low: int, high: int) -> Initializer:
     """Uniform integers in [low, high)."""
 
     def init(rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         return rng.integers(low, high, size=length, dtype=np.int64)
 
     return init
@@ -28,6 +31,8 @@ def zipf_ints(length: int, universe: int, exponent: float = 1.2) -> Initializer:
     like the pixel values feeding histo's histogram."""
 
     def init(rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         raw = rng.zipf(exponent, size=length)
         return np.minimum(raw - 1, universe - 1).astype(np.int64)
 
@@ -40,6 +45,8 @@ def permutation_chain(length: int) -> Initializer:
     every element exactly once before returning to the start."""
 
     def init(rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         order = rng.permutation(length)
         chain = np.empty(length, dtype=np.int64)
         chain[order[:-1]] = order[1:]
@@ -55,6 +62,8 @@ def strided_then_shuffled(length: int, locality: float) -> Initializer:
     graph workloads (bfs, canneal)."""
 
     def init(rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         indices = np.arange(length, dtype=np.int64)
         jumps = rng.random(length) > locality
         indices[jumps] = rng.integers(0, length, size=int(jumps.sum()))

@@ -21,8 +21,6 @@ the sort order:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir.nodes import ArrayDecl, Compute, For, Kernel, Load, Store
 from repro.ir.builder import c, v
 from repro.workloads.base import WorkloadSpec
@@ -38,7 +36,8 @@ def _sort_order_bases(pointers: int, windows: int):
     """Suffix-pointer bases in partially-sorted order: ascending runs
     with sort-driven jumps."""
 
-    def init(rng: np.random.Generator) -> np.ndarray:
+    def init(rng):
+        import numpy as np
         bases = np.arange(pointers, dtype=np.int64) % windows
         jumps = rng.random(pointers) < 0.4
         bases[jumps] = rng.integers(0, windows, size=int(jumps.sum()))

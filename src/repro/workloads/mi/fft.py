@@ -19,8 +19,6 @@ and the CBWS+SMS fall-back recovers the difference.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir.nodes import ArrayDecl, Assign, Compute, For, If, Kernel, Load, Store
 from repro.ir.builder import c, v
 from repro.workloads.base import WorkloadSpec
@@ -30,7 +28,8 @@ from repro.workloads.inits import uniform_ints
 def _bit_reversed(log_n: int):
     """Precomputed bit-reversal permutation table."""
 
-    def init(rng: np.random.Generator) -> np.ndarray:
+    def init(rng):
+        import numpy as np
         n = 1 << log_n
         indices = np.arange(n, dtype=np.int64)
         reversed_indices = np.zeros(n, dtype=np.int64)

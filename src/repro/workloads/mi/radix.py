@@ -12,8 +12,6 @@ misses".
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ir.nodes import ArrayDecl, Assign, Compute, For, Kernel, Load, Store
 from repro.ir.builder import c, v
 from repro.workloads.base import WorkloadSpec
@@ -24,7 +22,8 @@ _BUCKETS = 256
 def _run_sorted_keys(length: int):
     """Keys whose radix digit changes in long runs (partially sorted)."""
 
-    def init(rng: np.random.Generator) -> np.ndarray:
+    def init(rng):
+        import numpy as np
         run = 512
         digits = np.repeat(
             rng.integers(0, _BUCKETS, size=length // run + 1), run

@@ -68,7 +68,7 @@ def _public_members(module: object) -> tuple[list, list, list]:
     """(classes, functions, constants) defined in *module* itself."""
     classes, functions, constants = [], [], []
     for name in sorted(vars(module)):
-        if name.startswith("_"):
+        if name.startswith("_") or name == "TYPE_CHECKING":
             continue
         member = getattr(module, name)
         defined_here = getattr(member, "__module__", None) == module.__name__
